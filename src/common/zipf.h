@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,7 +12,9 @@
 namespace domino {
 
 /// Samples ranks in [0, n) with P(rank k) proportional to 1 / (k+1)^alpha.
-/// Uses a precomputed inverse-CDF table; O(log n) per sample.
+/// Uses a precomputed inverse-CDF table; O(log n) per sample. Every generator
+/// with the same (n, alpha) shares one immutable table for the life of the
+/// process, so constructing one after the first is cheap.
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint64_t n, double alpha);
@@ -20,11 +23,13 @@ class ZipfGenerator {
 
   [[nodiscard]] std::uint64_t n() const { return n_; }
   [[nodiscard]] double alpha() const { return alpha_; }
+  /// The shared CDF: table()[k] = P(rank <= k).
+  [[nodiscard]] const std::vector<double>& table() const { return *cdf_; }
 
  private:
   std::uint64_t n_;
   double alpha_;
-  std::vector<double> cdf_;  // cdf_[k] = P(rank <= k)
+  std::shared_ptr<const std::vector<double>> cdf_;
 };
 
 }  // namespace domino

@@ -137,7 +137,9 @@ TEST(IntervalSetProperty, MatchesReferenceSet) {
     bool first = true;
     for (const auto& [lo, hi] : s.intervals()) {
       EXPECT_LE(lo, hi);
-      if (!first) EXPECT_GT(lo, prev_hi + 1);
+      if (!first) {
+        EXPECT_GT(lo, prev_hi + 1);
+      }
       prev_hi = hi;
       first = false;
     }

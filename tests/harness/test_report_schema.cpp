@@ -6,8 +6,7 @@
 //
 // The golden lives at tests/harness/golden/run_report_schema.golden. To
 // regenerate after an intentional schema change:
-//   DOMINO_UPDATE_GOLDEN=1 ./tests/test_harness \
-//       --gtest_filter='ReportSchema.*'
+//   DOMINO_UPDATE_GOLDEN=1 ./tests/test_harness --gtest_filter='ReportSchema.*'
 #include <gtest/gtest.h>
 
 #include <cctype>

@@ -186,7 +186,7 @@ TEST(Network, UnknownNodeThrows) {
   Fixture f;
   f.add_node(NodeId{0}, 0);
   EXPECT_THROW(f.network.send(NodeId{0}, NodeId{9}, payload_of(1)), std::out_of_range);
-  EXPECT_THROW(f.network.dc_of(NodeId{9}), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(f.network.dc_of(NodeId{9})), std::out_of_range);
 }
 
 TEST(Network, LinkModelOverride) {

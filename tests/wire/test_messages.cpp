@@ -31,14 +31,14 @@ TEST(Envelope, TypeMismatchThrows) {
   measure::Probe probe;
   probe.seq = 1;
   const wire::Payload p = wire::encode_message(probe);
-  EXPECT_THROW(wire::decode_message<measure::ProbeReply>(p), wire::WireError);
+  EXPECT_THROW(static_cast<void>(wire::decode_message<measure::ProbeReply>(p)), wire::WireError);
 }
 
 TEST(Envelope, TrailingGarbageThrows) {
   measure::Probe probe;
   wire::Payload p = wire::encode_message(probe);
   p.push_back(0x00);
-  EXPECT_THROW(wire::decode_message<measure::Probe>(p), wire::WireError);
+  EXPECT_THROW(static_cast<void>(wire::decode_message<measure::Probe>(p)), wire::WireError);
 }
 
 TEST(MeasureMessages, ProbeRoundTrip) {

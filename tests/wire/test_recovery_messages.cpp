@@ -127,7 +127,7 @@ TEST(RecoveryMessages, TrailingGarbageThrows) {
   CatchupRequest m;
   wire::Payload p = wire::encode_message(m);
   p.push_back(0x00);
-  EXPECT_THROW(wire::decode_message<CatchupRequest>(p), wire::WireError);
+  EXPECT_THROW(static_cast<void>(wire::decode_message<CatchupRequest>(p)), wire::WireError);
 }
 
 }  // namespace

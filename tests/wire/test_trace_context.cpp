@@ -61,13 +61,13 @@ TEST(TraceContextWire, ContextAddsBytesOnlyWhenPresent) {
 
 TEST(TraceContextWire, WrongTypeStillThrows) {
   const Payload traced = encode_message_traced(sample_probe(), TraceContextWire{9, 9});
-  EXPECT_THROW(decode_message<measure::ProbeReply>(traced), WireError);
+  EXPECT_THROW(static_cast<void>(decode_message<measure::ProbeReply>(traced)), WireError);
 }
 
 TEST(TraceContextWire, TruncatedContextThrows) {
   Payload traced = encode_message_traced(sample_probe(), TraceContextWire{1u << 30, 77});
   traced.resize(3);  // tag + one varint byte
-  EXPECT_THROW(decode_message<measure::Probe>(traced), WireError);
+  EXPECT_THROW(static_cast<void>(decode_message<measure::Probe>(traced)), WireError);
 }
 
 }  // namespace
