@@ -19,6 +19,7 @@
 #include "harness/runner.h"
 #include "mencius/client.h"
 #include "mencius/replica.h"
+#include "net/network.h"
 #include "statemachine/workload.h"
 
 namespace {

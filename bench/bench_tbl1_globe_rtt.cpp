@@ -6,7 +6,6 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
-#include "measure/prober.h"
 #include "wan/delay_trace.h"
 #include "wan/empirical.h"
 
@@ -14,45 +13,12 @@ namespace {
 
 using namespace domino;
 
-class ProbeClient : public rpc::Node {
- public:
-  ProbeClient(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> targets)
-      : rpc::Node(id, dc, network), prober(*this, std::move(targets), {}) {}
-  measure::Prober prober;
-
- protected:
-  void on_packet(const net::Packet& packet) override {
-    switch (wire::peek_type(packet.payload)) {
-      case wire::MessageType::kProbe: {
-        const auto probe = wire::decode_message<measure::Probe>(packet.payload);
-        send(packet.src, measure::Prober::make_reply(probe, local_now(), Duration::zero()));
-        break;
-      }
-      case wire::MessageType::kProbeReply:
-        prober.on_probe_reply(packet.src,
-                              wire::decode_message<measure::ProbeReply>(packet.payload));
-        break;
-      default:
-        break;
-    }
-  }
-};
-
 void measure_matrix(const net::Topology& topo, const char* paper_ref) {
   sim::Simulator simulator;
   net::Network network(simulator, topo, 42);
   net::JitterParams jitter;
   network.use_default_links(jitter);
-
-  std::vector<NodeId> ids;
-  for (std::size_t i = 0; i < topo.size(); ++i) ids.push_back(NodeId{(std::uint32_t)i});
-  std::vector<std::unique_ptr<ProbeClient>> nodes;
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    nodes.push_back(std::make_unique<ProbeClient>(ids[i], i, network, ids));
-    nodes.back()->attach();
-  }
-  for (auto& n : nodes) n->prober.start();
-  simulator.run_until(TimePoint::epoch() + seconds(5));
+  const auto nodes = bench::probe_all_datacenters(network);
 
   std::printf("%s — median measured RTT (ms); configured value in ()\n\n      ", paper_ref);
   for (std::size_t j = 0; j < topo.size(); ++j) std::printf("%12s", topo.name(j).c_str());
@@ -64,7 +30,7 @@ void measure_matrix(const net::Topology& topo, const char* paper_ref) {
         std::printf("%12s", "-");
         continue;
       }
-      const Duration measured = nodes[i]->prober.rtt_estimate(ids[j], 50.0);
+      const Duration measured = nodes[i]->prober.rtt_estimate(nodes[j]->id(), 50.0);
       char cell[48];
       std::snprintf(cell, sizeof(cell), "%.0f (%.0f)", measured.millis(),
                     topo.rtt(i, j).millis());
@@ -84,16 +50,7 @@ void measure_va_row_traced(const net::Topology& topo, const wan::DelayTrace& tra
   net::JitterParams jitter;
   network.use_default_links(jitter);
   const std::size_t replayed = wan::apply_trace(trace, network, {});
-
-  std::vector<NodeId> ids;
-  for (std::size_t i = 0; i < topo.size(); ++i) ids.push_back(NodeId{(std::uint32_t)i});
-  std::vector<std::unique_ptr<ProbeClient>> nodes;
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    nodes.push_back(std::make_unique<ProbeClient>(ids[i], i, network, ids));
-    nodes.back()->attach();
-  }
-  for (auto& n : nodes) n->prober.start();
-  simulator.run_until(TimePoint::epoch() + seconds(5));
+  const auto nodes = bench::probe_all_datacenters(network);
 
   std::printf("VA row, links replaying bench/traces/globe_va.csv (%zu directed links):\n\n",
               replayed);
@@ -107,7 +64,7 @@ void measure_va_row_traced(const net::Topology& topo, const wan::DelayTrace& tra
     for (const auto& s : *fwd) f.add(s.owd.millis());
     for (const auto& s : *rev) r.add(s.owd.millis());
     const double trace_p50 = f.percentile(50) + r.percentile(50);
-    const double probed = nodes[va]->prober.rtt_estimate(ids[j], 50.0).millis();
+    const double probed = nodes[va]->prober.rtt_estimate(nodes[j]->id(), 50.0).millis();
     std::printf("  VA<->%-4s %10.1f %11.1f %12.0f   tracks trace: %s\n",
                 topo.name(j).c_str(), probed, trace_p50, topo.rtt(va, j).millis(),
                 std::abs(probed - trace_p50) < trace_p50 * 0.05 ? "yes" : "NO");

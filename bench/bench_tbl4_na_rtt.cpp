@@ -9,40 +9,9 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "measure/prober.h"
 #include "net/topology.h"
 #include "wan/empirical.h"
 #include "wan/generator.h"
-
-namespace {
-
-using namespace domino;
-
-class ProbeClient : public rpc::Node {
- public:
-  ProbeClient(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> targets)
-      : rpc::Node(id, dc, network), prober(*this, std::move(targets), {}) {}
-  measure::Prober prober;
-
- protected:
-  void on_packet(const net::Packet& packet) override {
-    switch (wire::peek_type(packet.payload)) {
-      case wire::MessageType::kProbe: {
-        const auto probe = wire::decode_message<measure::Probe>(packet.payload);
-        send(packet.src, measure::Prober::make_reply(probe, local_now(), Duration::zero()));
-        break;
-      }
-      case wire::MessageType::kProbeReply:
-        prober.on_probe_reply(packet.src,
-                              wire::decode_message<measure::ProbeReply>(packet.payload));
-        break;
-      default:
-        break;
-    }
-  }
-};
-
-}  // namespace
 
 int main() {
   using namespace domino;
@@ -89,16 +58,7 @@ int main() {
   net::JitterParams jitter;
   network.use_default_links(jitter);
   const std::size_t replayed = wan::apply_trace(generated, network, {});
-
-  std::vector<NodeId> ids;
-  for (std::size_t i = 0; i < topo.size(); ++i) ids.push_back(NodeId{(std::uint32_t)i});
-  std::vector<std::unique_ptr<ProbeClient>> nodes;
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    nodes.push_back(std::make_unique<ProbeClient>(ids[i], i, network, ids));
-    nodes.back()->attach();
-  }
-  for (auto& n : nodes) n->prober.start();
-  simulator.run_until(TimePoint::epoch() + seconds(5));
+  const auto nodes = bench::probe_all_datacenters(network);
 
   std::printf("\nVA row probed over generated in-memory traces "
               "(%zu directed links replayed):\n\n  pair      probed p50   configured\n",
@@ -106,7 +66,7 @@ int main() {
   bool ok = true;
   for (std::size_t j = 0; j < topo.size(); ++j) {
     if (j == va) continue;
-    const double probed = nodes[va]->prober.rtt_estimate(ids[j], 50.0).millis();
+    const double probed = nodes[va]->prober.rtt_estimate(nodes[j]->id(), 50.0).millis();
     const double configured = topo.rtt(va, j).millis();
     const bool close = probed > configured * 0.95 && probed < configured * 1.15;
     ok = ok && close;

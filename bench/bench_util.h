@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,7 +15,10 @@
 #include "harness/report.h"
 #include "harness/run_report.h"
 #include "harness/runner.h"
+#include "measure/prober.h"
+#include "net/network.h"
 #include "obs/export.h"
+#include "rpc/node.h"
 
 namespace domino::bench {
 
@@ -197,6 +201,48 @@ inline void print_prediction_audit(harness::Protocol protocol, harness::Scenario
                 worst->owner.to_string().c_str(), worst->target.to_string().c_str(),
                 worst->coverage(), static_cast<double>(worst->max_overshoot_ns) / 1e6);
   }
+}
+
+/// A bare measurement node: answers probes and probes `targets` with a
+/// default-configured measure::Prober (the Table 1/4 RTT benches).
+class ProbeClient : public rpc::Node {
+ public:
+  ProbeClient(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> targets)
+      : rpc::Node(id, dc, context), prober(*this, std::move(targets), {}) {}
+  measure::Prober prober;
+
+ protected:
+  void on_packet(const net::Packet& packet) override {
+    switch (wire::peek_type(packet.payload)) {
+      case wire::MessageType::kProbe: {
+        const auto probe = wire::decode_message<measure::Probe>(packet.payload);
+        send(packet.src, measure::Prober::make_reply(probe, local_now(), Duration::zero()));
+        break;
+      }
+      case wire::MessageType::kProbeReply:
+        prober.on_probe_reply(packet.src,
+                              wire::decode_message<measure::ProbeReply>(packet.payload));
+        break;
+      default:
+        break;
+    }
+  }
+};
+
+/// Place ProbeClient NodeId{i} in datacenter i of `network`'s topology, let
+/// every node probe every node for 5 s of virtual time, and return them.
+inline std::vector<std::unique_ptr<ProbeClient>> probe_all_datacenters(net::Network& network) {
+  const std::size_t n = network.topology().size();
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < n; ++i) ids.push_back(NodeId{static_cast<std::uint32_t>(i)});
+  std::vector<std::unique_ptr<ProbeClient>> nodes;
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes.push_back(std::make_unique<ProbeClient>(ids[i], i, network, ids));
+    nodes.back()->attach();
+  }
+  for (auto& node : nodes) node->prober.start();
+  network.simulator().run_until(TimePoint::epoch() + seconds(5));
+  return nodes;
 }
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {

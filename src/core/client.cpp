@@ -4,19 +4,9 @@
 
 namespace domino::core {
 
-Client::Client(NodeId id, std::size_t dc, net::Network& network,
+Client::Client(NodeId id, std::size_t dc, rpc::Context& context,
                std::vector<NodeId> replicas, ClientConfig config, sim::LocalClock clock)
-    : rpc::ClientBase(id, dc, network, clock),
-      replicas_(std::move(replicas)),
-      config_(config),
-      prober_(*this, replicas_, config.prober),
-      proxy_feed_(*this) {
-  init_obs();
-}
-
-Client::Client(NodeId id, rpc::Context& context, std::vector<NodeId> replicas,
-               ClientConfig config, sim::LocalClock clock)
-    : rpc::ClientBase(id, /*dc=*/0, context, clock),
+    : rpc::ClientBase(id, dc, context, clock),
       replicas_(std::move(replicas)),
       config_(config),
       prober_(*this, replicas_, config.prober),

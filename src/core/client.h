@@ -62,12 +62,14 @@ struct ClientConfig {
 
 class Client : public rpc::ClientBase {
  public:
-  Client(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Client(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
          ClientConfig config = {}, sim::LocalClock clock = sim::LocalClock{});
 
-  /// Run over any transport (e.g. net::tcp::TcpContext for real sockets).
+  /// For transports without datacenter placement (e.g. net::tcp::TcpContext):
+  /// the same client at dc 0.
   Client(NodeId id, rpc::Context& context, std::vector<NodeId> replicas,
-         ClientConfig config = {}, sim::LocalClock clock = sim::LocalClock{});
+         ClientConfig config = {}, sim::LocalClock clock = sim::LocalClock{})
+      : Client(id, /*dc=*/0, context, std::move(replicas), config, clock) {}
 
   /// Start probing (or proxy polling); call after attach() and before
   /// submitting load.

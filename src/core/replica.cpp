@@ -43,25 +43,10 @@ wire::Payload committed_record(std::int64_t ts, std::uint32_t lane, bool is_noop
 }
 }  // namespace
 
-Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
+Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, NodeId coordinator, ReplicaConfig config,
                  sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock),
-      replicas_(std::move(replicas)),
-      coordinator_(coordinator),
-      config_(config),
-      log_(replicas_.size() + 1),
-      prober_(*this, replicas_, config.prober),
-      replica_watermarks_(replicas_.size(), TimePoint::epoch()) {
-  const auto it = std::find(replicas_.begin(), replicas_.end(), id);
-  if (it == replicas_.end()) throw std::invalid_argument("core::Replica: id not in set");
-  rank_ = static_cast<std::size_t>(it - replicas_.begin());
-  init_obs();
-}
-
-Replica::Replica(NodeId id, rpc::Context& context, std::vector<NodeId> replicas,
-                 NodeId coordinator, ReplicaConfig config, sim::LocalClock clock)
-    : rpc::Node(id, /*dc=*/0, context, clock),
+    : rpc::Node(id, dc, context, clock),
       replicas_(std::move(replicas)),
       coordinator_(coordinator),
       config_(config),

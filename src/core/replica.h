@@ -61,14 +61,16 @@ class Replica : public rpc::Node {
  public:
   using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
 
-  Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           NodeId coordinator, ReplicaConfig config = {},
           sim::LocalClock clock = sim::LocalClock{});
 
-  /// Run over any transport (e.g. net::tcp::TcpContext for real sockets).
+  /// For transports without datacenter placement (e.g. net::tcp::TcpContext):
+  /// the same replica at dc 0.
   Replica(NodeId id, rpc::Context& context, std::vector<NodeId> replicas,
           NodeId coordinator, ReplicaConfig config = {},
-          sim::LocalClock clock = sim::LocalClock{});
+          sim::LocalClock clock = sim::LocalClock{})
+      : Replica(id, /*dc=*/0, context, std::move(replicas), coordinator, config, clock) {}
 
   /// Start probing and heartbeats; call after attach().
   void start();

@@ -9,9 +9,9 @@ namespace domino::epaxos {
 
 class Client : public rpc::ClientBase {
  public:
-  Client(NodeId id, std::size_t dc, net::Network& network, NodeId command_leader,
+  Client(NodeId id, std::size_t dc, rpc::Context& context, NodeId command_leader,
          sim::LocalClock clock = sim::LocalClock{})
-      : rpc::ClientBase(id, dc, network, clock), leader_(command_leader) {}
+      : rpc::ClientBase(id, dc, context, clock), leader_(command_leader) {}
 
   [[nodiscard]] NodeId command_leader() const { return leader_; }
 

@@ -31,9 +31,9 @@ bool same_deps(const DepList& a, const DepList& b) {
 
 }  // namespace
 
-Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
+Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock), replicas_(std::move(replicas)) {
+    : rpc::Node(id, dc, context, clock), replicas_(std::move(replicas)) {
   if (std::find(replicas_.begin(), replicas_.end(), id) == replicas_.end()) {
     throw std::invalid_argument("epaxos::Replica: id not in replica set");
   }

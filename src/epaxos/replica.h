@@ -41,7 +41,7 @@ class Replica : public rpc::Node {
  public:
   using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
 
-  Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           sim::LocalClock clock = sim::LocalClock{});
 
   void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }

@@ -14,9 +14,9 @@ namespace domino::fastpaxos {
 
 class Client : public rpc::ClientBase {
  public:
-  Client(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Client(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
          sim::LocalClock clock = sim::LocalClock{})
-      : rpc::ClientBase(id, dc, network, clock), replicas_(std::move(replicas)) {}
+      : rpc::ClientBase(id, dc, context, clock), replicas_(std::move(replicas)) {}
 
   [[nodiscard]] std::uint64_t fast_learns() const { return fast_learns_; }
 

@@ -14,10 +14,10 @@ namespace {
 constexpr Duration kCatchupRetryInterval = milliseconds(100);
 }  // namespace
 
-Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
+Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, NodeId coordinator,
                  Duration recovery_timeout, sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock),
+    : rpc::Node(id, dc, context, clock),
       replicas_(std::move(replicas)),
       coordinator_(coordinator),
       recovery_timeout_(recovery_timeout) {

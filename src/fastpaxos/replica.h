@@ -35,7 +35,7 @@ class Replica : public rpc::Node {
  public:
   using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
 
-  Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           NodeId coordinator, Duration recovery_timeout = milliseconds(500),
           sim::LocalClock clock = sim::LocalClock{});
 

@@ -272,19 +272,6 @@ struct Env {
     return out;
   }
 
-  /// Record each replica's state-machine fingerprint (chaos convergence
-  /// checks compare these across the live majority).
-  template <typename ReplicaT>
-  void collect_stores(const std::vector<std::unique_ptr<ReplicaT>>& replicas,
-                      RunResult& result) const {
-    result.replica_store_fingerprints.reserve(replicas.size());
-    result.replica_applied_counts.reserve(replicas.size());
-    for (const auto& r : replicas) {
-      result.replica_store_fingerprints.push_back(r->store().fingerprint());
-      result.replica_applied_counts.push_back(r->store().applied_count());
-    }
-  }
-
   const Scenario& scenario;
   // Declared before the simulator/network/nodes so every obs handle stays
   // valid for the users' whole lifetime (members destroy in reverse order).
@@ -301,241 +288,176 @@ struct Env {
   TimePoint window_end;
   LatencyCollector collector;
   std::vector<std::unique_ptr<sm::WorkloadGenerator>> workloads;
-  recovery::DurableStore durable;  // outlives replicas (impl-function locals)
+  recovery::DurableStore durable;  // outlives replicas (run_cluster locals)
   std::unordered_map<NodeId, std::function<void()>> restarters;
 };
 
-RunResult run_multipaxos_impl(const Scenario& s) {
-  Env env(s);
+/// One protocol's deployment: factories for replica i and client i (each
+/// handed the node's freshly drawn local clock), and the protocol-specific
+/// counters it adds to the result once the run is over.
+template <typename ReplicaT, typename ClientT>
+struct Deployment {
+  using Replicas = std::vector<std::unique_ptr<ReplicaT>>;
+  using Clients = std::vector<std::unique_ptr<ClientT>>;
+
+  std::function<std::unique_ptr<ReplicaT>(std::size_t, sim::LocalClock)> replica;
+  std::function<std::unique_ptr<ClientT>(std::size_t, sim::LocalClock)> client;
+  std::function<void(const Replicas&, const Clients&, RunResult&)> extras = {};
+};
+
+/// Build every replica, then every client (one clock draw per node in that
+/// order), run the scenario, and collect the results.
+template <typename ReplicaT, typename ClientT>
+RunResult run_cluster(Env& env, const Deployment<ReplicaT, ClientT>& deployment) {
+  const Scenario& s = env.scenario;
   RunResult result;
 
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-  const NodeId leader = rids[s.leader_index];
-
-  std::vector<std::unique_ptr<paxos::Replica>> replicas;
+  typename Deployment<ReplicaT, ClientT>::Replicas replicas;
   for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<paxos::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                              leader, env.next_clock());
+    auto r = deployment.replica(i, env.next_clock());
     r->attach();
-    env.enable_recovery(*r, rids[i]);
-    env.apply_capacity(rids[i], true);
+    env.enable_recovery(*r, replica_id(i));
+    // Mencius (heartbeats) and Domino (probing, heartbeats) start here.
+    if constexpr (requires { r->start(); }) r->start();
+    env.apply_capacity(replica_id(i), true);
     r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
       env.collector.on_execute(id, at);
     });
     replicas.push_back(std::move(r));
   }
 
-  std::vector<std::unique_ptr<paxos::Client>> clients;
+  typename Deployment<ReplicaT, ClientT>::Clients clients;
   for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    auto c = std::make_unique<paxos::Client>(client_id(i), s.client_dcs[i], env.network,
-                                             leader, env.next_clock());
+    auto c = deployment.client(i, env.next_clock());
     c->attach();
+    if constexpr (requires { c->start(); }) c->start();  // Domino: probing
     env.apply_capacity(client_id(i), false);
     clients.push_back(std::move(c));
   }
 
   env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  return result;
-}
-
-RunResult run_mencius_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
-
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-
-  std::vector<std::unique_ptr<mencius::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<mencius::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                                milliseconds(10), env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    r->start();
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
-
-  std::vector<std::unique_ptr<mencius::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    const NodeId coordinator =
-        rids[closest_replica(s.topology, s.replica_dcs, s.client_dcs[i])];
-    auto c = std::make_unique<mencius::Client>(client_id(i), s.client_dcs[i], env.network,
-                                               coordinator, env.next_clock());
-    c->attach();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  return result;
-}
-
-RunResult run_epaxos_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
-
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-
-  std::vector<std::unique_ptr<epaxos::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<epaxos::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                               env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
-
-  std::vector<std::unique_ptr<epaxos::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    const NodeId leader = rids[closest_replica(s.topology, s.replica_dcs, s.client_dcs[i])];
-    auto c = std::make_unique<epaxos::Client>(client_id(i), s.client_dcs[i], env.network,
-                                              leader, env.next_clock());
-    c->attach();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
+  // Each replica's state-machine fingerprint (chaos convergence checks
+  // compare these across the live majority).
   for (const auto& r : replicas) {
-    result.fast_path += r->fast_path_commits();
-    result.slow_path += r->slow_path_commits();
+    result.replica_store_fingerprints.push_back(r->store().fingerprint());
+    result.replica_applied_counts.push_back(r->store().applied_count());
   }
-  return result;
-}
-
-RunResult run_fastpaxos_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
-
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-  const NodeId coordinator = rids[s.leader_index];
-
-  std::vector<std::unique_ptr<fastpaxos::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    auto r = std::make_unique<fastpaxos::Replica>(rids[i], s.replica_dcs[i], env.network,
-                                                  rids, coordinator, milliseconds(500),
-                                                  env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
-
-  std::vector<std::unique_ptr<fastpaxos::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    auto c = std::make_unique<fastpaxos::Client>(client_id(i), s.client_dcs[i], env.network,
-                                                 rids, env.next_clock());
-    c->attach();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  for (const auto& r : replicas) {
-    result.fast_path += r->fast_commits();
-    result.slow_path += r->slow_commits();
-  }
-  return result;
-}
-
-RunResult run_domino_impl(const Scenario& s) {
-  Env env(s);
-  RunResult result;
-
-  std::vector<NodeId> rids;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
-  const NodeId coordinator = rids[s.leader_index];
-
-  std::vector<std::unique_ptr<core::Replica>> replicas;
-  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) {
-    core::ReplicaConfig rc;
-    rc.prober.percentile = s.measurement_percentile;
-    rc.prober.probe_interval = s.probe_interval;
-    rc.prober.window = s.measurement_window;
-    rc.all_replicas_learn = s.domino_all_learners;
-    auto r = std::make_unique<core::Replica>(rids[i], s.replica_dcs[i], env.network, rids,
-                                             coordinator, rc, env.next_clock());
-    r->attach();
-    env.enable_recovery(*r, rids[i]);
-    r->start();
-    env.apply_capacity(rids[i], true);
-    r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
-      env.collector.on_execute(id, at);
-    });
-    replicas.push_back(std::move(r));
-  }
-
-  std::vector<std::unique_ptr<core::Client>> clients;
-  for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
-    core::ClientConfig cc;
-    cc.prober.percentile = s.measurement_percentile;
-    cc.prober.probe_interval = s.probe_interval;
-    cc.prober.window = s.measurement_window;
-    cc.additional_delay = s.additional_delay;
-    cc.mode = s.domino_mode;
-    cc.adaptive = s.domino_adaptive;
-    cc.timestamp_shard_space = s.domino_timestamp_shard_space;
-    auto c = std::make_unique<core::Client>(client_id(i), s.client_dcs[i], env.network,
-                                            rids, cc, env.next_clock());
-    c->attach();
-    c->start();
-    env.apply_capacity(client_id(i), false);
-    clients.push_back(std::move(c));
-  }
-
-  env.drive(clients, result);
-  env.collect_stores(replicas, result);
-  for (const auto& r : replicas) {
-    result.fast_path += r->dfp_fast_commits();
-    result.slow_path += r->dfp_slow_commits();
-  }
-  for (const auto& c : clients) {
-    result.dfp_chosen += c->dfp_chosen();
-    result.dm_chosen += c->dm_chosen();
-  }
-  if (s.prediction_audit && s.observability) {
-    // Estimator calibration: every prober's predicted-vs-realized score
-    // card, replicas first then clients, in construction order (each
-    // prober's targets are already in registered order) — deterministic.
-    for (const auto& r : replicas) {
-      const auto rows = obs::calibration_rows(r->prober().calibration());
-      result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
-    }
-    for (const auto& c : clients) {
-      const auto rows = obs::calibration_rows(c->prober().calibration());
-      result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
-    }
-  }
+  if (deployment.extras) deployment.extras(replicas, clients, result);
   return result;
 }
 
 }  // namespace
 
-RunResult run_protocol(Protocol protocol, const Scenario& scenario) {
+RunResult run_protocol(Protocol protocol, const Scenario& s) {
+  Env env(s);
+  std::vector<NodeId> rids;
+  for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
+  const NodeId leader = rids[s.leader_index];
+  net::Network& net = env.network;
+  const auto closest = [&](std::size_t client) {
+    return rids[closest_replica(s.topology, s.replica_dcs, s.client_dcs[client])];
+  };
+
   switch (protocol) {
-    case Protocol::kMultiPaxos: return run_multipaxos_impl(scenario);
-    case Protocol::kMencius: return run_mencius_impl(scenario);
-    case Protocol::kEPaxos: return run_epaxos_impl(scenario);
-    case Protocol::kFastPaxos: return run_fastpaxos_impl(scenario);
-    case Protocol::kDomino: return run_domino_impl(scenario);
+    case Protocol::kMultiPaxos:
+      return run_cluster(env, Deployment<paxos::Replica, paxos::Client>{
+          .replica = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<paxos::Replica>(rids[i], s.replica_dcs[i], net, rids,
+                                                    leader, clock);
+          },
+          .client = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<paxos::Client>(client_id(i), s.client_dcs[i], net,
+                                                   leader, clock);
+          }});
+
+    case Protocol::kMencius:
+      return run_cluster(env, Deployment<mencius::Replica, mencius::Client>{
+          .replica = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<mencius::Replica>(rids[i], s.replica_dcs[i], net, rids,
+                                                      milliseconds(10), clock);
+          },
+          .client = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<mencius::Client>(client_id(i), s.client_dcs[i], net,
+                                                     closest(i), clock);
+          }});
+
+    case Protocol::kEPaxos:
+      return run_cluster(env, Deployment<epaxos::Replica, epaxos::Client>{
+          .replica = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<epaxos::Replica>(rids[i], s.replica_dcs[i], net, rids,
+                                                     clock);
+          },
+          .client = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<epaxos::Client>(client_id(i), s.client_dcs[i], net,
+                                                    closest(i), clock);
+          },
+          .extras = [](const auto& replicas, const auto&, RunResult& result) {
+            for (const auto& r : replicas) {
+              result.fast_path += r->fast_path_commits();
+              result.slow_path += r->slow_path_commits();
+            }
+          }});
+
+    case Protocol::kFastPaxos:
+      return run_cluster(env, Deployment<fastpaxos::Replica, fastpaxos::Client>{
+          .replica = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<fastpaxos::Replica>(rids[i], s.replica_dcs[i], net, rids,
+                                                        leader, milliseconds(500), clock);
+          },
+          .client = [&](std::size_t i, sim::LocalClock clock) {
+            return std::make_unique<fastpaxos::Client>(client_id(i), s.client_dcs[i], net,
+                                                       rids, clock);
+          },
+          .extras = [](const auto& replicas, const auto&, RunResult& result) {
+            for (const auto& r : replicas) {
+              result.fast_path += r->fast_commits();
+              result.slow_path += r->slow_commits();
+            }
+          }});
+
+    case Protocol::kDomino:
+      return run_cluster(env, Deployment<core::Replica, core::Client>{
+          .replica = [&](std::size_t i, sim::LocalClock clock) {
+            core::ReplicaConfig rc;
+            rc.prober.percentile = s.measurement_percentile;
+            rc.prober.probe_interval = s.probe_interval;
+            rc.prober.window = s.measurement_window;
+            rc.all_replicas_learn = s.domino_all_learners;
+            return std::make_unique<core::Replica>(rids[i], s.replica_dcs[i], net, rids,
+                                                   leader, rc, clock);
+          },
+          .client = [&](std::size_t i, sim::LocalClock clock) {
+            core::ClientConfig cc;
+            cc.prober.percentile = s.measurement_percentile;
+            cc.prober.probe_interval = s.probe_interval;
+            cc.prober.window = s.measurement_window;
+            cc.additional_delay = s.additional_delay;
+            cc.mode = s.domino_mode;
+            cc.adaptive = s.domino_adaptive;
+            cc.timestamp_shard_space = s.domino_timestamp_shard_space;
+            return std::make_unique<core::Client>(client_id(i), s.client_dcs[i], net, rids,
+                                                  cc, clock);
+          },
+          .extras = [&s](const auto& replicas, const auto& clients, RunResult& result) {
+            for (const auto& r : replicas) {
+              result.fast_path += r->dfp_fast_commits();
+              result.slow_path += r->dfp_slow_commits();
+            }
+            for (const auto& c : clients) {
+              result.dfp_chosen += c->dfp_chosen();
+              result.dm_chosen += c->dm_chosen();
+            }
+            if (!s.prediction_audit || !s.observability) return;
+            // Estimator calibration: every prober's predicted-vs-realized
+            // score card, replicas first then clients, in construction order
+            // (each prober's targets are already in registered order).
+            const auto append = [&result](const measure::Prober& prober) {
+              const auto rows = obs::calibration_rows(prober.calibration());
+              result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
+            };
+            for (const auto& r : replicas) append(r->prober());
+            for (const auto& c : clients) append(c->prober());
+          }});
   }
   throw std::logic_error("run_protocol: unknown protocol");
 }

@@ -30,9 +30,9 @@ ProxyReport ProxyReport::decode(wire::ByteReader& r) {
   return report;
 }
 
-Proxy::Proxy(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+Proxy::Proxy(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
              ProberConfig config, sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock),
+    : rpc::Node(id, dc, context, clock),
       replicas_(std::move(replicas)),
       prober_(*this, replicas_, config) {}
 

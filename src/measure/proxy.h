@@ -54,7 +54,7 @@ struct ProxyReport {
 /// client count.
 class Proxy : public rpc::Node {
  public:
-  Proxy(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Proxy(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
         ProberConfig config = {}, sim::LocalClock clock = sim::LocalClock{});
 
   void start() { prober_.start(); }

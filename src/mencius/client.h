@@ -11,9 +11,9 @@ namespace domino::mencius {
 
 class Client : public rpc::ClientBase {
  public:
-  Client(NodeId id, std::size_t dc, net::Network& network, NodeId coordinator,
+  Client(NodeId id, std::size_t dc, rpc::Context& context, NodeId coordinator,
          sim::LocalClock clock = sim::LocalClock{})
-      : rpc::ClientBase(id, dc, network, clock), coordinator_(coordinator) {}
+      : rpc::ClientBase(id, dc, context, clock), coordinator_(coordinator) {}
 
   void set_coordinator(NodeId coordinator) { coordinator_ = coordinator; }
   [[nodiscard]] NodeId coordinator() const { return coordinator_; }

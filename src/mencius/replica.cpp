@@ -15,10 +15,10 @@ namespace {
 constexpr Duration kCatchupRetryInterval = milliseconds(100);
 }  // namespace
 
-Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
+Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, Duration heartbeat_interval,
                  sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock),
+    : rpc::Node(id, dc, context, clock),
       replicas_(std::move(replicas)),
       heartbeat_interval_(heartbeat_interval),
       skip_frontier_seen_(replicas_.size(), 0) {

@@ -27,7 +27,7 @@ class Replica : public rpc::Node {
  public:
   using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
 
-  Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           Duration heartbeat_interval = milliseconds(10),
           sim::LocalClock clock = sim::LocalClock{});
 

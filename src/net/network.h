@@ -13,6 +13,10 @@
 //   - a FaultInjector (net/fault.h): the single drop/deform decision point
 //     for crash failures, directed link partitions, degradation epochs and
 //     route changes.
+//
+// It is also the simulator's rpc::Context: protocol nodes constructed over a
+// Network send, schedule and read time through it exactly as they would
+// over net::tcp::TcpContext.
 #pragma once
 
 #include <functional>
@@ -29,6 +33,7 @@
 #include "net/packet.h"
 #include "net/topology.h"
 #include "obs/sink.h"
+#include "rpc/context.h"
 #include "sim/simulator.h"
 #include "wire/codec.h"
 
@@ -38,10 +43,8 @@ namespace domino::net {
 /// roughly TCP/IP + HTTP2 framing of a small gRPC call.
 inline constexpr std::size_t kFrameOverheadBytes = 64;
 
-class Network {
+class Network final : public rpc::Context {
  public:
-  using Receiver = std::function<void(const Packet&)>;
-
   Network(sim::Simulator& simulator, Topology topology, std::uint64_t seed);
 
   /// Place every directed datacenter link on a JitterLatency model with
@@ -64,14 +67,19 @@ class Network {
 
   /// Register a node in a datacenter. The receiver is invoked (through the
   /// simulator) when a packet is delivered.
-  void register_node(NodeId id, std::size_t dc, Receiver receiver);
+  void register_node(NodeId id, std::size_t dc, Receiver receiver) override;
 
   [[nodiscard]] std::size_t dc_of(NodeId id) const;
   [[nodiscard]] const Topology& topology() const { return topology_; }
 
   /// Send `payload` from `src` to `dst`. Self-sends are delivered with the
   /// intra-datacenter delay. Packets to/from crashed nodes are dropped.
-  void send(NodeId src, NodeId dst, wire::Payload payload);
+  void send(NodeId src, NodeId dst, wire::Payload payload) override;
+
+  void schedule(Duration delay, std::function<void()> fn) override {
+    sim_.schedule_after(delay, std::move(fn));
+  }
+  [[nodiscard]] TimePoint now() const override { return sim_.now(); }
 
   /// Capacity modelling (all default off = infinitely fast).
   void set_receive_service_time(NodeId id, Duration per_message);
@@ -111,10 +119,10 @@ class Network {
   /// Attach an observability sink. Registers per-directed-datacenter-link
   /// message/byte counters and delivery-delay histograms, traces every
   /// packet send/deliver/drop, and is inherited by nodes constructed over
-  /// this network (rpc::SimContext forwards it). Bind before registering
-  /// nodes so their handles resolve.
+  /// this network (they read it through obs() at construction). Bind before
+  /// constructing nodes so their handles resolve.
   void bind_obs(const obs::Sink& sink);
-  [[nodiscard]] const obs::Sink& obs_sink() const { return obs_; }
+  [[nodiscard]] obs::Sink obs() const override { return obs_; }
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 

@@ -9,9 +9,9 @@ namespace domino::paxos {
 
 class Client : public rpc::ClientBase {
  public:
-  Client(NodeId id, std::size_t dc, net::Network& network, NodeId leader,
+  Client(NodeId id, std::size_t dc, rpc::Context& context, NodeId leader,
          sim::LocalClock clock = sim::LocalClock{})
-      : rpc::ClientBase(id, dc, network, clock), leader_(leader) {}
+      : rpc::ClientBase(id, dc, context, clock), leader_(leader) {}
 
  protected:
   void propose(const sm::Command& command) override { send(leader_, ClientRequest{command}); }

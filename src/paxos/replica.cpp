@@ -14,9 +14,9 @@ namespace {
 constexpr Duration kCatchupRetryInterval = milliseconds(100);
 }  // namespace
 
-Replica::Replica(NodeId id, std::size_t dc, net::Network& network,
+Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, NodeId leader, sim::LocalClock clock)
-    : rpc::Node(id, dc, network, clock), replicas_(std::move(replicas)), leader_(leader) {
+    : rpc::Node(id, dc, context, clock), replicas_(std::move(replicas)), leader_(leader) {
   obs_accepts_ = obs_sink().counter("paxos.accepts");
   obs_commits_ = obs_sink().counter("paxos.commits");
   obs_executed_ = obs_sink().counter("paxos.executed");

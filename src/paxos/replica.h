@@ -26,7 +26,7 @@ class Replica : public rpc::Node {
   /// latency): the executed command's id and the true execution time.
   using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
 
-  Replica(NodeId id, std::size_t dc, net::Network& network, std::vector<NodeId> replicas,
+  Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           NodeId leader, sim::LocalClock clock = sim::LocalClock{});
 
   void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }

@@ -2,11 +2,6 @@
 
 namespace domino::rpc {
 
-ClientBase::ClientBase(NodeId id, std::size_t dc, net::Network& network, sim::LocalClock clock)
-    : Node(id, dc, network, clock) {
-  init_obs();
-}
-
 ClientBase::ClientBase(NodeId id, std::size_t dc, Context& context, sim::LocalClock clock)
     : Node(id, dc, context, clock) {
   init_obs();

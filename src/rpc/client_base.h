@@ -31,7 +31,6 @@ class ClientBase : public Node {
   /// Invoked when a request is submitted (before the proposal is sent).
   using SendHook = std::function<void(const RequestId&, TimePoint sent_at)>;
 
-  ClientBase(NodeId id, std::size_t dc, net::Network& network, sim::LocalClock clock);
   ClientBase(NodeId id, std::size_t dc, Context& context, sim::LocalClock clock);
 
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }

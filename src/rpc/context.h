@@ -3,9 +3,10 @@
 // A Context supplies everything a protocol implementation needs from its
 // environment: message delivery, timers, and a monotonic "true time". Two
 // implementations exist:
-//   - rpc::SimContext over the deterministic WAN simulator (evaluation),
+//   - net::Network, the deterministic WAN simulator (evaluation),
 //   - net::tcp::TcpContext over real sockets and real clocks (deployment).
-// Protocol code is identical over both.
+// Every protocol node takes a Context&, so protocol code is identical over
+// both.
 #pragma once
 
 #include <functional>

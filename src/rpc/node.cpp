@@ -3,23 +3,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "rpc/sim_context.h"
-
 namespace domino::rpc {
 
 Node::Node(NodeId id, std::size_t dc, Context& context, sim::LocalClock clock)
     : context_(context), id_(id), dc_(dc), clock_(clock) {
-  obs_ = context_.obs();
-  obs_sent_ = obs_.counter("rpc.messages_sent");
-  obs_received_ = obs_.counter("rpc.messages_received");
-}
-
-Node::Node(NodeId id, std::size_t dc, net::Network& network, sim::LocalClock clock)
-    : owned_context_(std::make_unique<SimContext>(network)),
-      context_(*owned_context_),
-      id_(id),
-      dc_(dc),
-      clock_(clock) {
   obs_ = context_.obs();
   obs_sent_ = obs_.counter("rpc.messages_sent");
   obs_received_ = obs_.counter("rpc.messages_received");

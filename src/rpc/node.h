@@ -3,18 +3,17 @@
 //
 // A Node owns an id, a datacenter placement, a (possibly skewed) local
 // clock, and a receive dispatch point, all over an abstract rpc::Context —
-// the deterministic simulator for evaluation or real TCP sockets for
-// deployment. Derived classes implement on_packet(), peeking the envelope
-// tag and decoding the message. Sending always serializes through the wire
-// codec.
+// net::Network (the deterministic simulator) for evaluation or
+// net::tcp::TcpContext (real TCP sockets) for deployment. Derived classes
+// implement on_packet(), peeking the envelope tag and decoding the message.
+// Sending always serializes through the wire codec.
 #pragma once
 
 #include <array>
-#include <memory>
+#include <functional>
 #include <utility>
 
 #include "common/ids.h"
-#include "net/network.h"
 #include "obs/sink.h"
 #include "rpc/context.h"
 #include "sim/clock.h"
@@ -24,12 +23,9 @@ namespace domino::rpc {
 
 class Node {
  public:
-  /// Run over an explicit transport context.
+  /// Run over `context`, which must outlive the node. `dc` is the node's
+  /// datacenter placement (ignored by transports without one).
   Node(NodeId id, std::size_t dc, Context& context, sim::LocalClock clock = sim::LocalClock{});
-
-  /// Convenience: run over the WAN simulator (owns a SimContext adapter).
-  Node(NodeId id, std::size_t dc, net::Network& network,
-       sim::LocalClock clock = sim::LocalClock{});
 
   virtual ~Node() = default;
 
@@ -114,7 +110,6 @@ class Node {
   /// send/recv edge, opens the handler span, and activates its context.
   void dispatch_traced(const net::Packet& packet, const wire::TraceContextWire& ctx);
 
-  std::unique_ptr<Context> owned_context_;  // set by the Network convenience ctor
   Context& context_;
   NodeId id_;
   std::size_t dc_;

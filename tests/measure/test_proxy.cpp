@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "measure/estimator.h"
+#include "net/network.h"
 
 namespace domino::measure {
 namespace {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "net/network.h"
+
 namespace domino::rpc {
 namespace {
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "measure/messages.h"
+#include "net/network.h"
 
 namespace domino::rpc {
 namespace {
