@@ -33,7 +33,9 @@ bool same_deps(const DepList& a, const DepList& b) {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, sim::LocalClock clock)
-    : rpc::Node(id, dc, context, clock), replicas_(std::move(replicas)) {
+    : rpc::Node(id, dc, context, clock),
+      replicas_(std::move(replicas)),
+      exec_frontier_(replicas_.size(), 0) {
   if (std::find(replicas_.begin(), replicas_.end(), id) == replicas_.end()) {
     throw std::invalid_argument("epaxos::Replica: id not in replica set");
   }
@@ -95,6 +97,12 @@ wire::Payload Replica::instance_record(const InstanceId& inst_id, const sm::Comm
   return w.take();
 }
 
+std::size_t Replica::rank_of(NodeId owner) const {
+  const auto it = std::find(replicas_.begin(), replicas_.end(), owner);
+  if (it == replicas_.end()) throw std::invalid_argument("epaxos: instance of a non-replica");
+  return static_cast<std::size_t>(it - replicas_.begin());
+}
+
 std::pair<std::uint64_t, DepList> Replica::attributes_for(const sm::Command& cmd,
                                                           const InstanceId& inst) {
   std::uint64_t seq = 1;
@@ -149,9 +157,11 @@ void Replica::handle_preaccept(NodeId from, const wire::Payload& payload) {
   }
   key_table_[msg.command.key] = {msg.instance, seq};
   obs_preaccepts_.inc();
-  // A commit may already have arrived on another channel; never downgrade.
+  // A commit may already have arrived on another channel; never downgrade,
+  // and never re-create an instance that was executed and compacted.
   auto inst_it = instances_.find(msg.instance);
-  if (inst_it == instances_.end() || inst_it->second.status == Status::kPreAccepted) {
+  if (!compacted(msg.instance) &&
+      (inst_it == instances_.end() || inst_it->second.status == Status::kPreAccepted)) {
     instances_[msg.instance] = Instance{msg.command, seq, deps, Status::kPreAccepted};
   }
   // The reply promises the merged attributes; they must survive a crash or
@@ -242,7 +252,9 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
 void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
   const auto msg = wire::decode_message<Accept>(payload);
   auto it = instances_.find(msg.instance);
-  if (it == instances_.end()) {
+  if (compacted(msg.instance)) {
+    // Executed and compacted: a late retransmission; just re-ack.
+  } else if (it == instances_.end()) {
     instances_[msg.instance] = Instance{msg.command, msg.seq, msg.deps, Status::kAccepted};
   } else if (it->second.status == Status::kPreAccepted) {
     it->second.seq = msg.seq;
@@ -319,6 +331,7 @@ void Replica::restart() {
   }
   dep_spans_.clear();
   instances_.clear();
+  exec_frontier_.assign(replicas_.size(), 0);
   leading_.clear();
   key_table_.clear();
   waiters_.clear();
@@ -442,10 +455,13 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
   for (const auto& [key, value] : store_.items()) {
     reply.snapshot.push_back(recovery::KvEntry{key, value});
   }
-  // EPaxos has no totally-ordered log: ship the full committed instance set
-  // with its attributes in the aux field.
+  // EPaxos has no totally-ordered log: ship the per-owner executed
+  // frontiers (the snapshot covers every instance below them) and the
+  // committed instances above them, with their attributes in the aux field.
+  reply.watermarks.assign(exec_frontier_.begin(), exec_frontier_.end());
   for (const auto& [inst_id, inst] : instances_) {
     if (inst.status != Status::kCommitted && inst.status != Status::kExecuted) continue;
+    if (compacted(inst_id)) continue;
     wire::ByteWriter aux;
     inst_id.encode(aux);
     aux.varint(inst.seq);
@@ -459,60 +475,107 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
 void Replica::handle_catchup_reply(const wire::Payload& payload) {
   const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
   if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+  // The peer executed (and compacted) every instance below its frontiers.
+  std::vector<std::uint64_t> peer_frontier(replicas_.size(), 0);
+  for (std::size_t r = 0; r < std::min(peer_frontier.size(), msg.watermarks.size()); ++r) {
+    peer_frontier[r] = static_cast<std::uint64_t>(msg.watermarks[r]);
+  }
+  const std::size_t own = rank_of(id());
+  next_instance_ = std::max(next_instance_, peer_frontier[own]);
+  // Own instances the peer executed were committed cluster-wide; nothing
+  // left to lead.
+  std::erase_if(leading_, [&](const auto& kv) { return kv.first.seq < peer_frontier[own]; });
+  struct Shipped {
+    InstanceId inst_id;
+    std::uint64_t seq;
+    DepList deps;
+    bool peer_executed;
+  };
+  std::vector<Shipped> shipped;
+  shipped.reserve(msg.entries.size());
+  for (const auto& e : msg.entries) {
+    wire::ByteReader ar(e.aux);
+    const InstanceId inst_id = InstanceId::decode(ar);
+    const std::uint64_t seq = ar.varint();
+    DepList deps = decode_deps(ar);
+    shipped.push_back(Shipped{inst_id, seq, std::move(deps), ar.boolean()});
+  }
   // Only the first qualifying reply installs a snapshot: once rejoined the
   // store reflects live executions a later reply's snapshot (taken at the
   // peer's earlier reply time, or by a peer with a different execution
   // frontier) may not contain — overwriting would silently lose them while
   // their instances stay marked executed. Later replies still merge their
-  // committed-instance sets below, which is idempotent.
-  const bool installed = catching_up_ && msg.applied > store_.applied_count();
+  // committed-instance sets below, which is idempotent. A reply qualifies
+  // when the peer has applied more, or when it executed and compacted an
+  // instance this replica does not hold: only the snapshot still has that
+  // instance's effect, whatever the applied counts say.
+  const bool installed = catching_up_ && (msg.applied > store_.applied_count() ||
+                                          !holds_all_below(peer_frontier));
+  std::vector<InstanceId> rerun;
   if (installed) {
     std::unordered_map<std::string, std::string> items;
     items.reserve(msg.snapshot.size());
     for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
     store_.install_snapshot(std::move(items), msg.applied);
     persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
+    // The snapshot reflects every instance below the peer's frontiers: adopt
+    // them, and release whatever was blocked on those instances. Erasing
+    // them waits for finish_rejoin(): the re-announce loop below still
+    // reads the own-led instances replayed from the durable log.
+    for (std::size_t r = 0; r < replicas_.size(); ++r) {
+      exec_frontier_[r] = std::max(exec_frontier_[r], peer_frontier[r]);
+    }
+    // Replayed instances the peer has not executed are not in its snapshot:
+    // they run again on top of it, once the shipped instances they may
+    // depend on are merged below.
+    std::unordered_set<InstanceId> peer_executed;
+    for (const auto& s : shipped) {
+      if (s.peer_executed) peer_executed.insert(s.inst_id);
+    }
+    for (auto& [inst_id, inst] : instances_) {
+      if (inst.status != Status::kExecuted || compacted(inst_id) ||
+          peer_executed.contains(inst_id)) {
+        continue;
+      }
+      inst.status = Status::kCommitted;
+      --executed_;
+      rerun.push_back(inst_id);
+    }
+    std::vector<InstanceId> released;
+    for (const auto& [dep, blocked] : waiters_) {
+      if (compacted(dep)) released.push_back(dep);
+    }
+    for (const auto& dep : released) wake_waiters(dep);
   }
   std::unordered_set<InstanceId> peer_knows;
-  peer_knows.reserve(msg.entries.size());
-  for (const auto& e : msg.entries) {
-    wire::ByteReader ar(e.aux);
-    const InstanceId inst_id = InstanceId::decode(ar);
-    const std::uint64_t seq = ar.varint();
-    DepList deps = decode_deps(ar);
-    const bool peer_executed = ar.boolean();
+  peer_knows.reserve(shipped.size());
+  for (std::size_t i = 0; i < shipped.size(); ++i) {
+    const InstanceId& inst_id = shipped[i].inst_id;
+    const std::uint64_t seq = shipped[i].seq;
+    const sm::Command& command = msg.entries[i].command;
     peer_knows.insert(inst_id);
     if (inst_id.replica == id()) {
       next_instance_ = std::max(next_instance_, inst_id.seq + 1);
     }
+    if (compacted(inst_id)) continue;
     auto it = instances_.find(inst_id);
     if (it != instances_.end() && it->second.status == Status::kExecuted) continue;
-    auto kt = key_table_.find(e.command.key);
+    auto kt = key_table_.find(command.key);
     if (kt == key_table_.end() || kt->second.second < seq) {
-      key_table_[e.command.key] = {inst_id, seq};
+      key_table_[command.key] = {inst_id, seq};
     }
     leading_.erase(inst_id);  // committed cluster-wide; nothing left to lead
-    if (installed && peer_executed) {
+    if (installed && shipped[i].peer_executed) {
       // The installed snapshot already reflects this command's execution:
       // mark it executed without re-applying, and release its waiters.
-      instances_[inst_id] = Instance{e.command, seq, std::move(deps), Status::kExecuted};
-      auto w = waiters_.find(inst_id);
-      if (w != waiters_.end()) {
-        const std::vector<InstanceId> blocked = std::move(w->second);
-        waiters_.erase(w);
-        for (const auto& b : blocked) {
-          const auto dspan_it = dep_spans_.find(b);
-          if (dspan_it != dep_spans_.end()) {
-            close_wait_span(dspan_it->second);
-            dep_spans_.erase(dspan_it);
-          }
-          try_execute(b);
-        }
-      }
+      instances_[inst_id] =
+          Instance{command, seq, std::move(shipped[i].deps), Status::kExecuted};
+      wake_waiters(inst_id);
     } else {
-      commit_instance(inst_id, e.command, seq, deps, /*broadcast=*/false);
+      commit_instance(inst_id, command, seq, shipped[i].deps, /*broadcast=*/false);
     }
   }
+  for (const auto& inst_id : rerun) try_execute(inst_id);
   if (catching_up_) {
     // Re-announce own-led commits this peer does not know. A crash inside
     // the durable-sync window cancels the Commit broadcast after the
@@ -524,7 +587,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     for (const auto& [inst_id, inst] : instances_) {
       if (inst_id.replica != id()) continue;
       if (inst.status != Status::kCommitted && inst.status != Status::kExecuted) continue;
-      if (peer_knows.contains(inst_id)) continue;
+      if (inst_id.seq < peer_frontier[own] || peer_knows.contains(inst_id)) continue;
       const Commit out{inst_id, inst.command, inst.seq, inst.deps};
       for (NodeId r : replicas_) {
         if (r != id()) send(r, out);
@@ -537,6 +600,10 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
 void Replica::finish_rejoin() {
   if (!catching_up_) return;
   catching_up_ = false;
+  // Compaction was held off while catching up; drop what the adopted
+  // frontiers cover, then advance them over the executed instances.
+  std::erase_if(instances_, [this](const auto& kv) { return compacted(kv.first); });
+  for (std::size_t r = 0; r < replicas_.size(); ++r) compact(r);
   const Duration took = true_now() - recovery_started_at_;
   persistor_.note_rejoin(took);
   if (obs_sink().tracing()) {
@@ -549,6 +616,7 @@ void Replica::finish_rejoin() {
 
 void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
                               std::uint64_t seq, const DepList& deps, bool broadcast) {
+  if (compacted(inst_id)) return;  // executed: idempotent
   auto it = instances_.find(inst_id);
   if (it == instances_.end()) {
     it = instances_.emplace(inst_id, Instance{cmd, seq, deps, Status::kCommitted}).first;
@@ -574,23 +642,53 @@ void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
     }
   }
   try_execute(inst_id);
-  // Wake instances that were blocked on this commit.
-  auto w = waiters_.find(inst_id);
-  if (w != waiters_.end()) {
-    const std::vector<InstanceId> blocked = std::move(w->second);
-    waiters_.erase(w);
-    for (const auto& b : blocked) {
-      const auto dspan_it = dep_spans_.find(b);
-      if (dspan_it != dep_spans_.end()) {
-        close_wait_span(dspan_it->second);
-        dep_spans_.erase(dspan_it);
-      }
-      try_execute(b);
+  wake_waiters(inst_id);
+}
+
+void Replica::wake_waiters(const InstanceId& dep) {
+  auto w = waiters_.find(dep);
+  if (w == waiters_.end()) return;
+  const std::vector<InstanceId> blocked = std::move(w->second);
+  waiters_.erase(w);
+  for (const auto& b : blocked) {
+    const auto dspan_it = dep_spans_.find(b);
+    if (dspan_it != dep_spans_.end()) {
+      close_wait_span(dspan_it->second);
+      dep_spans_.erase(dspan_it);
     }
+    try_execute(b);
   }
 }
 
+void Replica::compact(std::size_t rank) {
+  std::uint64_t& frontier = exec_frontier_[rank];
+  for (;;) {
+    const auto it = instances_.find(InstanceId{replicas_[rank], frontier});
+    if (it == instances_.end() || it->second.status != Status::kExecuted) return;
+    instances_.erase(it);
+    ++frontier;
+  }
+}
+
+bool Replica::holds_all_below(const std::vector<std::uint64_t>& frontier) const {
+  std::vector<std::uint64_t> held(replicas_.size(), 0);
+  for (const auto& [inst_id, inst] : instances_) {
+    const std::size_t r = rank_of(inst_id.replica);
+    if (inst.status >= Status::kCommitted && inst_id.seq >= exec_frontier_[r] &&
+        inst_id.seq < frontier[r]) {
+      ++held[r];
+    }
+  }
+  for (std::size_t r = 0; r < held.size(); ++r) {
+    if (frontier[r] > exec_frontier_[r] && held[r] < frontier[r] - exec_frontier_[r]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void Replica::try_execute(const InstanceId& root) {
+  if (compacted(root)) return;
   auto it = instances_.find(root);
   if (it == instances_.end() || it->second.status != Status::kCommitted) return;
   execute_scc_from(root);
@@ -626,6 +724,7 @@ void Replica::execute_scc_from(const InstanceId& root) {
     Instance& inst = instances_.at(frame.node);
     if (frame.dep_cursor < inst.deps.size()) {
       const InstanceId dep = inst.deps[frame.dep_cursor++];
+      if (compacted(dep)) continue;  // executed
       auto dep_it = instances_.find(dep);
       if (dep_it == instances_.end() ||
           (dep_it->second.status != Status::kCommitted &&
@@ -691,6 +790,11 @@ void Replica::execute_scc_from(const InstanceId& root) {
       store_.apply(inst.command);
       if (exec_hook_) exec_hook_(inst.command.id, true_now());
     }
+  }
+  // Compaction waits while catching up; finish_rejoin() catches it up.
+  if (catching_up_) return;
+  for (const auto& scc : sccs) {
+    for (const auto& inst_id : scc) compact(rank_of(inst_id.replica));
   }
 }
 

@@ -12,6 +12,12 @@
 // so non-interfering commands execute out of order, which is why EPaxos has
 // the lowest low-percentile execution latency in Figure 10(a) and degrades
 // under contention in Figure 10(b).
+//
+// Executed state is compacted: each replica keeps a per-owner executed
+// frontier and erases the contiguous executed prefix of every owner's
+// instances, so `instances_` holds what is in flight, not the run's history.
+// An instance below its owner's frontier counts as executed. Catch-up ships
+// the frontiers with the store snapshot, plus the live instances above them.
 #pragma once
 
 #include <functional>
@@ -63,6 +69,9 @@ class Replica : public rpc::Node {
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
   [[nodiscard]] std::uint64_t fast_path_commits() const { return fast_commits_; }
   [[nodiscard]] std::uint64_t slow_path_commits() const { return slow_commits_; }
+  /// Instances held in memory: the ones not yet compacted behind their
+  /// owner's executed frontier.
+  [[nodiscard]] std::size_t retained_instances() const { return instances_.size(); }
 
  protected:
   void on_packet(const net::Packet& packet) override;
@@ -115,6 +124,22 @@ class Replica : public rpc::Node {
                        const DepList& deps, bool broadcast);
   void try_execute(const InstanceId& inst);
   void execute_scc_from(const InstanceId& root);
+  /// Re-try the instances blocked on `dep`, which is now executed or
+  /// committed.
+  void wake_waiters(const InstanceId& dep);
+
+  [[nodiscard]] std::size_t rank_of(NodeId owner) const;
+  /// Executed, and erased (or about to be, once catch-up ends) behind its
+  /// owner's executed frontier.
+  [[nodiscard]] bool compacted(const InstanceId& inst) const {
+    return inst.seq < exec_frontier_[rank_of(inst.replica)];
+  }
+  /// Advance `rank`'s executed frontier over its contiguous executed
+  /// instances, erasing them.
+  void compact(std::size_t rank);
+  /// Every instance between this replica's executed frontier and `frontier`
+  /// (per owner rank) is here, committed or executed.
+  [[nodiscard]] bool holds_all_below(const std::vector<std::uint64_t>& frontier) const;
 
   std::vector<NodeId> replicas_;
   sm::KvStore store_;
@@ -126,6 +151,9 @@ class Replica : public rpc::Node {
   TimePoint recovery_started_at_ = TimePoint::epoch();
 
   std::unordered_map<InstanceId, Instance> instances_;
+  // Per owner rank: every instance of that owner below it is executed and
+  // no longer in instances_.
+  std::vector<std::uint64_t> exec_frontier_;
   std::unordered_map<InstanceId, LeaderBook> leading_;
   // Interference: latest instance per key, with its seq.
   std::unordered_map<std::string, std::pair<InstanceId, std::uint64_t>> key_table_;

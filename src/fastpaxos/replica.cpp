@@ -73,22 +73,19 @@ void Replica::handle_client_request(const net::Packet& packet) {
 
   auto it = assignment_.find(rid);
   if (it != assignment_.end()) {
-    const std::uint64_t old_index = it->second;
+    const std::uint64_t old_index = it->second.index;
     const auto* entry = log_.entry(old_index);
-    const bool resolved_against_us =
-        log_.is_skipped(old_index) ||
-        (entry != nullptr && entry->status != log::EntryStatus::kAccepted &&
-         entry->command.id != rid) ||
-        (log_.is_committed(old_index) && entry != nullptr && entry->command.id != rid);
     const bool committed_here =
-        entry != nullptr && entry->command.id == rid &&
-        entry->status != log::EntryStatus::kAccepted;
+        it->second.executed || (entry != nullptr && entry->command.id == rid &&
+                                entry->status == log::EntryStatus::kCommitted);
     if (committed_here) {
       // A retry of a request that already won: the coordinator's reply was
       // lost (it crashed between deciding and sending); answer directly.
       send(rid.client, ClientReply{rid});
       return;
     }
+    const bool resolved_against_us =
+        log_.is_skipped(old_index) || log_.is_committed(old_index);
     if (!resolved_against_us) {
       // Still pending: re-notify the coordinator, whose tally for this
       // index may have died with a crash. Idempotent on a live tally.
@@ -101,7 +98,7 @@ void Replica::handle_client_request(const net::Packet& packet) {
   const std::uint64_t index = next_index_++;
   log_.accept(index, req.command);
   obs_accepts_.inc();
-  assignment_[rid] = index;
+  assignment_[rid] = Assignment{index};
 
   const sm::Command command = req.command;
   persistor_.persist(
@@ -156,9 +153,8 @@ void Replica::handle_accept_notice(NodeId from, const wire::Payload& payload) {
     // Commit died with a crash, this is what unblocks its log.
     if (log_.is_skipped(msg.index)) {
       send(from, Commit{msg.index, /*is_noop=*/true, {}});
-    } else if (const auto* e = log_.entry(msg.index);
-               e != nullptr && e->status != log::EntryStatus::kAccepted) {
-      send(from, Commit{msg.index, /*is_noop=*/false, e->command});
+    } else if (log_.is_committed(msg.index)) {
+      send(from, Commit{msg.index, /*is_noop=*/false, committed_requests_.at(*tally.winner)});
     }
     // If this request lost, get it re-proposed.
     if (!committed_requests_.contains(msg.command.id)) {
@@ -304,6 +300,7 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
   std::optional<RequestId> winner;
   if (!is_noop) {
     winner = command.id;
+    tally.winner = winner;
     committed_requests_.emplace(command.id, command);
     log_.commit(index, command);
   } else {
@@ -384,7 +381,7 @@ void Replica::restart() {
       case recovery::RecordTag::kAccepted: {
         const std::uint64_t index = r.varint();
         sm::Command cmd = sm::Command::decode(r);
-        assignment_[cmd.id] = index;
+        assignment_[cmd.id] = Assignment{index};
         if (!log_.is_committed(index) && !log_.is_skipped(index)) {
           log_.accept(index, std::move(cmd));
         }
@@ -397,6 +394,7 @@ void Replica::restart() {
         const std::uint64_t index = r.varint();
         const bool is_noop = r.boolean();
         sm::Command cmd = sm::Command::decode(r);
+        const RequestId committed_id = cmd.id;
         if (is_noop) {
           log_.skip(index, index);
         } else {
@@ -405,7 +403,11 @@ void Replica::restart() {
         }
         // The coordinator's own decisions must stay resolved, or a late
         // notice could re-open a decided index.
-        if (is_coordinator()) tallies_[index].resolved = true;
+        if (is_coordinator()) {
+          Tally& tally = tallies_[index];
+          tally.resolved = true;
+          if (!is_noop) tally.winner = committed_id;
+        }
         max_index = std::max(max_index, index);
         any = true;
         break;
@@ -511,7 +513,9 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     log_.commit(index, e.command);
     if (is_coordinator()) {
       committed_requests_.emplace(e.command.id, e.command);
-      tallies_[index].resolved = true;
+      Tally& tally = tallies_[index];
+      tally.resolved = true;
+      tally.winner = e.command.id;
     }
   }
   execute_ready();
@@ -533,7 +537,8 @@ void Replica::finish_rejoin() {
 
 void Replica::execute_ready() {
   for (auto& [index, command] : log_.drain_executable()) {
-    (void)index;
+    const auto a = assignment_.find(command.id);
+    if (a != assignment_.end() && a->second.index == index) a->second.executed = true;
     store_.apply(command);
     obs_executed_.inc();
     if (exec_hook_) exec_hook_(command.id, true_now());

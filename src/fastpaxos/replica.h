@@ -96,8 +96,13 @@ class Replica : public rpc::Node {
   bool catching_up_ = false;
   TimePoint recovery_started_at_ = TimePoint::epoch();
 
-  // Acceptor state: where each request was assigned locally.
-  std::unordered_map<RequestId, std::uint64_t> assignment_;
+  // Acceptor state: where each request was assigned locally, and whether it
+  // executed there (the log keeps no executed entries to read it from).
+  struct Assignment {
+    std::uint64_t index = 0;
+    bool executed = false;
+  };
+  std::unordered_map<RequestId, Assignment> assignment_;
   std::uint64_t next_index_ = 0;
 
   // Coordinator state.
@@ -108,6 +113,9 @@ class Replica : public rpc::Node {
     std::size_t recovery_acks = 0;
     std::optional<Commit> recovery_choice;
     bool timer_armed = false;
+    // The committed request, once resolved to one; its command is in
+    // committed_requests_.
+    std::optional<RequestId> winner;
   };
   std::map<std::uint64_t, Tally> tallies_;
   std::unordered_map<std::uint64_t, obs::SpanId> recovery_spans_;  // index -> wait span

@@ -305,6 +305,19 @@ struct Deployment {
   std::function<void(const Replicas&, const Clients&, RunResult&)> extras = {};
 };
 
+/// Entries a replica's log still holds: IndexLog's live entries, Domino's
+/// pending GlobalLog entries, or EPaxos's uncompacted instances.
+template <typename ReplicaT>
+std::size_t retained_entries(const ReplicaT& r) {
+  if constexpr (requires { r.retained_instances(); }) {
+    return r.retained_instances();
+  } else if constexpr (requires { r.log().occupied_count(); }) {
+    return r.log().occupied_count();
+  } else {
+    return r.log().pending_entries();
+  }
+}
+
 /// Build every replica, then every client (one clock draw per node in that
 /// order), run the scenario, and collect the results.
 template <typename ReplicaT, typename ClientT>
@@ -341,6 +354,7 @@ RunResult run_cluster(Env& env, const Deployment<ReplicaT, ClientT>& deployment)
   for (const auto& r : replicas) {
     result.replica_store_fingerprints.push_back(r->store().fingerprint());
     result.replica_applied_counts.push_back(r->store().applied_count());
+    result.replica_retained_entries.push_back(retained_entries(*r));
   }
   if (deployment.extras) deployment.extras(replicas, clients, result);
   return result;

@@ -195,6 +195,10 @@ struct RunResult {
   /// compare the fingerprints of the live majority.
   std::vector<std::uint64_t> replica_store_fingerprints;
   std::vector<std::uint64_t> replica_applied_counts;
+  /// Log entries (EPaxos: instances) each replica still holds when the run
+  /// ends, in replica order. Executed state is compacted, so this counts
+  /// what is in flight and does not grow with the run's length.
+  std::vector<std::uint64_t> replica_retained_entries;
   /// Crash-recovery accounting summed over all replicas (the recovery.*
   /// metrics); all zero unless durability was enabled (see
   /// Scenario::amnesia_crashes / sync_latency / weakened_replicas).

@@ -6,10 +6,13 @@
 namespace domino::log {
 
 void IndexLog::accept(std::uint64_t index, sm::Command command) {
+  if (is_executed(index)) {
+    throw std::logic_error("IndexLog::accept: position already executed");
+  }
   auto it = entries_.find(index);
   if (it != entries_.end()) {
     if (it->second.status != EntryStatus::kAccepted) {
-      throw std::logic_error("IndexLog::accept: position already committed/executed");
+      throw std::logic_error("IndexLog::accept: position already committed");
     }
     it->second.command = std::move(command);
     return;
@@ -18,13 +21,13 @@ void IndexLog::accept(std::uint64_t index, sm::Command command) {
 }
 
 void IndexLog::commit(std::uint64_t index, std::optional<sm::Command> command) {
+  if (is_executed(index)) return;  // idempotent
   auto it = entries_.find(index);
   if (it == entries_.end()) {
     if (!command) throw std::logic_error("IndexLog::commit: no entry and no command");
     entries_.emplace(index, Entry{std::move(*command), EntryStatus::kCommitted});
     return;
   }
-  if (it->second.status == EntryStatus::kExecuted) return;  // idempotent
   if (command) it->second.command = std::move(*command);
   it->second.status = EntryStatus::kCommitted;
 }
@@ -40,8 +43,9 @@ const IndexLog::Entry* IndexLog::entry(std::uint64_t index) const {
 }
 
 bool IndexLog::is_committed(std::uint64_t index) const {
+  if (is_executed(index)) return true;
   const Entry* e = entry(index);
-  return e != nullptr && e->status != EntryStatus::kAccepted;
+  return e != nullptr && e->status == EntryStatus::kCommitted;
 }
 
 std::vector<std::pair<std::uint64_t, sm::Command>> IndexLog::committed_unexecuted() const {
@@ -88,9 +92,9 @@ std::vector<std::pair<std::uint64_t, sm::Command>> IndexLog::drain_executable() 
     }
     auto it = entries_.find(exec_frontier_);
     if (it != entries_.end() && it->second.status == EntryStatus::kCommitted) {
-      it->second.status = EntryStatus::kExecuted;
       ++executed_;
-      out.emplace_back(exec_frontier_, it->second.command);
+      out.emplace_back(exec_frontier_, std::move(it->second.command));
+      entries_.erase(it);
       ++exec_frontier_;
       continue;
     }

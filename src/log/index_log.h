@@ -2,6 +2,11 @@
 // Mencius, classic Fast Paxos): dense uint64 positions, a committed flag per
 // occupied position, a coalesced skip/no-op set, and a contiguous execution
 // frontier.
+//
+// The log is compacted as it executes: drain_executable() hands each
+// command to the caller and erases its entry, so the log holds only what is
+// in flight. Every position below the frontier is decided: it is a no-op if
+// it is in the skip set, and an executed command otherwise.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +19,7 @@
 
 namespace domino::log {
 
-enum class EntryStatus : std::uint8_t { kAccepted, kCommitted, kExecuted };
+enum class EntryStatus : std::uint8_t { kAccepted, kCommitted };
 
 class IndexLog {
  public:
@@ -24,11 +29,12 @@ class IndexLog {
   };
 
   /// Place (or replace) a command at `index` in Accepted state. Replacing a
-  /// committed entry is a logic error.
+  /// committed or executed entry is a logic error.
   void accept(std::uint64_t index, sm::Command command);
 
   /// Mark the entry at `index` committed; the entry must exist unless
   /// `command` is provided (commit-before-accept, e.g. a late learner).
+  /// Idempotent: committing an executed position is a no-op.
   void commit(std::uint64_t index, std::optional<sm::Command> command = std::nullopt);
 
   /// Mark [lo, hi] as skipped (committed no-ops).
@@ -37,12 +43,18 @@ class IndexLog {
   [[nodiscard]] bool is_skipped(std::uint64_t index) const {
     return skips_.contains(static_cast<std::int64_t>(index));
   }
+  /// True below the frontier for every position that is not a skip.
+  [[nodiscard]] bool is_executed(std::uint64_t index) const {
+    return index < exec_frontier_ && !is_skipped(index);
+  }
+  /// The live (accepted or committed, unexecuted) entry at `index`, or null.
   [[nodiscard]] const Entry* entry(std::uint64_t index) const;
+  /// Committed or executed.
   [[nodiscard]] bool is_committed(std::uint64_t index) const;
 
   /// Committed-but-unexecuted entries at the head of the log: all entries
-  /// whose every predecessor is executed or skipped. Marks them Executed
-  /// and returns them in order.
+  /// whose every predecessor is executed or skipped. Moves their commands
+  /// out, erases the entries, and returns the commands in order.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, sm::Command>> drain_executable();
 
   /// All committed-but-unexecuted entries, in index order (non-destructive).
@@ -67,6 +79,7 @@ class IndexLog {
   /// gap is marked skipped. No-op when `frontier` is not ahead.
   void fast_forward(std::uint64_t frontier);
 
+  /// Live entries: accepted or committed, not yet executed.
   [[nodiscard]] std::size_t occupied_count() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
   [[nodiscard]] std::size_t skip_interval_count() const { return skips_.interval_count(); }

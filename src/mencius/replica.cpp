@@ -235,10 +235,11 @@ void Replica::apply_skip_frontier(std::size_t owner_rank, std::uint64_t frontier
   if (frontier <= seen) return;
   // Walk the owner's instances in [seen, frontier); FIFO channels guarantee
   // every instance the owner actually used has already been accepted here,
-  // so the empty ones are no-ops.
+  // so the empty ones are no-ops. An executed instance has no entry left
+  // either; it is not empty.
   for (std::uint64_t idx = next_owned_at_or_after(owner_rank, seen); idx < frontier;
        idx += replicas_.size()) {
-    if (log_.entry(idx) == nullptr) {
+    if (log_.entry(idx) == nullptr && !log_.is_executed(idx)) {
       log_.skip(idx, idx);
       obs_skips_.inc();
     }

@@ -161,7 +161,9 @@ void ClientBase::on_committed(const RequestId& /*id*/, TimePoint /*sent_at*/,
 
 void ClientBase::handle_committed(const RequestId& id) {
   if (id.client != this->id()) return;
-  if (!done_seqs_.insert(id.seq).second) return;  // duplicate notification
+  const auto seq = static_cast<IntervalSet::Key>(id.seq);
+  if (done_seqs_.contains(seq)) return;  // duplicate notification
+  done_seqs_.insert(seq);
   ++committed_;
   obs_committed_.inc();
   pending_.erase(id);

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/interval_set.h"
 #include "common/rng.h"
 #include "rpc/node.h"
 #include "statemachine/workload.h"
@@ -117,7 +118,9 @@ class ClientBase : public Node {
   obs::HistogramHandle obs_retry_backoff_;
   std::unordered_map<RequestId, TimePoint> sent_at_;  // true send time
   std::unordered_map<RequestId, obs::SpanId> root_spans_;  // live command traces
-  std::unordered_set<std::uint64_t> done_seqs_;       // committed request seqs
+  // Committed request seqs. Seqs commit mostly in order, so they coalesce
+  // into a few intervals instead of one hash node per commit.
+  IntervalSet done_seqs_;
   std::unordered_map<RequestId, PendingRequest> pending_;  // timeout-tracked
   std::unordered_set<std::uint64_t> abandoned_seqs_;  // for late-commit fixup
   Duration request_timeout_ = Duration::zero();       // zero = disabled

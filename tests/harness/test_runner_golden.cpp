@@ -40,16 +40,27 @@ class Digest {
   std::uint64_t h_ = 14695981039346656037ULL;
 };
 
-std::uint64_t run_digest(const RunResult& r) {
+/// What a digest folds in. kBehaviour leaves out the two byte counters a
+/// change of catch-up encoding moves (bytes_sent, recovery.catchup_bytes)
+/// and keeps everything a protocol does: latency samples, fingerprints,
+/// applied counts, packet and drop counts, retries and recovery events.
+enum class Fold : std::uint8_t { kAll, kBehaviour };
+
+std::uint64_t run_digest(const RunResult& r, Fold fold = Fold::kAll) {
+  const bool all = fold == Fold::kAll;
   Digest d;
   d.add(r.commit_ms);
   d.add(r.exec_ms);
   for (const StatAccumulator& c : r.commit_per_client) d.add(c);
+  for (const std::uint64_t v : {r.submitted, r.committed, r.fast_path, r.slow_path,
+                                r.dfp_chosen, r.dm_chosen, r.packets_sent}) {
+    d.add(v);
+  }
+  if (all) d.add(r.bytes_sent);
   for (const std::uint64_t v :
-       {r.submitted, r.committed, r.fast_path, r.slow_path, r.dfp_chosen, r.dm_chosen,
-        r.packets_sent, r.bytes_sent, r.client_committed, r.packets_dropped,
-        r.drops_crashed_source, r.drops_crashed_dest, r.drops_partition, r.fault_digest,
-        r.fault_transitions, r.client_retries, r.client_abandoned, r.client_inflight_end}) {
+       {r.client_committed, r.packets_dropped, r.drops_crashed_source, r.drops_crashed_dest,
+        r.drops_partition, r.fault_digest, r.fault_transitions, r.client_retries,
+        r.client_abandoned, r.client_inflight_end}) {
     d.add(v);
   }
   for (const std::uint64_t fp : r.replica_store_fingerprints) d.add(fp);
@@ -57,9 +68,10 @@ std::uint64_t run_digest(const RunResult& r) {
   const recovery::RecoveryStats& rec = r.recovery;
   for (const std::uint64_t v :
        {rec.persisted_records, rec.persisted_bytes, rec.restarts, rec.replayed_records,
-        rec.replayed_bytes, rec.catchup_installs, rec.catchup_bytes}) {
+        rec.replayed_bytes, rec.catchup_installs}) {
     d.add(v);
   }
+  if (all) d.add(rec.catchup_bytes);
   d.add(rec.rejoin_ns_total);
   d.add(r.recovery_downtime_ns);
   for (const obs::CalibrationRow& row : r.calibration) {
@@ -110,6 +122,7 @@ struct GoldenCase {
   Protocol protocol;
   std::uint64_t fault_free;
   std::uint64_t faulted;
+  std::uint64_t faulted_behaviour;  // run_digest(faulted run, Fold::kBehaviour)
 };
 
 // Name the case in gtest output instead of dumping its raw (padded) bytes.
@@ -120,17 +133,28 @@ class RunnerGolden : public ::testing::TestWithParam<GoldenCase> {};
 TEST_P(RunnerGolden, DigestsMatchRecordedRuns) {
   const GoldenCase c = GetParam();
   EXPECT_EQ(run_digest(run_protocol(c.protocol, globe_scenario())), c.fault_free);
-  EXPECT_EQ(run_digest(run_protocol(c.protocol, faulted_scenario())), c.faulted);
+  const RunResult faulted = run_protocol(c.protocol, faulted_scenario());
+  EXPECT_EQ(run_digest(faulted), c.faulted);
+  EXPECT_EQ(run_digest(faulted, Fold::kBehaviour), c.faulted_behaviour);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, RunnerGolden,
     ::testing::Values(
-        GoldenCase{Protocol::kMultiPaxos, 1577456184118223445ULL, 11720563419693566971ULL},
-        GoldenCase{Protocol::kMencius, 5574884185746427583ULL, 3434093303032961436ULL},
-        GoldenCase{Protocol::kEPaxos, 7845187536802149254ULL, 1658584666095968890ULL},
-        GoldenCase{Protocol::kFastPaxos, 13749016476035831086ULL, 5776793281020817791ULL},
-        GoldenCase{Protocol::kDomino, 10126122753071300917ULL, 8605708174440031514ULL}),
+        GoldenCase{Protocol::kMultiPaxos, 1577456184118223445ULL, 11720563419693566971ULL,
+                   488622132283755735ULL},
+        GoldenCase{Protocol::kMencius, 5574884185746427583ULL, 3434093303032961436ULL,
+                   9537278719594895679ULL},
+        // EPaxos's faulted digests are recorded with a restarted replica
+        // re-executing, on top of an installed snapshot, the replayed
+        // commands that snapshot does not reflect: the restarted replica
+        // and replica 0 end with the same 906 commands and fingerprint.
+        GoldenCase{Protocol::kEPaxos, 7845187536802149254ULL, 14929037929629809316ULL,
+                   8364850840533229861ULL},
+        GoldenCase{Protocol::kFastPaxos, 13749016476035831086ULL, 5776793281020817791ULL,
+                   4532726327176688615ULL},
+        GoldenCase{Protocol::kDomino, 10126122753071300917ULL, 8605708174440031514ULL,
+                   10255544193637160286ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       std::string name = protocol_name(info.param.protocol);
       for (char& ch : name) {

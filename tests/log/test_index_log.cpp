@@ -101,6 +101,60 @@ TEST(IndexLog, LargeSkipJumpIsConstantTime) {
   EXPECT_EQ(log.execution_frontier(), 1'000'000'002u);
 }
 
+TEST(IndexLog, DrainErasesExecutedEntries) {
+  IndexLog log;
+  for (std::uint64_t i = 0; i < 4; ++i) log.accept(i, cmd(i));
+  log.accept(5, cmd(5));
+  EXPECT_EQ(log.occupied_count(), 5u);
+  for (std::uint64_t i = 0; i < 4; ++i) log.commit(i);
+  const auto execd = log.drain_executable();
+  ASSERT_EQ(execd.size(), 4u);
+  EXPECT_EQ(execd[3].second.id.seq, 3u);  // commands are handed out intact
+  EXPECT_EQ(log.execution_frontier(), 4u);
+  EXPECT_EQ(log.occupied_count(), 1u);  // only the in-flight entry at 5
+  EXPECT_EQ(log.entry(0), nullptr);
+  log.skip(4, 4);
+  log.commit(5);
+  EXPECT_EQ(log.drain_executable().size(), 1u);
+  EXPECT_EQ(log.occupied_count(), 0u);
+  EXPECT_EQ(log.executed_count(), 5u);
+}
+
+TEST(IndexLog, BelowFrontierIsExecutedUnlessSkipped) {
+  IndexLog log;
+  log.commit(0, cmd(0));
+  log.skip(1, 1);
+  log.commit(2, cmd(2));
+  (void)log.drain_executable();
+  ASSERT_EQ(log.execution_frontier(), 3u);
+  EXPECT_TRUE(log.is_executed(0));
+  EXPECT_TRUE(log.is_committed(0));
+  EXPECT_FALSE(log.is_executed(1));  // a no-op, not an executed command
+  EXPECT_FALSE(log.is_committed(1));
+  EXPECT_TRUE(log.is_committed(2));
+  EXPECT_FALSE(log.is_executed(3));
+  EXPECT_FALSE(log.is_committed(3));
+}
+
+TEST(IndexLog, LateCommitOfExecutedPositionIsNoop) {
+  IndexLog log;
+  log.commit(0, cmd(0));
+  (void)log.drain_executable();
+  log.commit(0);          // no entry and no command, but executed: fine
+  log.commit(0, cmd(7));  // must not resurrect the position
+  EXPECT_EQ(log.occupied_count(), 0u);
+  EXPECT_TRUE(log.committed_unexecuted().empty());
+  EXPECT_TRUE(log.drain_executable().empty());
+}
+
+TEST(IndexLog, LateAcceptOfExecutedPositionThrows) {
+  IndexLog log;
+  log.commit(0, cmd(0));
+  (void)log.drain_executable();
+  EXPECT_THROW(log.accept(0, cmd(1)), std::logic_error);
+  EXPECT_EQ(log.occupied_count(), 0u);
+}
+
 TEST(IndexLog, IsCommittedAndEntryAccessors) {
   IndexLog log;
   log.accept(0, cmd(0));

@@ -51,9 +51,16 @@ TEST_F(MenciusCluster, OwnedInstancesUseOwnResidues) {
   client->submit(make_command(client->id(), 0));
   client->submit(make_command(client->id(), 1));
   simulator.run_until(TimePoint::epoch() + seconds(1));
-  // Replica 1 owns indices 1, 4, 7...; its first two proposals are at 1, 4.
-  EXPECT_NE(replicas[0]->log().entry(1), nullptr);
-  EXPECT_NE(replicas[0]->log().entry(4), nullptr);
+  // Replica 1 owns indices 1, 4, 7...; its first two proposals are at 1, 4,
+  // and the other lanes' instances below them are no-ops. The log compacts
+  // executed entries, so read the outcome from the frontier and skip set.
+  const auto& log = replicas[0]->log();
+  ASSERT_GE(log.execution_frontier(), 5u);
+  for (const std::uint64_t idx : {1u, 4u}) {
+    EXPECT_TRUE(log.is_executed(idx)) << idx;
+    EXPECT_FALSE(log.is_skipped(idx)) << idx;
+  }
+  for (const std::uint64_t idx : {0u, 2u, 3u}) EXPECT_TRUE(log.is_skipped(idx)) << idx;
 }
 
 TEST_F(MenciusCluster, SkipsFillForeignLanes) {

@@ -81,6 +81,40 @@ TEST(ClientBase, DuplicateCommitIgnored) {
   EXPECT_EQ(c.committed_count(), 1u);
 }
 
+TEST(ClientBase, OutOfOrderCommitsCountOnceEach) {
+  sim::Simulator simulator;
+  net::Network network(simulator, one_dc(), 1);
+  // Commits arrive only when forced, in any order.
+  class ManualCommit : public ClientBase {
+   public:
+    ManualCommit(NodeId id, net::Network& network)
+        : ClientBase(id, 0, network, sim::LocalClock{}) {}
+    void force_commit(const RequestId& id) { handle_committed(id); }
+
+   protected:
+    void propose(const sm::Command&) override {}
+    void on_packet(const net::Packet&) override {}
+  };
+  ManualCommit c(NodeId{1000}, network);
+  c.attach();
+  std::vector<std::uint64_t> committed;
+  c.set_commit_hook(
+      [&](const RequestId& id, TimePoint, TimePoint) { committed.push_back(id.seq); });
+
+  for (std::uint64_t seq = 0; seq < 6; ++seq) {
+    sm::Command cmd;
+    cmd.id = RequestId{NodeId{1000}, seq};
+    c.submit(cmd);
+  }
+  // Gaps first, then the seqs that close them, with duplicates on both sides
+  // of every merge.
+  for (const std::uint64_t seq : {4u, 1u, 4u, 5u, 0u, 1u, 3u, 2u, 5u, 0u, 2u}) {
+    c.force_commit(RequestId{NodeId{1000}, seq});
+  }
+  EXPECT_EQ(committed, (std::vector<std::uint64_t>{4, 1, 5, 0, 3, 2}));
+  EXPECT_EQ(c.committed_count(), 6u);
+}
+
 TEST(ClientBase, ForeignCommitIgnored) {
   sim::Simulator simulator;
   net::Network network(simulator, one_dc(), 1);
