@@ -45,7 +45,8 @@ int main() {
       static_cast<unsigned long long>(domino_result.dm_chosen));
 
   // Full observability report: latency summary, every metric (per-link
-  // delivery histograms, protocol counters), and the protocol event trace.
+  // delivery histograms, protocol counters), and the incident log (fault,
+  // retry and recovery events; empty here, as this run injects no faults).
   const auto report =
       harness::make_report(harness::Protocol::kDomino, scenario, domino_result);
   report.write("quickstart_report.json", /*include_trace=*/true);

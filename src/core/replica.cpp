@@ -460,13 +460,6 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
     log_.commit(lp, command);
     was_fast ? ++dfp_fast_commits_ : ++dfp_slow_commits_;
     was_fast ? obs_dfp_fast_.inc() : obs_dfp_slow_.inc();
-    if (was_fast && obs_sink().tracing()) {
-      obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kFastAccept,
-                                        .node = id(),
-                                        .request = command.id,
-                                        .value = ts});
-    }
   } else {
     ++dfp_noop_resolutions_;
     obs_dfp_noops_.inc();
@@ -510,12 +503,6 @@ void Replica::reroute_via_dm(const sm::Command& command) {
   if (dfp_committed_.contains(command.id)) return;   // already committed via DFP
   if (!rerouted_.insert(command.id).second) return;  // already re-proposed
   obs_rerouted_.inc();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kCoordinatorFallback,
-                                      .node = id(),
-                                      .request = command.id});
-  }
   dm_lead(command, /*reply_via_dfp=*/true);
 }
 
@@ -991,13 +978,11 @@ void Replica::restart() {
   dm_commits_ = 0;
   catching_up_ = true;
   recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+  obs_sink().record(obs::TraceEvent{
+      .at = true_now(),
+      .kind = obs::EventKind::kRecoveryStart,
+      .node = id(),
+      .value = static_cast<std::int64_t>(persistor_.epoch())});
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     wire::ByteReader r(rec.body);
@@ -1205,12 +1190,10 @@ void Replica::finish_rejoin() {
   catching_up_ = false;
   const Duration took = true_now() - recovery_started_at_;
   persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
+  obs_sink().record(obs::TraceEvent{.at = true_now(),
+                                    .kind = obs::EventKind::kRecoveryDone,
+                                    .node = id(),
+                                    .value = took.nanos()});
 }
 
 // ------------------------------------------------------------------ shared
@@ -1263,13 +1246,6 @@ void Replica::execute_ready() {
   for (auto& [pos, command] : log_.drain_executable()) {
     store_.apply(command);
     obs_executed_.inc();
-    if (obs_sink().tracing()) {
-      obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kExecute,
-                                        .node = id(),
-                                        .request = command.id,
-                                        .value = pos.ts});
-    }
     if (exec_hook_) exec_hook_(command.id, true_now());
   }
 }

@@ -203,12 +203,6 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
     // Fast path: one round trip.
     ++fast_commits_;
     obs_fast_.inc();
-    if (obs_sink().tracing()) {
-      obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kFastAccept,
-                                        .node = id(),
-                                        .request = inst.command.id});
-    }
     // The commit decision is externalized by the ClientReply and the Commit
     // broadcast, so it must be durable first. The book is erased now so
     // replies landing during the sync window cannot re-trigger the quorum.
@@ -341,13 +335,11 @@ void Replica::restart() {
   executed_ = 0;
   catching_up_ = true;
   recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+  obs_sink().record(obs::TraceEvent{
+      .at = true_now(),
+      .kind = obs::EventKind::kRecoveryStart,
+      .node = id(),
+      .value = static_cast<std::int64_t>(persistor_.epoch())});
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     if (rec.tag != recovery::RecordTag::kAccepted &&
@@ -606,12 +598,10 @@ void Replica::finish_rejoin() {
   for (std::size_t r = 0; r < replicas_.size(); ++r) compact(r);
   const Duration took = true_now() - recovery_started_at_;
   persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
+  obs_sink().record(obs::TraceEvent{.at = true_now(),
+                                    .kind = obs::EventKind::kRecoveryDone,
+                                    .node = id(),
+                                    .value = took.nanos()});
 }
 
 void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,

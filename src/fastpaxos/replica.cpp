@@ -285,13 +285,6 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
   if (was_fast) {
     ++fast_commits_;
     obs_fast_.inc();
-    if (obs_sink().tracing()) {
-      obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kFastAccept,
-                                        .node = id(),
-                                        .request = command.id,
-                                        .value = static_cast<std::int64_t>(index)});
-    }
   } else {
     ++slow_commits_;
     obs_slow_.inc();
@@ -365,13 +358,11 @@ void Replica::restart() {
   slow_commits_ = 0;
   catching_up_ = true;
   recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+  obs_sink().record(obs::TraceEvent{
+      .at = true_now(),
+      .kind = obs::EventKind::kRecoveryStart,
+      .node = id(),
+      .value = static_cast<std::int64_t>(persistor_.epoch())});
 
   std::uint64_t max_index = 0;
   bool any = false;
@@ -527,12 +518,10 @@ void Replica::finish_rejoin() {
   catching_up_ = false;
   const Duration took = true_now() - recovery_started_at_;
   persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
+  obs_sink().record(obs::TraceEvent{.at = true_now(),
+                                    .kind = obs::EventKind::kRecoveryDone,
+                                    .node = id(),
+                                    .value = took.nanos()});
 }
 
 void Replica::execute_ready() {

@@ -95,12 +95,8 @@ std::string RunReport::to_json(bool include_trace) const {
     out += ",\n\"metrics\":" + obs::metrics_to_json(*metrics);
   }
   if (trace != nullptr) {
-    out += ",\n\"trace_events_recorded\":";
+    out += ",\n\"trace_events\":";
     append_u64(out, trace->total_recorded());
-    out += ",\n\"trace_events_retained\":";
-    append_u64(out, trace->size());
-    out += ",\n\"trace_events_dropped\":";
-    append_u64(out, trace_events_dropped);
     if (include_trace) {
       out += ",\n\"trace\":" + obs::trace_to_json(*trace);
     }
@@ -224,7 +220,6 @@ RunReport make_report(Protocol protocol, const Scenario& scenario, const RunResu
   r.trace = result.trace;
   r.spans = result.spans;
   r.critical_paths = result.critical_paths;
-  r.trace_events_dropped = result.trace_events_dropped;
   r.predict = result.predict;
   r.calibration = result.calibration;
   r.timeseries = result.timeseries;

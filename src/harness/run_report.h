@@ -1,6 +1,6 @@
 // Per-run report: one JSON document tying together the scenario, the
 // latency summary (from the LatencyCollector), the full metrics registry
-// and the protocol event trace. Deterministic: same seed, same protocol,
+// and the incident log. Deterministic: same seed, same protocol,
 // same scenario => byte-identical report (all timestamps are virtual, all
 // maps iterate in name order).
 #pragma once
@@ -38,7 +38,6 @@ struct RunReport {
   std::shared_ptr<obs::TraceRecorder> trace;
   std::shared_ptr<obs::SpanStore> spans;  // null unless Scenario::command_spans
   std::vector<obs::CommandPath> critical_paths;
-  std::uint64_t trace_events_dropped = 0;
   /// Decision-record audit; null unless Scenario::prediction_audit (the
   /// "predict" JSON block and predict_csv() are omitted/empty then).
   std::shared_ptr<obs::PredictionAudit> predict;
@@ -50,8 +49,8 @@ struct RunReport {
   obs::SloReport slo;
   Duration timeseries_interval = Duration::zero();
 
-  /// Render the whole report as a JSON document. The trace is included as
-  /// text lines when `include_trace` is set (it can be large).
+  /// Render the whole report as a JSON document. The incident log is
+  /// included as an event array when `include_trace` is set.
   [[nodiscard]] std::string to_json(bool include_trace = false) const;
 
   /// Write to_json(include_trace) to `path`.

@@ -81,7 +81,7 @@ struct Env {
     if (!s.faults.empty()) network.install_faults(s.faults);
     if (s.observability) {
       metrics = std::make_shared<obs::MetricsRegistry>();
-      trace = std::make_shared<obs::TraceRecorder>(s.trace_capacity);
+      trace = std::make_shared<obs::TraceRecorder>();
       if (s.command_spans) {
         spans = std::make_shared<obs::SpanStore>(s.span_capacity, s.span_capacity);
       }
@@ -222,14 +222,6 @@ struct Env {
     result.trace = trace;
     result.spans = spans;
     result.predict = predict;
-    if (trace != nullptr) {
-      // Surface ring-buffer overwrite: dropped events must be visible, not
-      // silent (satellite of the span work).
-      result.trace_events_dropped = trace->overwritten();
-      if (metrics != nullptr) {
-        metrics->counter("obs.trace.dropped_events").inc(trace->overwritten());
-      }
-    }
     if (spans != nullptr) {
       if (metrics != nullptr) {
         metrics->counter("obs.span.dropped_spans").inc(spans->dropped_spans());

@@ -83,12 +83,11 @@ struct Scenario {
   Duration replica_service_time = Duration::zero();
   double node_egress_bps = 0.0;
 
-  /// When true (default), the run records metrics and protocol events into
-  /// RunResult::metrics / RunResult::trace. Disabling reduces every
-  /// instrumentation site to one null-pointer branch.
+  /// When true (default), the run records metrics and incidents (faults,
+  /// client retries, recoveries) into RunResult::metrics /
+  /// RunResult::trace. Disabling reduces every instrumentation site to one
+  /// null-pointer branch.
   bool observability = true;
-  /// Trace ring capacity (events); older events are overwritten.
-  std::size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
   /// Causal per-command spans (obs/span.h): every command gets a root span
   /// whose context is piggybacked on the wire, and the run computes
   /// critical-path latency attribution (RunResult::critical_paths). Opt-in:
@@ -214,8 +213,8 @@ struct RunResult {
   /// for reports and bench tables).
   LatencySummary latency;
 
-  /// Full metrics registry and protocol event trace for the run; null when
-  /// Scenario::observability is false.
+  /// Full metrics registry and incident log for the run; null when
+  /// Scenario::observability is false. A fault-free run logs no incidents.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   std::shared_ptr<obs::TraceRecorder> trace;
 
@@ -229,9 +228,6 @@ struct RunResult {
   /// Per-(owner,target) estimator-calibration rows, replicas first then
   /// clients, each in construction order; empty unless prediction_audit.
   std::vector<obs::CalibrationRow> calibration;
-  /// Protocol events lost to trace-ring overwrite (satellite of the span
-  /// work: overflow is counted, never silent).
-  std::uint64_t trace_events_dropped = 0;
 
   /// Windowed telemetry frames; null unless Scenario::timeseries_interval
   /// was set (and observability was on).

@@ -42,13 +42,6 @@ void Prober::send_probes() {
     owner_.send(t, p);
     ++probes_sent_;
     obs_probes_sent_.inc();
-    if (owner_.obs_sink().tracing()) {
-      owner_.obs_sink().record(obs::TraceEvent{.at = owner_.true_now(),
-                                               .kind = obs::EventKind::kProbeSend,
-                                               .node = owner_.id(),
-                                               .peer = t,
-                                               .value = static_cast<std::int64_t>(seq)});
-    }
   }
 }
 
@@ -78,14 +71,6 @@ void Prober::on_probe_reply(NodeId from, const ProbeReply& reply) {
   ts.last_reply_true_time = owner_.true_now();
   ts.ever_replied = true;
   obs_probe_replies_.inc();
-  if (owner_.obs_sink().tracing()) {
-    owner_.obs_sink().record(
-        obs::TraceEvent{.at = owner_.true_now(),
-                        .kind = obs::EventKind::kProbeRecv,
-                        .node = owner_.id(),
-                        .peer = from,
-                        .value = (local_now - reply.echo_sender_local_time).nanos()});
-  }
 }
 
 ProbeReply Prober::make_reply(const Probe& probe, TimePoint replica_local_now,

@@ -146,13 +146,11 @@ void FaultInjector::mix(std::uint64_t v) {
 void FaultInjector::trace_link_event(obs::EventKind kind, TimePoint at,
                                      std::size_t from_dc, std::size_t to_dc,
                                      std::int64_t value) {
-  if (obs_.tracing()) {
-    obs_.record(obs::TraceEvent{.at = at,
-                                .kind = kind,
-                                .node = NodeId{static_cast<std::uint32_t>(from_dc)},
-                                .peer = NodeId{static_cast<std::uint32_t>(to_dc)},
-                                .value = value});
-  }
+  obs_.record(obs::TraceEvent{.at = at,
+                              .kind = kind,
+                              .node = NodeId{static_cast<std::uint32_t>(from_dc)},
+                              .peer = NodeId{static_cast<std::uint32_t>(to_dc)},
+                              .value = value});
 }
 
 void FaultInjector::install(const FaultSchedule& schedule) {
@@ -189,10 +187,8 @@ void FaultInjector::crash(NodeId node) {
   mix(0x01);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
   mix(node.value());
-  if (obs_.tracing()) {
-    obs_.record(obs::TraceEvent{
-        .at = sim_.now(), .kind = obs::EventKind::kNodeCrash, .node = node});
-  }
+  obs_.record(obs::TraceEvent{
+      .at = sim_.now(), .kind = obs::EventKind::kNodeCrash, .node = node});
 }
 
 void FaultInjector::recover(NodeId node) {
@@ -208,10 +204,8 @@ void FaultInjector::recover(NodeId node) {
     obs_downtime_ns_.record(downtime);
     crashed_at_.erase(it);
   }
-  if (obs_.tracing()) {
-    obs_.record(obs::TraceEvent{
-        .at = sim_.now(), .kind = obs::EventKind::kNodeRecover, .node = node});
-  }
+  obs_.record(obs::TraceEvent{
+      .at = sim_.now(), .kind = obs::EventKind::kNodeRecover, .node = node});
   if (recover_hook_) recover_hook_(node);
   // Restart (amnesia) runs after the transport forgot the node's channel
   // state, so nothing the wiped replica sends is ordered behind pre-crash
@@ -327,21 +321,12 @@ Duration FaultInjector::deform(std::size_t from_dc, std::size_t to_dc, Duration 
   return d;
 }
 
-void FaultInjector::count_drop(DropReason reason, TimePoint at, NodeId src, NodeId dst,
-                               std::size_t bytes) {
+void FaultInjector::count_drop(DropReason reason, TimePoint at, NodeId src, NodeId dst) {
   ++drops_[static_cast<std::size_t>(reason)];
   obs_drop_reason_[static_cast<std::size_t>(reason)].inc();
   mix(0x10 + static_cast<std::uint64_t>(reason));
   mix(static_cast<std::uint64_t>(at.nanos()));
   mix((static_cast<std::uint64_t>(src.value()) << 32) | dst.value());
-  if (obs_.tracing()) {
-    obs_.record(obs::TraceEvent{.at = at,
-                                .kind = obs::EventKind::kMessageDrop,
-                                .node = src,
-                                .peer = dst,
-                                .detail = static_cast<std::uint8_t>(reason),
-                                .value = static_cast<std::int64_t>(bytes)});
-  }
 }
 
 std::uint64_t FaultInjector::total_drops() const {

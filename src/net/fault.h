@@ -158,10 +158,9 @@ class FaultInjector {
   [[nodiscard]] Duration deform(std::size_t from_dc, std::size_t to_dc, Duration sampled,
                                 Duration model_base);
 
-  /// Record a drop (updates per-reason counters, the rolling digest, and
-  /// the trace). `at` is the drop time, `bytes` the framed packet size.
-  void count_drop(DropReason reason, TimePoint at, NodeId src, NodeId dst,
-                  std::size_t bytes);
+  /// Record a drop (updates the per-reason counters and the rolling
+  /// digest). `at` is the drop time.
+  void count_drop(DropReason reason, TimePoint at, NodeId src, NodeId dst);
 
   [[nodiscard]] std::uint64_t drops(DropReason reason) const {
     return drops_[static_cast<std::size_t>(reason)];

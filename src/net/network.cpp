@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "wire/message.h"
-
 namespace domino::net {
 
 Network::Network(sim::Simulator& simulator, Topology topology, std::uint64_t seed)
@@ -81,12 +79,11 @@ void Network::bind_obs(const obs::Sink& sink) {
   }
 }
 
-void Network::count_drop(DropReason reason, NodeId src, NodeId dst, std::size_t bytes) {
+void Network::count_drop(DropReason reason, NodeId src, NodeId dst) {
   ++packets_dropped_;
   obs_dropped_.inc();
-  // The injector owns the per-reason counters, the fault/drop digest, and
-  // the (reason-tagged) trace event.
-  fault_.count_drop(reason, sim_.now(), src, dst, bytes);
+  // The injector owns the per-reason counters and the fault/drop digest.
+  fault_.count_drop(reason, sim_.now(), src, dst);
 }
 
 void Network::reset_channels_of(NodeId id) {
@@ -137,7 +134,7 @@ void Network::send(NodeId src, NodeId dst, wire::Payload payload) {
   // Single drop decision point: crashes and partitions, with the reason.
   if (const DropReason reason = fault_.drop_reason(src, s.dc, dst, d.dc);
       reason != DropReason::kNone) {
-    count_drop(reason, src, dst, bytes);
+    count_drop(reason, src, dst);
     return;
   }
 
@@ -183,37 +180,18 @@ void Network::send(NodeId src, NodeId dst, wire::Payload payload) {
       lo.bytes.inc(bytes);
       lo.delay_ns.record(deliver_at - now);
     }
-    if (obs_.tracing()) {
-      obs_.record(obs::TraceEvent{
-          .at = now,
-          .kind = obs::EventKind::kMessageSend,
-          .node = src,
-          .peer = dst,
-          .msg_type = static_cast<std::uint16_t>(wire::peek_type(payload)),
-          .value = static_cast<std::int64_t>(bytes)});
-    }
   }
 
   sim_.schedule_at(deliver_at,
                    [this, pkt = Packet{src, dst, now, std::move(payload)}, dst,
-                    src_dc = s.dc, dst_dc = d.dc, bytes]() mutable {
+                    src_dc = s.dc, dst_dc = d.dc]() mutable {
                      // Re-check at delivery: a crash or partition that began
                      // while the packet was in flight still loses it.
                      if (const DropReason reason =
                              fault_.drop_reason(pkt.src, src_dc, dst, dst_dc);
                          reason != DropReason::kNone) {
-                       count_drop(reason, pkt.src, dst, bytes);
+                       count_drop(reason, pkt.src, dst);
                        return;
-                     }
-                     if (obs_.tracing()) {
-                       obs_.record(obs::TraceEvent{
-                           .at = sim_.now(),
-                           .kind = obs::EventKind::kMessageDeliver,
-                           .node = dst,
-                           .peer = pkt.src,
-                           .msg_type =
-                               static_cast<std::uint16_t>(wire::peek_type(pkt.payload)),
-                           .value = (sim_.now() - pkt.sent_at).nanos()});
                      }
                      auto it = nodes_.find(dst);
                      if (it != nodes_.end() && it->second.receiver) {

@@ -152,7 +152,7 @@ class Network final : public rpc::Context {
 
   NodeInfo& info(NodeId id);
   [[nodiscard]] const NodeInfo& info(NodeId id) const;
-  void count_drop(DropReason reason, NodeId src, NodeId dst, std::size_t bytes);
+  void count_drop(DropReason reason, NodeId src, NodeId dst);
   /// Forget FIFO delivery state on every channel touching `id` (called on
   /// recovery; pre-crash deliveries must not delay post-recovery traffic).
   void reset_channels_of(NodeId id);

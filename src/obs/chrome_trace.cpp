@@ -42,23 +42,6 @@ bool node_scoped(EventKind k) {
   }
 }
 
-bool fault_kind(EventKind k) {
-  switch (k) {
-    case EventKind::kNodeCrash:
-    case EventKind::kNodeRecover:
-    case EventKind::kLinkPartition:
-    case EventKind::kLinkHeal:
-    case EventKind::kLinkDegrade:
-    case EventKind::kLinkRestore:
-    case EventKind::kRouteChange:
-    case EventKind::kClientRetry:
-    case EventKind::kClientAbandon:
-    case EventKind::kRecoveryStart:
-    case EventKind::kRecoveryDone: return true;
-    default: return false;
-  }
-}
-
 }  // namespace
 
 std::string chrome_trace_json(const SpanStore* spans, const TraceRecorder* trace) {
@@ -76,10 +59,8 @@ std::string chrome_trace_json(const SpanStore* spans, const TraceRecorder* trace
     for (const Span& s : spans->spans()) lanes.insert(s.node.value());
   }
   if (trace != nullptr) {
-    for (const TraceEvent& e : trace->snapshot()) {
-      if (fault_kind(e.kind) && node_scoped(e.kind) && e.node.valid()) {
-        lanes.insert(e.node.value());
-      }
+    for (const TraceEvent& e : trace->events()) {
+      if (node_scoped(e.kind) && e.node.valid()) lanes.insert(e.node.value());
     }
   }
   for (const std::uint32_t lane : lanes) {
@@ -124,11 +105,10 @@ std::string chrome_trace_json(const SpanStore* spans, const TraceRecorder* trace
     }
   }
 
-  // Fault-injection instants. Link/route events carry dc indices rather
-  // than node ids, so they get global scope instead of a node lane.
+  // Incident instants. Link/route events carry dc indices rather than
+  // node ids, so they get global scope instead of a node lane.
   if (trace != nullptr) {
-    for (const TraceEvent& e : trace->snapshot()) {
-      if (!fault_kind(e.kind)) continue;
+    for (const TraceEvent& e : trace->events()) {
       sep();
       if (e.kind == EventKind::kRecoveryDone) {
         // The rejoin event carries the whole recovery duration; render it as

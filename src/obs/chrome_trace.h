@@ -2,10 +2,10 @@
 //
 // One process (pid 1), one lane (tid) per node: spans become "X" complete
 // events on their node's lane, message edges become flow arrows ("s"/"f")
-// linking the sending span to the handler span they opened, and fault
-// events from the TraceRecorder (crashes, partitions, degradations, client
+// linking the sending span to the handler span they opened, and the
+// TraceRecorder's incidents (crashes, partitions, degradations, client
 // retries) become instant events — on the affected node's lane when the
-// event names a node, global otherwise.
+// event names a node, global otherwise; a recovery becomes a slice.
 //
 // Deterministic: events are emitted in store order with virtual-time
 // stamps, so two runs with the same seed produce byte-identical JSON.
@@ -19,7 +19,7 @@
 namespace domino::obs {
 
 /// Either argument may be null; a null SpanStore yields no span/flow
-/// events, a null TraceRecorder no fault instants. Always returns a valid
+/// events, a null TraceRecorder no incident instants. Always returns a valid
 /// JSON object ({"displayTimeUnit":"ms","traceEvents":[...]}).
 [[nodiscard]] std::string chrome_trace_json(const SpanStore* spans,
                                             const TraceRecorder* trace);

@@ -21,9 +21,6 @@ namespace domino::obs {
 /// max, mean and the standard percentiles.
 [[nodiscard]] std::string metrics_to_csv(const MetricsRegistry& registry);
 
-/// One line per retained event, oldest first.
-[[nodiscard]] std::string trace_to_text(const TraceRecorder& trace);
-
 /// JSON array of event objects, oldest first.
 [[nodiscard]] std::string trace_to_json(const TraceRecorder& trace);
 

@@ -1,10 +1,10 @@
 // The wiring point between instrumented code and the observability layer.
 //
-// A Sink is a pair of optional destinations (metrics registry, trace
-// recorder). Instrumented components copy the sink once at construction /
-// bind time, create metric handles through it, and guard trace emission on
-// `tracing()`. A default-constructed Sink disables everything at the cost
-// of one branch per instrumentation point.
+// A Sink is a set of optional destinations (metrics registry, incident
+// log, span store, prediction audit). Instrumented components copy the
+// sink once at construction / bind time, create metric handles through it,
+// and hand incidents to `record()`. A default-constructed Sink disables
+// everything at the cost of one branch per instrumentation point.
 #pragma once
 
 #include "obs/metrics.h"
@@ -28,7 +28,6 @@ struct Sink {
     return metrics != nullptr || trace != nullptr || spans != nullptr ||
            predict != nullptr;
   }
-  [[nodiscard]] bool tracing() const { return trace != nullptr; }
   [[nodiscard]] bool spans_enabled() const { return spans != nullptr; }
 
   /// Handle factories: null handles when the registry is disabled.

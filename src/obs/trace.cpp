@@ -1,21 +1,9 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-
 namespace domino::obs {
 
 const char* event_kind_name(EventKind kind) {
   switch (kind) {
-    case EventKind::kRequestSubmit: return "request_submit";
-    case EventKind::kFastAccept: return "fast_accept";
-    case EventKind::kCoordinatorFallback: return "coordinator_fallback";
-    case EventKind::kCommit: return "commit";
-    case EventKind::kExecute: return "execute";
-    case EventKind::kProbeSend: return "probe_send";
-    case EventKind::kProbeRecv: return "probe_recv";
-    case EventKind::kMessageSend: return "msg_send";
-    case EventKind::kMessageDeliver: return "msg_deliver";
-    case EventKind::kMessageDrop: return "msg_drop";
     case EventKind::kNodeCrash: return "node_crash";
     case EventKind::kNodeRecover: return "node_recover";
     case EventKind::kLinkPartition: return "link_partition";
@@ -29,36 +17,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kRecoveryDone: return "recovery_done";
   }
   return "?";
-}
-
-TraceRecorder::TraceRecorder(std::size_t capacity)
-    : ring_(std::max<std::size_t>(1, capacity)) {}
-
-void TraceRecorder::record(const TraceEvent& event) {
-  ring_[head_] = event;
-  head_ = (head_ + 1) % ring_.size();
-  ++total_;
-}
-
-std::size_t TraceRecorder::size() const {
-  return std::min<std::uint64_t>(total_, ring_.size());
-}
-
-std::vector<TraceEvent> TraceRecorder::snapshot() const {
-  std::vector<TraceEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  // Oldest event: at head_ when the ring has wrapped, else at 0.
-  const std::size_t start = total_ > ring_.size() ? head_ : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void TraceRecorder::clear() {
-  head_ = 0;
-  total_ = 0;
 }
 
 }  // namespace domino::obs

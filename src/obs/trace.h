@@ -1,14 +1,20 @@
-// Structured protocol event tracing.
+// Incident log: the rare protocol events a run's readers actually use.
 //
-// A TraceRecorder captures fixed-size events into a preallocated ring
-// buffer. Timestamps are virtual time only (never a wall clock), and events
-// are recorded in simulator execution order, so two runs with the same seed
+// A TraceRecorder appends fault-injector transitions (crashes, partitions,
+// degradations, route changes), client retries and abandons, and amnesiac
+// recovery start/done. Per-message and per-command activity is not logged
+// here: the metrics counters (rpc.received.*, the per-reason net drop
+// counters, domino.dfp.*) and, with command spans on, the SpanStore edges
+// already carry it. So a fault-free run records nothing and allocates no
+// event storage, and a faulted run keeps every incident.
+//
+// Timestamps are virtual time only (never a wall clock), and events are
+// recorded in simulator execution order, so two runs with the same seed
 // produce byte-identical trace output — the property the evaluation harness
 // relies on to diff runs.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -16,18 +22,8 @@
 
 namespace domino::obs {
 
-/// The protocol event taxonomy (see DESIGN.md "Observability").
+/// The incident taxonomy (see DESIGN.md "Observability").
 enum class EventKind : std::uint8_t {
-  kRequestSubmit,        // client submits a command
-  kFastAccept,           // DFP / fast-quorum fast-path resolution
-  kCoordinatorFallback,  // request rerouted through the slow path (DM)
-  kCommit,               // client learns a request committed
-  kExecute,              // replica executes a command
-  kProbeSend,            // measurement probe sent
-  kProbeRecv,            // measurement probe reply received
-  kMessageSend,          // transport accepted a packet
-  kMessageDeliver,       // transport delivered a packet
-  kMessageDrop,          // transport dropped a packet (detail = net::DropReason)
   kNodeCrash,            // fault injector crashed a node
   kNodeRecover,          // fault injector recovered a node
   kLinkPartition,        // directed dc link partitioned (node/peer = dc indices)
@@ -45,41 +41,25 @@ enum class EventKind : std::uint8_t {
 
 struct TraceEvent {
   TimePoint at;                       // virtual (true) time
-  EventKind kind = EventKind::kMessageSend;
+  EventKind kind = EventKind::kNodeCrash;
   NodeId node;                        // acting node
   NodeId peer = NodeId::invalid();    // counterpart, if any
   RequestId request{NodeId::invalid(), 0};  // subject request, if any
-  std::uint16_t msg_type = 0;         // wire::MessageType tag, 0 if n/a
-  std::uint8_t detail = 0;            // kind-specific code (e.g. drop reason)
-  std::int64_t value = 0;             // kind-specific (bytes, delay ns, ts)
+  std::int64_t value = 0;             // kind-specific (epoch, delay ns, attempt)
 };
 
 class TraceRecorder {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
+  void record(const TraceEvent& event) { events_.push_back(event); }
 
-  explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
+  [[nodiscard]] std::uint64_t total_recorded() const { return events_.size(); }
+  [[nodiscard]] bool empty() const { return events_.empty(); }
 
-  /// O(1); once the ring is full the oldest event is overwritten.
-  void record(const TraceEvent& event);
-
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  /// Events currently retained.
-  [[nodiscard]] std::size_t size() const;
-  /// Events ever recorded (retained + overwritten).
-  [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
-  [[nodiscard]] std::uint64_t overwritten() const { return total_ - size(); }
-  [[nodiscard]] bool empty() const { return total_ == 0; }
-
-  /// Retained events, oldest first.
-  [[nodiscard]] std::vector<TraceEvent> snapshot() const;
-
-  void clear();
+  /// Every recorded event, oldest first.
+  [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
 
  private:
-  std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;     // next write position
-  std::uint64_t total_ = 0;  // events ever recorded
+  std::vector<TraceEvent> events_;
 };
 
 }  // namespace domino::obs

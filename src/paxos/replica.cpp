@@ -185,13 +185,11 @@ void Replica::restart() {
   committed_ = 0;
   catching_up_ = true;
   recovery_started_at_ = true_now();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{
-        .at = true_now(),
-        .kind = obs::EventKind::kRecoveryStart,
-        .node = id(),
-        .value = static_cast<std::int64_t>(persistor_.epoch())});
-  }
+  obs_sink().record(obs::TraceEvent{
+      .at = true_now(),
+      .kind = obs::EventKind::kRecoveryStart,
+      .node = id(),
+      .value = static_cast<std::int64_t>(persistor_.epoch())});
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     wire::ByteReader r(rec.body);
@@ -295,12 +293,10 @@ void Replica::finish_rejoin() {
   catching_up_ = false;
   const Duration took = true_now() - recovery_started_at_;
   persistor_.note_rejoin(took);
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRecoveryDone,
-                                      .node = id(),
-                                      .value = took.nanos()});
-  }
+  obs_sink().record(obs::TraceEvent{.at = true_now(),
+                                    .kind = obs::EventKind::kRecoveryDone,
+                                    .node = id(),
+                                    .value = took.nanos()});
 }
 
 void Replica::execute_ready() {

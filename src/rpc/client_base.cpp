@@ -57,12 +57,6 @@ void ClientBase::submit(sm::Command command) {
   ++submitted_;
   sent_at_.emplace(command.id, true_now());
   obs_submitted_.inc();
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kRequestSubmit,
-                                      .node = id(),
-                                      .request = command.id});
-  }
   if (send_hook_) send_hook_(command.id, true_now());
   // Open the command's root span and propose inside its context, so every
   // message the proposal causes carries the trace downstream.
@@ -118,26 +112,22 @@ void ClientBase::arm_timeout(const RequestId& id, std::size_t attempt) {
           root_spans_.erase(root_it);
         }
       }
-      if (obs_sink().tracing()) {
-        obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                          .kind = obs::EventKind::kClientAbandon,
-                                          .node = this->id(),
-                                          .request = id,
-                                          .value = static_cast<std::int64_t>(attempt)});
-      }
+      obs_sink().record(obs::TraceEvent{.at = true_now(),
+                                        .kind = obs::EventKind::kClientAbandon,
+                                        .node = this->id(),
+                                        .request = id,
+                                        .value = static_cast<std::int64_t>(attempt)});
       return;
     }
     const std::size_t next_attempt = attempt + 1;
     it->second.attempts = next_attempt;
     ++retries_;
     obs_retries_.inc();
-    if (obs_sink().tracing()) {
-      obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                        .kind = obs::EventKind::kClientRetry,
-                                        .node = this->id(),
-                                        .request = id,
-                                        .value = static_cast<std::int64_t>(next_attempt)});
-    }
+    obs_sink().record(obs::TraceEvent{.at = true_now(),
+                                      .kind = obs::EventKind::kClientRetry,
+                                      .node = this->id(),
+                                      .request = id,
+                                      .value = static_cast<std::int64_t>(next_attempt)});
     // Copy the command: on_request_timeout may re-enter and mutate pending_.
     const sm::Command command = it->second.command;
     // Re-activate the command's root span so the retry's messages stay on
@@ -191,13 +181,6 @@ void ClientBase::handle_committed(const RequestId& id) {
   sent_at_.erase(it);
   obs_commit_latency_.record(true_now() - sent);
   on_committed(id, sent, true_now());
-  if (obs_sink().tracing()) {
-    obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                      .kind = obs::EventKind::kCommit,
-                                      .node = this->id(),
-                                      .request = id,
-                                      .value = (true_now() - sent).nanos()});
-  }
   if (commit_hook_) commit_hook_(id, sent, true_now());
 }
 

@@ -204,7 +204,8 @@ TEST(CriticalPathRun, ChromeTraceValidatesAndIsDeterministic) {
   // The JSON report carries the span accounting fields.
   const std::string report = a.to_json();
   EXPECT_NE(report.find("\"spans_recorded\":"), std::string::npos);
-  EXPECT_NE(report.find("\"trace_events_dropped\":"), std::string::npos);
+  EXPECT_NE(report.find("\"trace_events\":"), std::string::npos);
+  EXPECT_EQ(report.find("\"trace_events_dropped\""), std::string::npos);
   EXPECT_NE(report.find("\"critical_paths\":"), std::string::npos);
 }
 
@@ -213,7 +214,6 @@ TEST(CriticalPathRun, FaultEventsAppearAsInstants) {
   // timed-out requests fail over, and the crash/recover pair shows up as
   // instant events in the Chrome trace.
   Scenario s = traced_scenario();
-  s.trace_capacity = 1u << 20;  // keep the whole run: crashes must survive
   s.domino_mode = core::ClientConfig::Mode::kDmOnly;
   s.client_request_timeout = milliseconds(800);
   const std::size_t leader = closest_replica(s.topology, s.replica_dcs, s.client_dcs[0]);

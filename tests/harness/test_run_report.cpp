@@ -84,19 +84,76 @@ TEST(RunReport, TransportAndSimMetricsPopulated) {
 }
 
 TEST(RunReport, SameSeedRunsProduceIdenticalTraceAndMetrics) {
-  const Scenario s = small_scenario();
+  // A WA<->PR partition gives the incident log something to hold.
+  Scenario s = small_scenario();
+  s.faults.partition_both_for(TimePoint::epoch() + s.warmup + seconds(1), s.replica_dcs[0],
+                              s.replica_dcs[1], milliseconds(400));
   const RunResult a = run_domino(s);
   const RunResult b = run_domino(s);
   ASSERT_NE(a.trace, nullptr);
   ASSERT_NE(b.trace, nullptr);
-  EXPECT_FALSE(a.trace->empty());
+  EXPECT_EQ(a.trace->total_recorded(), a.fault_transitions);
   EXPECT_EQ(a.trace->total_recorded(), b.trace->total_recorded());
-  EXPECT_EQ(obs::trace_to_text(*a.trace), obs::trace_to_text(*b.trace));
+  EXPECT_EQ(obs::trace_to_json(*a.trace), obs::trace_to_json(*b.trace));
   EXPECT_EQ(obs::metrics_to_json(*a.metrics), obs::metrics_to_json(*b.metrics));
 
   const RunReport ra = make_report(Protocol::kDomino, s, a);
   const RunReport rb = make_report(Protocol::kDomino, s, b);
   EXPECT_EQ(ra.to_json(/*include_trace=*/true), rb.to_json(/*include_trace=*/true));
+}
+
+/// Fig. 8c Globe setting: replicas WA/PR/NSW, one open-loop client per
+/// datacenter at 200 req/s, a 14 s run.
+Scenario fig8c_scenario() {
+  Scenario s;
+  s.topology = net::Topology::globe();
+  s.replica_dcs = {s.topology.index_of("WA"), s.topology.index_of("PR"),
+                   s.topology.index_of("NSW")};
+  for (std::size_t dc = 0; dc < s.topology.size(); ++dc) s.client_dcs.push_back(dc);
+  s.rps = 200;
+  s.warmup = seconds(2);
+  s.measure = seconds(10);
+  s.cooldown = seconds(2);
+  return s;
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(RunReport, FaultLaneIsCompleteAtDefaultSettings) {
+  // Hundreds of thousands of messages flow around the partition; every one
+  // of its four transitions must still reach the Chrome trace.
+  Scenario s = fig8c_scenario();
+  s.faults.partition_both_for(TimePoint::epoch() + s.warmup + milliseconds(2500),
+                              s.topology.index_of("VA"), s.topology.index_of("PR"),
+                              milliseconds(400));
+  for (const Protocol p : {Protocol::kDomino, Protocol::kMultiPaxos}) {
+    SCOPED_TRACE(protocol_name(p));
+    const RunResult r = run_protocol(p, s);
+    ASSERT_EQ(r.fault_transitions, 4u);
+    const std::string json = make_report(p, s, r).chrome_trace();
+    EXPECT_EQ(count_of(json, "\"cat\":\"fault\""), r.fault_transitions);
+    EXPECT_EQ(count_of(json, "\"link_partition\""), 2u);
+    EXPECT_EQ(count_of(json, "\"link_heal\""), 2u);
+  }
+}
+
+TEST(RunReport, FaultFreeRunsRecordNoIncidents) {
+  const Scenario s = small_scenario();
+  for (const Protocol p : {Protocol::kMultiPaxos, Protocol::kMencius, Protocol::kEPaxos,
+                           Protocol::kFastPaxos, Protocol::kDomino}) {
+    SCOPED_TRACE(protocol_name(p));
+    const RunResult r = run_protocol(p, s);
+    ASSERT_NE(r.trace, nullptr);
+    EXPECT_EQ(r.trace->total_recorded(), 0u);
+    EXPECT_GT(r.committed, 0u);
+  }
 }
 
 TEST(RunReport, DisabledObservabilityYieldsNullRegistries) {
@@ -123,7 +180,7 @@ TEST(RunReport, JsonCarriesLatencySummaryAndCounters) {
   EXPECT_NE(json.find("\"commit_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"domino.dfp.fast_commits\""), std::string::npos);
   EXPECT_NE(json.find("net.link.WA->PR.delay_ns"), std::string::npos);
-  EXPECT_NE(json.find("\"trace_events_recorded\""), std::string::npos);
+  EXPECT_NE(json.find("\"trace_events\":0"), std::string::npos);  // fault-free
 }
 
 TEST(RunReport, BaselineProtocolCountersRegistered) {
