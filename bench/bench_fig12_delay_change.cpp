@@ -11,6 +11,11 @@
 //       60 ms: Mencius (via R) jumps to ~90 ms while Domino switches its DM
 //       leader. At t=30 s the M<->N delay also rises to 60 ms: every DM
 //       path costs ~90 ms and Domino switches to DFP (~70 ms).
+//
+// The delay changes are FaultSchedule route changes. The bench checks the
+// paper's exact per-phase medians, prints "exact steps hold: yes|NO" and
+// exits non-zero on NO; ctest runs it under the `claims` label.
+#include <cmath>
 #include <cstdio>
 
 #include "common/stats.h"
@@ -26,6 +31,8 @@ namespace {
 
 using namespace domino;
 
+constexpr std::int64_t kRunSeconds = 46;
+
 // Datacenters: 0=R, 1=M, 2=N, 3=C(lient).
 net::Topology mesh30() {
   return net::Topology{{"R", "M", "N", "C"},
@@ -33,16 +40,28 @@ net::Topology mesh30() {
                         {30, 30, 30, 0}}};
 }
 
-void set_scheduled(net::Network& network, std::size_t a, std::size_t b,
-                   std::vector<std::pair<double, double>> steps_s_rtt) {
-  std::vector<net::RttStep> steps;
-  for (auto [at_s, rtt_ms] : steps_s_rtt) {
-    steps.push_back({seconds_d(at_s), milliseconds_d(rtt_ms)});
+// The emulated traffic-control schedule as route changes: each (t, RTT)
+// step moves both directions of the a<->b link to base RTT/2 from t on.
+// The jitter model stays in place, so only the base delay moves.
+void add_rtt_step(net::FaultSchedule& schedule, std::size_t a, std::size_t b, double at_s,
+                  double rtt_ms) {
+  const TimePoint at = TimePoint::epoch() + seconds_d(at_s);
+  schedule.route_change(at, a, b, milliseconds_d(rtt_ms) / 2);
+  schedule.route_change(at, b, a, milliseconds_d(rtt_ms) / 2);
+}
+
+net::FaultSchedule delay_changes(bool case_b) {
+  net::FaultSchedule schedule;
+  if (!case_b) {
+    add_rtt_step(schedule, 3, 0, 15, 50);
+    add_rtt_step(schedule, 3, 0, 30, 70);
+  } else {
+    add_rtt_step(schedule, 3, 2, 0, 70);
+    add_rtt_step(schedule, 0, 1, 15, 60);
+    add_rtt_step(schedule, 0, 2, 15, 60);
+    add_rtt_step(schedule, 1, 2, 30, 60);
   }
-  net::JitterParams quiet;
-  quiet.spike_prob = 0;
-  quiet.jitter_mu_ms = -3.0;
-  network.set_scheduled_rtt_link(a, b, steps, quiet);
+  return schedule;
 }
 
 struct Timeline {
@@ -61,14 +80,7 @@ Timeline run_case(bool case_b) {
     quiet.spike_prob = 0;
     quiet.jitter_mu_ms = -3.0;
     network.use_default_links(quiet);
-    if (!case_b) {
-      set_scheduled(network, 3, 0, {{0, 30}, {15, 50}, {30, 70}});
-    } else {
-      set_scheduled(network, 3, 2, {{0, 70}});
-      set_scheduled(network, 0, 1, {{0, 30}, {15, 60}});
-      set_scheduled(network, 0, 2, {{0, 30}, {15, 60}});
-      set_scheduled(network, 1, 2, {{0, 30}, {30, 60}});
-    }
+    network.install_faults(delay_changes(case_b));
     std::vector<NodeId> rids{NodeId{0}, NodeId{1}, NodeId{2}};
     std::vector<std::unique_ptr<core::Replica>> reps;
     for (std::size_t i = 0; i < 3; ++i) {
@@ -88,7 +100,7 @@ Timeline run_case(bool case_b) {
     sm::WorkloadGenerator gen(wc, 1);
     simulator.schedule_at(TimePoint::epoch() + seconds(1),
                           [&] { client->start_load(gen, 10.0); });
-    simulator.run_until(TimePoint::epoch() + seconds(46));
+    simulator.run_until(TimePoint::epoch() + seconds(kRunSeconds));
   }
 
   // ---------------- Mencius ----------------
@@ -99,14 +111,7 @@ Timeline run_case(bool case_b) {
     quiet.spike_prob = 0;
     quiet.jitter_mu_ms = -3.0;
     network.use_default_links(quiet);
-    if (!case_b) {
-      set_scheduled(network, 3, 0, {{0, 30}, {15, 50}, {30, 70}});
-    } else {
-      set_scheduled(network, 3, 2, {{0, 70}});
-      set_scheduled(network, 0, 1, {{0, 30}, {15, 60}});
-      set_scheduled(network, 0, 2, {{0, 30}, {15, 60}});
-      set_scheduled(network, 1, 2, {{0, 30}, {30, 60}});
-    }
+    network.install_faults(delay_changes(case_b));
     std::vector<NodeId> rids{NodeId{0}, NodeId{1}, NodeId{2}};
     std::vector<std::unique_ptr<mencius::Replica>> reps;
     for (std::size_t i = 0; i < 3; ++i) {
@@ -124,10 +129,17 @@ Timeline run_case(bool case_b) {
     sm::WorkloadGenerator gen(wc, 1);
     simulator.schedule_at(TimePoint::epoch() + seconds(1),
                           [&] { client->start_load(gen, 10.0); });
-    simulator.run_until(TimePoint::epoch() + seconds(46));
+    simulator.run_until(TimePoint::epoch() + seconds(kRunSeconds));
   }
 
   return timeline;
+}
+
+// Median latency (ms) of the 1 s bucket `s`, or -1 if nothing committed.
+double bucket_median(const TimeSeries& series, std::size_t s) {
+  return s < series.bucket_count() && !series.bucket(s).empty()
+             ? series.bucket(s).percentile(50)
+             : -1;
 }
 
 void print_timeline(const char* title, const Timeline& t, const char* note) {
@@ -135,14 +147,29 @@ void print_timeline(const char* title, const Timeline& t, const char* note) {
   std::printf("  t(s)   Domino(ms)  Mencius(ms)\n");
   const std::size_t buckets = std::max(t.domino.bucket_count(), t.mencius.bucket_count());
   for (std::size_t s = 1; s < buckets; s += 2) {
-    const double dom = s < t.domino.bucket_count() && !t.domino.bucket(s).empty()
-                           ? t.domino.bucket(s).percentile(50)
-                           : -1;
-    const double men = s < t.mencius.bucket_count() && !t.mencius.bucket(s).empty()
-                           ? t.mencius.bucket(s).percentile(50)
-                           : -1;
-    std::printf("  %4zu   %10.0f  %10.0f\n", s, dom, men);
+    std::printf("  %4zu   %10.0f  %10.0f\n", s, bucket_median(t.domino, s),
+                bucket_median(t.mencius, s));
   }
+}
+
+// The paper's step values (ms) in each phase of the run: before t=15 s,
+// from 15 s to 30 s, and from 30 s on.
+struct Steps {
+  long domino[3];
+  long mencius[3];
+};
+
+// Every printed 2 s row must show exactly its phase's step, rounded to the
+// millisecond as printed.
+bool steps_hold(const Timeline& t, const Steps& want) {
+  for (std::size_t s = 1; s < kRunSeconds; s += 2) {
+    const std::size_t phase = s < 15 ? 0 : s < 30 ? 1 : 2;
+    if (std::lround(bucket_median(t.domino, s)) != want.domino[phase] ||
+        std::lround(bucket_median(t.mencius, s)) != want.mencius[phase]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -163,5 +190,9 @@ int main() {
   print_timeline("Figure 12(b): inter-replica delays rise", b,
                  "paper: both start ~60; Domino drops below Mencius when R's\n"
                  "links slow (new DM leader), then switches to DFP (~70)");
-  return 0;
+
+  const bool hold = steps_hold(a, Steps{{30, 50, 60}, {60, 80, 100}}) &&
+                    steps_hold(b, Steps{{60, 60, 70}, {60, 90, 90}});
+  std::printf("\nexact steps hold: %s\n", hold ? "yes" : "NO");
+  return hold ? 0 : 1;
 }

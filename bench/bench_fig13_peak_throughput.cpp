@@ -12,6 +12,8 @@
 // Mencius comes from I/O-compute pipelining in their Go implementation, an
 // implementation property outside this model — see EXPERIMENTS.md.)
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -79,17 +81,32 @@ int main() {
                       {harness::Protocol::kMultiPaxos, 36}};
 
   double mp_peak = 0, best_multi_leader = 0;
+  std::vector<std::pair<harness::Protocol, double>> multi_leader;
   std::printf("  protocol       peak (K req/s)   paper (K req/s)\n");
   for (const Row& row : rows) {
     const double peak = peak_throughput(row.protocol);
     std::printf("  %-13s %10.1f %15.0f\n", harness::protocol_name(row.protocol).c_str(),
                 peak / 1000.0, row.paper_krps);
-    if (row.protocol == harness::Protocol::kMultiPaxos) mp_peak = peak;
-    else best_multi_leader = std::max(best_multi_leader, peak);
+    if (row.protocol == harness::Protocol::kMultiPaxos) {
+      mp_peak = peak;
+    } else {
+      best_multi_leader = std::max(best_multi_leader, peak);
+      multi_leader.emplace_back(row.protocol, peak);
+    }
   }
-  std::printf("\nmulti-leader protocols out-scale the single leader "
-              "(best %.0fK vs Multi-Paxos %.0fK): %s\n",
-              best_multi_leader / 1000, mp_peak / 1000,
-              best_multi_leader > mp_peak * 1.2 ? "yes" : "NO");
+  // The paper's claim covers every multi-leader protocol, not just the
+  // best one: each must reach at least the single leader's peak.
+  std::printf("\n");
+  bool every_at_least = true;
+  for (const auto& [protocol, peak] : multi_leader) {
+    if (peak >= mp_peak) continue;
+    every_at_least = false;
+    std::printf("%s peaks below Multi-Paxos: %.1fK vs %.1fK\n",
+                harness::protocol_name(protocol).c_str(), peak / 1000, mp_peak / 1000);
+  }
+  std::printf("multi-leader protocols out-scale the single leader "
+              "(every one >= Multi-Paxos %.0fK, best %.0fK): %s\n",
+              mp_peak / 1000, best_multi_leader / 1000,
+              every_at_least && best_multi_leader > mp_peak * 1.2 ? "yes" : "NO");
   return 0;
 }

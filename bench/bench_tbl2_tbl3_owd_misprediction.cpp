@@ -5,15 +5,18 @@
 //
 // The paper's testbed exhibits asymmetric routing (most dramatically into
 // NSW, where half-RTT mispredicts by hundreds of ms to seconds) and NTP-
-// level clock skew. We configure per-pair forward shares and clock offsets
-// accordingly: moderate asymmetry everywhere, extreme asymmetry + skew on
-// the NSW-bound paths.
+// level clock skew. Each directed pair is two wan::TraceGenerator series,
+// forward and reverse, split from the pair's RTT by a per-pair forward
+// share, and paired into probe samples under the two sites' clock offset:
+// moderate asymmetry everywhere, extreme asymmetry + skew on the NSW-bound
+// paths.
 #include <cstdio>
 
 #include "bench_util.h"
 #include "harness/trace.h"
 #include "net/topology.h"
 #include "wan/delay_trace.h"
+#include "wan/generator.h"
 
 int main() {
   using namespace domino;
@@ -38,21 +41,29 @@ int main() {
     return 0.58;                                // mild asymmetry elsewhere
   };
 
+  // One direction of a pair: a stationary wan::TraceGenerator series over
+  // 60 s of 10 ms probes, with small rare spikes.
+  auto direction = [](Duration base, std::uint64_t seed) {
+    wan::GeneratorConfig g;
+    g.base = base;
+    g.seed = seed;
+    g.duration = seconds(60);
+    g.spike_prob = 0.0005;
+    g.spike_mean = milliseconds(4);
+    return wan::TraceGenerator(g).generate();
+  };
+
   std::vector<std::vector<double>> half(n, std::vector<double>(n, 0.0));
   std::vector<std::vector<double>> owd(n, std::vector<double>(n, 0.0));
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
-      harness::LinkTraceConfig cfg;
-      cfg.rtt = topo.rtt(i, j);
-      cfg.forward_share = forward_share(i, j);
-      cfg.remote_clock_offset = clock_offset[j] - clock_offset[i];
-      cfg.duration = seconds(60);
-      cfg.spike_prob = 0.0005;
-      cfg.spike_mean = milliseconds(4);
-      cfg.seed = 1000 + i * 17 + j;
-      const auto trace = harness::generate_trace(cfg);
+      const Duration forward_base = scale(topo.rtt(i, j), forward_share(i, j));
+      const std::uint64_t seed = 1000 + i * 17 + j;  // reverse: seed + 500
+      const auto trace = harness::probe_samples_from_wan(
+          direction(forward_base, seed), direction(topo.rtt(i, j) - forward_base, seed + 500),
+          clock_offset[j] - clock_offset[i]);
       half[i][j] = harness::evaluate_predictions(trace, harness::OwdEstimator::kHalfRtt,
                                                  seconds(1), 95.0)
                        .p99_misprediction_ms;

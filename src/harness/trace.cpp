@@ -1,51 +1,8 @@
 #include "harness/trace.h"
 
-#include <cmath>
-
 #include "common/window_estimator.h"
 
 namespace domino::harness {
-namespace {
-
-Duration jitter(Rng& rng, const LinkTraceConfig& c) {
-  Duration j = milliseconds_d(rng.lognormal(c.jitter_mu_ms, c.jitter_sigma));
-  if (c.spike_prob > 0 && rng.chance(c.spike_prob)) {
-    j += Duration{static_cast<std::int64_t>(
-        rng.exponential(static_cast<double>(c.spike_mean.nanos())))};
-  }
-  return j;
-}
-
-Duration wander(const LinkTraceConfig& c, TimePoint at) {
-  if (c.wander_amplitude == Duration::zero()) return Duration::zero();
-  const double phase =
-      2.0 * M_PI * at.seconds() / std::max(1.0, c.wander_period.seconds());
-  return scale(c.wander_amplitude, std::sin(phase));
-}
-
-}  // namespace
-
-std::vector<ProbeSample> generate_trace(const LinkTraceConfig& c) {
-  Rng rng(c.seed);
-  std::vector<ProbeSample> out;
-  const Duration fwd_base = scale(c.rtt, c.forward_share);
-  const Duration rev_base = c.rtt - fwd_base;
-
-  for (TimePoint t = TimePoint::epoch(); t < TimePoint::epoch() + c.duration;
-       t += c.probe_interval) {
-    const Duration fwd = fwd_base + wander(c, t) + jitter(rng, c);
-    const Duration rev = rev_base + wander(c, t) + jitter(rng, c);
-    ProbeSample s;
-    s.sent_at = t;
-    s.rtt = fwd + rev;
-    // The replica stamps its local clock on receipt: measured OWD is the
-    // true forward delay plus the clock offset between the two endpoints.
-    s.owd_measured = fwd + c.remote_clock_offset;
-    s.owd_true_offset = s.owd_measured;
-    out.push_back(s);
-  }
-  return out;
-}
 
 std::vector<ProbeSample> probe_samples_from_wan(
     const std::vector<wan::TraceSample>& forward,
@@ -62,7 +19,6 @@ std::vector<ProbeSample> probe_samples_from_wan(
     s.sent_at = f.at;
     s.rtt = f.owd + reverse[r].owd;
     s.owd_measured = f.owd + remote_clock_offset;
-    s.owd_true_offset = s.owd_measured;
     out.push_back(s);
   }
   return out;
@@ -80,12 +36,12 @@ PredictionOutcome evaluate_predictions(const std::vector<ProbeSample>& trace,
     const auto predicted_offset = estimates.percentile(s.sent_at, percentile);
     if (predicted_offset) {
       ++outcome.evaluated;
-      // A request sent now would arrive at offset owd_true_offset; the
+      // A request sent now would arrive at offset owd_measured; the
       // prediction is correct if that is <= the predicted offset.
-      if (s.owd_true_offset <= *predicted_offset) {
+      if (s.owd_measured <= *predicted_offset) {
         ++correct;
       } else {
-        late_ms.add((s.owd_true_offset - *predicted_offset).millis());
+        late_ms.add((s.owd_measured - *predicted_offset).millis());
       }
     }
     // Feed the estimator after predicting (the probe that measures this

@@ -1,9 +1,9 @@
-// Synthetic delay-trace generation and arrival-time prediction analysis.
+// Arrival-time prediction analysis over probe traces.
 //
-// Stands in for the paper's 24-hour Azure probe traces [4, 5]: a directed
-// link is modelled as a stable one-way propagation delay plus log-normal
-// jitter, rare spikes, optional slow base-delay wander, and optional route
-// asymmetry; endpoints carry clock offsets. From a generated trace the
+// Stands in for the paper's 24-hour Azure probe traces [4, 5]: a pair of
+// one-way delay series (synthesized by wan::TraceGenerator, wan/generator.h,
+// or loaded from a measured trace) becomes the probe samples an ideal
+// prober would see, endpoint clock offset included. From those samples the
 // analysis utilities reproduce:
 //   - Figure 3's correct-prediction rate (percentile x window sweep),
 //   - Tables 2 and 3's p99 misprediction values for the half-RTT and
@@ -12,44 +12,22 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/time.h"
 #include "wan/delay_trace.h"
 
 namespace domino::harness {
 
-struct LinkTraceConfig {
-  Duration rtt = milliseconds(67);   // nominal round-trip propagation delay
-  double forward_share = 0.5;        // fraction of the RTT on the forward path
-  double jitter_mu_ms = -2.0;        // log-normal jitter (per direction)
-  double jitter_sigma = 0.8;
-  double spike_prob = 0.0005;
-  Duration spike_mean = milliseconds(8);
-  /// Slow sinusoidal wander of the base delay (amplitude), emulating
-  /// diurnal drift; zero disables.
-  Duration wander_amplitude = Duration::zero();
-  Duration wander_period = seconds(3600);
-  /// Clock offset of the remote endpoint relative to the prober.
-  Duration remote_clock_offset = Duration::zero();
-
-  Duration probe_interval = milliseconds(10);
-  Duration duration = seconds(60);
-  std::uint64_t seed = 1;
-};
-
 struct ProbeSample {
-  TimePoint sent_at;        // prober's clock
-  Duration rtt;             // measured round-trip
-  Duration owd_measured;    // replica timestamp - send timestamp (includes skew)
-  Duration owd_true_offset; // true forward delay + clock skew (what arrivals obey)
+  TimePoint sent_at;  // prober's clock
+  Duration rtt;       // measured round-trip
+  /// Replica timestamp - send timestamp: the true forward delay plus the
+  /// clock offset, which is also the offset a request's arrival obeys.
+  Duration owd_measured;
 };
-
-/// Generate a probe trace over one directed link pair.
-[[nodiscard]] std::vector<ProbeSample> generate_trace(const LinkTraceConfig& config);
 
 /// Pair a WAN delay trace's forward and reverse OWD series into probe
-/// samples, as an ideal prober with synchronized clocks would observe them:
+/// samples, as an ideal prober would observe them:
 /// one probe per forward sample, RTT = forward + time-matched reverse delay.
 /// The series may have different lengths/intervals; each forward sample is
 /// matched with the latest reverse sample at or before its timestamp (the

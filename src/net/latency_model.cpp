@@ -1,52 +1,14 @@
 #include "net/latency_model.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace domino::net {
-namespace {
 
-Duration jitter_sample(const JitterParams& p, Rng& rng) {
-  Duration jitter = milliseconds_d(rng.lognormal(p.jitter_mu_ms, p.jitter_sigma));
-  if (p.spike_prob > 0 && rng.chance(p.spike_prob)) {
+Duration JitterLatency::sample(TimePoint, Rng& rng) {
+  Duration jitter = milliseconds_d(rng.lognormal(p_.jitter_mu_ms, p_.jitter_sigma));
+  if (p_.spike_prob > 0 && rng.chance(p_.spike_prob)) {
     jitter += Duration{static_cast<std::int64_t>(
-        rng.exponential(static_cast<double>(p.spike_mean.nanos())))};
+        rng.exponential(static_cast<double>(p_.spike_mean.nanos())))};
   }
-  return jitter;
-}
-
-}  // namespace
-
-Duration JitterLatency::sample(TimePoint, Rng& rng) { return base_ + jitter_sample(p_, rng); }
-
-ScheduledLatency::ScheduledLatency(std::vector<Step> steps, JitterParams params)
-    : steps_(std::move(steps)), p_(params) {
-  assert(!steps_.empty());
-  assert(std::is_sorted(steps_.begin(), steps_.end(),
-                        [](const Step& a, const Step& b) { return a.from < b.from; }));
-}
-
-Duration ScheduledLatency::base(TimePoint now) const {
-  // Binary search for the last step with from <= now; before the first
-  // step the schedule has not started yet, so the first base applies.
-  const auto it = std::upper_bound(
-      steps_.begin(), steps_.end(), now,
-      [](TimePoint t, const Step& s) { return t < s.from; });
-  if (it == steps_.begin()) return steps_.front().base;
-  return std::prev(it)->base;
-}
-
-Duration ScheduledLatency::sample(TimePoint now, Rng& rng) {
-  return base(now) + jitter_sample(p_, rng);
-}
-
-std::vector<ScheduledLatency::Step> rtt_schedule_steps(const std::vector<RttStep>& steps) {
-  std::vector<ScheduledLatency::Step> out;
-  out.reserve(steps.size());
-  for (const RttStep& s : steps) {
-    out.push_back({TimePoint::epoch() + s.at, s.rtt / 2});
-  }
-  return out;
+  return base_ + jitter;
 }
 
 }  // namespace domino::net

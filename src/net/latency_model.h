@@ -4,13 +4,15 @@
 // and an independent RNG stream. Models compose a stable propagation base
 // with short-timescale jitter and rare spikes — the regime the paper
 // measures on Azure (Section 3: "the variance of the network roundtrip
-// delay is relatively small compared to the minimum measured delay") — and
-// support scheduled base-delay changes to emulate route changes
-// (Section 7.3's microbenchmarks).
+// delay is relatively small compared to the minimum measured delay").
+//
+// The models in this file are stationary; wan::EmpiricalLatency
+// (wan/empirical.h) replays a time-varying measured trace. Mid-run
+// base-delay changes (Section 7.3's traffic-control microbenchmarks,
+// Figure 12) are route changes on the fault layer: FaultSchedule::
+// route_change (net/fault.h) moves a link's sampled delay onto a new base
+// and keeps the model's jitter around it.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
@@ -58,46 +60,9 @@ class JitterLatency final : public LatencyModel {
   Duration sample(TimePoint, Rng& rng) override;
   [[nodiscard]] Duration base(TimePoint) const override { return base_; }
 
-  void set_base(Duration base_owd) { base_ = base_owd; }
-
  private:
   Duration base_;
   JitterParams p_;
 };
-
-/// Piecewise base delay following a schedule of (from, base) steps, with the
-/// same jitter structure as JitterLatency. Emulates route changes: Figure 12
-/// raises a link's RTT 30 -> 50 -> 70 ms mid-run.
-class ScheduledLatency final : public LatencyModel {
- public:
-  struct Step {
-    TimePoint from;
-    Duration base;
-  };
-
-  /// `steps` must be sorted by `from`; the first step should start at or
-  /// before the simulation start. Queries before the first step return the
-  /// first step's base; at or after a step's `from`, that step governs.
-  ScheduledLatency(std::vector<Step> steps, JitterParams params);
-
-  Duration sample(TimePoint now, Rng& rng) override;
-  [[nodiscard]] Duration base(TimePoint now) const override;
-
- private:
-  std::vector<Step> steps_;
-  JitterParams p_;
-};
-
-/// One point of a round-trip route-change schedule, as the paper's Figure
-/// 12 microbenchmarks specify them ("the RTT rises 30 -> 50 -> 70 ms").
-struct RttStep {
-  Duration at;   // simulation time the new RTT takes effect
-  Duration rtt;  // round-trip delay from then on
-};
-
-/// Expand an RTT schedule into per-direction OWD steps (base = rtt/2),
-/// the shared idiom for building symmetric ScheduledLatency links.
-[[nodiscard]] std::vector<ScheduledLatency::Step> rtt_schedule_steps(
-    const std::vector<RttStep>& steps);
 
 }  // namespace domino::net

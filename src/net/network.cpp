@@ -48,13 +48,6 @@ void Network::set_link_model(std::size_t from_dc, std::size_t to_dc,
   links_[from_dc][to_dc] = std::move(model);
 }
 
-void Network::set_scheduled_rtt_link(std::size_t a, std::size_t b,
-                                     const std::vector<RttStep>& steps,
-                                     const JitterParams& params) {
-  set_link_model(a, b, std::make_unique<ScheduledLatency>(rtt_schedule_steps(steps), params));
-  set_link_model(b, a, std::make_unique<ScheduledLatency>(rtt_schedule_steps(steps), params));
-}
-
 LatencyModel& Network::link_model(std::size_t from_dc, std::size_t to_dc) {
   if (from_dc >= topology_.size() || to_dc >= topology_.size()) {
     throw std::out_of_range("Network::link_model: bad datacenter index");

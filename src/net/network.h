@@ -55,14 +55,6 @@ class Network final : public rpc::Context {
   void set_link_model(std::size_t from_dc, std::size_t to_dc,
                       std::unique_ptr<LatencyModel> model);
 
-  /// Install a symmetric route-change schedule between datacenters `a` and
-  /// `b`: each step sets both directions to ScheduledLatency with base =
-  /// rtt/2 — the Figure 12 traffic-control idiom, shared so benches and
-  /// tests never hand-roll step vectors.
-  void set_scheduled_rtt_link(std::size_t a, std::size_t b,
-                              const std::vector<RttStep>& steps,
-                              const JitterParams& params);
-
   [[nodiscard]] LatencyModel& link_model(std::size_t from_dc, std::size_t to_dc);
 
   /// Register a node in a datacenter. The receiver is invoked (through the

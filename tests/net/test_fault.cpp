@@ -182,6 +182,39 @@ TEST(FaultInjector, RouteChangeShiftsBasePermanently) {
   EXPECT_EQ(f.delivery_times[1], f.at(500) + milliseconds(20));
 }
 
+TEST(FaultInjector, RouteChangesApplyExactlyAtEachStep) {
+  Fixture f;
+  f.add_node(NodeId{0}, 0);
+  f.add_node(NodeId{1}, 1);
+  // Installed before any send is scheduled, so a same-instant send runs
+  // after the route change and sees the new base.
+  FaultSchedule s;
+  s.route_change(f.at(5'000), 0, 1, milliseconds(15))
+      .route_change(f.at(10'000), 0, 1, milliseconds(25))
+      .route_change(f.at(20'000), 0, 1, milliseconds(35));
+  f.network.install_faults(s);
+
+  // 1 ns before, exactly at, and 1 ns after each step, then far past the
+  // last one; paired with the one-way delay each packet must see.
+  const Duration tick = nanoseconds(1);
+  const std::vector<std::pair<TimePoint, Duration>> sends = {
+      {f.at(5'000) - tick, milliseconds(5)},   {f.at(5'000), milliseconds(15)},
+      {f.at(5'000) + tick, milliseconds(15)},  {f.at(10'000) - tick, milliseconds(15)},
+      {f.at(10'000), milliseconds(25)},        {f.at(10'000) + tick, milliseconds(25)},
+      {f.at(20'000) - tick, milliseconds(25)}, {f.at(20'000), milliseconds(35)},
+      {f.at(20'000) + tick, milliseconds(35)}, {f.at(10'000'000), milliseconds(35)},
+  };
+  for (const auto& [at, owd] : sends) {
+    f.simulator.schedule_at(at, [&f] { f.network.send(NodeId{0}, NodeId{1}, payload_of(1)); });
+  }
+  f.simulator.run();
+
+  ASSERT_EQ(f.delivery_times.size(), sends.size());
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    EXPECT_EQ(f.delivery_times[i], sends[i].first + sends[i].second) << "send " << i;
+  }
+}
+
 // Regression: recovery must clear the recovered node's FIFO channel state.
 // A crash tears down the node's "TCP connections", so a packet sent on a
 // fresh post-recovery connection must not be FIFO-clamped behind a slow

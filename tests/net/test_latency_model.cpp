@@ -54,75 +54,5 @@ TEST(JitterLatency, SpikesAppearAtConfiguredRate) {
   EXPECT_LT(big, n / 50);
 }
 
-TEST(JitterLatency, SetBaseTakesEffect) {
-  JitterParams p;
-  p.spike_prob = 0;
-  JitterLatency m(milliseconds(10), p);
-  m.set_base(milliseconds(70));
-  Rng rng(5);
-  EXPECT_GE(m.sample(TimePoint::epoch(), rng), milliseconds(70));
-}
-
-TEST(ScheduledLatency, FollowsSchedule) {
-  JitterParams p;
-  p.spike_prob = 0;
-  ScheduledLatency m(
-      {{TimePoint::epoch(), milliseconds(15)},
-       {TimePoint::epoch() + seconds(10), milliseconds(25)},
-       {TimePoint::epoch() + seconds(20), milliseconds(35)}},
-      p);
-  EXPECT_EQ(m.base(TimePoint::epoch()), milliseconds(15));
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(9)), milliseconds(15));
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(10)), milliseconds(25));
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(30)), milliseconds(35));
-  Rng rng(6);
-  EXPECT_GE(m.sample(TimePoint::epoch() + seconds(15), rng), milliseconds(25));
-}
-
-TEST(ScheduledLatency, SingleStepActsConstant) {
-  JitterParams p;
-  p.spike_prob = 0;
-  ScheduledLatency m({{TimePoint::epoch(), milliseconds(10)}}, p);
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(100)), milliseconds(10));
-}
-
-TEST(ScheduledLatency, BoundaryAndOutOfRangeLookups) {
-  JitterParams p;
-  p.spike_prob = 0;
-  // First step deliberately NOT at the epoch: queries before it must fall
-  // back to the first step instead of reading past the front.
-  ScheduledLatency m(
-      {{TimePoint::epoch() + seconds(5), milliseconds(15)},
-       {TimePoint::epoch() + seconds(10), milliseconds(25)},
-       {TimePoint::epoch() + seconds(20), milliseconds(35)}},
-      p);
-  // Before the first step.
-  EXPECT_EQ(m.base(TimePoint::epoch()), milliseconds(15));
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(5) - nanoseconds(1)), milliseconds(15));
-  // Exactly at each step boundary the new value applies.
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(5)), milliseconds(15));
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(10)), milliseconds(25));
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(20)), milliseconds(35));
-  // One tick either side of an interior boundary.
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(10) - nanoseconds(1)), milliseconds(15));
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(10) + nanoseconds(1)), milliseconds(25));
-  // Far past the last step.
-  EXPECT_EQ(m.base(TimePoint::epoch() + seconds(10'000)), milliseconds(35));
-  // sample() honours the same step selection.
-  Rng rng(7);
-  EXPECT_GE(m.sample(TimePoint::epoch() + seconds(20), rng), milliseconds(35));
-  EXPECT_GE(m.sample(TimePoint::epoch(), rng), milliseconds(15));
-}
-
-TEST(ScheduledLatency, RttScheduleStepsHalvesAndOffsets) {
-  const auto steps = rtt_schedule_steps(
-      {{Duration::zero(), milliseconds(30)}, {seconds(15), milliseconds(50)}});
-  ASSERT_EQ(steps.size(), 2u);
-  EXPECT_EQ(steps[0].from, TimePoint::epoch());
-  EXPECT_EQ(steps[0].base, milliseconds(15));
-  EXPECT_EQ(steps[1].from, TimePoint::epoch() + seconds(15));
-  EXPECT_EQ(steps[1].base, milliseconds(25));
-}
-
 }  // namespace
 }  // namespace domino::net
