@@ -10,6 +10,9 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
+
+#include "common/ids.h"
 
 namespace domino {
 
@@ -50,6 +53,26 @@ class IntervalSet {
 
  private:
   std::map<Key, Key> ivals_;  // lo -> hi, disjoint, non-adjacent
+};
+
+/// A set of request ids, kept as one IntervalSet of sequence numbers per
+/// client. A client numbers its requests consecutively and most of them
+/// finish in order, so a run's whole history costs a few intervals per
+/// client instead of one hash node per request.
+class RequestIdSet {
+ public:
+  void insert(const RequestId& id) { seqs_[id.client].insert(seq(id)); }
+  [[nodiscard]] bool contains(const RequestId& id) const {
+    const auto it = seqs_.find(id.client);
+    return it != seqs_.end() && it->second.contains(seq(id));
+  }
+  void clear() { seqs_.clear(); }
+
+ private:
+  static IntervalSet::Key seq(const RequestId& id) {
+    return static_cast<IntervalSet::Key>(id.seq);
+  }
+  std::unordered_map<NodeId, IntervalSet> seqs_;
 };
 
 }  // namespace domino

@@ -71,22 +71,21 @@ void Replica::handle_client_request(const net::Packet& packet) {
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const RequestId rid = req.command.id;
 
+  if (executed_.contains(rid)) {
+    // A retry of a request that already won: the coordinator's reply was
+    // lost (it crashed between deciding and sending); answer directly.
+    send(rid.client, ClientReply{rid});
+    return;
+  }
   auto it = assignment_.find(rid);
   if (it != assignment_.end()) {
-    const std::uint64_t old_index = it->second.index;
-    const auto* entry = log_.entry(old_index);
-    const bool committed_here =
-        it->second.executed || (entry != nullptr && entry->command.id == rid &&
-                                entry->status == log::EntryStatus::kCommitted);
-    if (committed_here) {
-      // A retry of a request that already won: the coordinator's reply was
-      // lost (it crashed between deciding and sending); answer directly.
-      send(rid.client, ClientReply{rid});
+    const std::uint64_t old_index = it->second;
+    const auto* entry = log_.entry(old_index);  // the log holds only decisions
+    if (entry != nullptr && entry->command.id == rid) {
+      send(rid.client, ClientReply{rid});  // won, not yet executed here
       return;
     }
-    const bool resolved_against_us =
-        log_.is_skipped(old_index) || log_.is_committed(old_index);
-    if (!resolved_against_us) {
+    if (!decided(old_index)) {
       // Still pending: re-notify the coordinator, whose tally for this
       // index may have died with a crash. Idempotent on a live tally.
       send(coordinator_, AcceptNotice{old_index, req.command});
@@ -95,10 +94,11 @@ void Replica::handle_client_request(const net::Packet& packet) {
     // The request lost its old position; fall through and assign a new one.
   }
 
+  // The acceptance is recorded as an assignment only: the log holds decided
+  // commands, and the coordinator tallies acceptances from the notices.
   const std::uint64_t index = next_index_++;
-  log_.accept(index, req.command);
   obs_accepts_.inc();
-  assignment_[rid] = Assignment{index};
+  assign(rid, index);
 
   const sm::Command command = req.command;
   persistor_.persist(
@@ -146,29 +146,30 @@ void Replica::handle_commit(const wire::Payload& payload) {
 void Replica::handle_accept_notice(NodeId from, const wire::Payload& payload) {
   if (!is_coordinator()) return;
   const auto msg = wire::decode_message<AcceptNotice>(payload);
-  Tally& tally = tallies_[msg.index];
-  if (tally.resolved) {
-    // Late report for an already-resolved position. Re-send the decision to
-    // the reporter: if it is a recovering acceptor retrying a request whose
-    // Commit died with a crash, this is what unblocks its log.
+  if (decided(msg.index)) {
+    // Late report for a decided position, whose tally may be gone. Re-send
+    // the decision to the reporter: if it is a recovering acceptor retrying
+    // a request whose Commit died with a crash, this is what unblocks its
+    // log.
     if (log_.is_skipped(msg.index)) {
       send(from, Commit{msg.index, /*is_noop=*/true, {}});
-    } else if (log_.is_committed(msg.index)) {
-      send(from, Commit{msg.index, /*is_noop=*/false, committed_requests_.at(*tally.winner)});
+    } else if (msg.index < decided_commands_.size()) {
+      send(from, Commit{msg.index, /*is_noop=*/false, decided_commands_[msg.index]});
     }
     // If this request lost, get it re-proposed.
-    if (!committed_requests_.contains(msg.command.id)) {
+    if (!committed_.contains(msg.command.id)) {
       for (NodeId r : replicas_) send(r, ClientRequest{msg.command});
     }
     return;
   }
-  tally.reports[from] = msg.command;
+  // Undecided, so creating the tally here cannot re-open a position.
+  tallies_[msg.index].reports[from] = msg.command;
   maybe_resolve(msg.index);
 }
 
 void Replica::maybe_resolve(std::uint64_t index) {
-  Tally& tally = tallies_[index];
-  if (tally.resolved || tally.recovering) return;
+  Tally& tally = tallies_.at(index);
+  if (tally.recovering) return;
 
   // Count acceptances per request.
   std::unordered_map<RequestId, std::size_t> counts;
@@ -203,7 +204,7 @@ void Replica::maybe_resolve(std::uint64_t index) {
     tally.timer_armed = true;
     after(recovery_timeout_, [this, index] {
       auto it = tallies_.find(index);
-      if (it == tallies_.end() || it->second.resolved || it->second.recovering) return;
+      if (it == tallies_.end() || decided(index) || it->second.recovering) return;
       if (it->second.reports.size() >= measure::majority(replicas_.size())) {
         start_recovery(index);
       }
@@ -212,7 +213,7 @@ void Replica::maybe_resolve(std::uint64_t index) {
 }
 
 void Replica::start_recovery(std::uint64_t index) {
-  Tally& tally = tallies_[index];
+  Tally& tally = tallies_.at(index);
   tally.recovering = true;
   if (const obs::SpanId s = open_wait_span("fp_recovery"); s != 0) {
     recovery_spans_[index] = s;
@@ -225,7 +226,7 @@ void Replica::start_recovery(std::uint64_t index) {
   std::unordered_map<RequestId, std::size_t> counts;
   for (const auto& [acceptor, cmd] : tally.reports) {
     (void)acceptor;
-    if (committed_requests_.contains(cmd.id)) continue;
+    if (committed_.contains(cmd.id)) continue;
     if (recovery_chosen_.contains(cmd.id)) continue;  // claimed by another index
     ++counts[cmd.id];
   }
@@ -266,7 +267,7 @@ void Replica::handle_recovery_reply(const wire::Payload& payload) {
   if (!is_coordinator()) return;
   const auto msg = wire::decode_message<RecoveryReply>(payload);
   auto it = tallies_.find(msg.index);
-  if (it == tallies_.end() || it->second.resolved || !it->second.recovering) return;
+  if (it == tallies_.end() || decided(msg.index) || !it->second.recovering) return;
   Tally& tally = it->second;
   if (++tally.recovery_acks < measure::majority(replicas_.size())) return;
   const Commit choice = *tally.recovery_choice;
@@ -275,8 +276,6 @@ void Replica::handle_recovery_reply(const wire::Payload& payload) {
 
 void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command& command,
                             bool was_fast) {
-  Tally& tally = tallies_[index];
-  tally.resolved = true;
   const auto rspan_it = recovery_spans_.find(index);
   if (rspan_it != recovery_spans_.end()) {
     close_wait_span(rspan_it->second);
@@ -290,11 +289,9 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
     obs_slow_.inc();
   }
 
-  std::optional<RequestId> winner;
   if (!is_noop) {
-    winner = command.id;
-    tally.winner = winner;
-    committed_requests_.emplace(command.id, command);
+    record_commit(index, command);
+    recovery_chosen_.erase(command.id);
     log_.commit(index, command);
   } else {
     log_.skip(index, index);
@@ -311,7 +308,7 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
         command.encode(w);
         return w.take();
       },
-      [this, index, is_noop, command, winner] {
+      [this, index, is_noop, command] {
         // Notify acceptors first (FIFO: re-proposals below must arrive after
         // the Commit so acceptors see their old assignment resolved before
         // they are asked to reassign).
@@ -320,24 +317,32 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
           if (r != id()) send(r, commit);
         }
         if (!is_noop) send(command.id.client, ClientReply{command.id});
-        repropose_losers(index, winner);
+        repropose_losers(index);
       });
   execute_ready();
 }
 
-void Replica::repropose_losers(std::uint64_t index, const std::optional<RequestId>& winner) {
-  Tally& tally = tallies_[index];
+void Replica::repropose_losers(std::uint64_t index) {
+  const auto it = tallies_.find(index);
+  if (it == tallies_.end()) return;
   std::unordered_map<RequestId, sm::Command> losers;
-  for (const auto& [acceptor, cmd] : tally.reports) {
+  for (const auto& [acceptor, cmd] : it->second.reports) {
     (void)acceptor;
-    if (winner && cmd.id == *winner) continue;
-    if (committed_requests_.contains(cmd.id)) continue;
+    if (committed_.contains(cmd.id)) continue;  // the winner, or decided elsewhere
     losers.emplace(cmd.id, cmd);
   }
+  // The position is decided and nothing reads its reports any more.
+  tallies_.erase(it);
   for (const auto& [rid, cmd] : losers) {
     (void)rid;
     for (NodeId r : replicas_) send(r, ClientRequest{cmd});
   }
+}
+
+void Replica::record_commit(std::uint64_t index, const sm::Command& command) {
+  if (decided_commands_.size() <= index) decided_commands_.resize(index + 1);
+  decided_commands_[index] = command;
+  committed_.insert(command.id);
 }
 
 void Replica::restart() {
@@ -350,9 +355,12 @@ void Replica::restart() {
   log_ = log::IndexLog{};
   store_ = sm::KvStore{};
   assignment_.clear();
+  assigned_at_.clear();
+  executed_.clear();
   next_index_ = 0;
   tallies_.clear();
-  committed_requests_.clear();
+  decided_commands_.clear();
+  committed_.clear();
   recovery_chosen_.clear();
   fast_commits_ = 0;
   slow_commits_ = 0;
@@ -371,11 +379,7 @@ void Replica::restart() {
     switch (rec.tag) {
       case recovery::RecordTag::kAccepted: {
         const std::uint64_t index = r.varint();
-        sm::Command cmd = sm::Command::decode(r);
-        assignment_[cmd.id] = Assignment{index};
-        if (!log_.is_committed(index) && !log_.is_skipped(index)) {
-          log_.accept(index, std::move(cmd));
-        }
+        assign(sm::Command::decode(r).id, index);
         next_index_ = std::max(next_index_, index + 1);
         max_index = std::max(max_index, index);
         any = true;
@@ -385,19 +389,11 @@ void Replica::restart() {
         const std::uint64_t index = r.varint();
         const bool is_noop = r.boolean();
         sm::Command cmd = sm::Command::decode(r);
-        const RequestId committed_id = cmd.id;
         if (is_noop) {
           log_.skip(index, index);
         } else {
-          committed_requests_.emplace(cmd.id, cmd);
+          if (is_coordinator()) record_commit(index, cmd);
           log_.commit(index, std::move(cmd));
-        }
-        // The coordinator's own decisions must stay resolved, or a late
-        // notice could re-open a decided index.
-        if (is_coordinator()) {
-          Tally& tally = tallies_[index];
-          tally.resolved = true;
-          if (!is_noop) tally.winner = committed_id;
         }
         max_index = std::max(max_index, index);
         any = true;
@@ -415,16 +411,14 @@ void Replica::restart() {
   // seen, so positions whose reporters have all moved on still resolve (to
   // no-ops). Safe with an empty tally: this coordinator is the only
   // learner, so a value can only have been chosen if its decision is in our
-  // durable log — and those replayed as resolved above.
+  // durable log — and those replayed into the log above.
   if (is_coordinator() && any) {
     for (std::uint64_t index = log_.execution_frontier(); index <= max_index; ++index) {
-      if (log_.is_skipped(index) || log_.is_committed(index)) continue;
-      Tally& tally = tallies_[index];
-      if (tally.resolved) continue;
-      tally.timer_armed = true;
+      if (decided(index)) continue;
+      tallies_[index].timer_armed = true;
       after(recovery_timeout_, [this, index] {
         auto it = tallies_.find(index);
-        if (it == tallies_.end() || it->second.resolved || it->second.recovering) return;
+        if (it == tallies_.end() || decided(index) || it->second.recovering) return;
         start_recovery(index);
       });
     }
@@ -483,7 +477,9 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     items.reserve(msg.snapshot.size());
     for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
     store_.install_snapshot(std::move(items), msg.applied);
-    log_.fast_forward(static_cast<std::uint64_t>(msg.frontier));
+    const auto frontier = static_cast<std::uint64_t>(msg.frontier);
+    log_.fast_forward(frontier);
+    tallies_.erase(tallies_.begin(), tallies_.lower_bound(frontier));
     persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
   }
   for (const auto& e : msg.entries) {
@@ -494,20 +490,14 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
           std::max(static_cast<std::uint64_t>(e.pos), log_.execution_frontier());
       if (hi < lo) continue;
       log_.skip(lo, hi);
-      if (is_coordinator()) {
-        for (std::uint64_t i = lo; i <= hi; ++i) tallies_[i].resolved = true;
-      }
+      tallies_.erase(tallies_.lower_bound(lo), tallies_.upper_bound(hi));
       continue;
     }
     if (e.pos < static_cast<std::int64_t>(log_.execution_frontier())) continue;
     const auto index = static_cast<std::uint64_t>(e.pos);
     log_.commit(index, e.command);
-    if (is_coordinator()) {
-      committed_requests_.emplace(e.command.id, e.command);
-      Tally& tally = tallies_[index];
-      tally.resolved = true;
-      tally.winner = e.command.id;
-    }
+    if (is_coordinator()) record_commit(index, e.command);
+    tallies_.erase(index);
   }
   execute_ready();
   finish_rejoin();
@@ -524,14 +514,28 @@ void Replica::finish_rejoin() {
                                     .value = took.nanos()});
 }
 
+void Replica::assign(const RequestId& rid, std::uint64_t index) {
+  assignment_[rid] = index;
+  assigned_at_[index] = rid;
+}
+
 void Replica::execute_ready() {
   for (auto& [index, command] : log_.drain_executable()) {
     const auto a = assignment_.find(command.id);
-    if (a != assignment_.end() && a->second.index == index) a->second.executed = true;
+    if (a != assignment_.end() && a->second == index) executed_.insert(command.id);
     store_.apply(command);
     obs_executed_.inc();
     if (exec_hook_) exec_hook_(command.id, true_now());
   }
+  // Every position below the frontier is decided. An assignment there either
+  // executed (executed_ answers its retries) or lost, and a retry of a lost
+  // request takes a new index with or without it.
+  const auto below = assigned_at_.lower_bound(log_.execution_frontier());
+  for (auto it = assigned_at_.begin(); it != below; ++it) {
+    const auto a = assignment_.find(it->second);
+    if (a != assignment_.end() && a->second == it->first) assignment_.erase(a);
+  }
+  assigned_at_.erase(assigned_at_.begin(), below);
 }
 
 }  // namespace domino::fastpaxos

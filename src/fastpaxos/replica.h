@@ -15,6 +15,7 @@
 // Requests that lose their position are re-proposed by the coordinator.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -22,6 +23,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/interval_set.h"
 #include "fastpaxos/messages.h"
 #include "log/index_log.h"
 #include "measure/quorum.h"
@@ -59,6 +61,14 @@ class Replica : public rpc::Node {
   [[nodiscard]] std::uint64_t fast_commits() const { return fast_commits_; }
   [[nodiscard]] std::uint64_t slow_commits() const { return slow_commits_; }
 
+  /// In-flight state this replica holds: live log entries, coordinator
+  /// tallies, acceptor assignments and recovery picks. None of it grows
+  /// with the run's history.
+  [[nodiscard]] std::size_t retained_instances() const {
+    return log_.occupied_count() + tallies_.size() + assigned_at_.size() +
+           recovery_chosen_.size();
+  }
+
  protected:
   void on_packet(const net::Packet& packet) override;
 
@@ -75,13 +85,19 @@ class Replica : public rpc::Node {
   void start_recovery(std::uint64_t index);
   void finish_commit(std::uint64_t index, bool is_noop, const sm::Command& command,
                      bool was_fast);
-  void repropose_losers(std::uint64_t index, const std::optional<RequestId>& winner);
+  void repropose_losers(std::uint64_t index);
+  /// Committed or skipped: the log says so, also below the frontier.
+  [[nodiscard]] bool decided(std::uint64_t index) const {
+    return log_.is_committed(index) || log_.is_skipped(index);
+  }
+  void record_commit(std::uint64_t index, const sm::Command& command);
 
   void handle_catchup_request(NodeId from, const wire::Payload& payload);
   void handle_catchup_reply(const wire::Payload& payload);
   void send_catchup_requests();
   void finish_rejoin();
 
+  void assign(const RequestId& rid, std::uint64_t index);
   void execute_ready();
 
   std::vector<NodeId> replicas_;
@@ -96,30 +112,35 @@ class Replica : public rpc::Node {
   bool catching_up_ = false;
   TimePoint recovery_started_at_ = TimePoint::epoch();
 
-  // Acceptor state: where each request was assigned locally, and whether it
-  // executed there (the log keeps no executed entries to read it from).
-  struct Assignment {
-    std::uint64_t index = 0;
-    bool executed = false;
-  };
-  std::unordered_map<RequestId, Assignment> assignment_;
+  // Acceptor state: its ballot-0 acceptances as index -> request for
+  // indices at or above the execution frontier, with the reverse lookup
+  // (each request's latest index; never larger); and the requests that
+  // executed at their assigned index here, which answer a retry. A request
+  // executed at another index leaves a hole in that set (one interval each,
+  // growing with history), and a retry of it takes a new index.
+  std::unordered_map<RequestId, std::uint64_t> assignment_;
+  std::map<std::uint64_t, RequestId> assigned_at_;
+  RequestIdSet executed_;
   std::uint64_t next_index_ = 0;
 
-  // Coordinator state.
+  // Coordinator state. A position's Tally lives only while it is in flight:
+  // it is erased once the position is decided and its losers re-proposed.
+  // Decidedness is read from the log (decided()), never from tallies_.
   struct Tally {
     std::unordered_map<NodeId, sm::Command> reports;  // acceptor -> accepted command
-    bool resolved = false;
     bool recovering = false;
     std::size_t recovery_acks = 0;
     std::optional<Commit> recovery_choice;
     bool timer_armed = false;
-    // The committed request, once resolved to one; its command is in
-    // committed_requests_.
-    std::optional<RequestId> winner;
   };
   std::map<std::uint64_t, Tally> tallies_;
   std::unordered_map<std::uint64_t, obs::SpanId> recovery_spans_;  // index -> wait span
-  std::unordered_map<RequestId, sm::Command> committed_requests_;
+  // The command decided at each position (an empty command for no-ops and
+  // for positions a snapshot covered), re-sent to a late reporter. This is
+  // the one coordinator store that grows with history: a recovering
+  // acceptor's late notice may name any decided position.
+  std::deque<sm::Command> decided_commands_;
+  RequestIdSet committed_;  // requests decided at some position
   // Requests picked by an in-flight recovery; excluded from concurrent
   // recovery choices so one request cannot be chosen at two indices.
   std::unordered_set<RequestId> recovery_chosen_;

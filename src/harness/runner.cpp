@@ -297,8 +297,10 @@ struct Deployment {
   std::function<void(const Replicas&, const Clients&, RunResult&)> extras = {};
 };
 
-/// Entries a replica's log still holds: IndexLog's live entries, Domino's
-/// pending GlobalLog entries, or EPaxos's uncompacted instances.
+/// Entries a replica still holds: IndexLog's live entries, Domino's pending
+/// GlobalLog entries, or the count the replica reports itself (EPaxos's
+/// uncompacted instances; Fast Paxos's log entries plus its coordinator and
+/// acceptor bookkeeping).
 template <typename ReplicaT>
 std::size_t retained_entries(const ReplicaT& r) {
   if constexpr (requires { r.retained_instances(); }) {

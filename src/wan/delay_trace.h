@@ -14,7 +14,9 @@
 //
 // Link endpoints are datacenter names (net::Topology names them the same
 // way), times are milliseconds since the trace epoch with nanosecond
-// resolution, and delays are milliseconds. Parsing validates everything the
+// resolution, and delays are milliseconds. Numbers take the form the
+// writer prints (std::from_chars' general format): no leading whitespace,
+// '+' sign or hex floats. Parsing validates everything the
 // replay layer depends on — per-link timestamp monotonicity, finite
 // non-negative delays, a sane delay ceiling — and guards allocations
 // against hostile row/link counts (mirroring the wire-layer length-prefix
@@ -111,7 +113,7 @@ class DelayTrace {
 
   /// Load from one CSV file, or — when `path` names a directory — from
   /// every `*.csv` inside it, in sorted filename order (per-link samples
-  /// must stay monotone across files).
+  /// must stay monotone across files; an error names the file and line).
   [[nodiscard]] static DelayTrace load(const std::string& path,
                                        const TraceLimits& limits = {});
 
@@ -125,10 +127,17 @@ class DelayTrace {
     std::shared_ptr<std::vector<TraceSample>> samples;
   };
 
+  /// Parse one CSV text into this trace. The text carries its own header
+  /// and at least one sample; a row that breaks monotonicity against
+  /// samples already held (an earlier file) fails with its line number.
+  void parse_into(std::string_view text);
   Link& link_slot(std::string_view from, std::string_view to);
+  void check_rows(std::size_t extra) const;
+  void check_sample(const TraceSample& s) const;
 
   TraceLimits limits_;
   std::vector<Link> links_;
+  std::size_t last_link_ = 0;  // link_slot's cache: a CSV lists each link's rows in a run
   std::size_t total_samples_ = 0;
   TimePoint end_time_ = TimePoint::epoch();
 };

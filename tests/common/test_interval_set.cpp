@@ -162,5 +162,20 @@ TEST(IntervalSetProperty, FirstGapCorrect) {
   }
 }
 
+TEST(RequestIdSet, KeepsEachClientsSeqsApart) {
+  RequestIdSet s;
+  s.insert(RequestId{NodeId{1}, 0});
+  s.insert(RequestId{NodeId{1}, 2});
+  s.insert(RequestId{NodeId{2}, 1});
+  EXPECT_TRUE(s.contains(RequestId{NodeId{1}, 0}));
+  EXPECT_FALSE(s.contains(RequestId{NodeId{1}, 1}));
+  EXPECT_TRUE(s.contains(RequestId{NodeId{1}, 2}));
+  EXPECT_FALSE(s.contains(RequestId{NodeId{2}, 0}));
+  EXPECT_TRUE(s.contains(RequestId{NodeId{2}, 1}));
+  EXPECT_FALSE(s.contains(RequestId{NodeId{3}, 1}));
+  s.clear();
+  EXPECT_FALSE(s.contains(RequestId{NodeId{1}, 0}));
+}
+
 }  // namespace
 }  // namespace domino

@@ -11,6 +11,27 @@ using test::four_dc;
 using test::make_command;
 using test::replica_ids;
 
+/// A bare node that keeps every packet it receives: it stands in for a
+/// recovering acceptor's late report or for a retrying client.
+struct Recorder : rpc::Node {
+  using rpc::Node::Node;
+  std::vector<net::Packet> packets;
+
+  template <typename M>
+  [[nodiscard]] std::vector<M> received() const {
+    std::vector<M> out;
+    for (const net::Packet& p : packets) {
+      if (wire::peek_type(p.payload) == M::kType) {
+        out.push_back(wire::decode_message<M>(p.payload));
+      }
+    }
+    return out;
+  }
+
+ protected:
+  void on_packet(const net::Packet& packet) override { packets.push_back(packet); }
+};
+
 struct FastPaxosCluster : ::testing::Test {
   sim::Simulator simulator;
   net::Network network{simulator, four_dc(), 1};
@@ -103,6 +124,78 @@ TEST_F(FastPaxosCluster, ExecutionOrderIdenticalAcrossReplicas) {
   ASSERT_EQ(traces[0].order.size(), 30u);
   EXPECT_EQ(traces[0].order, traces[1].order);
   EXPECT_EQ(traces[0].order, traces[2].order);
+}
+
+TEST_F(FastPaxosCluster, LateNoticeForErasedPositionGetsRecordedDecision) {
+  auto client = make_client(NodeId{1000}, 3);
+  const sm::Command x = make_command(client->id(), 0, "x", "vx");
+  client->submit(x);
+  simulator.run_until(TimePoint::epoch() + seconds(1));
+  ASSERT_EQ(client->committed_count(), 1u);
+  ASSERT_EQ(replicas[0]->fast_commits(), 1u);
+  ASSERT_EQ(replicas[0]->retained_instances(), 0u);  // position 0 decided, executed, erased
+
+  // A recovering acceptor re-reports its acceptance of X at position 0.
+  Recorder late(NodeId{2000}, 1, network);
+  late.attach();
+  late.send(rids[0], AcceptNotice{0, x});
+  simulator.run_until(TimePoint::epoch() + seconds(2));
+  auto commits = late.received<Commit>();
+  ASSERT_EQ(commits.size(), 1u);
+  EXPECT_EQ(commits[0].index, 0u);
+  EXPECT_FALSE(commits[0].is_noop);
+  EXPECT_EQ(commits[0].command, x);
+  // No tally, no second decision, no recovery round, no re-proposal.
+  EXPECT_EQ(replicas[0]->retained_instances(), 0u);
+  EXPECT_EQ(replicas[0]->fast_commits(), 1u);
+  EXPECT_EQ(replicas[0]->slow_commits(), 0u);
+  for (const auto& r : replicas) EXPECT_EQ(r->store().applied_count(), 1u);
+
+  // A late report of a request that lost position 0 gets the same decision
+  // back, and the loser is re-proposed at a fresh position.
+  const sm::Command y = make_command(late.id(), 0, "y", "vy");
+  late.packets.clear();
+  late.send(rids[0], AcceptNotice{0, y});
+  simulator.run_until(TimePoint::epoch() + seconds(3));
+  commits = late.received<Commit>();
+  ASSERT_EQ(commits.size(), 1u);
+  EXPECT_EQ(commits[0].index, 0u);
+  EXPECT_EQ(commits[0].command, x);
+  EXPECT_EQ(late.received<ClientReply>().size(), 1u);  // y committed
+  EXPECT_EQ(replicas[0]->fast_commits(), 2u);
+  EXPECT_EQ(replicas[0]->slow_commits(), 0u);
+  for (const auto& r : replicas) {
+    EXPECT_EQ(r->store().applied_count(), 2u);
+    EXPECT_EQ(r->store().get("y"), "vy");
+    EXPECT_EQ(r->retained_instances(), 0u);
+  }
+}
+
+TEST_F(FastPaxosCluster, RetryOfExecutedRequestIsAnsweredFromExecutedSet) {
+  Recorder client(NodeId{1000}, 3, network);
+  client.attach();
+  const sm::Command x = make_command(client.id(), 0, "x", "vx");
+  for (NodeId r : rids) client.send(r, ClientRequest{x});
+  simulator.run_until(TimePoint::epoch() + seconds(1));
+  ASSERT_EQ(client.received<AcceptNotice>().size(), 3u);
+  for (const auto& r : replicas) {
+    ASSERT_EQ(r->store().applied_count(), 1u);
+    ASSERT_EQ(r->retained_instances(), 0u);  // the assignment went with execution
+  }
+
+  // The retry reaches one acceptor, which answers it directly: no new
+  // position, no notice to the coordinator.
+  client.packets.clear();
+  client.send(rids[1], ClientRequest{x});
+  simulator.run_until(TimePoint::epoch() + seconds(2));
+  ASSERT_EQ(client.packets.size(), 1u);
+  EXPECT_EQ(client.packets[0].src, rids[1]);
+  const auto replies = client.received<ClientReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].request, x.id);
+  EXPECT_EQ(replicas[1]->retained_instances(), 0u);
+  EXPECT_EQ(replicas[0]->fast_commits(), 1u);
+  for (const auto& r : replicas) EXPECT_EQ(r->store().applied_count(), 1u);
 }
 
 }  // namespace

@@ -193,10 +193,13 @@ TEST_P(CompactionSoak, RetainedEntriesDoNotGrowWithRunLength) {
   ASSERT_EQ(long_run.replica_retained_entries.size(), 3u);
   // Four times the history (1,794 and 5,394 executed commands per replica),
   // and both runs retain only a tail of a few entries, bounded independently
-  // of the run's length. Fast Paxos's far acceptor keeps a handful of
-  // ballot-0 acceptances past the last decided index: positions only it
-  // used, which the coordinator never gets enough reports to resolve. Every
-  // other protocol retains nothing once the cool-down has drained.
+  // of the run's length. For Fast Paxos the count also takes in the
+  // coordinator's tallies, the acceptors' assignments and the recovery
+  // picks. Its far acceptor keeps a handful of ballot-0 assignments past the
+  // last decided index (21 and 25 here): positions only it used, which the
+  // coordinator, holding one tally each, never gets enough reports to
+  // resolve. Every other protocol retains nothing once the cool-down has
+  // drained.
   constexpr std::uint64_t kInFlightTail = 32;
   const auto max_of = [](const std::vector<std::uint64_t>& v) {
     return *std::max_element(v.begin(), v.end());

@@ -1,10 +1,15 @@
 #include "wan/delay_trace.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace domino::wan {
 namespace {
@@ -103,6 +108,23 @@ TEST(DelayTrace, RejectsBadDelayValues) {
   }
 }
 
+TEST(DelayTrace, RejectsNumberSyntaxTheWriterNeverPrints) {
+  // to_csv() prints plain decimals; leading whitespace, a '+' sign and hex
+  // floats are not part of the format.
+  const char* bad_rows[] = {
+      "+1.0,VA,WA,33.5\n", " 1.0,VA,WA,33.5\n", "1.0,VA,WA, 33.5\n",
+      "1.0,VA,WA,+33.5\n", "1.0,VA,WA,0x21p0\n", "1.0,VA,WA,33.5 \n",
+  };
+  for (const char* row : bad_rows) {
+    const std::string csv = std::string("time_ms,from,to,owd_ms\n") + row;
+    EXPECT_THROW((void)DelayTrace::parse_csv(csv), TraceError) << row;
+  }
+  // Exponent form is still a plain decimal number.
+  const DelayTrace t = DelayTrace::parse_csv("time_ms,from,to,owd_ms\n1e1,VA,WA,3.35e1\n");
+  EXPECT_EQ((*t.samples("VA", "WA"))[0].at, TimePoint::epoch() + milliseconds(10));
+  EXPECT_EQ((*t.samples("VA", "WA"))[0].owd, microseconds(33'500));
+}
+
 TEST(DelayTrace, EnforcesRowLimit) {
   TraceLimits limits;
   limits.max_rows = 3;
@@ -141,6 +163,21 @@ TEST(DelayTrace, AddLinkValidatesMovedSamples) {
   EXPECT_THROW(t.add_link("WA", "VA", unsorted), TraceError);
   std::vector<TraceSample> negative = {{TimePoint::epoch(), milliseconds(-1)}};
   EXPECT_THROW(t.add_link("WA", "VA", negative), TraceError);
+  // A rejected vector adds nothing, not even an empty link.
+  EXPECT_EQ(t.samples("WA", "VA"), nullptr);
+  EXPECT_EQ(t.total_samples(), 2u);
+
+  // A new link takes the vector's buffer as is; an existing one appends,
+  // and must stay monotone across the join.
+  std::vector<TraceSample> moved = {{TimePoint::epoch(), milliseconds(20)}};
+  const TraceSample* buffer = moved.data();
+  t.add_link("WA", "VA", std::move(moved));
+  EXPECT_EQ(t.samples("WA", "VA")->data(), buffer);
+  EXPECT_THROW(t.add_link("VA", "WA", {{TimePoint::epoch(), milliseconds(12)}}), TraceError);
+  t.add_link("VA", "WA", {{TimePoint::epoch() + seconds(2), milliseconds(12)}});
+  EXPECT_EQ(t.samples("VA", "WA")->size(), 3u);
+  EXPECT_EQ(t.total_samples(), 4u);
+  EXPECT_EQ(t.end_time(), TimePoint::epoch() + seconds(2));
 }
 
 TEST(DelayTrace, LoadsCheckedInFixtures) {
@@ -170,6 +207,57 @@ TEST(DelayTrace, LoadsDirectoryInSortedOrder) {
   ASSERT_EQ(t.samples("VA", "WA")->size(), 2u);
   EXPECT_EQ((*t.samples("VA", "WA"))[1].owd, microseconds(34'500));
   fs::remove_all(dir);
+}
+
+TEST(DelayTrace, LoadMatchesParsingTheFileText) {
+  const std::string path = std::string(DOMINO_TRACE_DIR) + "/globe_va.csv";
+  std::ifstream in(path, std::ios::binary);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  const DelayTrace loaded = DelayTrace::load(path);
+  const DelayTrace parsed = DelayTrace::parse_csv(text);
+  ASSERT_EQ(loaded.link_count(), parsed.link_count());
+  for (std::size_t i = 0; i < loaded.link_count(); ++i) {
+    EXPECT_EQ(loaded.link(i), parsed.link(i));
+    EXPECT_EQ(*loaded.samples_at(i), *parsed.samples_at(i));
+  }
+  EXPECT_EQ(loaded.to_csv(), text);  // the fixture is in the writer's form
+}
+
+TEST(DelayTrace, CrossFileMonotonicityReportsFileAndLine) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "wan_trace_dir_backwards";
+  fs::create_directories(dir);
+  std::ofstream(dir / "a.csv") << "time_ms,from,to,owd_ms\n10.0,VA,WA,33.5\n";
+  std::ofstream(dir / "b.csv") << "time_ms,from,to,owd_ms\n20.0,WA,VA,33.5\n5.0,VA,WA,34.5\n";
+  try {
+    (void)DelayTrace::load(dir.string());
+    ADD_FAILURE() << "b.csv steps VA->WA back in time";
+  } catch (const TraceError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("b.csv"), std::string::npos) << what;
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("VA->WA"), std::string::npos) << what;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(DelayTrace, LoadReadsAStreamThatCannotSeek) {
+  // A FIFO cannot seek, like a process substitution `<(zcat trace.csv.gz)`
+  // passed as Scenario::trace_dir: the loader must read it to EOF.
+  namespace fs = std::filesystem;
+  const fs::path fifo = fs::path(::testing::TempDir()) / "wan_trace_fifo.csv";
+  fs::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // A loader that closes the FIFO early must fail the test, not kill it.
+  const auto old_sigpipe = std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&] { std::ofstream(fifo) << kGood; });
+  DelayTrace t;
+  EXPECT_NO_THROW(t = DelayTrace::load(fifo.string()));
+  writer.join();
+  std::signal(SIGPIPE, old_sigpipe);
+  fs::remove(fifo);
+  EXPECT_EQ(t.total_samples(), 4u);
+  EXPECT_EQ(t.to_csv(), DelayTrace::parse_csv(kGood).to_csv());
 }
 
 TEST(DelayTrace, LoadRejectsMissingPath) {
