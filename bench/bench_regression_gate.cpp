@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   s.measure = seconds(4);
   s.cooldown = milliseconds(500);
   s.seed = 7;
-  s.timeseries_interval = milliseconds(250);
   const int reps = 1;
 
   const auto mp = bench::run_repeated(harness::Protocol::kMultiPaxos, s, reps);

@@ -9,6 +9,7 @@
 #include "harness/report.h"
 #include "harness/run_report.h"
 #include "harness/runner.h"
+#include "obs/json.h"
 
 int main() {
   using namespace domino;
@@ -47,9 +48,9 @@ int main() {
   // Full observability report: latency summary, every metric (per-link
   // delivery histograms, protocol counters), and the incident log (fault,
   // retry and recovery events; empty here, as this run injects no faults).
-  const auto report =
-      harness::make_report(harness::Protocol::kDomino, scenario, domino_result);
-  report.write("quickstart_report.json", /*include_trace=*/true);
+  obs::write_file("quickstart_report.json",
+                  harness::report_json(harness::Protocol::kDomino, scenario, domino_result,
+                                       /*include_trace=*/true));
   std::printf("\n[run report written to quickstart_report.json]\n");
   return 0;
 }

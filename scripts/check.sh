@@ -13,7 +13,8 @@
 #   scripts/check.sh --bench-baseline [--record]
 #                                 # run the regression-gate bench and compare it
 #                                 # against scripts/baselines/BENCH_gate.json
-#                                 # (--record refreshes the baseline instead)
+#                                 # (fails if that file is missing; --record
+#                                 # writes or refreshes it instead)
 #   scripts/check.sh --all        # plain full suite, then every sanitized gate
 #
 # The build directory is build/ (or build-asan/ for sanitized modes) under
@@ -32,8 +33,8 @@
 #             use-after-free in restart/replay paths.  Smoke-runs
 #             scripts/trace_summary.py on the suite's Chrome-trace sample
 #             (per-node recovery intervals).
-#   --timeline windowed telemetry: per-window counter/histogram deltas, SLO
-#             burn windows and time-to-steady-state after faults; smoke-runs
+#   --timeline windowed telemetry: per-window counter/histogram deltas and
+#             time-to-steady-state after faults; smoke-runs
 #             scripts/timeline_summary.py on the suite's sample timeline
 #             (tables + HTML sparkline dashboard) and
 #             scripts/bench_compare.py --selftest.
@@ -59,7 +60,7 @@ declare -A modes=(
 )
 
 usage() {
-  sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 
@@ -110,17 +111,23 @@ run_smoke() {
 }
 
 # Run the deterministic regression-gate bench and diff it against the
-# checked-in baseline; with --record, refresh the baseline instead.
+# checked-in baseline; with --record, refresh the baseline instead. Only
+# --record writes the baseline: a missing one fails the compare.
 bench_baseline() {
   local record=0
   [[ "${1:-}" == "--record" ]] && record=1
+  local baseline="$root/scripts/baselines/BENCH_gate.json"
+  if [[ "$record" == 0 && ! -f "$baseline" ]]; then
+    echo "missing bench baseline $baseline;" \
+      "run scripts/check.sh --bench-baseline --record to create it" >&2
+    return 1
+  fi
   local build_dir="$root/build"
   cmake -B "$build_dir" -S "$root"
   cmake --build "$build_dir" -j "$(nproc)" --target bench_regression_gate
   local out="$build_dir/bench/BENCH_gate.json"
   "$build_dir/bench/bench_regression_gate" "$out"
-  local baseline="$root/scripts/baselines/BENCH_gate.json"
-  if [[ "$record" == 1 || ! -f "$baseline" ]]; then
+  if [[ "$record" == 1 ]]; then
     mkdir -p "$(dirname "$baseline")"
     cp "$out" "$baseline"
     echo "bench baseline recorded at $baseline"

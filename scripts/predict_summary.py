@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Summarise prediction-audit CSVs (decision records and calibration).
 
-Input is either kind of CSV the run report exports, recognised by header:
+Input is either kind of prediction-audit CSV, recognised by header:
 
-  RunReport::predict_csv()      one row per reconciled client decision
+  obs::decisions_to_csv()       one row per reconciled client decision
     protocol,request,mode,chosen,outcome,...,error_ns,error_valid,
     regret_ns,hindsight_best_ns,regret_valid,...,blamed,blamed_overshoot_ns
 
-  RunReport::calibration_csv()  one row per (owner,target) estimator series
+  obs::calibration_to_csv()     one row per (owner,target) estimator series
     owner,target,samples,covered,coverage,mean_margin_ns,max_overshoot_ns
 
 Arguments may be CSV files or directories; directories are scanned

@@ -1,23 +1,21 @@
 #!/usr/bin/env python3
-"""Summarise windowed-telemetry timelines and SLO verdicts, optionally as an
-HTML sparkline dashboard.
+"""Summarise windowed-telemetry timelines and steady-state verdicts,
+optionally as an HTML sparkline dashboard.
 
 Inputs (mix freely; directories are scanned non-recursively):
 
-  *.json  either a RunReport (harness::RunReport::to_json) with a
+  *.json  either a run report (harness::report_json) with a
           "timeline" block — {"interval_ms", "series": {"windows", ...,
           "metrics": {name: {kind, arrays...}}}} — and an optional "slo"
           block, or a schema-v2 bench report (bench::emit_json_report)
           whose results each carry a "timeline".
-  *.csv   the per-window CSV from obs::timeseries_to_csv
-          (RunReport::timeline_csv): window,start_ns,end_ns,kind,name,
-          field,value.
+  *.csv   the per-window CSV from obs::timeseries_to_csv:
+          window,start_ns,end_ns,kind,name,field,value.
 
 For every timeline the script prints one table row per metric: windows
 seen, lifetime total (counters: summed deltas; histograms: summed counts),
 the busiest window, and for histograms the worst per-window p95.  SLO
-blocks print rule verdicts (breached windows, burns, worst value) and
-steady-state verdicts (fault kind, reached, time-to-steady).
+blocks print steady-state verdicts (fault kind, reached, time-to-steady).
 
 With --html OUT a self-contained dashboard is written: one inline-SVG
 sparkline per metric series (counter deltas, gauge values, histogram p95),
@@ -85,21 +83,13 @@ def print_timeline(label, interval_ms, series):
 
 
 def print_slo(label, slo):
-    rules = slo.get("rules", [])
     steady = slo.get("steady_state", [])
-    if not rules and not steady:
+    if not steady:
         return
-    print(f"\n{label}: SLO verdicts "
+    print(f"\n{label}: steady-state verdicts "
           f"(steady metric {slo.get('steady_metric', '?')}, "
           f"tolerance {slo.get('steady_tolerance', 0):.2f}, "
           f"K={slo.get('steady_windows', 0)})")
-    for r in rules:
-        verdict = "OK" if r["windows_breached"] == 0 else (
-            f"{r['windows_breached']}/{r['windows_evaluated']} breached, "
-            f"{r['burns']} burns (longest {r['longest_burn_windows']}), "
-            f"worst {r['worst_value']:.6g}")
-        print(f"  rule {r['name']:<24} {r['kind']:<15} "
-              f"threshold {r['threshold']:.6g}  {verdict}")
     for s in steady:
         if s["reached"]:
             verdict = (f"settled in {s['time_to_steady_ns'] / 1e6:.1f} ms "

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Summarise per-command critical-path CSVs into a phase-attribution table.
 
-Input is the CSV produced by obs::paths_to_csv (RunReport::command_csv or
-the trace-suite sample at build/tests/critical_path_sample.csv): one row
+Input is the CSV produced by obs::paths_to_csv (for example the
+trace-suite sample at build/tests/critical_path_sample.csv): one row
 per critical-path segment, with columns
 
   protocol,request,trace,submit_ns,commit_ns,total_ns,
@@ -19,8 +19,8 @@ one-line digest (file, protocol, commands, mean latency, dominant phase)
 instead of the full table — handy for a results/ directory of sweeps.
 Explicitly named files keep the full per-phase table.
 
-*.json arguments are treated as Chrome-trace exports (RunReport::
-chrome_trace / obs::chrome_trace_json): the script prints a recovery
+*.json arguments are treated as Chrome-trace exports
+(obs::chrome_trace_json): the script prints a recovery
 summary instead — per node, crash/recover fault instants and every
 amnesiac-recovery interval (the "recovery" complete slices emitted at
 rejoin), with downtime and catch-up durations.

@@ -31,7 +31,7 @@ struct LatencyStats {
 };
 
 /// Condensed view of a collector — the single source of truth the
-/// RunReport exporter and the bench tables both read from.
+/// run-report exporter and the bench tables both read from.
 struct LatencySummary {
   LatencyStats commit_ms;
   LatencyStats exec_ms;

@@ -1,6 +1,5 @@
 #include "harness/run_report.h"
 
-#include "obs/chrome_trace.h"
 #include "obs/export.h"
 
 namespace domino::harness {
@@ -34,35 +33,38 @@ void append_latency_stats(std::string& out, const LatencyStats& s) {
 
 }  // namespace
 
-std::string RunReport::to_json(bool include_trace) const {
+std::string report_json(Protocol protocol, const Scenario& scenario, const RunResult& result,
+                        bool include_trace) {
+  const recovery::RecoveryStats& recovery = result.recovery;
+  const LatencySummary& latency = result.latency;
   std::string out = "{\n";
-  out += "\"protocol\":\"" + obs::json_escape(protocol) + "\",\n";
+  out += "\"protocol\":\"" + obs::json_escape(protocol_name(protocol)) + "\",\n";
   out += "\"seed\":";
-  append_u64(out, seed);
+  append_u64(out, scenario.seed);
   out += ",\n\"replicas\":";
-  append_u64(out, replicas);
+  append_u64(out, scenario.replica_dcs.size());
   out += ",\n\"clients\":";
-  append_u64(out, clients);
+  append_u64(out, scenario.client_dcs.size());
   out += ",\n\"rps_per_client\":";
-  append_f(out, "%.3f", rps);
+  append_f(out, "%.3f", scenario.rps);
   out += ",\n\"warmup_ms\":";
-  append_f(out, "%.3f", warmup.millis());
+  append_f(out, "%.3f", scenario.warmup.millis());
   out += ",\n\"measure_ms\":";
-  append_f(out, "%.3f", measure.millis());
+  append_f(out, "%.3f", scenario.measure.millis());
   out += ",\n\"submitted\":";
-  append_u64(out, submitted);
+  append_u64(out, result.submitted);
   out += ",\n\"committed\":";
-  append_u64(out, committed);
+  append_u64(out, result.committed);
   out += ",\n\"throughput_rps\":";
-  append_f(out, "%.3f", throughput_rps);
+  append_f(out, "%.3f", result.throughput_rps());
   out += ",\n\"fast_path\":";
-  append_u64(out, fast_path);
+  append_u64(out, result.fast_path);
   out += ",\n\"slow_path\":";
-  append_u64(out, slow_path);
+  append_u64(out, result.slow_path);
   out += ",\n\"packets_sent\":";
-  append_u64(out, packets_sent);
+  append_u64(out, result.packets_sent);
   out += ",\n\"bytes_sent\":";
-  append_u64(out, bytes_sent);
+  append_u64(out, result.bytes_sent);
   out += ",\n\"recovery\":{\"restarts\":";
   append_u64(out, recovery.restarts);
   out += ",\"persisted_records\":";
@@ -80,7 +82,7 @@ std::string RunReport::to_json(bool include_trace) const {
   out += ",\"rejoin_ns_total\":";
   append_i64(out, recovery.rejoin_ns_total);
   out += ",\"downtime_ns\":";
-  append_i64(out, recovery_downtime_ns);
+  append_i64(out, result.recovery_downtime_ns);
   out += "}";
   out += ",\n\"latency\":{\"commit_ms\":";
   append_latency_stats(out, latency.commit_ms);
@@ -91,17 +93,17 @@ std::string RunReport::to_json(bool include_trace) const {
   out += ",\"committed\":";
   append_u64(out, latency.committed);
   out += "}";
-  if (metrics != nullptr) {
-    out += ",\n\"metrics\":" + obs::metrics_to_json(*metrics);
+  if (result.metrics != nullptr) {
+    out += ",\n\"metrics\":" + obs::metrics_to_json(*result.metrics);
   }
-  if (trace != nullptr) {
+  if (const obs::TraceRecorder* trace = result.trace.get(); trace != nullptr) {
     out += ",\n\"trace_events\":";
     append_u64(out, trace->total_recorded());
     if (include_trace) {
       out += ",\n\"trace\":" + obs::trace_to_json(*trace);
     }
   }
-  if (spans != nullptr) {
+  if (const obs::SpanStore* spans = result.spans.get(); spans != nullptr) {
     out += ",\n\"spans_recorded\":";
     append_u64(out, spans->spans().size());
     out += ",\n\"span_edges_recorded\":";
@@ -111,10 +113,10 @@ std::string RunReport::to_json(bool include_trace) const {
     out += ",\n\"span_edges_dropped\":";
     append_u64(out, spans->dropped_edges());
     out += ",\n\"critical_paths\":";
-    append_u64(out, critical_paths.size());
+    append_u64(out, result.critical_paths.size());
   }
-  if (predict != nullptr) {
-    // Aggregates only; the per-decision rows live in predict_csv().
+  if (const obs::PredictionAudit* predict = result.predict.get(); predict != nullptr) {
+    // Aggregates only; the per-decision rows are obs::decisions_to_csv's.
     out += ",\n\"predict\":{\"decisions\":";
     append_u64(out, predict->decisions());
     out += ",\"reconciled\":";
@@ -145,10 +147,10 @@ std::string RunReport::to_json(bool include_trace) const {
     append_i64(out, predict->regret_max_ns());
     out += "}";
     out += ",\n\"calibration\":{\"series\":";
-    append_u64(out, calibration.size());
+    append_u64(out, result.calibration.size());
     std::uint64_t samples = 0;
     std::uint64_t covered = 0;
-    for (const obs::CalibrationRow& row : calibration) {
+    for (const obs::CalibrationRow& row : result.calibration) {
       samples += row.samples;
       covered += row.covered;
     }
@@ -158,74 +160,17 @@ std::string RunReport::to_json(bool include_trace) const {
     append_u64(out, covered);
     out += "}";
   }
-  if (timeseries != nullptr) {
+  if (result.timeseries != nullptr) {
     out += ",\n\"timeline\":{\"interval_ms\":";
-    append_f(out, "%.3f", timeseries_interval.millis());
+    append_f(out, "%.3f", scenario.timeseries_interval.millis());
     out += ",\"series\":";
-    obs::append_timeseries_json(out, *timeseries);
+    obs::append_timeseries_json(out, *result.timeseries);
     out += "}";
     out += ",\n\"slo\":";
-    obs::append_slo_json(out, slo);
+    obs::append_slo_json(out, result.slo);
   }
   out += "\n}\n";
   return out;
-}
-
-void RunReport::write(const std::string& path, bool include_trace) const {
-  obs::write_file(path, to_json(include_trace));
-}
-
-std::string RunReport::chrome_trace() const {
-  return obs::chrome_trace_json(spans.get(), trace.get());
-}
-
-std::string RunReport::command_csv() const {
-  return obs::paths_to_csv(critical_paths, protocol);
-}
-
-std::string RunReport::predict_csv() const {
-  static const std::vector<obs::DecisionRecord> kEmpty;
-  return obs::decisions_to_csv(predict != nullptr ? predict->records() : kEmpty, protocol);
-}
-
-std::string RunReport::calibration_csv() const { return obs::calibration_to_csv(calibration); }
-
-std::string RunReport::timeline_csv() const {
-  if (timeseries == nullptr) {
-    return "window,start_ns,end_ns,kind,name,field,value\n";
-  }
-  return obs::timeseries_to_csv(*timeseries);
-}
-
-RunReport make_report(Protocol protocol, const Scenario& scenario, const RunResult& result) {
-  RunReport r;
-  r.protocol = protocol_name(protocol);
-  r.seed = scenario.seed;
-  r.replicas = scenario.replica_dcs.size();
-  r.clients = scenario.client_dcs.size();
-  r.rps = scenario.rps;
-  r.warmup = scenario.warmup;
-  r.measure = scenario.measure;
-  r.submitted = result.submitted;
-  r.committed = result.committed;
-  r.throughput_rps = result.throughput_rps();
-  r.fast_path = result.fast_path;
-  r.slow_path = result.slow_path;
-  r.packets_sent = result.packets_sent;
-  r.bytes_sent = result.bytes_sent;
-  r.recovery = result.recovery;
-  r.recovery_downtime_ns = result.recovery_downtime_ns;
-  r.latency = result.latency;
-  r.metrics = result.metrics;
-  r.trace = result.trace;
-  r.spans = result.spans;
-  r.critical_paths = result.critical_paths;
-  r.predict = result.predict;
-  r.calibration = result.calibration;
-  r.timeseries = result.timeseries;
-  r.slo = result.slo;
-  r.timeseries_interval = scenario.timeseries_interval;
-  return r;
 }
 
 }  // namespace domino::harness

@@ -19,6 +19,7 @@
 #include "paxos/client.h"
 #include "paxos/replica.h"
 #include "sim/simulator.h"
+#include "wan/empirical.h"
 
 namespace domino::harness {
 
@@ -73,20 +74,20 @@ struct Env {
     }
     network.use_default_links(s.jitter);
     if (s.wan_trace != nullptr) {
-      wan::apply_trace(*s.wan_trace, network, s.wan_config);
+      wan::apply_trace(*s.wan_trace, network, wan::EmpiricalConfig{});
     } else if (!s.trace_dir.empty()) {
       const wan::DelayTrace loaded = wan::DelayTrace::load(s.trace_dir);
-      wan::apply_trace(loaded, network, s.wan_config);
+      wan::apply_trace(loaded, network, wan::EmpiricalConfig{});
     }
     if (!s.faults.empty()) network.install_faults(s.faults);
     if (s.observability) {
       metrics = std::make_shared<obs::MetricsRegistry>();
       trace = std::make_shared<obs::TraceRecorder>();
       if (s.command_spans) {
-        spans = std::make_shared<obs::SpanStore>(s.span_capacity, s.span_capacity);
+        spans = std::make_shared<obs::SpanStore>();
       }
       if (s.prediction_audit) {
-        predict = std::make_shared<obs::PredictionAudit>(s.predict_capacity);
+        predict = std::make_shared<obs::PredictionAudit>();
         predict->bind_metrics(metrics.get());
       }
       const obs::Sink sink{metrics.get(), trace.get(), spans.get(), predict.get()};
@@ -94,14 +95,8 @@ struct Env {
       network.bind_obs(sink);  // nodes pick the sink up at construction
       durable.bind_obs(sink);
       if (s.timeseries_interval > Duration::zero()) {
-        timeseries = std::make_shared<obs::Timeseries>(s.timeseries_max_windows);
+        timeseries = std::make_shared<obs::Timeseries>();
       }
-    }
-    for (const std::size_t idx : s.weakened_replicas) {
-      if (idx >= s.replica_dcs.size()) {
-        throw std::invalid_argument("Scenario: bad weakened replica index");
-      }
-      durable.weaken(replica_id(idx));
     }
     if (s.amnesia_crashes) {
       // Dispatch every scheduled recover through the restart table: the
@@ -113,11 +108,10 @@ struct Env {
     }
   }
 
-  /// Durability is on whenever anything needs the store: amnesiac crashes,
-  /// a non-zero sync latency, or a deliberately weakened log.
+  /// Durability is on whenever anything needs the store: amnesiac crashes
+  /// or a non-zero sync latency.
   [[nodiscard]] bool durability() const {
-    return scenario.amnesia_crashes || scenario.sync_latency > Duration::zero() ||
-           !scenario.weakened_replicas.empty();
+    return scenario.amnesia_crashes || scenario.sync_latency > Duration::zero();
   }
 
   /// Bind `replica` to the durable store and register its amnesiac-restart
@@ -159,10 +153,6 @@ struct Env {
       if (scenario.client_request_timeout > Duration::zero()) {
         client->set_request_timeout(scenario.client_request_timeout,
                                     scenario.client_max_retries);
-        client->set_retry_backoff(scenario.client_backoff_multiplier,
-                                  scenario.client_backoff_cap,
-                                  scenario.client_backoff_jitter,
-                                  scenario.seed * 40503 + i);
       }
       client->set_send_hook([this, i](const RequestId& id, TimePoint at) {
         collector.on_send(i, id, at);
@@ -243,7 +233,7 @@ struct Env {
     }
   }
 
-  /// Convert the scenario's fault schedule into the SLO engine's
+  /// Convert the scenario's fault schedule into the steady-state detector's
   /// layering-neutral instants (obs cannot see net/fault.h).
   [[nodiscard]] std::vector<obs::FaultInstant> fault_instants() const {
     std::vector<obs::FaultInstant> out;
@@ -442,7 +432,6 @@ RunResult run_protocol(Protocol protocol, const Scenario& s) {
             cc.additional_delay = s.additional_delay;
             cc.mode = s.domino_mode;
             cc.adaptive = s.domino_adaptive;
-            cc.timestamp_shard_space = s.domino_timestamp_shard_space;
             return std::make_unique<core::Client>(client_id(i), s.client_dcs[i], net, rids,
                                                   cc, clock);
           },

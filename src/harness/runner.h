@@ -28,7 +28,6 @@
 #include "recovery/durable.h"
 #include "statemachine/workload.h"
 #include "wan/delay_trace.h"
-#include "wan/empirical.h"
 
 namespace domino::harness {
 
@@ -61,8 +60,6 @@ struct Scenario {
   /// Already-loaded/generated trace; takes precedence over trace_dir so
   /// benches and tests can replay generator output without touching disk.
   std::shared_ptr<const wan::DelayTrace> wan_trace;
-  /// Replay window / past-end policy for the empirical models.
-  wan::EmpiricalConfig wan_config;
 
   // Domino knobs.
   Duration additional_delay = Duration::zero();  // added to DFP timestamps
@@ -76,8 +73,6 @@ struct Scenario {
   bool domino_all_learners = true;
   /// Section 5.4 adaptive feedback control (future-work extension).
   bool domino_adaptive = false;
-  /// Section 5.3.3 pre-sharded timestamps (0 = off).
-  std::uint32_t domino_timestamp_shard_space = 0;
 
   // Capacity model (Figure 13 throughput runs); zero = infinitely fast.
   Duration replica_service_time = Duration::zero();
@@ -95,8 +90,6 @@ struct Scenario {
   /// would perturb bytes_sent stats and bandwidth-modelled runs. Requires
   /// `observability`.
   bool command_spans = false;
-  /// Span/edge store capacity; overflow drops records and counts them.
-  std::size_t span_capacity = obs::SpanStore::kDefaultCapacity;
   /// Prediction audit (obs/predict.h): the Domino client records what it
   /// predicted at every choice point and reconciles it at commit into
   /// per-command error, oracle regret and misprediction attribution;
@@ -104,18 +97,14 @@ struct Scenario {
   /// realized probe arrival (RunResult::calibration). Opt-in; requires
   /// `observability`. Wire format is untouched either way.
   bool prediction_audit = false;
-  /// Decision-record store capacity; overflow is counted, never silent.
-  std::size_t predict_capacity = obs::PredictionAudit::kDefaultCapacity;
   /// Time-series telemetry (obs/timeseries.h): a periodic simulator task
   /// snapshots metric deltas into fixed-capacity windows. Zero (default) =
   /// off: no sampler task is scheduled and every existing export stays
   /// byte-identical. Requires `observability`. The sampler only *reads*
   /// metrics, so enabling it never changes wire behaviour.
   Duration timeseries_interval = Duration::zero();
-  /// Window capacity; further samples are counted as dropped, never silent.
-  std::size_t timeseries_max_windows = obs::Timeseries::kDefaultMaxWindows;
-  /// SLO rules + steady-state detector evaluated over the timeline after
-  /// the run (obs/slo.h). Ignored unless timeseries_interval is set. The
+  /// Steady-state detector evaluated over the timeline after the run
+  /// (obs/slo.h). Ignored unless timeseries_interval is set. The
   /// harness fills slo.evaluate_until with the end of the load window when
   /// left at its TimePoint::max() default, and derives the fault instants
   /// from `faults`.
@@ -130,13 +119,6 @@ struct Scenario {
   /// client_max_retries times before abandoning the request.
   Duration client_request_timeout = Duration::zero();
   std::size_t client_max_retries = 3;
-  /// Deterministic exponential retry backoff (rpc::ClientBase): the wait
-  /// before retry k is min(timeout * multiplier^(k-1), cap) * (1+jitter*u)
-  /// with u from a per-client seeded stream. multiplier 1 and jitter 0 (the
-  /// defaults) reproduce the legacy fixed retry interval.
-  double client_backoff_multiplier = 1.0;
-  Duration client_backoff_cap = Duration::zero();  // zero = uncapped
-  double client_backoff_jitter = 0.0;
 
   // Crash-recovery knobs (amnesia runs).
   /// When true, every FaultEvent::kRecover wipes the recovered replica's
@@ -148,12 +130,8 @@ struct Scenario {
   /// Simulated latency of one durable sync. Non-zero puts persistence on
   /// the protocol critical path (promises/acks/commit notices wait for it)
   /// even on fault-free runs. Durability is enabled whenever this is
-  /// non-zero, amnesia_crashes is set, or weakened_replicas is non-empty.
+  /// non-zero or amnesia_crashes is set.
   Duration sync_latency = Duration::zero();
-  /// Negative-test knob: indices (into replica_dcs) of replicas whose
-  /// durable log silently drops appends — the model of a forgotten fsync.
-  /// The chaos consistency checker must flag the resulting lost commits.
-  std::vector<std::size_t> weakened_replicas;
 };
 
 struct RunResult {
@@ -200,7 +178,7 @@ struct RunResult {
   std::vector<std::uint64_t> replica_retained_entries;
   /// Crash-recovery accounting summed over all replicas (the recovery.*
   /// metrics); all zero unless durability was enabled (see
-  /// Scenario::amnesia_crashes / sync_latency / weakened_replicas).
+  /// Scenario::amnesia_crashes / sync_latency).
   recovery::RecoveryStats recovery;
   /// Total crashed time over completed crash->recover pairs.
   std::int64_t recovery_downtime_ns = 0;
@@ -232,7 +210,7 @@ struct RunResult {
   /// Windowed telemetry frames; null unless Scenario::timeseries_interval
   /// was set (and observability was on).
   std::shared_ptr<obs::Timeseries> timeseries;
-  /// SLO rule + steady-state evaluation over the timeline; default-empty
+  /// Steady-state evaluation over the timeline; default-empty
   /// unless sampling was on. Also surfaced as slo.* metrics.
   obs::SloReport slo;
 };

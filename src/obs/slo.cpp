@@ -8,24 +8,16 @@
 namespace domino::obs {
 namespace {
 
-// The sampler stores three fixed percentiles per window; snap a rule's
-// requested percentile onto the nearest sampled one.
-std::int64_t pick_percentile(const WindowHistogram& wh, double p) {
-  if (p >= 97.0) return wh.p99;
-  if (p >= 75.0) return wh.p95;
-  return wh.p50;
-}
-
-/// Per-window value of a metric: histogram percentile, or counter rate in
+/// Per-window value of a metric: histogram p95, or counter rate in
 /// events/second. nullopt when the metric was never sampled, or when a
 /// histogram window recorded nothing (no latency data != zero latency).
 std::optional<double> window_value(const Timeseries& ts, const std::string& metric,
-                                   double percentile, std::size_t w) {
+                                   std::size_t w) {
   if (const auto* h = ts.find_histogram(metric); h != nullptr) {
     const WindowHistogram wh =
         w < h->windows.size() ? h->windows[w] : WindowHistogram{};
     if (wh.count == 0) return std::nullopt;
-    return static_cast<double>(pick_percentile(wh, percentile));
+    return static_cast<double>(wh.p95);
   }
   if (const auto* c = ts.find_counter(metric); c != nullptr) {
     const double delta =
@@ -37,43 +29,6 @@ std::optional<double> window_value(const Timeseries& ts, const std::string& metr
 
 bool metric_is_rate(const Timeseries& ts, const std::string& metric) {
   return ts.find_histogram(metric) == nullptr && ts.find_counter(metric) != nullptr;
-}
-
-SloRuleResult evaluate_rule(const Timeseries& ts, const SloRule& rule,
-                            TimePoint until) {
-  SloRuleResult r;
-  r.rule = rule;
-  const auto& windows = ts.windows();
-  std::size_t run = 0;
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    if (windows[w].end > until) break;
-    const auto v = window_value(ts, rule.metric, rule.percentile, w);
-    if (!v.has_value()) {
-      run = 0;
-      continue;
-    }
-    ++r.windows_evaluated;
-    const bool breach = rule.kind == SloRule::Kind::kLatencyCeiling
-                            ? *v > rule.threshold
-                            : *v < rule.threshold;
-    if (!breach) {
-      run = 0;
-      continue;
-    }
-    if (r.windows_breached == 0) {
-      r.first_breach_ns = windows[w].end.nanos();
-      r.worst_value = *v;
-    } else if (rule.kind == SloRule::Kind::kLatencyCeiling) {
-      r.worst_value = std::max(r.worst_value, *v);
-    } else {
-      r.worst_value = std::min(r.worst_value, *v);
-    }
-    ++r.windows_breached;
-    ++run;
-    if (run == rule.burn_windows) ++r.burns;
-    r.longest_burn_windows = std::max<std::uint64_t>(r.longest_burn_windows, run);
-  }
-  return r;
 }
 
 SteadyStateResult evaluate_steady(const Timeseries& ts, const SloConfig& cfg,
@@ -97,7 +52,7 @@ SteadyStateResult evaluate_steady(const Timeseries& ts, const SloConfig& cfg,
   for (std::size_t w = 0; w < windows.size(); ++w) {
     if (windows[w].end > cfg.evaluate_until) break;
     if (windows[w].start < fault.at) continue;  // straddling windows can't settle
-    const auto v = window_value(ts, cfg.steady_metric, cfg.steady_percentile, w);
+    const auto v = window_value(ts, cfg.steady_metric, w);
     if (!v.has_value() || !in_tolerance(*v)) {
       run = 0;
       continue;
@@ -120,23 +75,7 @@ SteadyStateResult evaluate_steady(const Timeseries& ts, const SloConfig& cfg,
 
 std::string node_str(NodeId id) { return id.valid() ? id.to_string() : "-"; }
 
-const char* kind_name(SloRule::Kind k) {
-  return k == SloRule::Kind::kLatencyCeiling ? "latency_ceiling" : "rate_floor";
-}
-
 }  // namespace
-
-std::uint64_t SloReport::total_breaches() const {
-  std::uint64_t n = 0;
-  for (const auto& r : rules) n += r.windows_breached;
-  return n;
-}
-
-std::uint64_t SloReport::total_burns() const {
-  std::uint64_t n = 0;
-  for (const auto& r : rules) n += r.burns;
-  return n;
-}
 
 bool SloReport::all_settled() const {
   return std::all_of(steady.begin(), steady.end(),
@@ -150,11 +89,6 @@ SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
   report.steady_tolerance = config.steady_tolerance;
   report.steady_windows = config.steady_windows;
 
-  report.rules.reserve(config.rules.size());
-  for (const SloRule& rule : config.rules) {
-    report.rules.push_back(evaluate_rule(ts, rule, config.evaluate_until));
-  }
-
   if (config.steady_metric.empty() || faults.empty()) return report;
 
   // Baseline: mean per-window value over windows fully before the earliest
@@ -167,7 +101,7 @@ SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
   const auto& windows = ts.windows();
   for (std::size_t w = 0; w < windows.size(); ++w) {
     if (windows[w].end > first_fault || windows[w].end > config.evaluate_until) break;
-    const auto v = window_value(ts, config.steady_metric, config.steady_percentile, w);
+    const auto v = window_value(ts, config.steady_metric, w);
     if (!v.has_value()) continue;
     baseline_sum += *v;
     ++baseline_n;
@@ -185,11 +119,6 @@ SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
 }
 
 void publish_slo_metrics(const SloReport& report, MetricsRegistry& registry) {
-  for (const auto& r : report.rules) {
-    registry.counter("slo.rule." + r.rule.name + ".windows_breached")
-        .inc(r.windows_breached);
-    registry.counter("slo.rule." + r.rule.name + ".burns").inc(r.burns);
-  }
   if (report.steady.empty()) return;
   auto& reached = registry.counter("slo.steady.reached");
   auto& unreached = registry.counter("slo.steady.unreached");
@@ -209,28 +138,8 @@ void append_slo_json(std::string& out, const SloReport& report) {
           json_escape(report.steady_metric).c_str(), report.steady_tolerance);
   appendf(out, ",\"steady_windows\":%llu",
           static_cast<unsigned long long>(report.steady_windows));
-  out += ",\"rules\":[";
+  out += ",\"steady_state\":[";
   bool first = true;
-  for (const auto& r : report.rules) {
-    if (!first) out += ',';
-    first = false;
-    appendf(out, "{\"name\":\"%s\",\"metric\":\"%s\",\"kind\":\"%s\"",
-            json_escape(r.rule.name).c_str(), json_escape(r.rule.metric).c_str(),
-            kind_name(r.rule.kind));
-    appendf(out, ",\"percentile\":%.0f,\"threshold\":%.6g,\"burn_windows\":%llu",
-            r.rule.percentile, r.rule.threshold,
-            static_cast<unsigned long long>(r.rule.burn_windows));
-    appendf(out, ",\"windows_evaluated\":%llu,\"windows_breached\":%llu",
-            static_cast<unsigned long long>(r.windows_evaluated),
-            static_cast<unsigned long long>(r.windows_breached));
-    appendf(out, ",\"burns\":%llu,\"longest_burn_windows\":%llu",
-            static_cast<unsigned long long>(r.burns),
-            static_cast<unsigned long long>(r.longest_burn_windows));
-    appendf(out, ",\"first_breach_ns\":%lld,\"worst_value\":%.6g}",
-            static_cast<long long>(r.first_breach_ns), r.worst_value);
-  }
-  out += "],\"steady_state\":[";
-  first = true;
   for (const auto& s : report.steady) {
     if (!first) out += ',';
     first = false;

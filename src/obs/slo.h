@@ -1,12 +1,11 @@
-// Declarative SLO rules and steady-state detection over a Timeseries.
+// Steady-state detection over a Timeseries.
 //
-// The engine is a pure function of the frame stream: evaluate_slo() walks
-// the windows once per rule, flags breaches, groups consecutive breaches
-// into burns, and — for each fault instant the harness hands it — finds
-// the first window after which K consecutive windows sit within tolerance
-// of the pre-fault baseline (time-to-steady-state, the recovery headline
-// number). Everything is integer window arithmetic over already-sampled
-// data, so results are deterministic whenever the timeline is.
+// The detector is a pure function of the frame stream: for each fault
+// instant the harness hands it, evaluate_slo() finds the first window after
+// which K consecutive windows sit within tolerance of the pre-fault
+// baseline (time-to-steady-state, the recovery headline number).
+// Everything is integer window arithmetic over already-sampled data, so
+// results are deterministic whenever the timeline is.
 //
 // Layering: obs cannot see net/fault.h (net depends on obs), so fault
 // instants arrive as plain FaultInstant records; the harness converts its
@@ -23,34 +22,6 @@
 #include "obs/timeseries.h"
 
 namespace domino::obs {
-
-/// One declarative rule over a sampled metric. Ceilings read a windowed
-/// histogram percentile (one of the sampled 50/95/99); floors read a
-/// counter's per-window rate in events/second.
-struct SloRule {
-  enum class Kind : std::uint8_t {
-    kLatencyCeiling,  // breach when percentile(metric) > threshold (ns)
-    kRateFloor,       // breach when delta(metric)/window_s < threshold (1/s)
-  };
-
-  std::string name;    // stable identifier used in reports and slo.* metrics
-  std::string metric;  // registry name; must already exist (rules never create metrics)
-  Kind kind = Kind::kLatencyCeiling;
-  double percentile = 95.0;  // ceilings only; snapped to 50/95/99
-  double threshold = 0.0;    // ns (ceiling) or events/second (floor)
-  /// A "burn" is a run of at least this many consecutive breached windows.
-  std::size_t burn_windows = 3;
-};
-
-struct SloRuleResult {
-  SloRule rule;
-  std::uint64_t windows_evaluated = 0;  // windows with data (ceilings skip empty)
-  std::uint64_t windows_breached = 0;
-  std::uint64_t burns = 0;  // maximal runs of >= rule.burn_windows breaches
-  std::uint64_t longest_burn_windows = 0;
-  std::int64_t first_breach_ns = -1;  // end of first breached window, -1 if none
-  double worst_value = 0.0;  // max over threshold (ceiling) / min under (floor)
-};
 
 /// A moment the steady-state detector should measure recovery from
 /// (crash, restart, partition heal, ...). `kind` is a display label.
@@ -71,15 +42,12 @@ struct SteadyStateResult {
 };
 
 struct SloConfig {
-  std::vector<SloRule> rules;
-
   /// Steady-state detector: the per-window value of `steady_metric`
-  /// (histogram percentile, or counter rate in events/second) must sit
-  /// within `steady_tolerance` of the pre-fault baseline for
+  /// (histogram p95, or counter rate in events/second) must sit within
+  /// `steady_tolerance` of the pre-fault baseline for
   /// `steady_windows` consecutive windows. Tolerance is direction-aware:
   /// an improvement (lower latency, higher rate) is always in tolerance.
   std::string steady_metric = "client.commit_latency_ns";
-  double steady_percentile = 95.0;
   double steady_tolerance = 0.25;
   std::size_t steady_windows = 3;
 
@@ -87,37 +55,30 @@ struct SloConfig {
   /// the end of the load window so drained-load windows can't masquerade
   /// as (or prevent) steady state.
   TimePoint evaluate_until = TimePoint::max();
-
-  [[nodiscard]] bool enabled() const {
-    return !rules.empty() || !steady_metric.empty();
-  }
 };
 
 struct SloReport {
-  std::vector<SloRuleResult> rules;
   std::vector<SteadyStateResult> steady;
   std::string steady_metric;
   double steady_tolerance = 0.0;
   std::size_t steady_windows = 0;
 
-  [[nodiscard]] std::uint64_t total_breaches() const;
-  [[nodiscard]] std::uint64_t total_burns() const;
   /// True iff every fault instant reached steady state.
   [[nodiscard]] bool all_settled() const;
 };
 
-/// Evaluate rules and steady-state over the timeline. Faults are evaluated
-/// in the order given; a rule naming a metric the timeline never sampled
-/// evaluates zero windows (reported, not an error).
+/// Evaluate steady state over the timeline, one result per fault in the
+/// order given. A steady_metric the timeline never sampled settles no
+/// fault (reported, not an error).
 [[nodiscard]] SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
                                      const std::vector<FaultInstant>& faults);
 
-/// Surface the report as slo.* metrics (per-rule breach/burn counters, a
-/// steady-state reached/unreached pair and a time-to-steady histogram) so
-/// existing exports and report summaries pick it up with no new plumbing.
+/// Surface the report as slo.* metrics (a steady-state reached/unreached
+/// pair and a time-to-steady histogram) so existing exports and report
+/// summaries pick it up with no new plumbing.
 void publish_slo_metrics(const SloReport& report, MetricsRegistry& registry);
 
-/// Append {"rules":[...],"steady_state":[...],...} — fixed keys only.
+/// Append {"steady_metric":...,"steady_state":[...]} — fixed keys only.
 void append_slo_json(std::string& out, const SloReport& report);
 
 }  // namespace domino::obs

@@ -57,7 +57,7 @@ struct DurableConfig {
   Duration sync_latency = Duration::zero();
 };
 
-/// Per-node recovery accounting, aggregated into RunResult/RunReport.
+/// Per-node recovery accounting, aggregated into RunResult and the run report.
 struct RecoveryStats {
   std::uint64_t persisted_records = 0;
   std::uint64_t persisted_bytes = 0;

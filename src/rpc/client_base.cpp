@@ -29,30 +29,6 @@ void ClientBase::set_request_timeout(Duration timeout, std::size_t max_retries) 
   max_retries_ = max_retries;
 }
 
-void ClientBase::set_retry_backoff(double multiplier, Duration cap, double jitter,
-                                   std::uint64_t seed) {
-  backoff_multiplier_ = multiplier;
-  backoff_cap_ = cap;
-  backoff_jitter_ = jitter;
-  backoff_rng_.emplace(seed);
-  // Created here rather than in init_obs so clients that never enable
-  // backoff register no extra metric.
-  obs_retry_backoff_ = obs_sink().histogram("client.retry_backoff_ns");
-}
-
-Duration ClientBase::backoff_delay(std::size_t attempt) {
-  if (!backoff_rng_.has_value()) return request_timeout_;
-  const double cap_ns = static_cast<double>(backoff_cap_.nanos());
-  double ns = static_cast<double>(request_timeout_.nanos());
-  for (std::size_t k = 1; k < attempt; ++k) {
-    ns *= backoff_multiplier_;
-    if (backoff_cap_ > Duration::zero() && ns >= cap_ns) break;
-  }
-  if (backoff_cap_ > Duration::zero() && ns > cap_ns) ns = cap_ns;
-  if (backoff_jitter_ > 0.0) ns *= 1.0 + backoff_jitter_ * backoff_rng_->next_double();
-  return Duration{static_cast<std::int64_t>(ns)};
-}
-
 void ClientBase::submit(sm::Command command) {
   ++submitted_;
   sent_at_.emplace(command.id, true_now());
@@ -87,12 +63,7 @@ obs::SpanId ClientBase::root_span_of(const RequestId& id) const {
 }
 
 void ClientBase::arm_timeout(const RequestId& id, std::size_t attempt) {
-  // The wait before retry (attempt + 1); the plain timeout when backoff is
-  // not configured.
-  const Duration wait = backoff_rng_.has_value() ? backoff_delay(attempt + 1)
-                                                 : request_timeout_;
-  if (backoff_rng_.has_value()) obs_retry_backoff_.record(wait);
-  after(wait, [this, id, attempt] {
+  after(request_timeout_, [this, id, attempt] {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;           // committed meanwhile
     if (it->second.attempts != attempt) return;  // stale timer from an older attempt

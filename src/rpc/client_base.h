@@ -13,12 +13,10 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/interval_set.h"
-#include "common/rng.h"
 #include "rpc/node.h"
 #include "statemachine/workload.h"
 
@@ -51,20 +49,6 @@ class ClientBase : public Node {
   /// Duration::zero() disables (the default).
   void set_request_timeout(Duration timeout, std::size_t max_retries = 3);
   [[nodiscard]] Duration request_timeout() const { return request_timeout_; }
-
-  /// Deterministic exponential backoff between retries. The wait before
-  /// retry k (k = 1 for the first retry) is
-  ///   min(timeout * multiplier^(k-1), cap) * (1 + jitter * u)
-  /// with u drawn uniformly from [0, 1) by a client-owned generator seeded
-  /// with `seed` — same seed, same backoff sequence. multiplier = 1 and
-  /// jitter = 0 (the defaults) reproduce the legacy fixed interval. Each
-  /// realized wait is recorded in the client.retry_backoff_ns histogram.
-  void set_retry_backoff(double multiplier, Duration cap, double jitter,
-                         std::uint64_t seed);
-
-  /// The wait armed before retry `attempt` (attempt >= 1); exposed for the
-  /// backoff unit test.
-  [[nodiscard]] Duration backoff_delay(std::size_t attempt);
 
   [[nodiscard]] std::uint64_t submitted_count() const { return submitted_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
@@ -115,7 +99,6 @@ class ClientBase : public Node {
   obs::CounterHandle obs_retries_;
   obs::CounterHandle obs_abandoned_;
   obs::HistogramHandle obs_commit_latency_;
-  obs::HistogramHandle obs_retry_backoff_;
   std::unordered_map<RequestId, TimePoint> sent_at_;  // true send time
   std::unordered_map<RequestId, obs::SpanId> root_spans_;  // live command traces
   // Committed request seqs. Seqs commit mostly in order, so they coalesce
@@ -125,10 +108,6 @@ class ClientBase : public Node {
   std::unordered_set<std::uint64_t> abandoned_seqs_;  // for late-commit fixup
   Duration request_timeout_ = Duration::zero();       // zero = disabled
   std::size_t max_retries_ = 0;
-  double backoff_multiplier_ = 1.0;                   // 1.0 = fixed interval
-  Duration backoff_cap_ = Duration::zero();           // zero = uncapped
-  double backoff_jitter_ = 0.0;
-  std::optional<Rng> backoff_rng_;                    // seeded on demand
   std::uint64_t submitted_ = 0;
   std::uint64_t committed_ = 0;
   std::uint64_t retries_ = 0;

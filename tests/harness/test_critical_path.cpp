@@ -12,6 +12,7 @@
 
 #include "harness/run_report.h"
 #include "harness/runner.h"
+#include "obs/chrome_trace.h"
 
 namespace domino::harness {
 namespace {
@@ -183,16 +184,17 @@ TEST(CriticalPathRun, DominoFastPathShowsQuorumWait) {
 
 TEST(CriticalPathRun, ChromeTraceValidatesAndIsDeterministic) {
   const Scenario s = traced_scenario();
-  const RunReport a = make_report(Protocol::kDomino, s, run_domino(s));
-  const RunReport b = make_report(Protocol::kDomino, s, run_domino(s));
+  const RunResult a = run_domino(s);
+  const RunResult b = run_domino(s);
 
-  const std::string json_a = a.chrome_trace();
-  const std::string json_b = b.chrome_trace();
+  const std::string json_a = obs::chrome_trace_json(a.spans.get(), a.trace.get());
+  const std::string json_b = obs::chrome_trace_json(b.spans.get(), b.trace.get());
   EXPECT_FALSE(json_a.empty());
   EXPECT_TRUE(JsonChecker(json_a).valid());
   // Byte-identical across two same-seed runs.
   EXPECT_EQ(json_a, json_b);
-  EXPECT_EQ(a.command_csv(), b.command_csv());
+  EXPECT_EQ(obs::paths_to_csv(a.critical_paths, "Domino"),
+            obs::paths_to_csv(b.critical_paths, "Domino"));
 
   // Spot checks: lanes, span events, flow bindings.
   EXPECT_NE(json_a.find("\"thread_name\""), std::string::npos);
@@ -202,7 +204,7 @@ TEST(CriticalPathRun, ChromeTraceValidatesAndIsDeterministic) {
   EXPECT_NE(json_a.find("DfpPropose"), std::string::npos);
 
   // The JSON report carries the span accounting fields.
-  const std::string report = a.to_json();
+  const std::string report = report_json(Protocol::kDomino, s, a);
   EXPECT_NE(report.find("\"spans_recorded\":"), std::string::npos);
   EXPECT_NE(report.find("\"trace_events\":"), std::string::npos);
   EXPECT_EQ(report.find("\"trace_events_dropped\""), std::string::npos);
@@ -219,8 +221,8 @@ TEST(CriticalPathRun, FaultEventsAppearAsInstants) {
   const std::size_t leader = closest_replica(s.topology, s.replica_dcs, s.client_dcs[0]);
   s.faults.crash_for(TimePoint::epoch() + s.warmup + milliseconds(800),
                      NodeId{static_cast<std::uint32_t>(leader)}, milliseconds(800));
-  const RunReport report = make_report(Protocol::kDomino, s, run_domino(s));
-  const std::string json = report.chrome_trace();
+  const RunResult r = run_domino(s);
+  const std::string json = obs::chrome_trace_json(r.spans.get(), r.trace.get());
   EXPECT_TRUE(JsonChecker(json).valid());
   EXPECT_NE(json.find("\"cat\":\"fault\""), std::string::npos);
   EXPECT_NE(json.find("\"node_crash\""), std::string::npos);

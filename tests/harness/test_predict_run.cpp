@@ -163,31 +163,27 @@ TEST(PredictRun, DisabledByDefaultAndNullWhenOff) {
   ASSERT_NE(r.metrics, nullptr);
   EXPECT_EQ(r.metrics->find_counter("predict.decisions"), nullptr);
   // The report omits the predict/calibration blocks entirely.
-  const RunReport report = make_report(Protocol::kDomino, s, r);
-  EXPECT_EQ(report.to_json().find("\"predict\""), std::string::npos);
-  const std::string csv = report.predict_csv();
-  EXPECT_EQ(csv.find('\n'), csv.size() - 1);  // header only
+  EXPECT_EQ(report_json(Protocol::kDomino, s, r).find("\"predict\""), std::string::npos);
 }
 
 TEST(PredictRun, SameSeedExportsAreByteIdentical) {
   const Scenario s = audit_scenario();
   const RunResult a = run_domino(s);
   const RunResult b = run_domino(s);
-  const RunReport ra = make_report(Protocol::kDomino, s, a);
-  const RunReport rb = make_report(Protocol::kDomino, s, b);
   ASSERT_GT(a.predict->reconciled(), 0u);
-  EXPECT_EQ(ra.predict_csv(), rb.predict_csv());
-  EXPECT_EQ(ra.calibration_csv(), rb.calibration_csv());
-  EXPECT_EQ(ra.to_json(), rb.to_json());
+  EXPECT_EQ(obs::decisions_to_csv(a.predict->records(), "Domino"),
+            obs::decisions_to_csv(b.predict->records(), "Domino"));
+  EXPECT_EQ(obs::calibration_to_csv(a.calibration), obs::calibration_to_csv(b.calibration));
+  EXPECT_EQ(report_json(Protocol::kDomino, s, a), report_json(Protocol::kDomino, s, b));
 }
 
 TEST(PredictRun, WritesSampleCsvsForTooling) {
   // scripts/check.sh --predict smoke-feeds these to predict_summary.py.
   const Scenario s = audit_scenario();
   const RunResult r = run_domino(s);
-  const RunReport report = make_report(Protocol::kDomino, s, r);
-  const std::string decisions = report.predict_csv();
-  const std::string calibration = report.calibration_csv();
+  ASSERT_NE(r.predict, nullptr);
+  const std::string decisions = obs::decisions_to_csv(r.predict->records(), "Domino");
+  const std::string calibration = obs::calibration_to_csv(r.calibration);
   std::ofstream out("predict_sample.csv", std::ios::binary);
   ASSERT_TRUE(out.good());
   out << decisions;

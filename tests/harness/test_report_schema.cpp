@@ -1,4 +1,4 @@
-// Golden-file test locking the RunReport JSON *schema*: the set, order and
+// Golden-file test locking the run report's JSON *schema* (report_json): the set, order and
 // shape of keys, not the values. The run report is the contract between the
 // harness and every downstream tool (scripts/, notebooks, CI artifacts);
 // renaming or dropping a key must fail a test, while changing a value (new
@@ -160,8 +160,8 @@ std::string golden_path() {
 
 TEST(ReportSchema, JsonKeysAndShapesMatchGolden) {
   // The richest report: observability + spans + prediction audit + windowed
-  // telemetry with an SLO rule and a fault (so the timeline and slo blocks
-  // appear with non-empty rule/steady arrays), Domino.
+  // telemetry with a fault (so the timeline and slo blocks appear with a
+  // non-empty steady-state array), Domino.
   Scenario full = schema_scenario();
   full.command_spans = true;
   full.prediction_audit = true;
@@ -169,25 +169,21 @@ TEST(ReportSchema, JsonKeysAndShapesMatchGolden) {
   full.faults.crash_for(TimePoint::epoch() + milliseconds(800), NodeId{1},
                         milliseconds(300));
   full.client_request_timeout = milliseconds(300);
-  full.slo.rules.push_back(obs::SloRule{"commit_p95", "client.commit_latency_ns",
-                                        obs::SloRule::Kind::kLatencyCeiling, 95.0,
-                                        /*threshold=*/1.5e9, /*burn_windows=*/2});
   full.slo.steady_metric = "client.committed";
   full.slo.steady_windows = 2;
-  const RunReport rich =
-      make_report(Protocol::kDomino, full, run_domino(full));
+  const std::string rich = report_json(Protocol::kDomino, full, run_domino(full));
 
   // The leanest: observability off (no metrics/trace/audit blocks at all).
   Scenario min = schema_scenario();
   min.observability = false;
-  const RunReport lean = make_report(Protocol::kDomino, min, run_domino(min));
+  const std::string lean = report_json(Protocol::kDomino, min, run_domino(min));
 
   std::string actual;
   actual += "# RunReport::to_json schema (keys and shapes, not values)\n";
   actual += "## full: observability + command_spans + prediction_audit + timeline/slo\n";
-  actual += SchemaWalker(rich.to_json()).schema();
+  actual += SchemaWalker(rich).schema();
   actual += "## minimal: observability off\n";
-  actual += SchemaWalker(lean.to_json()).schema();
+  actual += SchemaWalker(lean).schema();
 
   if (std::getenv("DOMINO_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(golden_path(), std::ios::binary);
@@ -202,7 +198,7 @@ TEST(ReportSchema, JsonKeysAndShapesMatchGolden) {
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), actual)
-      << "RunReport JSON schema changed. If intentional, regenerate with\n"
+      << "Run report JSON schema changed. If intentional, regenerate with\n"
          "  DOMINO_UPDATE_GOLDEN=1 ./tests/test_harness "
          "--gtest_filter='ReportSchema.*'";
 }
@@ -214,11 +210,10 @@ TEST(ReportSchema, SchemaIsValueIndependent) {
   Scenario b = a;
   b.seed = 1234;
   b.rps = 80;
-  const RunReport ra = make_report(Protocol::kDomino, a, run_domino(a));
-  const RunReport rb = make_report(Protocol::kDomino, b, run_domino(b));
-  EXPECT_NE(ra.to_json(), rb.to_json());  // values differ...
-  EXPECT_EQ(SchemaWalker(ra.to_json()).schema(),
-            SchemaWalker(rb.to_json()).schema());  // ...schema does not
+  const std::string ra = report_json(Protocol::kDomino, a, run_domino(a));
+  const std::string rb = report_json(Protocol::kDomino, b, run_domino(b));
+  EXPECT_NE(ra, rb);  // values differ...
+  EXPECT_EQ(SchemaWalker(ra).schema(), SchemaWalker(rb).schema());  // ...schema does not
 }
 
 }  // namespace

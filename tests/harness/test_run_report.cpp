@@ -1,10 +1,11 @@
 // Integration tests of the observability layer: a real Domino run must
 // produce a consistent metrics registry, per-link delivery histograms and a
-// deterministic trace, all exposed through the RunReport.
+// deterministic trace, all exposed through the run report.
 #include "harness/run_report.h"
 
 #include <gtest/gtest.h>
 
+#include "obs/chrome_trace.h"
 #include "obs/export.h"
 
 namespace domino::harness {
@@ -97,9 +98,8 @@ TEST(RunReport, SameSeedRunsProduceIdenticalTraceAndMetrics) {
   EXPECT_EQ(obs::trace_to_json(*a.trace), obs::trace_to_json(*b.trace));
   EXPECT_EQ(obs::metrics_to_json(*a.metrics), obs::metrics_to_json(*b.metrics));
 
-  const RunReport ra = make_report(Protocol::kDomino, s, a);
-  const RunReport rb = make_report(Protocol::kDomino, s, b);
-  EXPECT_EQ(ra.to_json(/*include_trace=*/true), rb.to_json(/*include_trace=*/true));
+  EXPECT_EQ(report_json(Protocol::kDomino, s, a, /*include_trace=*/true),
+            report_json(Protocol::kDomino, s, b, /*include_trace=*/true));
 }
 
 /// Fig. 8c Globe setting: replicas WA/PR/NSW, one open-loop client per
@@ -137,7 +137,7 @@ TEST(RunReport, FaultLaneIsCompleteAtDefaultSettings) {
     SCOPED_TRACE(protocol_name(p));
     const RunResult r = run_protocol(p, s);
     ASSERT_EQ(r.fault_transitions, 4u);
-    const std::string json = make_report(p, s, r).chrome_trace();
+    const std::string json = obs::chrome_trace_json(r.spans.get(), r.trace.get());
     EXPECT_EQ(count_of(json, "\"cat\":\"fault\""), r.fault_transitions);
     EXPECT_EQ(count_of(json, "\"link_partition\""), 2u);
     EXPECT_EQ(count_of(json, "\"link_heal\""), 2u);
@@ -164,8 +164,7 @@ TEST(RunReport, DisabledObservabilityYieldsNullRegistries) {
   EXPECT_EQ(r.trace, nullptr);
   EXPECT_GT(r.committed, 0u);  // the run itself still works
   // And the report degrades gracefully.
-  const RunReport report = make_report(Protocol::kDomino, s, r);
-  const std::string json = report.to_json();
+  const std::string json = report_json(Protocol::kDomino, s, r);
   EXPECT_NE(json.find("\"protocol\":\"Domino\""), std::string::npos);
   EXPECT_EQ(json.find("\"metrics\""), std::string::npos);
 }
@@ -173,10 +172,10 @@ TEST(RunReport, DisabledObservabilityYieldsNullRegistries) {
 TEST(RunReport, JsonCarriesLatencySummaryAndCounters) {
   const Scenario s = small_scenario();
   const RunResult r = run_domino(s);
-  const RunReport report = make_report(Protocol::kDomino, s, r);
-  EXPECT_EQ(report.committed, r.committed);
-  EXPECT_EQ(report.latency.committed, r.committed);  // collector is the source
-  const std::string json = report.to_json();
+  EXPECT_EQ(r.latency.committed, r.committed);  // collector is the source
+  const std::string json = report_json(Protocol::kDomino, s, r);
+  EXPECT_NE(json.find(",\n\"committed\":" + std::to_string(r.committed) + ","),
+            std::string::npos);
   EXPECT_NE(json.find("\"commit_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"domino.dfp.fast_commits\""), std::string::npos);
   EXPECT_NE(json.find("net.link.WA->PR.delay_ns"), std::string::npos);

@@ -1,7 +1,7 @@
-// Integration tests of the windowed-telemetry sampler and SLO engine on
-// real simulated runs: off-by-default equivalence, flush conservation
-// (window deltas sum to the lifetime totals), byte-identical same-seed
-// timelines, and SLO/steady-state evaluation over a faulted run.
+// Integration tests of the windowed-telemetry sampler and steady-state
+// detector on real simulated runs: off-by-default equivalence, flush
+// conservation (window deltas sum to the lifetime totals), byte-identical
+// same-seed timelines, and steady-state evaluation over a faulted run.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -32,14 +32,6 @@ Scenario faulted_scenario() {
                      milliseconds(400));
   s.client_request_timeout = milliseconds(300);
   s.client_max_retries = 8;
-  s.slo.rules.push_back(obs::SloRule{
-      "commit_p95",
-      "client.commit_latency_ns",
-      obs::SloRule::Kind::kLatencyCeiling,
-      95.0,
-      /*threshold=*/1.5e9,
-      /*burn_windows=*/2,
-  });
   s.slo.steady_metric = "client.committed";
   s.slo.steady_tolerance = 0.5;
   s.slo.steady_windows = 2;
@@ -51,15 +43,12 @@ TEST(TimelineRun, OffByDefaultLeavesExportsUntouched) {
   s.timeseries_interval = Duration::zero();
   const RunResult r = run_domino(s);
   EXPECT_EQ(r.timeseries, nullptr);
-  EXPECT_TRUE(r.slo.rules.empty());
   EXPECT_TRUE(r.slo.steady.empty());
   ASSERT_NE(r.metrics, nullptr);
   EXPECT_EQ(r.metrics->find_counter("slo.steady.reached"), nullptr);
-  const RunReport report = make_report(Protocol::kDomino, s, r);
-  EXPECT_EQ(report.to_json().find("\"timeline\""), std::string::npos);
-  EXPECT_EQ(report.to_json().find("\"slo\""), std::string::npos);
-  const std::string csv = report.timeline_csv();
-  EXPECT_EQ(csv.find('\n'), csv.size() - 1);  // header only
+  const std::string json = report_json(Protocol::kDomino, s, r);
+  EXPECT_EQ(json.find("\"timeline\""), std::string::npos);
+  EXPECT_EQ(json.find("\"slo\""), std::string::npos);
 }
 
 TEST(TimelineRun, SamplerDoesNotPerturbTheRun) {
@@ -119,18 +108,15 @@ TEST(TimelineRun, SameSeedTimelineIsByteIdentical) {
   const Scenario s = faulted_scenario();
   const RunResult a = run_domino(s);
   const RunResult b = run_domino(s);
-  const RunReport ra = make_report(Protocol::kDomino, s, a);
-  const RunReport rb = make_report(Protocol::kDomino, s, b);
   ASSERT_NE(a.timeseries, nullptr);
-  EXPECT_EQ(ra.timeline_csv(), rb.timeline_csv());
-  EXPECT_EQ(ra.to_json(), rb.to_json());
+  ASSERT_NE(b.timeseries, nullptr);
+  EXPECT_EQ(obs::timeseries_to_csv(*a.timeseries), obs::timeseries_to_csv(*b.timeseries));
+  EXPECT_EQ(report_json(Protocol::kDomino, s, a), report_json(Protocol::kDomino, s, b));
 }
 
 TEST(TimelineRun, SloEvaluatesRulesAndSteadyStateOverFaults) {
   const Scenario s = faulted_scenario();
   const RunResult r = run_domino(s);
-  ASSERT_EQ(r.slo.rules.size(), 1u);
-  EXPECT_GT(r.slo.rules[0].windows_evaluated, 0u);
 
   // One steady-state verdict per scheduled fault event (crash + recover).
   ASSERT_EQ(r.slo.steady.size(), 2u);
@@ -149,14 +135,12 @@ TEST(TimelineRun, SloEvaluatesRulesAndSteadyStateOverFaults) {
   const auto* reached = r.metrics->find_counter("slo.steady.reached");
   ASSERT_NE(reached, nullptr);
   EXPECT_EQ(reached->value(), 2u);
-  EXPECT_NE(r.metrics->find_counter("slo.rule.commit_p95.windows_breached"), nullptr);
 }
 
 TEST(TimelineRun, ReportCarriesTimelineAndSloBlocks) {
   const Scenario s = faulted_scenario();
   const RunResult r = run_domino(s);
-  const RunReport report = make_report(Protocol::kDomino, s, r);
-  const std::string json = report.to_json();
+  const std::string json = report_json(Protocol::kDomino, s, r);
   EXPECT_NE(json.find("\"timeline\":{\"interval_ms\":200.000"), std::string::npos);
   EXPECT_NE(json.find("\"slo\":{"), std::string::npos);
   EXPECT_NE(json.find("\"steady_state\":["), std::string::npos);
@@ -168,16 +152,17 @@ TEST(TimelineRun, WritesSampleOutputsForTooling) {
   // scripts/check.sh --timeline smoke-feeds these to timeline_summary.py.
   const Scenario s = faulted_scenario();
   const RunResult r = run_domino(s);
-  const RunReport report = make_report(Protocol::kDomino, s, r);
+  ASSERT_NE(r.timeseries, nullptr);
+  const std::string timeline = obs::timeseries_to_csv(*r.timeseries);
   std::ofstream csv("timeline_sample.csv", std::ios::binary);
   ASSERT_TRUE(csv.good());
-  csv << report.timeline_csv();
+  csv << timeline;
   csv.close();
   std::ofstream json("timeline_sample.json", std::ios::binary);
   ASSERT_TRUE(json.good());
-  json << report.to_json();
+  json << report_json(Protocol::kDomino, s, r);
   json.close();
-  EXPECT_GT(report.timeline_csv().size(), 1000u);
+  EXPECT_GT(timeline.size(), 1000u);
 }
 
 }  // namespace

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-
 #include "net/network.h"
 
 namespace domino::rpc {
@@ -186,6 +183,22 @@ class FlakyClient : public ClientBase {
   std::size_t drop_remaining_;
 };
 
+/// Client whose propose() records virtual send times and commits nothing.
+class SinkClient : public ClientBase {
+ public:
+  SinkClient(NodeId id, net::Network& network, sim::Simulator& simulator)
+      : ClientBase(id, 0, network, sim::LocalClock{}), sim_(simulator) {}
+
+  std::vector<TimePoint> propose_times;
+
+ protected:
+  void propose(const sm::Command&) override { propose_times.push_back(sim_.now()); }
+  void on_packet(const net::Packet&) override {}
+
+ private:
+  sim::Simulator& sim_;
+};
+
 sm::Command command_for(NodeId client, std::uint64_t seq) {
   sm::Command cmd;
   cmd.id = RequestId{client, seq};
@@ -215,14 +228,19 @@ TEST(ClientBase, TimeoutRetriesUntilCommit) {
 TEST(ClientBase, AbandonsAfterMaxRetries) {
   sim::Simulator simulator;
   net::Network network(simulator, one_dc(), 1);
-  FlakyClient c(NodeId{1000}, network, milliseconds(5), /*drop_first=*/100);
+  SinkClient c(NodeId{1000}, network, simulator);
   c.attach();
   c.set_request_timeout(milliseconds(20), /*max_retries=*/2);
 
   c.submit(command_for(NodeId{1000}, 0));
   simulator.run();
 
-  EXPECT_EQ(c.proposals, 3u);  // initial + 2 retries, all lost
+  // Initial proposal + 2 retries, all lost, each a full timeout after the
+  // last; the third timeout abandons the request.
+  const TimePoint t0 = TimePoint::epoch();
+  EXPECT_EQ(c.propose_times,
+            (std::vector<TimePoint>{t0, t0 + milliseconds(20), t0 + milliseconds(40)}));
+  EXPECT_EQ(simulator.now(), t0 + milliseconds(60));
   EXPECT_EQ(c.retry_count(), 2u);
   EXPECT_EQ(c.committed_count(), 0u);
   EXPECT_EQ(c.abandoned_count(), 1u);
@@ -297,121 +315,6 @@ TEST(ClientBase, CustomTimeoutHookOverridesDefault) {
   EXPECT_EQ(c.committed_count(), 1u);
   EXPECT_EQ(c.retry_count(), 1u);
   EXPECT_EQ(c.abandoned_count(), 0u);
-}
-
-// --- Retry backoff -------------------------------------------------------
-
-/// Client whose propose() records virtual send times and commits nothing.
-class SinkClient : public ClientBase {
- public:
-  SinkClient(NodeId id, net::Network& network, sim::Simulator& simulator)
-      : ClientBase(id, 0, network, sim::LocalClock{}), sim_(simulator) {}
-
-  std::vector<TimePoint> propose_times;
-
- protected:
-  void propose(const sm::Command&) override { propose_times.push_back(sim_.now()); }
-  void on_packet(const net::Packet&) override {}
-
- private:
-  sim::Simulator& sim_;
-};
-
-TEST(ClientBackoff, DelayGrowsExponentiallyAndClampsAtCap) {
-  sim::Simulator simulator;
-  net::Network network(simulator, one_dc(), 1);
-  SinkClient c(NodeId{1000}, network, simulator);
-  c.attach();
-  c.set_request_timeout(milliseconds(10));
-  c.set_retry_backoff(/*multiplier=*/2.0, /*cap=*/milliseconds(25),
-                      /*jitter=*/0.0, /*seed=*/7);
-
-  EXPECT_EQ(c.backoff_delay(1), milliseconds(10));
-  EXPECT_EQ(c.backoff_delay(2), milliseconds(20));
-  EXPECT_EQ(c.backoff_delay(3), milliseconds(25));  // 40 clamped to the cap
-  EXPECT_EQ(c.backoff_delay(4), milliseconds(25));
-  EXPECT_EQ(c.backoff_delay(10), milliseconds(25));
-}
-
-TEST(ClientBackoff, DefaultsReproduceLegacyFixedInterval) {
-  sim::Simulator simulator;
-  net::Network network(simulator, one_dc(), 1);
-  SinkClient plain(NodeId{1000}, network, simulator);
-  plain.attach();
-  plain.set_request_timeout(milliseconds(10));
-  // Backoff never configured: every wait is the plain timeout.
-  EXPECT_EQ(plain.backoff_delay(1), milliseconds(10));
-  EXPECT_EQ(plain.backoff_delay(5), milliseconds(10));
-
-  SinkClient legacy(NodeId{1001}, network, simulator);
-  legacy.attach();
-  legacy.set_request_timeout(milliseconds(10));
-  legacy.set_retry_backoff(/*multiplier=*/1.0, /*cap=*/Duration::zero(),
-                           /*jitter=*/0.0, /*seed=*/7);
-  // multiplier = 1, jitter = 0 is the legacy fixed interval, explicitly.
-  EXPECT_EQ(legacy.backoff_delay(1), milliseconds(10));
-  EXPECT_EQ(legacy.backoff_delay(5), milliseconds(10));
-}
-
-TEST(ClientBackoff, JitterIsSeededAndDeterministic) {
-  sim::Simulator simulator;
-  net::Network network(simulator, one_dc(), 1);
-
-  NodeId next_id{1000};
-  const auto sequence = [&](std::uint64_t seed) {
-    SinkClient c(next_id, network, simulator);
-    next_id = NodeId{next_id.value() + 1};
-    c.attach();
-    c.set_request_timeout(milliseconds(10));
-    c.set_retry_backoff(/*multiplier=*/2.0, /*cap=*/milliseconds(200),
-                        /*jitter=*/0.5, seed);
-    std::vector<Duration> waits;
-    for (std::size_t attempt = 1; attempt <= 5; ++attempt) {
-      waits.push_back(c.backoff_delay(attempt));
-    }
-    return waits;
-  };
-
-  const std::vector<Duration> a = sequence(42);
-  const std::vector<Duration> b = sequence(42);
-  EXPECT_EQ(a, b);  // same seed, same jittered sequence
-
-  // Every jittered wait stays within [base, base * (1 + jitter)).
-  for (std::size_t attempt = 1; attempt <= 5; ++attempt) {
-    const double base = static_cast<double>(milliseconds(10).nanos()) *
-                        std::pow(2.0, static_cast<double>(attempt - 1));
-    const double clamped = std::min(base, static_cast<double>(milliseconds(200).nanos()));
-    EXPECT_GE(static_cast<double>(a[attempt - 1].nanos()), clamped);
-    EXPECT_LT(static_cast<double>(a[attempt - 1].nanos()), clamped * 1.5);
-  }
-
-  // A different seed draws different jitter (overwhelmingly likely over
-  // five attempts).
-  EXPECT_NE(a, sequence(43));
-}
-
-TEST(ClientBackoff, RetriesFireAtBackoffInstantsThenAbandon) {
-  sim::Simulator simulator;
-  net::Network network(simulator, one_dc(), 1);
-  SinkClient c(NodeId{1000}, network, simulator);
-  c.attach();
-  c.set_request_timeout(milliseconds(10), /*max_retries=*/2);
-  c.set_retry_backoff(/*multiplier=*/2.0, /*cap=*/Duration::zero(),
-                      /*jitter=*/0.0, /*seed=*/7);
-
-  c.submit(command_for(NodeId{1000}, 0));
-  simulator.run();
-
-  // Initial proposal at 0; retry 1 after 10 ms; retry 2 another 20 ms on;
-  // the final 40 ms timer then exhausts the budget and abandons.
-  const TimePoint t0 = TimePoint::epoch();
-  ASSERT_EQ(c.propose_times.size(), 3u);
-  EXPECT_EQ(c.propose_times[0], t0);
-  EXPECT_EQ(c.propose_times[1], t0 + milliseconds(10));
-  EXPECT_EQ(c.propose_times[2], t0 + milliseconds(30));
-  EXPECT_EQ(c.retry_count(), 2u);
-  EXPECT_EQ(c.abandoned_count(), 1u);
-  EXPECT_EQ(simulator.now(), t0 + milliseconds(70));  // 30 + the last 40 ms wait
 }
 
 }  // namespace
