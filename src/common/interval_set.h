@@ -61,7 +61,13 @@ class IntervalSet {
 /// client instead of one hash node per request.
 class RequestIdSet {
  public:
-  void insert(const RequestId& id) { seqs_[id.client].insert(seq(id)); }
+  /// Adds `id`; true when it was not already in the set.
+  bool insert(const RequestId& id) {
+    IntervalSet& seqs = seqs_[id.client];
+    if (seqs.contains(seq(id))) return false;
+    seqs.insert(seq(id));
+    return true;
+  }
   [[nodiscard]] bool contains(const RequestId& id) const {
     const auto it = seqs_.find(id.client);
     return it != seqs_.end() && it->second.contains(seq(id));

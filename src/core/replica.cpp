@@ -500,8 +500,8 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
 }
 
 void Replica::reroute_via_dm(const sm::Command& command) {
-  if (dfp_committed_.contains(command.id)) return;   // already committed via DFP
-  if (!rerouted_.insert(command.id).second) return;  // already re-proposed
+  if (dfp_committed_.contains(command.id)) return;  // already committed via DFP
+  if (!rerouted_.insert(command.id)) return;        // already re-proposed
   obs_rerouted_.inc();
   dm_lead(command, /*reply_via_dfp=*/true);
 }
@@ -885,7 +885,7 @@ void Replica::try_finalize_dfp_range() {
   resolve.through_ts = round.to;
   for (const auto& [ts, cmd] : round.entries) {
     resolve.entries.push_back(RangeEntryWire{ts, cmd});
-    if (dfp_committed_.insert(cmd.id).second) {
+    if (dfp_committed_.insert(cmd.id)) {
       ++dfp_slow_commits_;
       obs_dfp_slow_.inc();
       // The client may not have reached a supermajority on its own; tell it
@@ -1112,10 +1112,7 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
   const log::LogPosition frontier = log_.global_frontier();
   reply.frontier = frontier.ts;
   reply.frontier_lane = frontier.lane;
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
+  reply.snapshot = recovery::export_snapshot(store_);
   // Per-lane committed-no-op watermarks: they cover the empty positions a
   // requester cannot otherwise resolve (e.g. a revoked lane whose leader is
   // still down and so sends no clock heartbeats).
@@ -1137,10 +1134,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
   if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
   const log::LogPosition peer_frontier{msg.frontier, msg.frontier_lane};
   if (log_.global_frontier() < peer_frontier) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
+    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
     log_.fast_forward(peer_frontier);
     persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
   }

@@ -31,6 +31,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/interval_set.h"
 #include "core/messages.h"
 #include "log/global_log.h"
 #include "measure/estimator.h"
@@ -210,7 +211,7 @@ class Replica : public rpc::Node {
   std::map<std::int64_t, DfpPosition> dfp_positions_;  // ordered by timestamp
   std::vector<TimePoint> replica_watermarks_;          // per rank, coordinator view
   std::int64_t commit_frontier_ = 0;
-  std::unordered_set<RequestId> dfp_committed_;  // requests committed via DFP
+  RequestIdSet dfp_committed_;  // requests committed via DFP
 
   // DM leader state: pending replication per own-lane timestamp.
   struct DmPending {
@@ -222,7 +223,7 @@ class Replica : public rpc::Node {
   std::unordered_map<std::int64_t, obs::SpanId> dm_quorum_spans_;     // ts -> wait span
   std::unordered_map<std::int64_t, obs::SpanId> dfp_recovery_spans_;  // ts -> wait span
   std::int64_t dm_last_assigned_ = 0;
-  std::unordered_set<RequestId> rerouted_;  // requests re-proposed through DM
+  RequestIdSet rerouted_;  // requests re-proposed through DM
 
   // Failure-recovery rounds (Section 5.8).
   struct RecoveryRound {

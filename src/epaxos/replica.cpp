@@ -443,10 +443,7 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
   reply.epoch = req.epoch;
   reply.applied = store_.applied_count();
   reply.frontier = static_cast<std::int64_t>(store_.applied_count());
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
+  reply.snapshot = recovery::export_snapshot(store_);
   // EPaxos has no totally-ordered log: ship the per-owner executed
   // frontiers (the snapshot covers every instance below them) and the
   // committed instances above them, with their attributes in the aux field.
@@ -505,10 +502,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
                                           !holds_all_below(peer_frontier));
   std::vector<InstanceId> rerun;
   if (installed) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
+    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
     persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
     // The snapshot reflects every instance below the peer's frontiers: adopt
     // them, and release whatever was blocked on those instances. Erasing

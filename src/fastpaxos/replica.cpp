@@ -449,10 +449,7 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
   reply.epoch = req.epoch;
   reply.applied = store_.applied_count();
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
-  reply.snapshot.reserve(store_.items().size());
-  for (const auto& [key, value] : store_.items()) {
-    reply.snapshot.push_back(recovery::KvEntry{key, value});
-  }
+  reply.snapshot = recovery::export_snapshot(store_);
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(index), 0, std::move(command), {}});
@@ -473,10 +470,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
   const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
   if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
-    std::unordered_map<std::string, std::string> items;
-    items.reserve(msg.snapshot.size());
-    for (const auto& e : msg.snapshot) items.emplace(e.key, e.value);
-    store_.install_snapshot(std::move(items), msg.applied);
+    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
     const auto frontier = static_cast<std::uint64_t>(msg.frontier);
     log_.fast_forward(frontier);
     tallies_.erase(tallies_.begin(), tallies_.lower_bound(frontier));

@@ -13,9 +13,13 @@
 // encodes and decodes itself.
 #pragma once
 
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "statemachine/command.h"
+#include "statemachine/kvstore.h"
 #include "wire/message.h"
 
 namespace domino::recovery {
@@ -127,5 +131,24 @@ struct CatchupReply {
     return m;
   }
 };
+
+/// A store's executed state as catch-up snapshot entries, in the store's
+/// iteration order.
+inline std::vector<KvEntry> export_snapshot(const sm::KvStore& store) {
+  std::vector<KvEntry> snapshot;
+  snapshot.reserve(store.items().size());
+  for (const auto& [key, value] : store.items()) snapshot.push_back(KvEntry{key, value});
+  return snapshot;
+}
+
+/// Replace `store`'s contents with a peer's snapshot, taken after the peer
+/// applied `applied` commands.
+inline void install_snapshot(sm::KvStore& store, const std::vector<KvEntry>& snapshot,
+                             std::uint64_t applied) {
+  std::unordered_map<std::string, std::string> items;
+  items.reserve(snapshot.size());
+  for (const auto& e : snapshot) items.emplace(e.key, e.value);
+  store.install_snapshot(std::move(items), applied);
+}
 
 }  // namespace domino::recovery

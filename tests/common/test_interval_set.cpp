@@ -177,5 +177,17 @@ TEST(RequestIdSet, KeepsEachClientsSeqsApart) {
   EXPECT_FALSE(s.contains(RequestId{NodeId{1}, 0}));
 }
 
+TEST(RequestIdSet, InsertReportsWhetherTheIdWasNew) {
+  RequestIdSet s;
+  EXPECT_TRUE(s.insert(RequestId{NodeId{1}, 5}));
+  EXPECT_FALSE(s.insert(RequestId{NodeId{1}, 5}));
+  EXPECT_TRUE(s.insert(RequestId{NodeId{1}, 4}));  // coalesces with 5
+  EXPECT_FALSE(s.insert(RequestId{NodeId{1}, 4}));
+  EXPECT_TRUE(s.insert(RequestId{NodeId{2}, 5}));  // another client's seq 5
+  EXPECT_FALSE(s.insert(RequestId{NodeId{2}, 5}));
+  s.clear();
+  EXPECT_TRUE(s.insert(RequestId{NodeId{1}, 5}));
+}
+
 }  // namespace
 }  // namespace domino

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -21,6 +23,30 @@ std::uint64_t stream_digest(const ZipfGenerator& z, std::uint64_t seed, int coun
     }
   }
   return h;
+}
+
+// The full inverse-CDF table the checkpoint table replaces, built the way
+// the full-table sampler built it: cdf[k] = P(rank <= k).
+std::vector<double> full_cdf(std::uint64_t n, double alpha) {
+  std::vector<double> cdf(n);
+  double acc = 0.0;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    acc += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
+    cdf[k] = acc;
+  }
+  const double total = acc;
+  for (double& v : cdf) v /= total;
+  cdf.back() = 1.0;  // guard against rounding
+  return cdf;
+}
+
+// The full-table sampler's rank for u.
+std::uint64_t lower_bound_rank(const std::vector<double>& cdf, double u) {
+  return static_cast<std::uint64_t>(std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+std::size_t checkpoint_count(std::uint64_t n) {
+  return (n + ZipfGenerator::kStride - 1) / ZipfGenerator::kStride + 1;
 }
 
 TEST(Zipf, RejectsBadParameters) {
@@ -90,6 +116,37 @@ TEST(Zipf, GoldenStreamsArePinned) {
   EXPECT_EQ(stream_digest(heavy, 7, 100'000), 0x9173435ded98f77dULL);
 }
 
+TEST(Zipf, MatchesFullTableLowerBound) {
+  // Sizes around the block boundaries: one block (1, 2, 15, 16), a last
+  // block of one rank (17, 50001) and partial last blocks; alpha 0 makes
+  // every term equal.
+  for (const std::uint64_t n : {1, 2, 15, 16, 17, 40, 50, 100, 1000, 50001}) {
+    for (const double alpha : {0.0, 0.75, 0.95, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " alpha=" << alpha);
+      const ZipfGenerator z(n, alpha);
+      const std::vector<double> cdf = full_cdf(n, alpha);
+      Rng rng(n * 31 + 7);
+      Rng ref(n * 31 + 7);
+      int mismatches = 0;
+      for (int i = 0; i < 200'000; ++i) {
+        if (z.sample(rng) != lower_bound_rank(cdf, ref.next_double())) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0);
+      // Random draws almost never land within an ulp of a table entry, so
+      // also probe each entry and its neighbouring doubles: a scan whose
+      // running sums differ from the table's in the last bit fails here.
+      int boundary_mismatches = 0;
+      for (const double v : cdf) {
+        for (const double u : {std::nextafter(v, 0.0), v, std::nextafter(v, 2.0)}) {
+          if (u >= 1.0) continue;
+          if (z.rank(u) != lower_bound_rank(cdf, u)) ++boundary_mismatches;
+        }
+      }
+      EXPECT_EQ(boundary_mismatches, 0);
+    }
+  }
+}
+
 TEST(Zipf, EqualParametersShareOneTable) {
   const ZipfGenerator a(50'000, 0.75);
   const ZipfGenerator b(50'000, 0.75);
@@ -98,9 +155,16 @@ TEST(Zipf, EqualParametersShareOneTable) {
   EXPECT_EQ(&a.table(), &b.table());
   EXPECT_NE(&a.table(), &other_n.table());
   EXPECT_NE(&a.table(), &other_alpha.table());
-  EXPECT_EQ(a.table().size(), 50'000u);
-  EXPECT_EQ(other_n.table().size(), 50'001u);
-  EXPECT_EQ(a.table().back(), 1.0);
+  // One checkpoint per block plus the leading zero: the memory bound.
+  EXPECT_EQ(a.table().size(), checkpoint_count(50'000));
+  EXPECT_EQ(other_n.table().size(), checkpoint_count(50'001));
+  EXPECT_EQ(a.table().front(), 0.0);
+  // The last checkpoint is the total the full table normalised by.
+  double total = 0.0;
+  for (std::uint64_t k = 0; k < 50'000; ++k) {
+    total += 1.0 / std::pow(static_cast<double>(k + 1), 0.75);
+  }
+  EXPECT_EQ(a.table().back(), total);
 }
 
 TEST(Zipf, ConcurrentConstructionSharesOneTableAndStream) {
@@ -121,6 +185,10 @@ TEST(Zipf, ConcurrentConstructionSharesOneTableAndStream) {
     EXPECT_EQ(tables[t], tables[0]);
     EXPECT_EQ(digests[t], digests[0]);
   }
+  // The paper's 1 M keys cost ceil(1 M / 16) + 1 doubles (0.48 MiB), not
+  // the full table's 1 M (7.63 MiB).
+  EXPECT_EQ(tables[0]->size(), checkpoint_count(1'000'000));
+  EXPECT_EQ(tables[0]->size(), 62'501u);
 }
 
 }  // namespace
