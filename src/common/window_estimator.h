@@ -35,7 +35,6 @@ class WindowEstimator {
   [[nodiscard]] bool empty(TimePoint now) const { return count(now) == 0; }
 
   [[nodiscard]] Duration window() const { return window_; }
-  void set_window(Duration w) { window_ = w; }
 
  private:
   void evict(TimePoint now);

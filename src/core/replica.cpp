@@ -10,9 +10,6 @@
 namespace domino::core {
 
 namespace {
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
-
 /// Durable record for an acceptance at (ts, lane). `dm_leader` marks the
 /// record as written by the lane's own leader (it doubles as the timestamp
 /// reservation: replay raises dm_last_assigned_ past it, so no separate
@@ -160,12 +157,6 @@ void Replica::handle_probe(const net::Packet& packet) {
        measure::Prober::make_reply(probe, local_now(), replication_latency_estimate()));
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 // ------------------------------------------------------------ DFP acceptor
 
 void Replica::handle_dfp_propose(const net::Packet& packet) {
@@ -178,7 +169,7 @@ void Replica::handle_dfp_propose(const net::Packet& packet) {
   // Section 3's "equal to or smaller than the predicted timestamp"), the
   // position is not already resolved (committed frontier), and no different
   // command occupies it (client timestamp collision).
-  bool accept = !catching_up_ && local_now().nanos() <= msg.ts && !log_.is_resolved(pos);
+  bool accept = !catching_up() && local_now().nanos() <= msg.ts && !log_.is_resolved(pos);
   if (accept) {
     const auto* existing = log_.entry(pos);
     if (existing != nullptr && existing->command.id != msg.command.id) accept = false;
@@ -540,7 +531,7 @@ std::int64_t Replica::computed_commit_frontier() const {
 // --------------------------------------------------------------------- DM
 
 void Replica::handle_dm_propose(const net::Packet& packet) {
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto msg = wire::decode_message<DmPropose>(packet.payload);
   dm_lead(msg.command, /*reply_via_dfp=*/false);
 }
@@ -976,13 +967,6 @@ void Replica::restart() {
   dfp_slow_commits_ = 0;
   dfp_noop_resolutions_ = 0;
   dm_commits_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  obs_sink().record(obs::TraceEvent{
-      .at = true_now(),
-      .kind = obs::EventKind::kRecoveryStart,
-      .node = id(),
-      .value = static_cast<std::int64_t>(persistor_.epoch())});
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     wire::ByteReader r(rec.body);
@@ -1084,35 +1068,16 @@ void Replica::restart() {
       start_dfp_range_recover(0);
     });
   }
-  send_catchup_requests();
-}
-
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
+  persistor_.request_catchup(replicas_, store_);
 }
 
 void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
   // Always served, even while this replica is itself catching up: replying
   // with the current state keeps simultaneous recoveries from deadlocking.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
   const log::LogPosition frontier = log_.global_frontier();
   reply.frontier = frontier.ts;
   reply.frontier_lane = frontier.lane;
-  reply.snapshot = recovery::export_snapshot(store_);
   // Per-lane committed-no-op watermarks: they cover the empty positions a
   // requester cannot otherwise resolve (e.g. a revoked lane whose leader is
   // still down and so sends no clock heartbeats).
@@ -1136,7 +1101,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
   if (log_.global_frontier() < peer_frontier) {
     recovery::install_snapshot(store_, msg.snapshot, msg.applied);
     log_.fast_forward(peer_frontier);
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
+    persistor_.note_catchup_install(payload.size());
   }
   const auto lanes =
       static_cast<std::uint32_t>(std::min<std::size_t>(msg.watermarks.size(),
@@ -1176,18 +1141,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     }
   }
   execute_ready();
-  finish_rejoin();
-}
-
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                    .kind = obs::EventKind::kRecoveryDone,
-                                    .node = id(),
-                                    .value = took.nanos()});
+  persistor_.finish_rejoin();
 }
 
 // ------------------------------------------------------------------ shared

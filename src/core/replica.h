@@ -81,7 +81,7 @@ class Replica : public rpc::Node {
   /// Bind simulated durable storage: DFP acceptances, DM acceptances, and
   /// commit decisions are persisted before the notices/acks/commits that
   /// externalize them, and the replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
+  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
 
   /// Amnesiac restart: wipe volatile protocol state, replay the durable
   /// image, re-replicate pending own-lane entries, and catch up from live
@@ -91,7 +91,7 @@ class Replica : public rpc::Node {
   /// round, because the tallies of unresolved proposals died with it.
   void restart();
 
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
+  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
 
   [[nodiscard]] bool is_coordinator() const { return coordinator_ == id(); }
   [[nodiscard]] std::size_t rank() const { return rank_; }
@@ -160,8 +160,6 @@ class Replica : public rpc::Node {
   // ---- crash recovery ----
   void handle_catchup_request(NodeId from, const wire::Payload& payload);
   void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
 
   // ---- shared ----
   void handle_heartbeat(NodeId from, const wire::Payload& payload);
@@ -181,8 +179,6 @@ class Replica : public rpc::Node {
 
   // Crash recovery.
   recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
   /// Timestamps of acceptances whose externalizing send is still waiting on
   /// the durable sync. While one is pending, the advertised clock watermark
   /// must not pass it: a heartbeat overtaking the delayed acceptance notice

@@ -10,9 +10,6 @@
 namespace domino::epaxos {
 namespace {
 
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
-
 /// Union of two dependency lists (small lists; linear scan is fine).
 DepList merge_deps(DepList a, const DepList& b) {
   for (const auto& d : b) {
@@ -77,12 +74,6 @@ void Replica::on_packet(const net::Packet& packet) {
   }
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 wire::Payload Replica::instance_record(const InstanceId& inst_id, const sm::Command& cmd,
                                        std::uint64_t seq, const DepList& deps,
                                        Status status, NodeId client) const {
@@ -117,7 +108,7 @@ std::pair<std::uint64_t, DepList> Replica::attributes_for(const sm::Command& cmd
 }
 
 void Replica::handle_client_request(const net::Packet& packet) {
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const InstanceId inst{id(), next_instance_++};
   auto [seq, deps] = attributes_for(req.command, inst);
@@ -333,13 +324,6 @@ void Replica::restart() {
   next_instance_ = 0;
   committed_ = 0;
   executed_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  obs_sink().record(obs::TraceEvent{
-      .at = true_now(),
-      .kind = obs::EventKind::kRecoveryStart,
-      .node = id(),
-      .value = static_cast<std::int64_t>(persistor_.epoch())});
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     if (rec.tag != recovery::RecordTag::kAccepted &&
@@ -417,33 +401,15 @@ void Replica::restart() {
       }
     }
   }
-  send_catchup_requests();
-}
-
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
+  persistor_.request_catchup(replicas_, store_);
+  if (!catching_up()) compact_held_back();  // a lone replica rejoins at once
 }
 
 void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
   // Always served, even while this replica is itself catching up: replying
   // with the current state keeps simultaneous recoveries from deadlocking.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
   reply.frontier = static_cast<std::int64_t>(store_.applied_count());
-  reply.snapshot = recovery::export_snapshot(store_);
   // EPaxos has no totally-ordered log: ship the per-owner executed
   // frontiers (the snapshot covers every instance below them) and the
   // committed instances above them, with their attributes in the aux field.
@@ -498,15 +464,15 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
   // when the peer has applied more, or when it executed and compacted an
   // instance this replica does not hold: only the snapshot still has that
   // instance's effect, whatever the applied counts say.
-  const bool installed = catching_up_ && (msg.applied > store_.applied_count() ||
-                                          !holds_all_below(peer_frontier));
+  const bool installed = catching_up() && (msg.applied > store_.applied_count() ||
+                                            !holds_all_below(peer_frontier));
   std::vector<InstanceId> rerun;
   if (installed) {
     recovery::install_snapshot(store_, msg.snapshot, msg.applied);
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
+    persistor_.note_catchup_install(payload.size());
     // The snapshot reflects every instance below the peer's frontiers: adopt
     // them, and release whatever was blocked on those instances. Erasing
-    // them waits for finish_rejoin(): the re-announce loop below still
+    // them waits for compact_held_back(): the re-announce loop below still
     // reads the own-led instances replayed from the durable log.
     for (std::size_t r = 0; r < replicas_.size(); ++r) {
       exec_frontier_[r] = std::max(exec_frontier_[r], peer_frontier[r]);
@@ -562,7 +528,7 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     }
   }
   for (const auto& inst_id : rerun) try_execute(inst_id);
-  if (catching_up_) {
+  if (catching_up()) {
     // Re-announce own-led commits this peer does not know. A crash inside
     // the durable-sync window cancels the Commit broadcast after the
     // decision is already durable, and replay deliberately does not
@@ -580,22 +546,14 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
       }
     }
   }
-  finish_rejoin();
+  if (persistor_.finish_rejoin()) compact_held_back();
 }
 
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
+void Replica::compact_held_back() {
   // Compaction was held off while catching up; drop what the adopted
   // frontiers cover, then advance them over the executed instances.
   std::erase_if(instances_, [this](const auto& kv) { return compacted(kv.first); });
   for (std::size_t r = 0; r < replicas_.size(); ++r) compact(r);
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                    .kind = obs::EventKind::kRecoveryDone,
-                                    .node = id(),
-                                    .value = took.nanos()});
 }
 
 void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
@@ -775,8 +733,8 @@ void Replica::execute_scc_from(const InstanceId& root) {
       if (exec_hook_) exec_hook_(inst.command.id, true_now());
     }
   }
-  // Compaction waits while catching up; finish_rejoin() catches it up.
-  if (catching_up_) return;
+  // Compaction waits while catching up; compact_held_back() catches it up.
+  if (catching_up()) return;
   for (const auto& scc : sccs) {
     for (const auto& inst_id : scc) compact(rank_of(inst_id.replica));
   }

@@ -55,14 +55,14 @@ class Replica : public rpc::Node {
   /// Bind simulated durable storage: instance attributes are persisted
   /// before the replies/commits that externalize them, and the replica
   /// survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
+  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
 
   /// Amnesiac restart: wipe volatile state, replay the durable image
   /// (rebuilding the interference table and leader books), re-lead own
   /// uncommitted instances, and catch up from live peers.
   void restart();
 
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
+  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
 
   [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
@@ -106,8 +106,8 @@ class Replica : public rpc::Node {
   void handle_commit(const wire::Payload& payload);
   void handle_catchup_request(NodeId from, const wire::Payload& payload);
   void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
+  /// Run the compaction held off while catching up.
+  void compact_held_back();
 
   /// Serialize an instance's attributes into a durable record body.
   [[nodiscard]] wire::Payload instance_record(const InstanceId& inst_id,
@@ -147,8 +147,6 @@ class Replica : public rpc::Node {
 
   // Crash recovery.
   recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
 
   std::unordered_map<InstanceId, Instance> instances_;
   // Per owner rank: every instance of that owner below it is executed and

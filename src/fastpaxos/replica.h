@@ -46,14 +46,14 @@ class Replica : public rpc::Node {
   /// Bind simulated durable storage: ballot-0 acceptances and commit
   /// decisions are persisted before the notices/commits that externalize
   /// them, and the replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
+  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
 
   /// Amnesiac restart: wipe volatile state, replay the durable image, and
   /// catch up from live peers. A restarted coordinator additionally arms
   /// recovery timers for undecided indices whose tallies died with it.
   void restart();
 
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
+  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
 
   [[nodiscard]] bool is_coordinator() const { return coordinator_ == id(); }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
@@ -94,8 +94,6 @@ class Replica : public rpc::Node {
 
   void handle_catchup_request(NodeId from, const wire::Payload& payload);
   void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
 
   void assign(const RequestId& rid, std::uint64_t index);
   void execute_ready();
@@ -109,8 +107,6 @@ class Replica : public rpc::Node {
 
   // Crash recovery.
   recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
 
   // Acceptor state: its ballot-0 acceptances as index -> request for
   // indices at or above the execution frontier, with the reverse lookup

@@ -39,14 +39,14 @@ class Replica : public rpc::Node {
   /// Bind simulated durable storage: promises (accepts, commit knowledge)
   /// are persisted before the replies that externalize them, and the
   /// replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
+  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
 
   /// Amnesiac restart: wipe volatile state, replay the durable image
   /// (rebuilding the own-lane reservation and pending retransmission
   /// state), and catch up from live peers.
   void restart();
 
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
+  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
 
   [[nodiscard]] std::size_t rank() const { return rank_; }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
@@ -72,8 +72,6 @@ class Replica : public rpc::Node {
   void handle_skip(NodeId from, const wire::Payload& payload);
   void handle_catchup_request(NodeId from, const wire::Payload& payload);
   void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
 
   /// The largest own-lane frontier that is safe to advertise to `peer`:
   /// every used owned instance below it has been acknowledged by that peer
@@ -112,8 +110,6 @@ class Replica : public rpc::Node {
 
   // Crash recovery.
   recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
 
   // Owner-side pending instances: index -> (ack set, origin client). The
   // ack set (rather than a count) makes Accept retransmission safe: a

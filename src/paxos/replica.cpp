@@ -9,11 +9,6 @@
 
 namespace domino::paxos {
 
-namespace {
-/// Catch-up request retransmit interval for a recovering replica.
-constexpr Duration kCatchupRetryInterval = milliseconds(100);
-}  // namespace
-
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, NodeId leader, sim::LocalClock clock)
     : rpc::Node(id, dc, context, clock), replicas_(std::move(replicas)), leader_(leader) {
@@ -47,15 +42,9 @@ void Replica::on_packet(const net::Packet& packet) {
   }
 }
 
-void Replica::enable_durability(recovery::DurableStore& store) {
-  persistor_.bind(store, id(), [this](Duration delay, std::function<void()> fn) {
-    after(delay, std::move(fn));
-  });
-}
-
 void Replica::handle_client_request(const net::Packet& packet) {
   if (!is_leader()) return;  // clients are configured to talk to the leader only
-  if (catching_up_) return;  // not rejoined yet; the client's retry will land
+  if (catching_up()) return;  // not rejoined yet; the client's retry will land
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const std::uint64_t index = next_index_++;
   log_.accept(index, req.command);
@@ -183,13 +172,6 @@ void Replica::restart() {
   origin_.clear();
   next_index_ = 0;
   committed_ = 0;
-  catching_up_ = true;
-  recovery_started_at_ = true_now();
-  obs_sink().record(obs::TraceEvent{
-      .at = true_now(),
-      .kind = obs::EventKind::kRecoveryStart,
-      .node = id(),
-      .value = static_cast<std::int64_t>(persistor_.epoch())});
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     wire::ByteReader r(rec.body);
@@ -232,33 +214,14 @@ void Replica::restart() {
       }
     }
   }
-  send_catchup_requests();
-}
-
-void Replica::send_catchup_requests() {
-  if (!catching_up_) return;
-  if (replicas_.size() <= 1) {
-    finish_rejoin();
-    return;
-  }
-  const recovery::CatchupRequest req{persistor_.epoch(), store_.applied_count()};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, req);
-  }
-  after(kCatchupRetryInterval, [this, epoch = persistor_.epoch()] {
-    if (catching_up_ && epoch == persistor_.epoch()) send_catchup_requests();
-  });
+  persistor_.request_catchup(replicas_, store_);
 }
 
 void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
   // Always served, even while this replica is itself catching up: replying
   // with the current state keeps simultaneous recoveries from deadlocking.
-  const auto req = wire::decode_message<recovery::CatchupRequest>(payload);
-  recovery::CatchupReply reply;
-  reply.epoch = req.epoch;
-  reply.applied = store_.applied_count();
+  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
-  reply.snapshot = recovery::export_snapshot(store_);
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(index), 0, std::move(command), {}});
@@ -272,25 +235,14 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
     recovery::install_snapshot(store_, msg.snapshot, msg.applied);
     log_.fast_forward(static_cast<std::uint64_t>(msg.frontier));
-    persistor_.note_catchup_install(payload.size(), true_now() - recovery_started_at_);
+    persistor_.note_catchup_install(payload.size());
   }
   for (const auto& e : msg.entries) {
     if (e.pos < static_cast<std::int64_t>(log_.execution_frontier())) continue;
     log_.commit(static_cast<std::uint64_t>(e.pos), e.command);
   }
   execute_ready();
-  finish_rejoin();
-}
-
-void Replica::finish_rejoin() {
-  if (!catching_up_) return;
-  catching_up_ = false;
-  const Duration took = true_now() - recovery_started_at_;
-  persistor_.note_rejoin(took);
-  obs_sink().record(obs::TraceEvent{.at = true_now(),
-                                    .kind = obs::EventKind::kRecoveryDone,
-                                    .node = id(),
-                                    .value = took.nanos()});
+  persistor_.finish_rejoin();
 }
 
 void Replica::execute_ready() {

@@ -34,14 +34,14 @@ class Replica : public rpc::Node {
   /// Bind simulated durable storage: from now on the replica persists its
   /// promises before externalizing them (persist-before-send, paying the
   /// store's sync latency) and can survive an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store);
+  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
 
   /// Amnesiac restart (the fault injector's restart hook): wipe all
   /// volatile state, replay the durable image, re-propose uncommitted
   /// leader entries, and catch up from live peers before serving clients.
   void restart();
 
-  [[nodiscard]] bool catching_up() const { return catching_up_; }
+  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
 
   [[nodiscard]] bool is_leader() const { return leader_ == id(); }
   [[nodiscard]] NodeId leader() const { return leader_; }
@@ -59,8 +59,6 @@ class Replica : public rpc::Node {
   void handle_commit(const wire::Payload& payload);
   void handle_catchup_request(NodeId from, const wire::Payload& payload);
   void handle_catchup_reply(const wire::Payload& payload);
-  void send_catchup_requests();
-  void finish_rejoin();
   void execute_ready();
 
   std::vector<NodeId> replicas_;
@@ -71,8 +69,6 @@ class Replica : public rpc::Node {
 
   // Crash recovery.
   recovery::Persistor persistor_;
-  bool catching_up_ = false;
-  TimePoint recovery_started_at_ = TimePoint::epoch();
 
   // Leader state.
   std::uint64_t next_index_ = 0;

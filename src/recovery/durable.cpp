@@ -1,6 +1,11 @@
 #include "recovery/durable.h"
 
+#include <stdexcept>
 #include <utility>
+
+#include "recovery/messages.h"
+#include "rpc/node.h"
+#include "statemachine/kvstore.h"
 
 namespace domino::recovery {
 
@@ -56,12 +61,6 @@ RecoveryStats DurableStore::aggregate() const {
   return total;
 }
 
-void Persistor::bind(DurableStore& store, NodeId node, Scheduler scheduler) {
-  store_ = &store;
-  node_ = node;
-  scheduler_ = std::move(scheduler);
-}
-
 void Persistor::persist(RecordTag tag, const BodyFn& body, std::function<void()> then) {
   if (store_ == nullptr) {
     then();
@@ -70,29 +69,34 @@ void Persistor::persist(RecordTag tag, const BodyFn& body, std::function<void()>
   wire::Payload record = body();
   store_->obs_persist_records_.inc();
   store_->obs_persist_bytes_.inc(record.size() + 1);
-  store_->log_of(node_).append(tag, std::move(record));
+  store_->log_of(node_->id()).append(tag, std::move(record));
   const Duration sync = store_->config().sync_latency;
-  if (sync <= Duration::zero() || !scheduler_) {
+  if (sync <= Duration::zero()) {
     then();
     return;
   }
   // The record is on disk only after the sync completes: defer the
   // externalizing continuation, and cancel it if the node restarts first.
-  scheduler_(sync, [this, epoch = epoch_, fn = std::move(then)] {
+  node_->after(sync, [this, epoch = epoch_, fn = std::move(then)] {
     if (epoch == epoch_) fn();
   });
 }
 
 void Persistor::begin_restart() {
+  if (node_ == nullptr) throw std::logic_error("Persistor: restart before bind()");
   ++epoch_;
-  if (store_ == nullptr) return;
-  ++store_->log_of(node_).stats.restarts;
+  catching_up_ = true;
+  started_at_ = node_->true_now();
+  ++store_->log_of(node_->id()).stats.restarts;
   store_->obs_restarts_.inc();
+  node_->obs_sink().record(obs::TraceEvent{.at = started_at_,
+                                           .kind = obs::EventKind::kRecoveryStart,
+                                           .node = node_->id(),
+                                           .value = static_cast<std::int64_t>(epoch_)});
 }
 
 void Persistor::replay(const std::function<void(const DurableRecord&)>& fn) {
-  if (store_ == nullptr) return;
-  DurableLog& log = store_->log_of(node_);
+  DurableLog& log = store_->log_of(node_->id());
   for (const DurableRecord& record : log.records()) {
     ++log.stats.replayed_records;
     log.stats.replayed_bytes += record.body.size() + 1;
@@ -102,20 +106,42 @@ void Persistor::replay(const std::function<void(const DurableRecord&)>& fn) {
   }
 }
 
-void Persistor::note_catchup_install(std::size_t bytes, Duration took) {
-  if (store_ == nullptr) return;
-  DurableLog& log = store_->log_of(node_);
+void Persistor::request_catchup(const std::vector<NodeId>& replicas,
+                                const sm::KvStore& store) {
+  if (!catching_up_) return;
+  if (replicas.size() <= 1) {
+    finish_rejoin();
+    return;
+  }
+  const CatchupRequest req{epoch_, store.applied_count()};
+  for (NodeId r : replicas) {
+    if (r != node_->id()) node_->send(r, req);
+  }
+  node_->after(kCatchupRetryInterval, [this, &replicas, &store, epoch = epoch_] {
+    if (epoch == epoch_) request_catchup(replicas, store);
+  });
+}
+
+void Persistor::note_catchup_install(std::size_t bytes) {
+  DurableLog& log = store_->log_of(node_->id());
   ++log.stats.catchup_installs;
   log.stats.catchup_bytes += bytes;
   store_->obs_catchup_installs_.inc();
   store_->obs_catchup_bytes_.inc(bytes);
-  store_->obs_catchup_duration_ns_.record(took);
+  store_->obs_catchup_duration_ns_.record(node_->true_now() - started_at_);
 }
 
-void Persistor::note_rejoin(Duration time_to_rejoin) {
-  if (store_ == nullptr) return;
-  store_->log_of(node_).stats.rejoin_ns_total += time_to_rejoin.nanos();
-  store_->obs_rejoin_ns_.record(time_to_rejoin);
+bool Persistor::finish_rejoin() {
+  if (!catching_up_) return false;
+  catching_up_ = false;
+  const Duration took = node_->true_now() - started_at_;
+  store_->log_of(node_->id()).stats.rejoin_ns_total += took.nanos();
+  store_->obs_rejoin_ns_.record(took);
+  node_->obs_sink().record(obs::TraceEvent{.at = node_->true_now(),
+                                           .kind = obs::EventKind::kRecoveryDone,
+                                           .node = node_->id(),
+                                           .value = took.nanos()});
+  return true;
 }
 
 }  // namespace domino::recovery

@@ -16,6 +16,13 @@
 // Continuations are epoch-guarded: a crash+restart during the sync window
 // cancels them, exactly like a real fsync that never returned.
 //
+// Persistor also owns the protocol-independent half of the restart path:
+// the catch-up flag and its start time, the CatchupRequest broadcast and its
+// epoch-guarded retry, the rejoin accounting, and the kRecoveryStart /
+// kRecoveryDone incidents. Each protocol keeps only what differs: what it
+// wipes, how it replays, what it re-proposes, and how it builds and merges
+// a CatchupReply (recovery/messages.h).
+//
 // For the negative consistency tests a node's log can be "weakened"
 // (DurableStore::weaken): appends are silently dropped while the code path
 // stays identical — the model of a forgotten fsync. The chaos checker must
@@ -32,6 +39,14 @@
 #include "common/time.h"
 #include "obs/sink.h"
 #include "wire/codec.h"
+
+namespace domino::rpc {
+class Node;
+}  // namespace domino::rpc
+
+namespace domino::sm {
+class KvStore;
+}  // namespace domino::sm
 
 namespace domino::recovery {
 
@@ -131,25 +146,38 @@ class DurableStore {
 };
 
 /// Per-replica facade over the durable store: persist-then-continue with
-/// the configured sync latency, plus restart/replay/rejoin bookkeeping.
+/// the configured sync latency, plus the protocol-independent half of the
+/// amnesiac-restart lifecycle. A restart runs
+///
+///   begin_restart()     cancel in-flight syncs, enter catch-up, record
+///                       the kRecoveryStart incident;
+///   (protocol)          wipe volatile state, replay(), re-propose;
+///   request_catchup()   broadcast a CatchupRequest to every peer, and
+///                       re-send it every kCatchupRetryInterval until the
+///                       replica rejoins or restarts again;
+///   (protocol)          merge the first CatchupReply of the current epoch,
+///                       calling note_catchup_install() if it installs a
+///                       snapshot;
+///   finish_rejoin()     leave catch-up, record the kRecoveryDone incident.
 ///
 /// Default-constructed (unbound) the facade is disabled: persist() runs the
 /// continuation inline without encoding anything, so protocols can call it
-/// unconditionally and fault-free runs stay byte-identical to before.
+/// unconditionally and fault-free runs stay byte-identical to before. The
+/// restart lifecycle requires bind().
 class Persistor {
  public:
-  using Scheduler = std::function<void(Duration, std::function<void()>)>;
   using BodyFn = std::function<wire::Payload()>;
+
+  /// Catch-up request retransmit interval for a recovering replica.
+  static constexpr Duration kCatchupRetryInterval = milliseconds(100);
 
   Persistor() = default;
 
-  /// Bind to `store` for `node`; `scheduler` supplies the virtual-time
-  /// delay used to model sync latency (typically rpc::Node::after).
-  void bind(DurableStore& store, NodeId node, Scheduler scheduler);
-
-  [[nodiscard]] bool enabled() const { return store_ != nullptr; }
-  [[nodiscard]] Duration sync_latency() const {
-    return store_ == nullptr ? Duration::zero() : store_->config().sync_latency;
+  /// Bind to `store` for `node`, whose timers model the sync latency and
+  /// which sends the catch-up requests and records the incidents.
+  void bind(DurableStore& store, rpc::Node& node) {
+    store_ = &store;
+    node_ = &node;
   }
 
   /// Append the record produced by `body` under `tag`, then run `then`
@@ -163,33 +191,40 @@ class Persistor {
     persist(tag, body, [] {});
   }
 
-  /// Restart epoch: bumped by begin_restart(); stale sync continuations and
-  /// stale catch-up replies compare against it.
+  /// Restart epoch: bumped by begin_restart(); stale sync continuations,
+  /// catch-up retries and catch-up replies compare against it.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  /// Begin an amnesiac restart: cancel in-flight sync continuations and
-  /// count the restart. Call before wiping volatile state.
+  /// Between begin_restart() and finish_rejoin(): the replica serves no
+  /// clients and joins no quorums.
+  [[nodiscard]] bool catching_up() const { return catching_up_; }
+
+  /// Begin an amnesiac restart: cancel in-flight sync continuations, count
+  /// the restart and enter catch-up. Call before wiping volatile state.
+  /// Throws std::logic_error when unbound.
   void begin_restart();
 
   /// Replay the durable image through `fn`, in append order.
   void replay(const std::function<void(const DurableRecord&)>& fn);
 
-  /// Catch-up accounting: an installed peer snapshot of `bytes` bytes that
-  /// took `took` since the restart began.
-  void note_catchup_install(std::size_t bytes, Duration took);
+  /// Ask every peer in `replicas` for catch-up, reporting what `store` has
+  /// applied, and retry until the replica rejoins. A lone replica rejoins
+  /// at once. Both references must outlive the replica's restarts.
+  void request_catchup(const std::vector<NodeId>& replicas, const sm::KvStore& store);
 
-  /// The replica rejoined (first successful catch-up exchange done).
-  void note_rejoin(Duration time_to_rejoin);
+  /// Catch-up accounting: a peer snapshot of `bytes` bytes was installed.
+  void note_catchup_install(std::size_t bytes);
 
-  [[nodiscard]] RecoveryStats* stats() {
-    return store_ == nullptr ? nullptr : &store_->log_of(node_).stats;
-  }
+  /// The replica rejoined (first catch-up reply of the current epoch
+  /// merged). False, and nothing recorded, when it was not catching up.
+  bool finish_rejoin();
 
  private:
   DurableStore* store_ = nullptr;
-  NodeId node_;
-  Scheduler scheduler_;
+  rpc::Node* node_ = nullptr;
   std::uint64_t epoch_ = 0;
+  bool catching_up_ = false;
+  TimePoint started_at_ = TimePoint::epoch();
 };
 
 }  // namespace domino::recovery

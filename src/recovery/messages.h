@@ -132,13 +132,16 @@ struct CatchupReply {
   }
 };
 
-/// A store's executed state as catch-up snapshot entries, in the store's
-/// iteration order.
-inline std::vector<KvEntry> export_snapshot(const sm::KvStore& store) {
-  std::vector<KvEntry> snapshot;
-  snapshot.reserve(store.items().size());
-  for (const auto& [key, value] : store.items()) snapshot.push_back(KvEntry{key, value});
-  return snapshot;
+/// The reply to the CatchupRequest in `request`: its epoch, plus `store`'s
+/// applied count and executed state as snapshot entries in the store's
+/// iteration order. The protocol adds its frontier, watermarks and entries.
+inline CatchupReply reply_to(const wire::Payload& request, const sm::KvStore& store) {
+  CatchupReply reply;
+  reply.epoch = wire::decode_message<CatchupRequest>(request).epoch;
+  reply.applied = store.applied_count();
+  reply.snapshot.reserve(store.items().size());
+  for (const auto& [key, value] : store.items()) reply.snapshot.push_back(KvEntry{key, value});
+  return reply;
 }
 
 /// Replace `store`'s contents with a peer's snapshot, taken after the peer

@@ -66,14 +66,6 @@ TEST(WindowEstimator, P95PicksHighSample) {
   EXPECT_EQ(*w.percentile(at_ms(100), 100), milliseconds(50));
 }
 
-TEST(WindowEstimator, SetWindowShrinks) {
-  WindowEstimator w(seconds(10));
-  w.add(at_ms(0), milliseconds(1));
-  w.add(at_ms(900), milliseconds(2));
-  w.set_window(milliseconds(500));
-  EXPECT_EQ(w.count(at_ms(900)), 1u);
-}
-
 TEST(WindowEstimator, NegativeDurationsSupported) {
   // OWD measurements can be negative under clock skew.
   WindowEstimator w(seconds(1));

@@ -26,8 +26,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/replica.h"
+#include "epaxos/replica.h"
+#include "fastpaxos/replica.h"
 #include "harness/run_report.h"
 #include "harness/runner.h"
+#include "mencius/replica.h"
 #include "obs/chrome_trace.h"
 #include "paxos/client.h"
 #include "paxos/replica.h"
@@ -343,6 +347,156 @@ TEST(WeakenedDurability, IntactDurabilitySurvivesSameSchedule) {
   EXPECT_NE(r.stores[0].find("x"), r.stores[0].end());
   EXPECT_NE(r.stores[0].find("y"), r.stores[0].end());
 }
+
+// ---------------------------------------------------------------------------
+// The rejoin lifecycle under isolation, for every protocol: an idle
+// three-replica cluster on four_dc, replica 1 (DC B) crashes at 20 ms, its
+// DC is partitioned both ways from A and C at 30 ms, it recovers
+// amnesiacally at 100 ms and the partitions heal at 450 ms. The restarted
+// replica must keep catching up while isolated, re-send its CatchupRequests
+// every 100 ms (at 100, 200, 300, 400 and 500 ms: two peers each), and
+// rejoin on the first reply after the heal, with one start and one done
+// incident.
+// ---------------------------------------------------------------------------
+
+struct IsolatedCluster {
+  sim::Simulator simulator;
+  net::Network network{simulator, test::four_dc(), 1};
+  obs::MetricsRegistry metrics;
+  obs::TraceRecorder trace;
+  recovery::DurableStore durable;
+  std::vector<NodeId> rids = test::replica_ids(3);
+  std::vector<std::unique_ptr<rpc::Node>> replicas;
+  std::function<void()> restart_isolated;
+  std::function<bool()> isolated_catching_up;
+
+  IsolatedCluster() {
+    const obs::Sink sink{&metrics, &trace, nullptr, nullptr};
+    simulator.bind_obs(sink);
+    network.bind_obs(sink);
+    durable.bind_obs(sink);
+    network.set_restart_hook([this](NodeId node) {
+      if (node == rids[1]) restart_isolated();
+    });
+  }
+
+  template <typename ReplicaT, typename Make>
+  void build(Make make) {
+    for (std::size_t i = 0; i < rids.size(); ++i) {
+      auto r = make(rids[i], i);
+      r->attach();
+      r->enable_durability(durable);
+      if (i == 1) {
+        restart_isolated = [p = r.get()] { p->restart(); };
+        isolated_catching_up = [p = r.get()] { return p->catching_up(); };
+      }
+      replicas.push_back(std::move(r));
+    }
+  }
+
+  [[nodiscard]] std::uint64_t catchup_requests_sent() const {
+    const obs::Histogram* h = metrics.find_histogram("rpc.sent_bytes.CatchupRequest");
+    return h == nullptr ? 0 : h->count();
+  }
+};
+
+class RecoveryControl : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(RecoveryControl, IsolatedRestartRetriesUntilHealed) {
+  IsolatedCluster c;
+  const std::vector<NodeId>& rids = c.rids;
+  net::Network& network = c.network;
+  switch (GetParam()) {
+    case Protocol::kMultiPaxos:
+      c.build<paxos::Replica>([&](NodeId id, std::size_t dc) {
+        return std::make_unique<paxos::Replica>(id, dc, network, rids, rids[0]);
+      });
+      break;
+    case Protocol::kMencius:
+      c.build<mencius::Replica>([&](NodeId id, std::size_t dc) {
+        return std::make_unique<mencius::Replica>(id, dc, network, rids);
+      });
+      break;
+    case Protocol::kEPaxos:
+      c.build<epaxos::Replica>([&](NodeId id, std::size_t dc) {
+        return std::make_unique<epaxos::Replica>(id, dc, network, rids);
+      });
+      break;
+    case Protocol::kFastPaxos:
+      c.build<fastpaxos::Replica>([&](NodeId id, std::size_t dc) {
+        return std::make_unique<fastpaxos::Replica>(id, dc, network, rids, rids[0]);
+      });
+      break;
+    case Protocol::kDomino:
+      c.build<core::Replica>([&](NodeId id, std::size_t dc) {
+        return std::make_unique<core::Replica>(id, dc, network, rids, rids[0]);
+      });
+      break;
+  }
+
+  const TimePoint t0 = TimePoint::epoch();
+  c.simulator.schedule_at(t0 + milliseconds(20), [&] { network.fault().crash(rids[1]); });
+  c.simulator.schedule_at(t0 + milliseconds(30), [&] {
+    for (const std::size_t peer : {std::size_t{0}, std::size_t{2}}) {
+      network.fault().partition(1, peer);
+      network.fault().partition(peer, 1);
+    }
+  });
+  c.simulator.schedule_at(t0 + milliseconds(100),
+                          [&] { network.fault().recover(rids[1]); });
+  c.simulator.schedule_at(t0 + milliseconds(450), [&] {
+    for (const std::size_t peer : {std::size_t{0}, std::size_t{2}}) {
+      network.fault().heal(1, peer);
+      network.fault().heal(peer, 1);
+    }
+  });
+  // Between retries: two requests (one per peer) per 100 ms tick so far,
+  // and no reply can have got through.
+  std::vector<std::pair<bool, std::uint64_t>> samples;
+  for (const std::int64_t at : {150, 250, 350, 440}) {
+    c.simulator.schedule_at(t0 + milliseconds(at), [&] {
+      samples.emplace_back(c.isolated_catching_up(), c.catchup_requests_sent());
+    });
+  }
+  c.simulator.run_until(t0 + seconds(1));
+
+  ASSERT_EQ(samples.size(), 4u);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_TRUE(samples[i].first) << "rejoined while isolated, sample " << i;
+    EXPECT_EQ(samples[i].second, 2 * (i + 1)) << "sample " << i;
+  }
+  EXPECT_FALSE(c.isolated_catching_up());
+  // The 500 ms retry is the first to cross the healed links; its reply
+  // ends catch-up before the next tick.
+  EXPECT_EQ(c.catchup_requests_sent(), 10u);
+
+  std::size_t starts = 0;
+  std::size_t dones = 0;
+  for (const obs::TraceEvent& e : c.trace.events()) {
+    if (e.node != rids[1]) continue;
+    if (e.kind == obs::EventKind::kRecoveryStart) ++starts;
+    if (e.kind == obs::EventKind::kRecoveryDone) ++dones;
+  }
+  EXPECT_EQ(starts, 1u);
+  EXPECT_EQ(dones, 1u);
+  const recovery::RecoveryStats stats = c.durable.aggregate();
+  EXPECT_EQ(stats.restarts, 1u);
+  // Restart at 100 ms; the 500 ms retry reaches A (10 ms one way) and A's
+  // reply is back at 520 ms.
+  EXPECT_EQ(stats.rejoin_ns_total, 420'000'000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, RecoveryControl,
+    ::testing::Values(Protocol::kMultiPaxos, Protocol::kMencius, Protocol::kEPaxos,
+                      Protocol::kFastPaxos, Protocol::kDomino),
+    [](const ::testing::TestParamInfo<Protocol>& info) {
+      std::string name = protocol_name(info.param);
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
 
 // The --recovery gate smoke-feeds this Chrome-trace export to
 // scripts/trace_summary.py, which renders the per-node recovery intervals.
