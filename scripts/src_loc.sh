@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Print the line count of src/, the number ROADMAP item 6 tracks.
+# Print the line count of src/, the number ROADMAP item 7 tracks.
 #
 # Usage:
 #   scripts/src_loc.sh [<base-rev>]

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "recovery/messages.h"
-
 namespace domino::core {
 
 namespace {
@@ -43,8 +41,7 @@ wire::Payload committed_record(std::int64_t ts, std::uint32_t lane, bool is_noop
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, NodeId coordinator, ReplicaConfig config,
                  sim::LocalClock clock)
-    : rpc::Node(id, dc, context, clock),
-      replicas_(std::move(replicas)),
+    : recovery::Replica(id, dc, context, std::move(replicas), "domino.executed", clock),
       coordinator_(coordinator),
       config_(config),
       log_(replicas_.size() + 1),
@@ -63,7 +60,6 @@ void Replica::init_obs() {
   obs_dfp_noops_ = sink.counter("domino.dfp.noop_resolutions");
   obs_dm_commits_ = sink.counter("domino.dm.commits");
   obs_rerouted_ = sink.counter("domino.dfp.rerouted_via_dm");
-  obs_executed_ = sink.counter("domino.executed");
 }
 
 void Replica::start() {
@@ -83,7 +79,7 @@ Duration Replica::replication_latency_estimate() const {
   return l == Duration::max() ? Duration::zero() : l;
 }
 
-void Replica::on_packet(const net::Packet& packet) {
+void Replica::on_message(const net::Packet& packet) {
   switch (wire::peek_type(packet.payload)) {
     case wire::MessageType::kProbe:
       handle_probe(packet);
@@ -139,12 +135,6 @@ void Replica::on_packet(const net::Packet& packet) {
       break;
     case wire::MessageType::kDfpRangeResolve:
       apply_dfp_range_resolve(wire::decode_message<DfpRangeResolve>(packet.payload));
-      break;
-    case wire::MessageType::kCatchupRequest:
-      handle_catchup_request(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kCatchupReply:
-      handle_catchup_reply(packet.payload);
       break;
     default:
       break;
@@ -934,20 +924,10 @@ void Replica::apply_dfp_range_resolve(const DfpRangeResolve& resolve) {
 
 // ---------------------------------------------------------- crash recovery
 
-void Replica::restart() {
-  persistor_.begin_restart();
-  for (auto& [ts, span] : dm_quorum_spans_) {
-    (void)ts;
-    close_wait_span(span);
-  }
-  dm_quorum_spans_.clear();
-  for (auto& [ts, span] : dfp_recovery_spans_) {
-    (void)ts;
-    close_wait_span(span);
-  }
-  dfp_recovery_spans_.clear();
+void Replica::recover() {
+  close_wait_spans(dm_quorum_spans_);
+  close_wait_spans(dfp_recovery_spans_);
   log_ = log::GlobalLog(replicas_.size() + 1);
-  store_ = sm::KvStore{};
   dfp_positions_.clear();
   std::fill(replica_watermarks_.begin(), replica_watermarks_.end(), TimePoint::epoch());
   commit_frontier_ = 0;
@@ -1068,13 +1048,9 @@ void Replica::restart() {
       start_dfp_range_recover(0);
     });
   }
-  persistor_.request_catchup(replicas_, store_);
 }
 
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
+void Replica::fill_catchup(recovery::CatchupReply& reply) const {
   const log::LogPosition frontier = log_.global_frontier();
   reply.frontier = frontier.ts;
   reply.frontier_lane = frontier.lane;
@@ -1091,17 +1067,13 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
     reply.entries.push_back(
         recovery::CatchupEntry{e.pos.ts, e.pos.lane, std::move(e.command), aux.take()});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) {
   const log::LogPosition peer_frontier{msg.frontier, msg.frontier_lane};
   if (log_.global_frontier() < peer_frontier) {
-    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
+    install_snapshot(msg, bytes);
     log_.fast_forward(peer_frontier);
-    persistor_.note_catchup_install(payload.size());
   }
   const auto lanes =
       static_cast<std::uint32_t>(std::min<std::size_t>(msg.watermarks.size(),
@@ -1141,7 +1113,6 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     }
   }
   execute_ready();
-  persistor_.finish_rejoin();
 }
 
 // ------------------------------------------------------------------ shared
@@ -1192,9 +1163,7 @@ void Replica::broadcast_heartbeat() {
 
 void Replica::execute_ready() {
   for (auto& [pos, command] : log_.drain_executable()) {
-    store_.apply(command);
-    obs_executed_.inc();
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    execute(command);
   }
 }
 

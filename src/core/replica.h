@@ -23,7 +23,6 @@
 //     (Section 5.7).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -37,9 +36,7 @@
 #include "measure/estimator.h"
 #include "measure/prober.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "recovery/replica.h"
 
 namespace domino::core {
 
@@ -58,10 +55,14 @@ struct ReplicaConfig {
   bool all_replicas_learn = true;
 };
 
-class Replica : public rpc::Node {
+/// On restart() the replica replays its durable image, re-replicates
+/// pending own-lane entries, and catches up from live peers. Measurement
+/// soft state (prober) is deliberately kept: it is not safety-relevant and
+/// wiping it would only blind failure detection. A restarted coordinator
+/// additionally schedules one DFP range-recovery round, because the tallies
+/// of unresolved proposals died with it.
+class Replica : public recovery::Replica {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           NodeId coordinator, ReplicaConfig config = {},
           sim::LocalClock clock = sim::LocalClock{});
@@ -74,30 +75,15 @@ class Replica : public rpc::Node {
       : Replica(id, /*dc=*/0, context, std::move(replicas), coordinator, config, clock) {}
 
   /// Start probing and heartbeats; call after attach().
-  void start();
-
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: DFP acceptances, DM acceptances, and
-  /// commit decisions are persisted before the notices/acks/commits that
-  /// externalize them, and the replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
-
-  /// Amnesiac restart: wipe volatile protocol state, replay the durable
-  /// image, re-replicate pending own-lane entries, and catch up from live
-  /// peers. Measurement soft state (prober) is deliberately kept: it is not
-  /// safety-relevant and wiping it would only blind failure detection. A
-  /// restarted coordinator additionally schedules one DFP range-recovery
-  /// round, because the tallies of unresolved proposals died with it.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
+  void start() override;
 
   [[nodiscard]] bool is_coordinator() const { return coordinator_ == id(); }
   [[nodiscard]] std::size_t rank() const { return rank_; }
   [[nodiscard]] const log::GlobalLog& log() const { return log_; }
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] const measure::Prober& prober() const { return prober_; }
+  [[nodiscard]] std::size_t retained_entries() const override {
+    return log_.pending_entries();
+  }
 
   /// The replication latency estimate L_r this replica piggybacks on probe
   /// replies (Section 5.6).
@@ -111,7 +97,10 @@ class Replica : public rpc::Node {
   [[nodiscard]] std::uint64_t executed_count() const { return log_.executed_count(); }
 
  protected:
-  void on_packet(const net::Packet& packet) override;
+  void on_message(const net::Packet& packet) override;
+  void recover() override;
+  void fill_catchup(recovery::CatchupReply& reply) const override;
+  void merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
   [[nodiscard]] std::uint32_t dfp_lane() const {
@@ -157,28 +146,20 @@ class Replica : public rpc::Node {
   void try_finalize_dfp_range();
   void apply_dfp_range_resolve(const DfpRangeResolve& resolve);
 
-  // ---- crash recovery ----
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
-
   // ---- shared ----
   void handle_heartbeat(NodeId from, const wire::Payload& payload);
   void handle_probe(const net::Packet& packet);
   void broadcast_heartbeat();
   void execute_ready();
 
-  std::vector<NodeId> replicas_;
   std::size_t rank_ = 0;
   NodeId coordinator_;
   ReplicaConfig config_;
   log::GlobalLog log_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
   measure::Prober prober_;
   rpc::RepeatingTimer heartbeat_;
 
   // Crash recovery.
-  recovery::Persistor persistor_;
   /// Timestamps of acceptances whose externalizing send is still waiting on
   /// the durable sync. While one is pending, the advertised clock watermark
   /// must not pass it: a heartbeat overtaking the delayed acceptance notice
@@ -251,7 +232,6 @@ class Replica : public rpc::Node {
   obs::CounterHandle obs_dfp_noops_;
   obs::CounterHandle obs_dm_commits_;
   obs::CounterHandle obs_rerouted_;
-  obs::CounterHandle obs_executed_;
 };
 
 }  // namespace domino::core

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "recovery/messages.h"
-
 namespace domino::epaxos {
 namespace {
 
@@ -30,8 +28,7 @@ bool same_deps(const DepList& a, const DepList& b) {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, sim::LocalClock clock)
-    : rpc::Node(id, dc, context, clock),
-      replicas_(std::move(replicas)),
+    : recovery::Replica(id, dc, context, std::move(replicas), "epaxos.executed", clock),
       exec_frontier_(replicas_.size(), 0) {
   if (std::find(replicas_.begin(), replicas_.end(), id) == replicas_.end()) {
     throw std::invalid_argument("epaxos::Replica: id not in replica set");
@@ -40,10 +37,9 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
   obs_fast_ = obs_sink().counter("epaxos.fast_commits");
   obs_slow_ = obs_sink().counter("epaxos.slow_commits");
   obs_committed_ = obs_sink().counter("epaxos.committed");
-  obs_executed_ = obs_sink().counter("epaxos.executed");
 }
 
-void Replica::on_packet(const net::Packet& packet) {
+void Replica::on_message(const net::Packet& packet) {
   switch (wire::peek_type(packet.payload)) {
     case wire::MessageType::kEpaxosClientRequest:
       handle_client_request(packet);
@@ -62,12 +58,6 @@ void Replica::on_packet(const net::Packet& packet) {
       break;
     case wire::MessageType::kEpaxosCommit:
       handle_commit(packet.payload);
-      break;
-    case wire::MessageType::kCatchupRequest:
-      handle_catchup_request(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kCatchupReply:
-      handle_catchup_reply(packet.payload);
       break;
     default:
       break;
@@ -303,24 +293,14 @@ void Replica::handle_commit(const wire::Payload& payload) {
   });
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
-  for (auto& [inst, span] : quorum_spans_) {
-    (void)inst;
-    close_wait_span(span);
-  }
-  quorum_spans_.clear();
-  for (auto& [inst, span] : dep_spans_) {
-    (void)inst;
-    close_wait_span(span);
-  }
-  dep_spans_.clear();
+void Replica::recover() {
+  close_wait_spans(quorum_spans_);
+  close_wait_spans(dep_spans_);
   instances_.clear();
   exec_frontier_.assign(replicas_.size(), 0);
   leading_.clear();
   key_table_.clear();
   waiters_.clear();
-  store_ = sm::KvStore{};
   next_instance_ = 0;
   committed_ = 0;
   executed_ = 0;
@@ -401,15 +381,10 @@ void Replica::restart() {
       }
     }
   }
-  persistor_.request_catchup(replicas_, store_);
-  if (!catching_up()) compact_held_back();  // a lone replica rejoins at once
 }
 
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
-  reply.frontier = static_cast<std::int64_t>(store_.applied_count());
+void Replica::fill_catchup(recovery::CatchupReply& reply) const {
+  reply.frontier = static_cast<std::int64_t>(store().applied_count());
   // EPaxos has no totally-ordered log: ship the per-owner executed
   // frontiers (the snapshot covers every instance below them) and the
   // committed instances above them, with their attributes in the aux field.
@@ -424,12 +399,9 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
     aux.boolean(inst.status == Status::kExecuted);
     reply.entries.push_back(recovery::CatchupEntry{0, 0, inst.command, aux.take()});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) {
   // The peer executed (and compacted) every instance below its frontiers.
   std::vector<std::uint64_t> peer_frontier(replicas_.size(), 0);
   for (std::size_t r = 0; r < std::min(peer_frontier.size(), msg.watermarks.size()); ++r) {
@@ -464,15 +436,14 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
   // when the peer has applied more, or when it executed and compacted an
   // instance this replica does not hold: only the snapshot still has that
   // instance's effect, whatever the applied counts say.
-  const bool installed = catching_up() && (msg.applied > store_.applied_count() ||
+  const bool installed = catching_up() && (msg.applied > store().applied_count() ||
                                             !holds_all_below(peer_frontier));
   std::vector<InstanceId> rerun;
   if (installed) {
-    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
-    persistor_.note_catchup_install(payload.size());
+    install_snapshot(msg, bytes);
     // The snapshot reflects every instance below the peer's frontiers: adopt
     // them, and release whatever was blocked on those instances. Erasing
-    // them waits for compact_held_back(): the re-announce loop below still
+    // them waits for on_rejoined(): the re-announce loop below still
     // reads the own-led instances replayed from the durable log.
     for (std::size_t r = 0; r < replicas_.size(); ++r) {
       exec_frontier_[r] = std::max(exec_frontier_[r], peer_frontier[r]);
@@ -546,10 +517,9 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
       }
     }
   }
-  if (persistor_.finish_rejoin()) compact_held_back();
 }
 
-void Replica::compact_held_back() {
+void Replica::on_rejoined() {
   // Compaction was held off while catching up; drop what the adopted
   // frontiers cover, then advance them over the executed instances.
   std::erase_if(instances_, [this](const auto& kv) { return compacted(kv.first); });
@@ -728,12 +698,10 @@ void Replica::execute_scc_from(const InstanceId& root) {
       if (inst.status == Status::kExecuted) continue;
       inst.status = Status::kExecuted;
       ++executed_;
-      obs_executed_.inc();
-      store_.apply(inst.command);
-      if (exec_hook_) exec_hook_(inst.command.id, true_now());
+      execute(inst.command);
     }
   }
-  // Compaction waits while catching up; compact_held_back() catches it up.
+  // Compaction waits while catching up; on_rejoined() catches it up.
   if (catching_up()) return;
   for (const auto& scc : sccs) {
     for (const auto& inst_id : scc) compact(rank_of(inst_id.replica));

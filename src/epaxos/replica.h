@@ -20,7 +20,6 @@
 // the frontiers with the store snapshot, plus the live instances above them.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,9 +27,7 @@
 
 #include "epaxos/messages.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "recovery/replica.h"
 
 namespace domino::epaxos {
 
@@ -43,38 +40,29 @@ namespace domino::epaxos {
 static_assert(fast_quorum(3) == 2);
 static_assert(fast_quorum(5) == 3);
 
-class Replica : public rpc::Node {
+/// On restart() the replica replays its durable image (rebuilding the
+/// interference table and leader books), re-leads own uncommitted
+/// instances, and catches up from live peers.
+class Replica : public recovery::Replica {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           sim::LocalClock clock = sim::LocalClock{});
 
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: instance attributes are persisted
-  /// before the replies/commits that externalize them, and the replica
-  /// survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
-
-  /// Amnesiac restart: wipe volatile state, replay the durable image
-  /// (rebuilding the interference table and leader books), re-lead own
-  /// uncommitted instances, and catch up from live peers.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
-
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
   [[nodiscard]] std::uint64_t fast_path_commits() const { return fast_commits_; }
   [[nodiscard]] std::uint64_t slow_path_commits() const { return slow_commits_; }
   /// Instances held in memory: the ones not yet compacted behind their
   /// owner's executed frontier.
-  [[nodiscard]] std::size_t retained_instances() const { return instances_.size(); }
+  [[nodiscard]] std::size_t retained_entries() const override { return instances_.size(); }
 
  protected:
-  void on_packet(const net::Packet& packet) override;
+  void on_message(const net::Packet& packet) override;
+  void recover() override;
+  void fill_catchup(recovery::CatchupReply& reply) const override;
+  void merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) override;
+  /// Run the compaction held off while catching up.
+  void on_rejoined() override;
 
  private:
   enum class Status : std::uint8_t { kPreAccepted, kAccepted, kCommitted, kExecuted };
@@ -104,10 +92,6 @@ class Replica : public rpc::Node {
   void handle_accept(NodeId from, const wire::Payload& payload);
   void handle_accept_reply(NodeId from, const wire::Payload& payload);
   void handle_commit(const wire::Payload& payload);
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
-  /// Run the compaction held off while catching up.
-  void compact_held_back();
 
   /// Serialize an instance's attributes into a durable record body.
   [[nodiscard]] wire::Payload instance_record(const InstanceId& inst_id,
@@ -141,13 +125,6 @@ class Replica : public rpc::Node {
   /// (per owner rank) is here, committed or executed.
   [[nodiscard]] bool holds_all_below(const std::vector<std::uint64_t>& frontier) const;
 
-  std::vector<NodeId> replicas_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
-
-  // Crash recovery.
-  recovery::Persistor persistor_;
-
   std::unordered_map<InstanceId, Instance> instances_;
   // Per owner rank: every instance of that owner below it is executed and
   // no longer in instances_.
@@ -170,7 +147,6 @@ class Replica : public rpc::Node {
   obs::CounterHandle obs_fast_;
   obs::CounterHandle obs_slow_;
   obs::CounterHandle obs_committed_;
-  obs::CounterHandle obs_executed_;
 };
 
 }  // namespace domino::epaxos

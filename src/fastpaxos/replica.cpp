@@ -5,15 +5,12 @@
 #include <unordered_map>
 #include <utility>
 
-#include "recovery/messages.h"
-
 namespace domino::fastpaxos {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, NodeId coordinator,
                  Duration recovery_timeout, sim::LocalClock clock)
-    : rpc::Node(id, dc, context, clock),
-      replicas_(std::move(replicas)),
+    : recovery::Replica(id, dc, context, std::move(replicas), "fastpaxos.executed", clock),
       coordinator_(coordinator),
       recovery_timeout_(recovery_timeout) {
   if (std::find(replicas_.begin(), replicas_.end(), id) == replicas_.end()) {
@@ -22,10 +19,9 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
   obs_accepts_ = obs_sink().counter("fastpaxos.accepts");
   obs_fast_ = obs_sink().counter("fastpaxos.fast_commits");
   obs_slow_ = obs_sink().counter("fastpaxos.slow_commits");
-  obs_executed_ = obs_sink().counter("fastpaxos.executed");
 }
 
-void Replica::on_packet(const net::Packet& packet) {
+void Replica::on_message(const net::Packet& packet) {
   switch (wire::peek_type(packet.payload)) {
     case wire::MessageType::kFastPaxosClientRequest:
       handle_client_request(packet);
@@ -41,12 +37,6 @@ void Replica::on_packet(const net::Packet& packet) {
       break;
     case wire::MessageType::kFastPaxosCommit:
       handle_commit(packet.payload);
-      break;
-    case wire::MessageType::kCatchupRequest:
-      handle_catchup_request(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kCatchupReply:
-      handle_catchup_reply(packet.payload);
       break;
     default:
       break;
@@ -334,15 +324,9 @@ void Replica::record_commit(std::uint64_t index, const sm::Command& command) {
   committed_.insert(command.id);
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
-  for (auto& [index, span] : recovery_spans_) {
-    (void)index;
-    close_wait_span(span);
-  }
-  recovery_spans_.clear();
+void Replica::recover() {
+  close_wait_spans(recovery_spans_);
   log_ = log::IndexLog{};
-  store_ = sm::KvStore{};
   assignment_.clear();
   assigned_at_.clear();
   executed_.clear();
@@ -405,13 +389,9 @@ void Replica::restart() {
       });
     }
   }
-  persistor_.request_catchup(replicas_, store_);
 }
 
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
+void Replica::fill_catchup(recovery::CatchupReply& reply) const {
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
@@ -426,18 +406,14 @@ void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) 
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(lo), 0, sm::Command{}, aux.take()});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) {
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
-    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
+    install_snapshot(msg, bytes);
     const auto frontier = static_cast<std::uint64_t>(msg.frontier);
     log_.fast_forward(frontier);
     tallies_.erase(tallies_.begin(), tallies_.lower_bound(frontier));
-    persistor_.note_catchup_install(payload.size());
   }
   for (const auto& e : msg.entries) {
     if (!e.aux.empty()) {  // skipped range [pos, aux]
@@ -457,7 +433,6 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     tallies_.erase(index);
   }
   execute_ready();
-  persistor_.finish_rejoin();
 }
 
 void Replica::assign(const RequestId& rid, std::uint64_t index) {
@@ -469,9 +444,7 @@ void Replica::execute_ready() {
   for (auto& [index, command] : log_.drain_executable()) {
     const auto a = assignment_.find(command.id);
     if (a != assignment_.end() && a->second == index) executed_.insert(command.id);
-    store_.apply(command);
-    obs_executed_.inc();
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    execute(command);
   }
   // Every position below the frontier is decided. An assignment there either
   // executed (executed_ answers its retries) or lost, and a retry of a lost

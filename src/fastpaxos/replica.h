@@ -16,7 +16,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -27,50 +26,37 @@
 #include "fastpaxos/messages.h"
 #include "log/index_log.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "recovery/replica.h"
 
 namespace domino::fastpaxos {
 
-class Replica : public rpc::Node {
+/// On restart() the replica replays its durable image and catches up from
+/// live peers. A restarted coordinator additionally arms recovery timers for
+/// undecided indices whose tallies died with it.
+class Replica : public recovery::Replica {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           NodeId coordinator, Duration recovery_timeout = milliseconds(500),
           sim::LocalClock clock = sim::LocalClock{});
 
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: ballot-0 acceptances and commit
-  /// decisions are persisted before the notices/commits that externalize
-  /// them, and the replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
-
-  /// Amnesiac restart: wipe volatile state, replay the durable image, and
-  /// catch up from live peers. A restarted coordinator additionally arms
-  /// recovery timers for undecided indices whose tallies died with it.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
-
   [[nodiscard]] bool is_coordinator() const { return coordinator_ == id(); }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t fast_commits() const { return fast_commits_; }
   [[nodiscard]] std::uint64_t slow_commits() const { return slow_commits_; }
 
   /// In-flight state this replica holds: live log entries, coordinator
   /// tallies, acceptor assignments and recovery picks. None of it grows
   /// with the run's history.
-  [[nodiscard]] std::size_t retained_instances() const {
+  [[nodiscard]] std::size_t retained_entries() const override {
     return log_.occupied_count() + tallies_.size() + assigned_at_.size() +
            recovery_chosen_.size();
   }
 
  protected:
-  void on_packet(const net::Packet& packet) override;
+  void on_message(const net::Packet& packet) override;
+  void recover() override;
+  void fill_catchup(recovery::CatchupReply& reply) const override;
+  void merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
   // ---- acceptor side ----
@@ -92,21 +78,12 @@ class Replica : public rpc::Node {
   }
   void record_commit(std::uint64_t index, const sm::Command& command);
 
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
-
   void assign(const RequestId& rid, std::uint64_t index);
   void execute_ready();
 
-  std::vector<NodeId> replicas_;
   NodeId coordinator_;
   Duration recovery_timeout_;
   log::IndexLog log_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
-
-  // Crash recovery.
-  recovery::Persistor persistor_;
 
   // Acceptor state: its ballot-0 acceptances as index -> request for
   // indices at or above the execution frontier, with the reverse lookup
@@ -146,7 +123,6 @@ class Replica : public rpc::Node {
   obs::CounterHandle obs_accepts_;
   obs::CounterHandle obs_fast_;
   obs::CounterHandle obs_slow_;
-  obs::CounterHandle obs_executed_;
 };
 
 }  // namespace domino::fastpaxos

@@ -2,17 +2,25 @@
 
 #include <algorithm>
 
+#include "measure/estimator.h"
 #include "measure/quorum.h"
 
 namespace domino::harness {
-namespace {
 
-Duration kth_smallest_local(std::vector<Duration> v, std::size_t k) {
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(k - 1), v.end());
-  return v[k - 1];
+std::size_t closest_replica(const net::Topology& topology,
+                            const std::vector<std::size_t>& replica_dcs,
+                            std::size_t client_dc) {
+  std::size_t best = 0;
+  Duration best_rtt = Duration::max();
+  for (std::size_t i = 0; i < replica_dcs.size(); ++i) {
+    const Duration rtt = topology.rtt(client_dc, replica_dcs[i]);
+    if (rtt < best_rtt) {
+      best_rtt = rtt;
+      best = i;
+    }
+  }
+  return best;
 }
-
-}  // namespace
 
 Duration fast_paxos_latency(const net::Topology& topology,
                             const std::vector<std::size_t>& replica_dcs,
@@ -20,7 +28,7 @@ Duration fast_paxos_latency(const net::Topology& topology,
   std::vector<Duration> rtts;
   rtts.reserve(replica_dcs.size());
   for (std::size_t dc : replica_dcs) rtts.push_back(topology.rtt(client_dc, dc));
-  return kth_smallest_local(std::move(rtts), measure::supermajority(replica_dcs.size()));
+  return measure::kth_smallest(std::move(rtts), measure::supermajority(replica_dcs.size()));
 }
 
 Duration replication_latency(const net::Topology& topology,
@@ -33,22 +41,15 @@ Duration replication_latency(const net::Topology& topology,
                        ? Duration::zero()
                        : topology.rtt(replica_dcs[replica_index], replica_dcs[i]));
   }
-  return kth_smallest_local(std::move(rtts), measure::majority(replica_dcs.size()));
+  return measure::kth_smallest(std::move(rtts), measure::majority(replica_dcs.size()));
 }
 
 Duration mencius_latency(const net::Topology& topology,
                          const std::vector<std::size_t>& replica_dcs,
                          std::size_t client_dc) {
-  Duration best = Duration::max();
-  std::size_t closest = 0;
-  for (std::size_t i = 0; i < replica_dcs.size(); ++i) {
-    const Duration rtt = topology.rtt(client_dc, replica_dcs[i]);
-    if (rtt < best) {
-      best = rtt;
-      closest = i;
-    }
-  }
-  return best + replication_latency(topology, replica_dcs, closest);
+  const std::size_t closest = closest_replica(topology, replica_dcs, client_dc);
+  return topology.rtt(client_dc, replica_dcs[closest]) +
+         replication_latency(topology, replica_dcs, closest);
 }
 
 Duration multipaxos_latency(const net::Topology& topology,

@@ -34,6 +34,12 @@ struct GeometrySummary {
   double fp_beats_multipaxos = 0.0;  // fraction of cases
 };
 
+/// The closest replica (index into replica_dcs) for a client datacenter,
+/// by topology RTT — how the paper pre-configures Mencius/EPaxos clients.
+[[nodiscard]] std::size_t closest_replica(const net::Topology& topology,
+                                          const std::vector<std::size_t>& replica_dcs,
+                                          std::size_t client_dc);
+
 /// Idealized commit latencies for one placement.
 [[nodiscard]] Duration fast_paxos_latency(const net::Topology& topology,
                                           const std::vector<std::size_t>& replica_dcs,

@@ -39,21 +39,6 @@ double RunResult::throughput_rps() const {
   return static_cast<double>(committed) / measure_window.seconds();
 }
 
-std::size_t closest_replica(const net::Topology& topology,
-                            const std::vector<std::size_t>& replica_dcs,
-                            std::size_t client_dc) {
-  std::size_t best = 0;
-  Duration best_rtt = Duration::max();
-  for (std::size_t i = 0; i < replica_dcs.size(); ++i) {
-    const Duration rtt = topology.rtt(client_dc, replica_dcs[i]);
-    if (rtt < best_rtt) {
-      best_rtt = rtt;
-      best = i;
-    }
-  }
-  return best;
-}
-
 namespace {
 
 NodeId replica_id(std::size_t i) { return NodeId{static_cast<std::uint32_t>(i)}; }
@@ -103,7 +88,7 @@ struct Env {
       // recover hook (FIFO channel reset) has already run when this fires.
       network.set_restart_hook([this](NodeId node) {
         const auto it = restarters.find(node);
-        if (it != restarters.end()) it->second();
+        if (it != restarters.end()) it->second->restart();
       });
     }
   }
@@ -114,16 +99,13 @@ struct Env {
     return scenario.amnesia_crashes || scenario.sync_latency > Duration::zero();
   }
 
-  /// Bind `replica` to the durable store and register its amnesiac-restart
-  /// action. Call before moving the owning unique_ptr into the vector is
+  /// Bind `replica` to the durable store and register it for amnesiac
+  /// restarts. Call before moving the owning unique_ptr into the vector is
   /// fine — the pointee address is stable.
-  template <typename ReplicaT>
-  void enable_recovery(ReplicaT& replica, NodeId id) {
+  void enable_recovery(recovery::Replica& replica, NodeId id) {
     if (!durability()) return;
     replica.enable_durability(durable);
-    if (scenario.amnesia_crashes) {
-      restarters[id] = [r = &replica] { r->restart(); };
-    }
+    if (scenario.amnesia_crashes) restarters[id] = &replica;
   }
 
   sim::LocalClock next_clock() {
@@ -271,7 +253,7 @@ struct Env {
   LatencyCollector collector;
   std::vector<std::unique_ptr<sm::WorkloadGenerator>> workloads;
   recovery::DurableStore durable;  // outlives replicas (run_cluster locals)
-  std::unordered_map<NodeId, std::function<void()>> restarters;
+  std::unordered_map<NodeId, recovery::Replica*> restarters;
 };
 
 /// One protocol's deployment: factories for replica i and client i (each
@@ -287,21 +269,6 @@ struct Deployment {
   std::function<void(const Replicas&, const Clients&, RunResult&)> extras = {};
 };
 
-/// Entries a replica still holds: IndexLog's live entries, Domino's pending
-/// GlobalLog entries, or the count the replica reports itself (EPaxos's
-/// uncompacted instances; Fast Paxos's log entries plus its coordinator and
-/// acceptor bookkeeping).
-template <typename ReplicaT>
-std::size_t retained_entries(const ReplicaT& r) {
-  if constexpr (requires { r.retained_instances(); }) {
-    return r.retained_instances();
-  } else if constexpr (requires { r.log().occupied_count(); }) {
-    return r.log().occupied_count();
-  } else {
-    return r.log().pending_entries();
-  }
-}
-
 /// Build every replica, then every client (one clock draw per node in that
 /// order), run the scenario, and collect the results.
 template <typename ReplicaT, typename ClientT>
@@ -314,8 +281,7 @@ RunResult run_cluster(Env& env, const Deployment<ReplicaT, ClientT>& deployment)
     auto r = deployment.replica(i, env.next_clock());
     r->attach();
     env.enable_recovery(*r, replica_id(i));
-    // Mencius (heartbeats) and Domino (probing, heartbeats) start here.
-    if constexpr (requires { r->start(); }) r->start();
+    r->start();  // Mencius: heartbeats; Domino: probing, heartbeats
     env.apply_capacity(replica_id(i), true);
     r->set_execute_hook([&env](const RequestId& id, TimePoint at) {
       env.collector.on_execute(id, at);
@@ -327,7 +293,7 @@ RunResult run_cluster(Env& env, const Deployment<ReplicaT, ClientT>& deployment)
   for (std::size_t i = 0; i < s.client_dcs.size(); ++i) {
     auto c = deployment.client(i, env.next_clock());
     c->attach();
-    if constexpr (requires { c->start(); }) c->start();  // Domino: probing
+    c->start();  // Domino: probing
     env.apply_capacity(client_id(i), false);
     clients.push_back(std::move(c));
   }
@@ -338,7 +304,7 @@ RunResult run_cluster(Env& env, const Deployment<ReplicaT, ClientT>& deployment)
   for (const auto& r : replicas) {
     result.replica_store_fingerprints.push_back(r->store().fingerprint());
     result.replica_applied_counts.push_back(r->store().applied_count());
-    result.replica_retained_entries.push_back(retained_entries(*r));
+    result.replica_retained_entries.push_back(r->retained_entries());
   }
   if (deployment.extras) deployment.extras(replicas, clients, result);
   return result;

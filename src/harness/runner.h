@@ -15,6 +15,7 @@
 #include "common/stats.h"
 #include "core/client.h"
 #include "harness/collector.h"
+#include "harness/geometry.h"
 #include "net/fault.h"
 #include "net/latency_model.h"
 #include "net/topology.h"
@@ -238,11 +239,5 @@ enum class Protocol { kMultiPaxos, kMencius, kEPaxos, kFastPaxos, kDomino };
 [[nodiscard]] inline RunResult run_domino(const Scenario& s) {
   return run_protocol(Protocol::kDomino, s);
 }
-
-/// The closest replica (index into replica_dcs) for a client datacenter,
-/// by topology RTT — how the paper pre-configures Mencius/EPaxos clients.
-[[nodiscard]] std::size_t closest_replica(const net::Topology& topology,
-                                          const std::vector<std::size_t>& replica_dcs,
-                                          std::size_t client_dc);
 
 }  // namespace domino::harness

@@ -6,15 +6,13 @@
 #include <utility>
 
 #include "mencius/messages.h"
-#include "recovery/messages.h"
 
 namespace domino::mencius {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, Duration heartbeat_interval,
                  sim::LocalClock clock)
-    : rpc::Node(id, dc, context, clock),
-      replicas_(std::move(replicas)),
+    : recovery::Replica(id, dc, context, std::move(replicas), "mencius.executed", clock),
       heartbeat_interval_(heartbeat_interval),
       skip_frontier_seen_(replicas_.size(), 0) {
   const auto it = std::find(replicas_.begin(), replicas_.end(), id);
@@ -25,7 +23,6 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
   obs_accepts_ = obs_sink().counter("mencius.accepts");
   obs_commits_ = obs_sink().counter("mencius.commits");
   obs_skips_ = obs_sink().counter("mencius.skips");
-  obs_executed_ = obs_sink().counter("mencius.executed");
 }
 
 void Replica::start() {
@@ -40,7 +37,7 @@ std::uint64_t Replica::next_owned_at_or_after(std::size_t rank, std::uint64_t at
   return at_least + (target >= rem ? target - rem : n - rem + target);
 }
 
-void Replica::on_packet(const net::Packet& packet) {
+void Replica::on_message(const net::Packet& packet) {
   switch (wire::peek_type(packet.payload)) {
     case wire::MessageType::kMenciusClientRequest:
       handle_client_request(packet);
@@ -59,12 +56,6 @@ void Replica::on_packet(const net::Packet& packet) {
       break;
     case wire::MessageType::kMenciusSkip:
       handle_skip(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kCatchupRequest:
-      handle_catchup_request(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kCatchupReply:
-      handle_catchup_reply(packet.payload);
       break;
     default:
       break;
@@ -254,15 +245,9 @@ void Replica::advance_own_lane(std::uint64_t index) {
   }
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
-  for (auto& [index, span] : quorum_spans_) {
-    (void)index;
-    close_wait_span(span);
-  }
-  quorum_spans_.clear();
+void Replica::recover() {
+  close_wait_spans(quorum_spans_);
   log_ = log::IndexLog{};
-  store_ = sm::KvStore{};
   pending_.clear();
   owned_request_.clear();
   next_own_index_ = rank_;
@@ -329,30 +314,23 @@ void Replica::restart() {
       }
     }
   }
-  persistor_.request_catchup(replicas_, store_);
 }
 
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even mid-catch-up, so simultaneous recoveries converge.
-  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
+void Replica::fill_catchup(recovery::CatchupReply& reply) const {
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(index), 0, std::move(command), {}});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) {
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
-    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
+    install_snapshot(msg, bytes);
     log_.fast_forward(static_cast<std::uint64_t>(msg.frontier));
     next_own_index_ = std::max(
         next_own_index_,
         next_owned_at_or_after(rank_, static_cast<std::uint64_t>(msg.frontier)));
-    persistor_.note_catchup_install(payload.size());
     // Own instances the snapshot covers were executed cluster-wide: their
     // clients can be answered now; log execution will never reach them.
     for (auto it = owned_request_.begin(); it != owned_request_.end();) {
@@ -370,14 +348,11 @@ void Replica::handle_catchup_reply(const wire::Payload& payload) {
     log_.commit(static_cast<std::uint64_t>(e.pos), e.command);
   }
   execute_ready();
-  persistor_.finish_rejoin();
 }
 
 void Replica::execute_ready() {
   for (auto& [index, command] : log_.drain_executable()) {
-    store_.apply(command);
-    obs_executed_.inc();
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    execute(command);
     const auto it = owned_request_.find(index);
     if (it != owned_request_.end()) {
       send(it->second.client, ClientReply{it->second});

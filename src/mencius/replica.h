@@ -10,51 +10,40 @@
 // instance executes at the owner.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "log/index_log.h"
 #include "measure/quorum.h"
-#include "recovery/durable.h"
-#include "rpc/node.h"
-#include "statemachine/kvstore.h"
+#include "recovery/replica.h"
 
 namespace domino::mencius {
 
-class Replica : public rpc::Node {
+/// On restart() the replica replays its durable image (rebuilding the
+/// own-lane reservation and pending retransmission state), re-sends its
+/// pending own instances, and catches up from live peers.
+class Replica : public recovery::Replica {
  public:
-  using ExecuteHook = std::function<void(const RequestId&, TimePoint)>;
-
   Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
           Duration heartbeat_interval = milliseconds(10),
           sim::LocalClock clock = sim::LocalClock{});
 
   /// Start heartbeats; call after attach().
-  void start();
-
-  void set_execute_hook(ExecuteHook hook) { exec_hook_ = std::move(hook); }
-
-  /// Bind simulated durable storage: promises (accepts, commit knowledge)
-  /// are persisted before the replies that externalize them, and the
-  /// replica survives an amnesiac restart().
-  void enable_durability(recovery::DurableStore& store) { persistor_.bind(store, *this); }
-
-  /// Amnesiac restart: wipe volatile state, replay the durable image
-  /// (rebuilding the own-lane reservation and pending retransmission
-  /// state), and catch up from live peers.
-  void restart();
-
-  [[nodiscard]] bool catching_up() const { return persistor_.catching_up(); }
+  void start() override;
 
   [[nodiscard]] std::size_t rank() const { return rank_; }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
-  [[nodiscard]] const sm::KvStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t owned_proposals() const { return owned_proposals_; }
+  [[nodiscard]] std::size_t retained_entries() const override {
+    return log_.occupied_count();
+  }
 
  protected:
-  void on_packet(const net::Packet& packet) override;
+  void on_message(const net::Packet& packet) override;
+  void recover() override;
+  void fill_catchup(recovery::CatchupReply& reply) const override;
+  void merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
   [[nodiscard]] std::size_t owner_of(std::uint64_t index) const {
@@ -70,8 +59,6 @@ class Replica : public rpc::Node {
   void handle_commit(NodeId from, const wire::Payload& payload);
   void handle_commit_ack(NodeId from, const wire::Payload& payload);
   void handle_skip(NodeId from, const wire::Payload& payload);
-  void handle_catchup_request(NodeId from, const wire::Payload& payload);
-  void handle_catchup_reply(const wire::Payload& payload);
 
   /// The largest own-lane frontier that is safe to advertise to `peer`:
   /// every used owned instance below it has been acknowledged by that peer
@@ -97,19 +84,13 @@ class Replica : public rpc::Node {
   /// fault-free runs never retransmit.
   static constexpr Duration kAcceptRetransmitAfter = milliseconds(400);
 
-  std::vector<NodeId> replicas_;
   std::size_t rank_ = 0;
   Duration heartbeat_interval_;
   log::IndexLog log_;
-  sm::KvStore store_;
-  ExecuteHook exec_hook_;
   rpc::RepeatingTimer heartbeat_;
 
   std::uint64_t next_own_index_ = 0;  // smallest unused owned instance
   std::vector<std::uint64_t> skip_frontier_seen_;  // per owner rank
-
-  // Crash recovery.
-  recovery::Persistor persistor_;
 
   // Owner-side pending instances: index -> (ack set, origin client). The
   // ack set (rather than a count) makes Accept retransmission safe: a
@@ -131,7 +112,6 @@ class Replica : public rpc::Node {
   obs::CounterHandle obs_accepts_;
   obs::CounterHandle obs_commits_;
   obs::CounterHandle obs_skips_;
-  obs::CounterHandle obs_executed_;
 };
 
 }  // namespace domino::mencius

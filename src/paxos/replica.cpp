@@ -5,19 +5,18 @@
 #include <utility>
 
 #include "paxos/messages.h"
-#include "recovery/messages.h"
 
 namespace domino::paxos {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
                  std::vector<NodeId> replicas, NodeId leader, sim::LocalClock clock)
-    : rpc::Node(id, dc, context, clock), replicas_(std::move(replicas)), leader_(leader) {
+    : recovery::Replica(id, dc, context, std::move(replicas), "paxos.executed", clock),
+      leader_(leader) {
   obs_accepts_ = obs_sink().counter("paxos.accepts");
   obs_commits_ = obs_sink().counter("paxos.commits");
-  obs_executed_ = obs_sink().counter("paxos.executed");
 }
 
-void Replica::on_packet(const net::Packet& packet) {
+void Replica::on_message(const net::Packet& packet) {
   switch (wire::peek_type(packet.payload)) {
     case wire::MessageType::kPaxosClientRequest:
       handle_client_request(packet);
@@ -30,12 +29,6 @@ void Replica::on_packet(const net::Packet& packet) {
       break;
     case wire::MessageType::kPaxosCommit:
       handle_commit(packet.payload);
-      break;
-    case wire::MessageType::kCatchupRequest:
-      handle_catchup_request(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kCatchupReply:
-      handle_catchup_reply(packet.payload);
       break;
     default:
       break;  // not a Multi-Paxos message; ignore
@@ -159,15 +152,9 @@ void Replica::handle_commit(const wire::Payload& payload) {
   execute_ready();
 }
 
-void Replica::restart() {
-  persistor_.begin_restart();
-  for (auto& [index, span] : quorum_spans_) {
-    (void)index;
-    close_wait_span(span);
-  }
-  quorum_spans_.clear();
+void Replica::recover() {
+  close_wait_spans(quorum_spans_);
   log_ = log::IndexLog{};
-  store_ = sm::KvStore{};
   accept_counts_.clear();
   origin_.clear();
   next_index_ = 0;
@@ -214,43 +201,32 @@ void Replica::restart() {
       }
     }
   }
-  persistor_.request_catchup(replicas_, store_);
 }
 
-void Replica::handle_catchup_request(NodeId from, const wire::Payload& payload) {
-  // Always served, even while this replica is itself catching up: replying
-  // with the current state keeps simultaneous recoveries from deadlocking.
-  recovery::CatchupReply reply = recovery::reply_to(payload, store_);
+void Replica::fill_catchup(recovery::CatchupReply& reply) const {
   reply.frontier = static_cast<std::int64_t>(log_.execution_frontier());
   for (auto& [index, command] : log_.committed_unexecuted()) {
     reply.entries.push_back(recovery::CatchupEntry{
         static_cast<std::int64_t>(index), 0, std::move(command), {}});
   }
-  send(from, reply);
 }
 
-void Replica::handle_catchup_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<recovery::CatchupReply>(payload);
-  if (msg.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) {
   if (msg.frontier > static_cast<std::int64_t>(log_.execution_frontier())) {
-    recovery::install_snapshot(store_, msg.snapshot, msg.applied);
+    install_snapshot(msg, bytes);
     log_.fast_forward(static_cast<std::uint64_t>(msg.frontier));
-    persistor_.note_catchup_install(payload.size());
   }
   for (const auto& e : msg.entries) {
     if (e.pos < static_cast<std::int64_t>(log_.execution_frontier())) continue;
     log_.commit(static_cast<std::uint64_t>(e.pos), e.command);
   }
   execute_ready();
-  persistor_.finish_rejoin();
 }
 
 void Replica::execute_ready() {
   for (auto& [index, command] : log_.drain_executable()) {
     (void)index;
-    store_.apply(command);
-    obs_executed_.inc();
-    if (exec_hook_) exec_hook_(command.id, true_now());
+    execute(command);
   }
 }
 

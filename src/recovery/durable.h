@@ -19,9 +19,9 @@
 // Persistor also owns the protocol-independent half of the restart path:
 // the catch-up flag and its start time, the CatchupRequest broadcast and its
 // epoch-guarded retry, the rejoin accounting, and the kRecoveryStart /
-// kRecoveryDone incidents. Each protocol keeps only what differs: what it
-// wipes, how it replays, what it re-proposes, and how it builds and merges
-// a CatchupReply (recovery/messages.h).
+// kRecoveryDone incidents. recovery::Replica (recovery/replica.h) drives it;
+// each protocol keeps only what differs: what it wipes, how it replays, what
+// it re-proposes, and how it fills and merges a CatchupReply.
 //
 // For the negative consistency tests a node's log can be "weakened"
 // (DurableStore::weaken): appends are silently dropped while the code path
@@ -151,11 +151,11 @@ class DurableStore {
 ///
 ///   begin_restart()     cancel in-flight syncs, enter catch-up, record
 ///                       the kRecoveryStart incident;
-///   (protocol)          wipe volatile state, replay(), re-propose;
+///   (Replica::recover)  wipe volatile state, replay(), re-propose;
 ///   request_catchup()   broadcast a CatchupRequest to every peer, and
 ///                       re-send it every kCatchupRetryInterval until the
 ///                       replica rejoins or restarts again;
-///   (protocol)          merge the first CatchupReply of the current epoch,
+///   (Replica)           merge the first CatchupReply of the current epoch,
 ///                       calling note_catchup_install() if it installs a
 ///                       snapshot;
 ///   finish_rejoin()     leave catch-up, record the kRecoveryDone incident.

@@ -14,12 +14,9 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "statemachine/command.h"
-#include "statemachine/kvstore.h"
 #include "wire/message.h"
 
 namespace domino::recovery {
@@ -131,27 +128,5 @@ struct CatchupReply {
     return m;
   }
 };
-
-/// The reply to the CatchupRequest in `request`: its epoch, plus `store`'s
-/// applied count and executed state as snapshot entries in the store's
-/// iteration order. The protocol adds its frontier, watermarks and entries.
-inline CatchupReply reply_to(const wire::Payload& request, const sm::KvStore& store) {
-  CatchupReply reply;
-  reply.epoch = wire::decode_message<CatchupRequest>(request).epoch;
-  reply.applied = store.applied_count();
-  reply.snapshot.reserve(store.items().size());
-  for (const auto& [key, value] : store.items()) reply.snapshot.push_back(KvEntry{key, value});
-  return reply;
-}
-
-/// Replace `store`'s contents with a peer's snapshot, taken after the peer
-/// applied `applied` commands.
-inline void install_snapshot(sm::KvStore& store, const std::vector<KvEntry>& snapshot,
-                             std::uint64_t applied) {
-  std::unordered_map<std::string, std::string> items;
-  items.reserve(snapshot.size());
-  for (const auto& e : snapshot) items.emplace(e.key, e.value);
-  store.install_snapshot(std::move(items), applied);
-}
 
 }  // namespace domino::recovery

@@ -1,0 +1,67 @@
+#include "recovery/replica.h"
+
+#include <string>
+#include <unordered_map>
+#include <utility>
+
+namespace domino::recovery {
+
+Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
+                 std::vector<NodeId> replicas, const char* executed_metric,
+                 sim::LocalClock clock)
+    : rpc::Node(id, dc, context, clock), replicas_(std::move(replicas)) {
+  obs_executed_ = obs_sink().counter(executed_metric);
+}
+
+void Replica::restart() {
+  persistor_.begin_restart();
+  store_ = sm::KvStore{};
+  recover();
+  persistor_.request_catchup(replicas_, store_);
+  if (!catching_up()) on_rejoined();  // a lone replica rejoins at once
+}
+
+void Replica::on_packet(const net::Packet& packet) {
+  switch (wire::peek_type(packet.payload)) {
+    case wire::MessageType::kCatchupRequest: {
+      // The executed state, in the store's iteration order; the protocol
+      // adds its frontier, watermarks and entries.
+      CatchupReply reply;
+      reply.epoch = wire::decode_message<CatchupRequest>(packet.payload).epoch;
+      reply.applied = store_.applied_count();
+      reply.snapshot.reserve(store_.items().size());
+      for (const auto& [key, value] : store_.items()) {
+        reply.snapshot.push_back(KvEntry{key, value});
+      }
+      fill_catchup(reply);
+      send(packet.src, reply);
+      break;
+    }
+    case wire::MessageType::kCatchupReply: {
+      const auto reply = wire::decode_message<CatchupReply>(packet.payload);
+      if (reply.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+      merge_catchup(reply, packet.payload.size());
+      if (persistor_.finish_rejoin()) on_rejoined();
+      break;
+    }
+    default:
+      on_message(packet);
+      break;
+  }
+}
+
+void Replica::execute(const sm::Command& command) {
+  store_.apply(command);
+  obs_executed_.inc();
+  if (exec_hook_) exec_hook_(command.id, true_now());
+}
+
+void Replica::install_snapshot(const CatchupReply& reply, std::size_t bytes) {
+  std::unordered_map<std::string, std::string> items;
+  items.reserve(reply.snapshot.size());
+  for (const auto& e : reply.snapshot) items.emplace(e.key, e.value);
+  store_.install_snapshot(std::move(items), reply.applied);
+  persistor_.note_catchup_install(bytes);
+}
+
+}  // namespace domino::recovery

@@ -32,6 +32,10 @@ class ClientBase : public Node {
 
   ClientBase(NodeId id, std::size_t dc, Context& context, sim::LocalClock clock);
 
+  /// Start the client's timers (e.g. probing); call after attach() and
+  /// before submitting load. Clients without timers do nothing.
+  virtual void start() {}
+
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
   void set_send_hook(SendHook hook) { send_hook_ = std::move(hook); }
 

@@ -102,6 +102,12 @@ class Node {
   void close_wait_span(obs::SpanId span) {
     if (span != 0 && obs_.spans != nullptr) obs_.spans->close(span, context_.now());
   }
+  /// Close every span of `spans` (a key -> SpanId map), then clear it.
+  template <typename SpanMap>
+  void close_wait_spans(SpanMap& spans) {
+    for (const auto& entry : spans) close_wait_span(entry.second);
+    spans.clear();
+  }
 
  private:
   void instrument_send(wire::MessageType type, std::size_t bytes);

@@ -133,7 +133,7 @@ TEST_F(FastPaxosCluster, LateNoticeForErasedPositionGetsRecordedDecision) {
   simulator.run_until(TimePoint::epoch() + seconds(1));
   ASSERT_EQ(client->committed_count(), 1u);
   ASSERT_EQ(replicas[0]->fast_commits(), 1u);
-  ASSERT_EQ(replicas[0]->retained_instances(), 0u);  // position 0 decided, executed, erased
+  ASSERT_EQ(replicas[0]->retained_entries(), 0u);  // position 0 decided, executed, erased
 
   // A recovering acceptor re-reports its acceptance of X at position 0.
   Recorder late(NodeId{2000}, 1, network);
@@ -146,7 +146,7 @@ TEST_F(FastPaxosCluster, LateNoticeForErasedPositionGetsRecordedDecision) {
   EXPECT_FALSE(commits[0].is_noop);
   EXPECT_EQ(commits[0].command, x);
   // No tally, no second decision, no recovery round, no re-proposal.
-  EXPECT_EQ(replicas[0]->retained_instances(), 0u);
+  EXPECT_EQ(replicas[0]->retained_entries(), 0u);
   EXPECT_EQ(replicas[0]->fast_commits(), 1u);
   EXPECT_EQ(replicas[0]->slow_commits(), 0u);
   for (const auto& r : replicas) EXPECT_EQ(r->store().applied_count(), 1u);
@@ -167,7 +167,7 @@ TEST_F(FastPaxosCluster, LateNoticeForErasedPositionGetsRecordedDecision) {
   for (const auto& r : replicas) {
     EXPECT_EQ(r->store().applied_count(), 2u);
     EXPECT_EQ(r->store().get("y"), "vy");
-    EXPECT_EQ(r->retained_instances(), 0u);
+    EXPECT_EQ(r->retained_entries(), 0u);
   }
 }
 
@@ -180,7 +180,7 @@ TEST_F(FastPaxosCluster, RetryOfExecutedRequestIsAnsweredFromExecutedSet) {
   ASSERT_EQ(client.received<AcceptNotice>().size(), 3u);
   for (const auto& r : replicas) {
     ASSERT_EQ(r->store().applied_count(), 1u);
-    ASSERT_EQ(r->retained_instances(), 0u);  // the assignment went with execution
+    ASSERT_EQ(r->retained_entries(), 0u);  // the assignment went with execution
   }
 
   // The retry reaches one acceptor, which answers it directly: no new
@@ -193,7 +193,7 @@ TEST_F(FastPaxosCluster, RetryOfExecutedRequestIsAnsweredFromExecutedSet) {
   const auto replies = client.received<ClientReply>();
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].request, x.id);
-  EXPECT_EQ(replicas[1]->retained_instances(), 0u);
+  EXPECT_EQ(replicas[1]->retained_entries(), 0u);
   EXPECT_EQ(replicas[0]->fast_commits(), 1u);
   for (const auto& r : replicas) EXPECT_EQ(r->store().applied_count(), 1u);
 }

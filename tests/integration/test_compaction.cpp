@@ -58,7 +58,7 @@ TEST_F(EpaxosCompaction, DependencyOnCompactedInstanceExecutes) {
   simulator.run();
   for (const auto& r : replicas) {
     ASSERT_EQ(r->executed_count(), 1u);
-    EXPECT_EQ(r->retained_instances(), 0u);  // executed and compacted
+    EXPECT_EQ(r->retained_entries(), 0u);  // executed and compacted
   }
   // A second leader writes the same key: its command depends on the
   // compacted instance, which must count as executed rather than block.
@@ -68,7 +68,7 @@ TEST_F(EpaxosCompaction, DependencyOnCompactedInstanceExecutes) {
   EXPECT_EQ(c1->committed_count(), 1u);
   for (const auto& r : replicas) {
     EXPECT_EQ(r->executed_count(), 2u);
-    EXPECT_EQ(r->retained_instances(), 0u);
+    EXPECT_EQ(r->retained_entries(), 0u);
     EXPECT_EQ(r->store().get("k"), "second");
   }
 }
@@ -116,7 +116,7 @@ TEST_F(EpaxosCompaction, RestartMidCatchupReannouncesOwnCommits) {
     EXPECT_FALSE(r->catching_up());
     EXPECT_EQ(r->store().get("w"), "vw");
     EXPECT_EQ(r->store().get("x"), "vx") << "replica " << r->id().value();
-    EXPECT_EQ(r->retained_instances(), 0u) << "replica " << r->id().value();
+    EXPECT_EQ(r->retained_entries(), 0u) << "replica " << r->id().value();
   }
 }
 
@@ -144,7 +144,7 @@ TEST_F(EpaxosCompaction, RestartWithEqualAppliedCountAdoptsCompactedInstances) {
     client_b->submit(test::make_command(client_b->id(), 0, "x", "vx"));
   });
   simulator.schedule_at(t0 + milliseconds(600), [&] {
-    ASSERT_EQ(replicas[1]->retained_instances(), 0u);  // X executed and compacted
+    ASSERT_EQ(replicas[1]->retained_entries(), 0u);  // X executed and compacted
     ASSERT_EQ(replicas[1]->store().applied_count(), 1u);
     network.fault().recover(rids[0]);
   });
@@ -161,7 +161,7 @@ TEST_F(EpaxosCompaction, RestartWithEqualAppliedCountAdoptsCompactedInstances) {
   EXPECT_EQ(a.get("y"), "vy");
   EXPECT_EQ(a.get("x"), "vx2");
   EXPECT_EQ(a.applied_count(), 3u);  // X (in the snapshot), Y, then X2
-  EXPECT_EQ(replicas[0]->retained_instances(), 0u);
+  EXPECT_EQ(replicas[0]->retained_entries(), 0u);
   EXPECT_EQ(replicas[1]->store().get("x"), "vx2");
   EXPECT_EQ(replicas[2]->store().get("x"), "vx2");
   EXPECT_EQ(replicas[2]->store().get("y"), "vy");

@@ -366,33 +366,42 @@ struct IsolatedCluster {
   obs::TraceRecorder trace;
   recovery::DurableStore durable;
   std::vector<NodeId> rids = test::replica_ids(3);
-  std::vector<std::unique_ptr<rpc::Node>> replicas;
-  std::function<void()> restart_isolated;
-  std::function<bool()> isolated_catching_up;
+  std::vector<std::unique_ptr<recovery::Replica>> replicas;
 
-  IsolatedCluster() {
+  explicit IsolatedCluster(Protocol protocol) {
     const obs::Sink sink{&metrics, &trace, nullptr, nullptr};
     simulator.bind_obs(sink);
     network.bind_obs(sink);
     durable.bind_obs(sink);
     network.set_restart_hook([this](NodeId node) {
-      if (node == rids[1]) restart_isolated();
+      if (node == rids[1]) isolated().restart();
     });
-  }
-
-  template <typename ReplicaT, typename Make>
-  void build(Make make) {
-    for (std::size_t i = 0; i < rids.size(); ++i) {
-      auto r = make(rids[i], i);
-      r->attach();
-      r->enable_durability(durable);
-      if (i == 1) {
-        restart_isolated = [p = r.get()] { p->restart(); };
-        isolated_catching_up = [p = r.get()] { return p->catching_up(); };
-      }
-      replicas.push_back(std::move(r));
+    for (std::size_t dc = 0; dc < rids.size(); ++dc) {
+      replicas.push_back(make_replica(protocol, rids[dc], dc));
+      replicas.back()->attach();
+      replicas.back()->enable_durability(durable);
     }
   }
+
+  std::unique_ptr<recovery::Replica> make_replica(Protocol protocol, NodeId id,
+                                                  std::size_t dc) {
+    switch (protocol) {
+      case Protocol::kMultiPaxos:
+        return std::make_unique<paxos::Replica>(id, dc, network, rids, rids[0]);
+      case Protocol::kMencius:
+        return std::make_unique<mencius::Replica>(id, dc, network, rids);
+      case Protocol::kEPaxos:
+        return std::make_unique<epaxos::Replica>(id, dc, network, rids);
+      case Protocol::kFastPaxos:
+        return std::make_unique<fastpaxos::Replica>(id, dc, network, rids, rids[0]);
+      case Protocol::kDomino:
+        return std::make_unique<core::Replica>(id, dc, network, rids, rids[0]);
+    }
+    return nullptr;
+  }
+
+  /// Replica 1, the one that restarts.
+  [[nodiscard]] recovery::Replica& isolated() { return *replicas[1]; }
 
   [[nodiscard]] std::uint64_t catchup_requests_sent() const {
     const obs::Histogram* h = metrics.find_histogram("rpc.sent_bytes.CatchupRequest");
@@ -403,36 +412,9 @@ struct IsolatedCluster {
 class RecoveryControl : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(RecoveryControl, IsolatedRestartRetriesUntilHealed) {
-  IsolatedCluster c;
+  IsolatedCluster c(GetParam());
   const std::vector<NodeId>& rids = c.rids;
   net::Network& network = c.network;
-  switch (GetParam()) {
-    case Protocol::kMultiPaxos:
-      c.build<paxos::Replica>([&](NodeId id, std::size_t dc) {
-        return std::make_unique<paxos::Replica>(id, dc, network, rids, rids[0]);
-      });
-      break;
-    case Protocol::kMencius:
-      c.build<mencius::Replica>([&](NodeId id, std::size_t dc) {
-        return std::make_unique<mencius::Replica>(id, dc, network, rids);
-      });
-      break;
-    case Protocol::kEPaxos:
-      c.build<epaxos::Replica>([&](NodeId id, std::size_t dc) {
-        return std::make_unique<epaxos::Replica>(id, dc, network, rids);
-      });
-      break;
-    case Protocol::kFastPaxos:
-      c.build<fastpaxos::Replica>([&](NodeId id, std::size_t dc) {
-        return std::make_unique<fastpaxos::Replica>(id, dc, network, rids, rids[0]);
-      });
-      break;
-    case Protocol::kDomino:
-      c.build<core::Replica>([&](NodeId id, std::size_t dc) {
-        return std::make_unique<core::Replica>(id, dc, network, rids, rids[0]);
-      });
-      break;
-  }
 
   const TimePoint t0 = TimePoint::epoch();
   c.simulator.schedule_at(t0 + milliseconds(20), [&] { network.fault().crash(rids[1]); });
@@ -455,7 +437,7 @@ TEST_P(RecoveryControl, IsolatedRestartRetriesUntilHealed) {
   std::vector<std::pair<bool, std::uint64_t>> samples;
   for (const std::int64_t at : {150, 250, 350, 440}) {
     c.simulator.schedule_at(t0 + milliseconds(at), [&] {
-      samples.emplace_back(c.isolated_catching_up(), c.catchup_requests_sent());
+      samples.emplace_back(c.isolated().catching_up(), c.catchup_requests_sent());
     });
   }
   c.simulator.run_until(t0 + seconds(1));
@@ -465,7 +447,7 @@ TEST_P(RecoveryControl, IsolatedRestartRetriesUntilHealed) {
     EXPECT_TRUE(samples[i].first) << "rejoined while isolated, sample " << i;
     EXPECT_EQ(samples[i].second, 2 * (i + 1)) << "sample " << i;
   }
-  EXPECT_FALSE(c.isolated_catching_up());
+  EXPECT_FALSE(c.isolated().catching_up());
   // The 500 ms retry is the first to cross the healed links; its reply
   // ends catch-up before the next tick.
   EXPECT_EQ(c.catchup_requests_sent(), 10u);
@@ -484,6 +466,29 @@ TEST_P(RecoveryControl, IsolatedRestartRetriesUntilHealed) {
   // Restart at 100 ms; the 500 ms retry reaches A (10 ms one way) and A's
   // reply is back at 520 ms.
   EXPECT_EQ(stats.rejoin_ns_total, 420'000'000);
+}
+
+
+// A catch-up reply is tied to the restart that asked for it. Replica 1 (DC
+// B) restarts at 100 ms and again at 110 ms without crashing. The epoch-1
+// reply from A (20 ms RTT) lands at 120 ms and must be dropped: the replica
+// is still catching up at 125 ms and rejoins on A's epoch-2 reply at 130 ms,
+// 20 ms after the restart that counts.
+TEST_P(RecoveryControl, StaleEpochCatchupReplyIsIgnored) {
+  IsolatedCluster c(GetParam());
+  const TimePoint t0 = TimePoint::epoch();
+  c.simulator.schedule_at(t0 + milliseconds(100), [&] { c.isolated().restart(); });
+  c.simulator.schedule_at(t0 + milliseconds(110), [&] { c.isolated().restart(); });
+  bool catching_up_at_125 = false;
+  c.simulator.schedule_at(t0 + milliseconds(125),
+                          [&] { catching_up_at_125 = c.isolated().catching_up(); });
+  c.simulator.run_until(t0 + milliseconds(300));
+
+  EXPECT_TRUE(catching_up_at_125) << "rejoined on the epoch-1 reply";
+  EXPECT_FALSE(c.isolated().catching_up());
+  const recovery::RecoveryStats stats = c.durable.aggregate();
+  EXPECT_EQ(stats.restarts, 2u);
+  EXPECT_EQ(stats.rejoin_ns_total, 20'000'000);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -77,18 +77,16 @@ class TransportNeutral : public ::testing::TestWithParam<Protocol> {
   std::vector<const sm::KvStore*> stores;
   std::vector<ClientBase*> clients;
 
-  template <typename ReplicaT>
-  void add_replica(std::unique_ptr<ReplicaT> replica) {
+  void add_replica(std::unique_ptr<recovery::Replica> replica) {
     replica->attach();
-    if constexpr (requires { replica->start(); }) replica->start();
+    replica->start();
     stores.push_back(&replica->store());
     nodes.push_back(std::move(replica));
   }
 
-  template <typename ClientT>
-  void add_client(std::unique_ptr<ClientT> client) {
+  void add_client(std::unique_ptr<ClientBase> client) {
     client->attach();
-    if constexpr (requires { client->start(); }) client->start();
+    client->start();
     clients.push_back(client.get());
     nodes.push_back(std::move(client));
   }
