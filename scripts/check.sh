@@ -10,6 +10,7 @@
 #   scripts/check.sh --recovery   # crash-recovery suite (ctest -L recovery), sanitized
 #   scripts/check.sh --timeline   # windowed-telemetry/SLO suite (ctest -L timeline), sanitized
 #   scripts/check.sh --wan        # WAN delay-trace suite (ctest -L wan), sanitized
+#   scripts/check.sh --wire       # wire codec suite (ctest -L wire), sanitized
 #   scripts/check.sh --bench-baseline [--record]
 #                                 # run the regression-gate bench and compare it
 #                                 # against scripts/baselines/BENCH_gate.json
@@ -42,6 +43,9 @@
 #             models, non-stationary generators and the calibration-under-
 #             drift acceptance run; smoke-runs scripts/trace_stats.py on the
 #             checked-in fixtures under bench/traces/.
+#   --wire    wire codec: the field-list encoder/decoder, every message's
+#             recorded bytes and the codec fuzz test; ASan+UBSan check the
+#             templated decoders of untrusted bytes.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -57,10 +61,11 @@ declare -A modes=(
   [--recovery]="build-asan:1:recovery:recovery"
   [--timeline]="build-asan:1:timeline:timeline"
   [--wan]="build-asan:1:wan:wan"
+  [--wire]="build-asan:1:wire:"
 )
 
 usage() {
-  sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 
@@ -159,9 +164,11 @@ case "${1:-}" in
   --all)
     shift
     # Full plain suite first, then every sanitized gate (one build-asan
-    # configure+build serves all six labelled suites).
+    # configure+build serves all seven labelled suites).
     run_mode --default "$@"
-    for gate in --chaos --trace --predict --recovery --timeline --wan; do run_mode "$gate" "$@"; done
+    for gate in --chaos --trace --predict --recovery --timeline --wan --wire; do
+      run_mode "$gate" "$@"
+    done
     exit 0
     ;;
   --bench-baseline)

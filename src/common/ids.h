@@ -43,15 +43,6 @@ struct RequestId {
   }
 };
 
-/// Paxos-style ballot number: round number plus proposing node for
-/// tie-breaking. Ballot 0 is the implicit "fast" ballot in Fast Paxos.
-struct Ballot {
-  std::uint32_t round = 0;
-  NodeId node;
-
-  constexpr auto operator<=>(const Ballot&) const = default;
-};
-
 }  // namespace domino
 
 template <>

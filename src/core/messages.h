@@ -25,16 +25,7 @@ struct DfpPropose {
   std::int64_t ts = 0;  // target DFP log position = predicted supermajority arrival time
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    command.encode(w);
-  }
-  static DfpPropose decode(wire::ByteReader& r) {
-    DfpPropose m;
-    m.ts = r.svarint();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.command); }
 };
 
 struct DfpAcceptNotice {
@@ -44,19 +35,8 @@ struct DfpAcceptNotice {
   sm::Command command;
   TimePoint sender_local_time;  // piggybacked watermark (Section 5.3.2)
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.boolean(accepted);
-    command.encode(w);
-    w.time_point(sender_local_time);
-  }
-  static DfpAcceptNotice decode(wire::ByteReader& r) {
-    DfpAcceptNotice m;
-    m.ts = r.svarint();
-    m.accepted = r.boolean();
-    m.command = sm::Command::decode(r);
-    m.sender_local_time = r.time_point();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.ts, m.accepted, m.command, m.sender_local_time);
   }
 };
 
@@ -66,18 +46,7 @@ struct DfpCommit {
   bool is_noop = false;  // true: the position resolved as no-op
   sm::Command command;   // meaningful when !is_noop
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.boolean(is_noop);
-    command.encode(w);
-  }
-  static DfpCommit decode(wire::ByteReader& r) {
-    DfpCommit m;
-    m.ts = r.svarint();
-    m.is_noop = r.boolean();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.is_noop, m.command); }
 };
 
 struct DfpRecoveryAccept {
@@ -86,26 +55,14 @@ struct DfpRecoveryAccept {
   bool is_noop = false;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.boolean(is_noop);
-    command.encode(w);
-  }
-  static DfpRecoveryAccept decode(wire::ByteReader& r) {
-    DfpRecoveryAccept m;
-    m.ts = r.svarint();
-    m.is_noop = r.boolean();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.is_noop, m.command); }
 };
 
 struct DfpRecoveryReply {
   static constexpr wire::MessageType kType = wire::MessageType::kDfpRecoveryReply;
   std::int64_t ts = 0;
 
-  void encode(wire::ByteWriter& w) const { w.svarint(ts); }
-  static DfpRecoveryReply decode(wire::ByteReader& r) { return {r.svarint()}; }
+  static auto fields(auto& m) { return std::tie(m.ts); }
 };
 
 /// Coordinator -> client notification for slow-path outcomes.
@@ -113,8 +70,7 @@ struct DfpClientReply {
   static constexpr wire::MessageType kType = wire::MessageType::kDfpClientReply;
   RequestId request;
 
-  void encode(wire::ByteWriter& w) const { w.request_id(request); }
-  static DfpClientReply decode(wire::ByteReader& r) { return {r.request_id()}; }
+  static auto fields(auto& m) { return std::tie(m.request); }
 };
 
 struct Heartbeat {
@@ -122,24 +78,14 @@ struct Heartbeat {
   TimePoint sender_local_time;        // the sender's clock watermark
   std::int64_t dfp_commit_frontier = 0;  // > 0 only from the coordinator
 
-  void encode(wire::ByteWriter& w) const {
-    w.time_point(sender_local_time);
-    w.svarint(dfp_commit_frontier);
-  }
-  static Heartbeat decode(wire::ByteReader& r) {
-    Heartbeat m;
-    m.sender_local_time = r.time_point();
-    m.dfp_commit_frontier = r.svarint();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.sender_local_time, m.dfp_commit_frontier); }
 };
 
 struct DmPropose {
   static constexpr wire::MessageType kType = wire::MessageType::kDmPropose;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const { command.encode(w); }
-  static DmPropose decode(wire::ByteReader& r) { return {sm::Command::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.command); }
 };
 
 struct DmAccept {
@@ -148,18 +94,7 @@ struct DmAccept {
   std::uint32_t lane = 0;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.varint(lane);
-    command.encode(w);
-  }
-  static DmAccept decode(wire::ByteReader& r) {
-    DmAccept m;
-    m.ts = r.svarint();
-    m.lane = static_cast<std::uint32_t>(r.varint());
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.lane, m.command); }
 };
 
 struct DmAcceptReply {
@@ -167,16 +102,7 @@ struct DmAcceptReply {
   std::int64_t ts = 0;
   std::uint32_t lane = 0;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.varint(lane);
-  }
-  static DmAcceptReply decode(wire::ByteReader& r) {
-    DmAcceptReply m;
-    m.ts = r.svarint();
-    m.lane = static_cast<std::uint32_t>(r.varint());
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.lane); }
 };
 
 struct DmCommit {
@@ -184,24 +110,14 @@ struct DmCommit {
   std::int64_t ts = 0;
   std::uint32_t lane = 0;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.varint(lane);
-  }
-  static DmCommit decode(wire::ByteReader& r) {
-    DmCommit m;
-    m.ts = r.svarint();
-    m.lane = static_cast<std::uint32_t>(r.varint());
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.lane); }
 };
 
 struct DmClientReply {
   static constexpr wire::MessageType kType = wire::MessageType::kDmClientReply;
   RequestId request;
 
-  void encode(wire::ByteWriter& w) const { w.request_id(request); }
-  static DmClientReply decode(wire::ByteReader& r) { return {r.request_id()}; }
+  static auto fields(auto& m) { return std::tie(m.request); }
 };
 
 // ---------------------------------------------------------------------------
@@ -215,28 +131,9 @@ struct RangeEntryWire {
   std::int64_t ts = 0;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    command.encode(w);
-  }
-  static RangeEntryWire decode(wire::ByteReader& r) {
-    RangeEntryWire e;
-    e.ts = r.svarint();
-    e.command = sm::Command::decode(r);
-    return e;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.command); }
 };
-
-inline void encode_entries(wire::ByteWriter& w, const std::vector<RangeEntryWire>& v) {
-  w.varint(v.size());
-  for (const auto& e : v) e.encode(w);
-}
-
-inline std::vector<RangeEntryWire> decode_entries(wire::ByteReader& r) {
-  std::vector<RangeEntryWire> v(r.length_prefix(8));
-  for (auto& e : v) e = RangeEntryWire::decode(r);
-  return v;
-}
+static_assert(wire::min_size<RangeEntryWire>() == 8);
 
 struct DmRevoke {
   static constexpr wire::MessageType kType = wire::MessageType::kDmRevoke;
@@ -244,18 +141,7 @@ struct DmRevoke {
   std::int64_t from_ts = 0;
   std::int64_t to_ts = 0;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(lane);
-    w.svarint(from_ts);
-    w.svarint(to_ts);
-  }
-  static DmRevoke decode(wire::ByteReader& r) {
-    DmRevoke m;
-    m.lane = static_cast<std::uint32_t>(r.varint());
-    m.from_ts = r.svarint();
-    m.to_ts = r.svarint();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.lane, m.from_ts, m.to_ts); }
 };
 
 struct DmRevokeReply {
@@ -265,20 +151,7 @@ struct DmRevokeReply {
   std::int64_t to_ts = 0;
   std::vector<RangeEntryWire> entries;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(lane);
-    w.svarint(from_ts);
-    w.svarint(to_ts);
-    encode_entries(w, entries);
-  }
-  static DmRevokeReply decode(wire::ByteReader& r) {
-    DmRevokeReply m;
-    m.lane = static_cast<std::uint32_t>(r.varint());
-    m.from_ts = r.svarint();
-    m.to_ts = r.svarint();
-    m.entries = decode_entries(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.lane, m.from_ts, m.to_ts, m.entries); }
 };
 
 struct DmRevokeResult {
@@ -288,20 +161,7 @@ struct DmRevokeResult {
   std::int64_t through_ts = 0;
   std::vector<RangeEntryWire> entries;  // committed; unlisted range = no-ops
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(lane);
-    w.svarint(from_ts);
-    w.svarint(through_ts);
-    encode_entries(w, entries);
-  }
-  static DmRevokeResult decode(wire::ByteReader& r) {
-    DmRevokeResult m;
-    m.lane = static_cast<std::uint32_t>(r.varint());
-    m.from_ts = r.svarint();
-    m.through_ts = r.svarint();
-    m.entries = decode_entries(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.lane, m.from_ts, m.through_ts, m.entries); }
 };
 
 struct DfpRangeRecover {
@@ -309,16 +169,7 @@ struct DfpRangeRecover {
   std::int64_t from_ts = 0;
   std::int64_t to_ts = 0;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(from_ts);
-    w.svarint(to_ts);
-  }
-  static DfpRangeRecover decode(wire::ByteReader& r) {
-    DfpRangeRecover m;
-    m.from_ts = r.svarint();
-    m.to_ts = r.svarint();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.from_ts, m.to_ts); }
 };
 
 struct DfpRangeReply {
@@ -327,18 +178,7 @@ struct DfpRangeReply {
   std::int64_t to_ts = 0;
   std::vector<RangeEntryWire> entries;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(from_ts);
-    w.svarint(to_ts);
-    encode_entries(w, entries);
-  }
-  static DfpRangeReply decode(wire::ByteReader& r) {
-    DfpRangeReply m;
-    m.from_ts = r.svarint();
-    m.to_ts = r.svarint();
-    m.entries = decode_entries(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.from_ts, m.to_ts, m.entries); }
 };
 
 struct DfpRangeResolve {
@@ -347,18 +187,7 @@ struct DfpRangeResolve {
   std::int64_t through_ts = 0;
   std::vector<RangeEntryWire> entries;  // committed; unlisted range = no-ops
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(from_ts);
-    w.svarint(through_ts);
-    encode_entries(w, entries);
-  }
-  static DfpRangeResolve decode(wire::ByteReader& r) {
-    DfpRangeResolve m;
-    m.from_ts = r.svarint();
-    m.through_ts = r.svarint();
-    m.entries = decode_entries(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.from_ts, m.through_ts, m.entries); }
 };
 
 }  // namespace domino::core

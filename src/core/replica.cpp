@@ -1,6 +1,7 @@
 #include "core/replica.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -8,34 +9,33 @@
 namespace domino::core {
 
 namespace {
-/// Durable record for an acceptance at (ts, lane). `dm_leader` marks the
-/// record as written by the lane's own leader (it doubles as the timestamp
-/// reservation: replay raises dm_last_assigned_ past it, so no separate
-/// kReservation record is needed).
-wire::Payload accepted_record(std::int64_t ts, std::uint32_t lane, const sm::Command& command,
-                              bool dm_leader, bool reply_via_dfp) {
-  wire::ByteWriter w;
-  w.svarint(ts);
-  w.varint(lane);
-  command.encode(w);
-  w.boolean(dm_leader);
-  w.boolean(reply_via_dfp);
-  return w.take();
-}
+/// Durable kAccepted record: an acceptance at (ts, lane). `dm_leader` marks
+/// the record as written by the lane's own leader (it doubles as the
+/// timestamp reservation: replay raises dm_last_assigned_ past it, so no
+/// separate kReservation record is needed).
+struct AcceptedRecord {
+  std::int64_t ts = 0;
+  std::uint32_t lane = 0;
+  sm::Command command;
+  bool dm_leader = false;
+  bool reply_via_dfp = false;
 
-/// Durable record for a resolution at (ts, lane). The command may be
-/// omitted when a preceding kAccepted record of the same position is
+  static auto fields(auto& m) {
+    return std::tie(m.ts, m.lane, m.command, m.dm_leader, m.reply_via_dfp);
+  }
+};
+
+/// Durable kCommitted record: a resolution at (ts, lane). The command may
+/// be omitted when a preceding kAccepted record of the same position is
 /// guaranteed to supply it (the lane leader's own commits).
-wire::Payload committed_record(std::int64_t ts, std::uint32_t lane, bool is_noop,
-                               const sm::Command* command) {
-  wire::ByteWriter w;
-  w.svarint(ts);
-  w.varint(lane);
-  w.boolean(is_noop);
-  w.boolean(command != nullptr);
-  if (command != nullptr) command->encode(w);
-  return w.take();
-}
+struct CommittedRecord {
+  std::int64_t ts = 0;
+  std::uint32_t lane = 0;
+  bool is_noop = false;
+  std::optional<sm::Command> command;
+
+  static auto fields(auto& m) { return std::tie(m.ts, m.lane, m.is_noop, m.command); }
+};
 }  // namespace
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
@@ -180,9 +180,7 @@ void Replica::handle_dfp_propose(const net::Packet& packet) {
     if (accept) release_watermark_hold(ts);
     if (config_.all_replicas_learn) {
       // Section 5.7: every replica is a learner, so acceptances broadcast.
-      for (NodeId r : replicas_) {
-        if (r != id()) send(r, notice);
-      }
+      broadcast(notice);
     } else if (!is_coordinator()) {
       send(coordinator_, notice);
     }
@@ -199,7 +197,7 @@ void Replica::handle_dfp_propose(const net::Packet& packet) {
     // again.
     persistor_.persist(
         recovery::RecordTag::kAccepted,
-        [&] { return accepted_record(msg.ts, dfp_lane(), msg.command, false, false); },
+        [&] { return wire::to_bytes(AcceptedRecord{msg.ts, dfp_lane(), msg.command}); },
         externalize);
   } else {
     externalize();
@@ -223,8 +221,9 @@ void Replica::handle_dfp_commit(const wire::Payload& payload) {
   }
   // Nothing is externalized on this learner path; fire-and-forget.
   persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    return committed_record(msg.ts, dfp_lane(), msg.is_noop,
-                            msg.is_noop ? nullptr : &msg.command);
+    return wire::to_bytes(CommittedRecord{
+        msg.ts, dfp_lane(), msg.is_noop,
+        msg.is_noop ? std::nullopt : std::optional(msg.command)});
   });
   // Settle any learner-side tally for this position.
   auto it = dfp_positions_.find(msg.ts);
@@ -263,10 +262,7 @@ void Replica::process_dfp_notice(const DfpAcceptNotice& msg) {
   if (msg.ts < commit_frontier_ && !dfp_positions_.contains(msg.ts)) {
     if (!is_coordinator()) return;
     if (msg.accepted) {
-      DfpCommit noop{msg.ts, true, {}};
-      for (NodeId r : replicas_) {
-        if (r != id()) send(r, noop);
-      }
+      broadcast(DfpCommit{msg.ts, true, {}});
       log_.advance_watermark(dfp_lane(), msg.ts + 1);
     }
     reroute_via_dm(msg.command);
@@ -338,7 +334,7 @@ void Replica::coordinator_check(std::int64_t ts) {
         dfp_committed_.insert(t.command.id);
         log_.commit(log::LogPosition{ts, dfp_lane()}, t.command);
         persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-          return committed_record(ts, dfp_lane(), false, &t.command);
+          return wire::to_bytes(CommittedRecord{ts, dfp_lane(), false, t.command});
         });
         execute_ready();
       }
@@ -403,14 +399,11 @@ void Replica::start_dfp_recovery(std::int64_t ts) {
     if (!log_.is_resolved(lp)) {
       log_.accept(lp, choice.command);
       persistor_.persist(recovery::RecordTag::kAccepted, [&] {
-        return accepted_record(ts, dfp_lane(), choice.command, false, false);
+        return wire::to_bytes(AcceptedRecord{ts, dfp_lane(), choice.command});
       });
     }
   }
-  DfpRecoveryAccept msg{ts, choice.is_noop, choice.command};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, msg);
-  }
+  broadcast(DfpRecoveryAccept{ts, choice.is_noop, choice.command});
 }
 
 void Replica::handle_dfp_recovery_reply(const wire::Payload& payload) {
@@ -464,13 +457,13 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
   // they wait for the commit record to be durable.
   persistor_.persist(
       recovery::RecordTag::kCommitted,
-      [&] { return committed_record(ts, dfp_lane(), is_noop, is_noop ? nullptr : &command); },
+      [&] {
+        return wire::to_bytes(CommittedRecord{
+            ts, dfp_lane(), is_noop, is_noop ? std::nullopt : std::optional(command)});
+      },
       [this, ts, is_noop, command, was_fast, losers = std::move(losers)] {
         if (!is_noop) release_watermark_hold(ts);
-        DfpCommit msg{ts, is_noop, is_noop ? sm::Command{} : command};
-        for (NodeId r : replicas_) {
-          if (r != id()) send(r, msg);
-        }
+        broadcast(DfpCommit{ts, is_noop, is_noop ? sm::Command{} : command});
         if (!is_noop && !was_fast) send(command.id.client, DfpClientReply{command.id});
         // Every command that lost this position continues through DM
         // (Section 5.3.3: "The DFP coordinator will propose the other
@@ -549,15 +542,12 @@ void Replica::dm_lead(const sm::Command& command, bool reply_via_dfp) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        return accepted_record(ts, static_cast<std::uint32_t>(rank_), command,
-                               /*dm_leader=*/true, reply_via_dfp);
+        return wire::to_bytes(AcceptedRecord{ts, static_cast<std::uint32_t>(rank_), command,
+                                             /*dm_leader=*/true, reply_via_dfp});
       },
       [this, ts, command] {
         release_watermark_hold(ts);
-        DmAccept msg{ts, static_cast<std::uint32_t>(rank_), command};
-        for (NodeId r : replicas_) {
-          if (r != id()) send(r, msg);
-        }
+        broadcast(DmAccept{ts, static_cast<std::uint32_t>(rank_), command});
         maybe_commit_dm(ts);  // single-replica deployments commit immediately
       });
 }
@@ -578,7 +568,7 @@ void Replica::handle_dm_accept(NodeId from, const wire::Payload& payload) {
   // durable before it leaves.
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] { return accepted_record(msg.ts, msg.lane, msg.command, false, false); },
+      [&] { return wire::to_bytes(AcceptedRecord{msg.ts, msg.lane, msg.command}); },
       [this, from, ts = msg.ts, lane = msg.lane] { send(from, DmAcceptReply{ts, lane}); });
 }
 
@@ -611,12 +601,12 @@ void Replica::maybe_commit_dm(std::int64_t ts) {
   // record for this position always precedes it in the durable log.
   persistor_.persist(
       recovery::RecordTag::kCommitted,
-      [&] { return committed_record(ts, static_cast<std::uint32_t>(rank_), false, nullptr); },
+      [&] {
+        return wire::to_bytes(
+            CommittedRecord{ts, static_cast<std::uint32_t>(rank_), false, std::nullopt});
+      },
       [this, ts, pending] {
-        DmCommit msg{ts, static_cast<std::uint32_t>(rank_)};
-        for (NodeId r : replicas_) {
-          if (r != id()) send(r, msg);
-        }
+        broadcast(DmCommit{ts, static_cast<std::uint32_t>(rank_)});
         if (pending.reply_via_dfp) {
           send(pending.request.client, DfpClientReply{pending.request});
         } else {
@@ -643,7 +633,7 @@ void Replica::handle_dm_commit(const wire::Payload& payload) {
   // command rides in the record so replay does not depend on a local
   // kAccepted record (the entry may have arrived via catch-up instead).
   persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    return committed_record(msg.ts, msg.lane, false, &log_.entry(pos)->command);
+    return wire::to_bytes(CommittedRecord{msg.ts, msg.lane, false, log_.entry(pos)->command});
   });
   execute_ready();
 }
@@ -715,10 +705,7 @@ void Replica::start_dm_revoke(std::uint32_t lane) {
   for (const auto& e : log_.entries_in_range(lane, round.from, round.to)) {
     round.entries.emplace(e.ts, e.command);
   }
-  DmRevoke msg{lane, round.from, round.to};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, msg);
-  }
+  broadcast(DmRevoke{lane, round.from, round.to});
   try_finalize_dm_revoke(lane);  // single-live-replica degenerate case
 }
 
@@ -773,9 +760,7 @@ void Replica::try_finalize_dm_revoke(std::uint32_t lane) {
   }
   round.active = false;
   dm_revoked_through_[lane] = round.to;
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, result);
-  }
+  broadcast(result);
   apply_dm_revoke_result(result);
 }
 
@@ -791,14 +776,14 @@ void Replica::apply_dm_revoke_result(const DmRevokeResult& result) {
     if (!listed) {
       log_.resolve_as_noop(log::LogPosition{e.ts, result.lane});
       persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-        return committed_record(e.ts, result.lane, true, nullptr);
+        return wire::to_bytes(CommittedRecord{e.ts, result.lane, true, std::nullopt});
       });
     }
   }
   for (const auto& e : result.entries) {
     log_.commit(log::LogPosition{e.ts, result.lane}, e.command);
     persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-      return committed_record(e.ts, result.lane, false, &e.command);
+      return wire::to_bytes(CommittedRecord{e.ts, result.lane, false, e.command});
     });
   }
   log_.advance_watermark(result.lane, result.through_ts);
@@ -892,9 +877,7 @@ void Replica::try_finalize_dfp_range() {
   }
   commit_frontier_ = std::max(commit_frontier_, round.to);
 
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, resolve);
-  }
+  broadcast(resolve);
   apply_dfp_range_resolve(resolve);
 }
 
@@ -908,14 +891,14 @@ void Replica::apply_dfp_range_resolve(const DfpRangeResolve& resolve) {
     if (!listed) {
       log_.resolve_as_noop(log::LogPosition{e.ts, dfp_lane()});
       persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-        return committed_record(e.ts, dfp_lane(), true, nullptr);
+        return wire::to_bytes(CommittedRecord{e.ts, dfp_lane(), true, std::nullopt});
       });
     }
   }
   for (const auto& e : resolve.entries) {
     log_.commit(log::LogPosition{e.ts, dfp_lane()}, e.command);
     persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-      return committed_record(e.ts, dfp_lane(), false, &e.command);
+      return wire::to_bytes(CommittedRecord{e.ts, dfp_lane(), false, e.command});
     });
   }
   log_.advance_watermark(dfp_lane(), resolve.through_ts);
@@ -949,16 +932,11 @@ void Replica::recover() {
   dm_commits_ = 0;
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
-    wire::ByteReader r(rec.body);
-    const std::int64_t ts = r.svarint();
-    const auto lane = static_cast<std::uint32_t>(r.varint());
-    if (lane >= log_.lane_count()) return;
-    const log::LogPosition pos{ts, lane};
     switch (rec.tag) {
       case recovery::RecordTag::kAccepted: {
-        sm::Command cmd = sm::Command::decode(r);
-        const bool dm_leader = r.boolean();
-        const bool reply_via_dfp = r.boolean();
+        auto [ts, lane, cmd, dm_leader, reply_via_dfp] =
+            wire::from_bytes<AcceptedRecord>(rec.body);
+        if (lane >= log_.lane_count()) break;
         if (dm_leader && lane == rank_) {
           // Reservation: never assign at or below a promised timestamp
           // again, even though the ack counts died with the crash.
@@ -967,25 +945,24 @@ void Replica::recover() {
         }
         // A later kCommitted/no-op record of the same position wins; the
         // log ignores a (same-command) re-accept of a resolved entry.
-        log_.accept(pos, std::move(cmd));
+        log_.accept(log::LogPosition{ts, lane}, std::move(cmd));
         break;
       }
       case recovery::RecordTag::kCommitted: {
-        const bool is_noop = r.boolean();
-        const bool has_cmd = r.boolean();
+        auto [ts, lane, is_noop, cmd] = wire::from_bytes<CommittedRecord>(rec.body);
+        if (lane >= log_.lane_count()) break;
+        const log::LogPosition pos{ts, lane};
         if (is_noop) {
           if (!log_.is_committed(pos)) log_.resolve_as_noop(pos);
           log_.advance_watermark(lane, ts + 1);
           if (lane == dfp_lane()) dfp_positions_[ts].resolved = true;
           break;
         }
-        sm::Command cmd;
-        if (has_cmd) cmd = sm::Command::decode(r);
         const auto* e = log_.entry(pos);
         if (e != nullptr && e->status == log::GlobalLog::Status::kAbortedNoop) break;
-        if (!has_cmd && e == nullptr) break;  // no accept record either; catch-up covers it
-        const RequestId rid = has_cmd ? cmd.id : e->command.id;
-        log_.commit(pos, has_cmd ? std::optional<sm::Command>(std::move(cmd)) : std::nullopt);
+        if (!cmd && e == nullptr) break;  // no accept record either; catch-up covers it
+        const RequestId rid = cmd ? cmd->id : e->command.id;
+        log_.commit(pos, std::move(cmd));
         if (lane == dfp_lane()) {
           dfp_committed_.insert(rid);
           // Keep the position marked resolved so a late notice for it
@@ -1024,10 +1001,7 @@ void Replica::recover() {
     if (const obs::SpanId s = open_wait_span("dm_quorum_wait"); s != 0) {
       dm_quorum_spans_[ts] = s;
     }
-    const DmAccept msg{ts, static_cast<std::uint32_t>(rank_), e->command};
-    for (NodeId r : replicas_) {
-      if (r != id()) send(r, msg);
-    }
+    broadcast(DmAccept{ts, static_cast<std::uint32_t>(rank_), e->command});
     maybe_commit_dm(ts);  // single-replica deployments commit immediately
   }
 
@@ -1062,10 +1036,8 @@ void Replica::fill_catchup(recovery::CatchupReply& reply) const {
     reply.watermarks.push_back(log_.watermark(lane));
   }
   for (auto& e : log_.resolved_unexecuted()) {
-    wire::ByteWriter aux;
-    aux.boolean(e.is_noop);
-    reply.entries.push_back(
-        recovery::CatchupEntry{e.pos.ts, e.pos.lane, std::move(e.command), aux.take()});
+    reply.entries.push_back(recovery::CatchupEntry{e.pos.ts, e.pos.lane, std::move(e.command),
+                                                   wire::to_bytes(e.is_noop)});
   }
 }
 
@@ -1084,12 +1056,7 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
   for (const auto& e : msg.entries) {
     if (e.lane >= log_.lane_count()) continue;
     const log::LogPosition pos{e.pos, e.lane};
-    bool is_noop = false;
-    if (!e.aux.empty()) {
-      wire::ByteReader r(e.aux);
-      is_noop = r.boolean();
-    }
-    if (is_noop) {
+    if (!e.aux.empty() && wire::from_bytes<bool>(e.aux)) {  // no-op
       if (!log_.is_committed(pos)) log_.resolve_as_noop(pos);
       continue;
     }
@@ -1155,9 +1122,7 @@ void Replica::broadcast_heartbeat() {
       it = it->second.resolved ? dfp_positions_.erase(it) : std::next(it);
     }
   }
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, msg);
-  }
+  broadcast(msg);
   execute_ready();
 }
 

@@ -23,37 +23,17 @@ struct InstanceId {
     return replica.to_string() + "." + std::to_string(seq);
   }
 
-  void encode(wire::ByteWriter& w) const {
-    w.node_id(replica);
-    w.varint(seq);
-  }
-  static InstanceId decode(wire::ByteReader& r) {
-    InstanceId id;
-    id.replica = r.node_id();
-    id.seq = r.varint();
-    return id;
-  }
+  static auto fields(auto& m) { return std::tie(m.replica, m.seq); }
 };
+static_assert(wire::min_size<InstanceId>() == 5);
 
 using DepList = std::vector<InstanceId>;
-
-inline void encode_deps(wire::ByteWriter& w, const DepList& deps) {
-  w.varint(deps.size());
-  for (const auto& d : deps) d.encode(w);
-}
-
-inline DepList decode_deps(wire::ByteReader& r) {
-  DepList deps(r.length_prefix(5));
-  for (auto& d : deps) d = InstanceId::decode(r);
-  return deps;
-}
 
 struct ClientRequest {
   static constexpr wire::MessageType kType = wire::MessageType::kEpaxosClientRequest;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const { command.encode(w); }
-  static ClientRequest decode(wire::ByteReader& r) { return {sm::Command::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.command); }
 };
 
 struct PreAccept {
@@ -63,20 +43,7 @@ struct PreAccept {
   std::uint64_t seq = 0;  // ordering sequence number, not the instance seq
   DepList deps;
 
-  void encode(wire::ByteWriter& w) const {
-    instance.encode(w);
-    command.encode(w);
-    w.varint(seq);
-    encode_deps(w, deps);
-  }
-  static PreAccept decode(wire::ByteReader& r) {
-    PreAccept m;
-    m.instance = InstanceId::decode(r);
-    m.command = sm::Command::decode(r);
-    m.seq = r.varint();
-    m.deps = decode_deps(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.instance, m.command, m.seq, m.deps); }
 };
 
 struct PreAcceptReply {
@@ -85,18 +52,7 @@ struct PreAcceptReply {
   std::uint64_t seq = 0;
   DepList deps;
 
-  void encode(wire::ByteWriter& w) const {
-    instance.encode(w);
-    w.varint(seq);
-    encode_deps(w, deps);
-  }
-  static PreAcceptReply decode(wire::ByteReader& r) {
-    PreAcceptReply m;
-    m.instance = InstanceId::decode(r);
-    m.seq = r.varint();
-    m.deps = decode_deps(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.instance, m.seq, m.deps); }
 };
 
 struct Accept {
@@ -106,28 +62,14 @@ struct Accept {
   std::uint64_t seq = 0;
   DepList deps;
 
-  void encode(wire::ByteWriter& w) const {
-    instance.encode(w);
-    command.encode(w);
-    w.varint(seq);
-    encode_deps(w, deps);
-  }
-  static Accept decode(wire::ByteReader& r) {
-    Accept m;
-    m.instance = InstanceId::decode(r);
-    m.command = sm::Command::decode(r);
-    m.seq = r.varint();
-    m.deps = decode_deps(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.instance, m.command, m.seq, m.deps); }
 };
 
 struct AcceptReply {
   static constexpr wire::MessageType kType = wire::MessageType::kEpaxosAcceptReply;
   InstanceId instance;
 
-  void encode(wire::ByteWriter& w) const { instance.encode(w); }
-  static AcceptReply decode(wire::ByteReader& r) { return {InstanceId::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.instance); }
 };
 
 struct Commit {
@@ -137,28 +79,14 @@ struct Commit {
   std::uint64_t seq = 0;
   DepList deps;
 
-  void encode(wire::ByteWriter& w) const {
-    instance.encode(w);
-    command.encode(w);
-    w.varint(seq);
-    encode_deps(w, deps);
-  }
-  static Commit decode(wire::ByteReader& r) {
-    Commit m;
-    m.instance = InstanceId::decode(r);
-    m.command = sm::Command::decode(r);
-    m.seq = r.varint();
-    m.deps = decode_deps(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.instance, m.command, m.seq, m.deps); }
 };
 
 struct ClientReply {
   static constexpr wire::MessageType kType = wire::MessageType::kEpaxosClientReply;
   RequestId request;
 
-  void encode(wire::ByteWriter& w) const { w.request_id(request); }
-  static ClientReply decode(wire::ByteReader& r) { return {r.request_id()}; }
+  static auto fields(auto& m) { return std::tie(m.request); }
 };
 
 }  // namespace domino::epaxos

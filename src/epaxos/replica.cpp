@@ -64,20 +64,6 @@ void Replica::on_message(const net::Packet& packet) {
   }
 }
 
-wire::Payload Replica::instance_record(const InstanceId& inst_id, const sm::Command& cmd,
-                                       std::uint64_t seq, const DepList& deps,
-                                       Status status, NodeId client) const {
-  wire::ByteWriter w;
-  inst_id.encode(w);
-  cmd.encode(w);
-  w.varint(seq);
-  encode_deps(w, deps);
-  w.u8(static_cast<std::uint8_t>(status));
-  w.boolean(client.valid());  // leader records carry the requesting client
-  if (client.valid()) w.node_id(client);
-  return w.take();
-}
-
 std::size_t Replica::rank_of(NodeId owner) const {
   const auto it = std::find(replicas_.begin(), replicas_.end(), owner);
   if (it == replicas_.end()) throw std::invalid_argument("epaxos: instance of a non-replica");
@@ -116,14 +102,11 @@ void Replica::handle_client_request(const net::Packet& packet) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        return instance_record(inst, command, seq, deps, Status::kPreAccepted,
-                               command.id.client);
+        return wire::to_bytes(
+            InstanceRecord{inst, command, seq, deps, Status::kPreAccepted, command.id.client});
       },
       [this, inst, command, seq = seq, deps = deps] {
-        const PreAccept msg{inst, command, seq, deps};
-        for (NodeId r : replicas_) {
-          if (r != id()) send(r, msg);
-        }
+        broadcast(PreAccept{inst, command, seq, deps});
       });
 }
 
@@ -150,8 +133,8 @@ void Replica::handle_preaccept(NodeId from, const wire::Payload& payload) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        return instance_record(msg.instance, msg.command, seq, deps, Status::kPreAccepted,
-                               NodeId::invalid());
+        return wire::to_bytes(InstanceRecord{msg.instance, msg.command, seq, deps,
+                                             Status::kPreAccepted, std::nullopt});
       },
       [this, from, inst = msg.instance, seq, deps] {
         send(from, PreAcceptReply{inst, seq, deps});
@@ -195,11 +178,11 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
     persistor_.persist(
         recovery::RecordTag::kCommitted,
         [&] {
-          return instance_record(msg.instance, command, seq, deps, Status::kCommitted,
-                                 NodeId::invalid());
+          return wire::to_bytes(InstanceRecord{msg.instance, command, seq, deps,
+                                               Status::kCommitted, std::nullopt});
         },
         [this, inst_id = msg.instance, command, seq, deps, client] {
-          commit_instance(inst_id, command, seq, deps, /*broadcast=*/true);
+          commit_instance(inst_id, command, seq, deps, /*announce=*/true);
           send(client, ClientReply{command.id});
         });
     return;
@@ -213,14 +196,11 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        return instance_record(msg.instance, command, book.seq, book.deps,
-                               Status::kAccepted, book.client);
+        return wire::to_bytes(InstanceRecord{msg.instance, command, book.seq, book.deps,
+                                             Status::kAccepted, book.client});
       },
       [this, inst_id = msg.instance, command, seq = book.seq, deps = book.deps] {
-        const Accept msg_out{inst_id, command, seq, deps};
-        for (NodeId r : replicas_) {
-          if (r != id()) send(r, msg_out);
-        }
+        broadcast(Accept{inst_id, command, seq, deps});
       });
 }
 
@@ -243,8 +223,8 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        return instance_record(msg.instance, msg.command, msg.seq, msg.deps,
-                               Status::kAccepted, NodeId::invalid());
+        return wire::to_bytes(InstanceRecord{msg.instance, msg.command, msg.seq, msg.deps,
+                                             Status::kAccepted, std::nullopt});
       },
       [this, from, inst = msg.instance] { send(from, AcceptReply{inst}); });
 }
@@ -274,22 +254,22 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
   persistor_.persist(
       recovery::RecordTag::kCommitted,
       [&] {
-        return instance_record(msg.instance, command, seq, deps, Status::kCommitted,
-                               NodeId::invalid());
+        return wire::to_bytes(InstanceRecord{msg.instance, command, seq, deps,
+                                             Status::kCommitted, std::nullopt});
       },
       [this, inst_id = msg.instance, command, seq, deps, client] {
-        commit_instance(inst_id, command, seq, deps, /*broadcast=*/true);
+        commit_instance(inst_id, command, seq, deps, /*announce=*/true);
         send(client, ClientReply{command.id});
       });
 }
 
 void Replica::handle_commit(const wire::Payload& payload) {
   const auto msg = wire::decode_message<Commit>(payload);
-  commit_instance(msg.instance, msg.command, msg.seq, msg.deps, /*broadcast=*/false);
+  commit_instance(msg.instance, msg.command, msg.seq, msg.deps, /*announce=*/false);
   // Nothing is externalized on this path, so the persist is fire-and-forget.
   persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    return instance_record(msg.instance, msg.command, msg.seq, msg.deps,
-                           Status::kCommitted, NodeId::invalid());
+    return wire::to_bytes(InstanceRecord{msg.instance, msg.command, msg.seq, msg.deps,
+                                         Status::kCommitted, std::nullopt});
   });
 }
 
@@ -310,14 +290,8 @@ void Replica::recover() {
         rec.tag != recovery::RecordTag::kCommitted) {
       return;  // EPaxos writes no other tags
     }
-    wire::ByteReader r(rec.body);
-    const InstanceId inst_id = InstanceId::decode(r);
-    sm::Command cmd = sm::Command::decode(r);
-    const std::uint64_t seq = r.varint();
-    DepList deps = decode_deps(r);
-    const auto status = static_cast<Status>(r.u8());
-    NodeId client = NodeId::invalid();
-    if (r.boolean()) client = r.node_id();
+    auto [inst_id, cmd, seq, deps, status, client] =
+        wire::from_bytes<InstanceRecord>(rec.body);
 
     if (inst_id.replica == id()) {
       next_instance_ = std::max(next_instance_, inst_id.seq + 1);
@@ -339,13 +313,13 @@ void Replica::recover() {
       // (a duplicate round from a previous incarnation may replay late).
       instances_[inst_id] = Instance{std::move(cmd), seq, deps, status};
     }
-    if (client.valid()) {
+    if (client) {
       LeaderBook book;
       book.seq = seq;
       book.deps = std::move(deps);
       book.in_accept_phase = (status == Status::kAccepted);
       book.attributes_changed = book.in_accept_phase;
-      book.client = client;
+      book.client = *client;
       leading_[inst_id] = std::move(book);
     }
   });
@@ -370,15 +344,9 @@ void Replica::recover() {
       quorum_spans_[inst_id] = s;
     }
     if (book.in_accept_phase) {
-      const Accept msg{inst_id, it->second.command, book.seq, book.deps};
-      for (NodeId r : replicas_) {
-        if (r != id()) send(r, msg);
-      }
+      broadcast(Accept{inst_id, it->second.command, book.seq, book.deps});
     } else {
-      const PreAccept msg{inst_id, it->second.command, book.seq, book.deps};
-      for (NodeId r : replicas_) {
-        if (r != id()) send(r, msg);
-      }
+      broadcast(PreAccept{inst_id, it->second.command, book.seq, book.deps});
     }
   }
 }
@@ -392,12 +360,10 @@ void Replica::fill_catchup(recovery::CatchupReply& reply) const {
   for (const auto& [inst_id, inst] : instances_) {
     if (inst.status != Status::kCommitted && inst.status != Status::kExecuted) continue;
     if (compacted(inst_id)) continue;
-    wire::ByteWriter aux;
-    inst_id.encode(aux);
-    aux.varint(inst.seq);
-    encode_deps(aux, inst.deps);
-    aux.boolean(inst.status == Status::kExecuted);
-    reply.entries.push_back(recovery::CatchupEntry{0, 0, inst.command, aux.take()});
+    reply.entries.push_back(recovery::CatchupEntry{
+        0, 0, inst.command,
+        wire::to_bytes(CatchupAux{inst_id, inst.seq, inst.deps,
+                                  inst.status == Status::kExecuted})});
   }
 }
 
@@ -412,21 +378,9 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
   // Own instances the peer executed were committed cluster-wide; nothing
   // left to lead.
   std::erase_if(leading_, [&](const auto& kv) { return kv.first.seq < peer_frontier[own]; });
-  struct Shipped {
-    InstanceId inst_id;
-    std::uint64_t seq;
-    DepList deps;
-    bool peer_executed;
-  };
-  std::vector<Shipped> shipped;
+  std::vector<CatchupAux> shipped;
   shipped.reserve(msg.entries.size());
-  for (const auto& e : msg.entries) {
-    wire::ByteReader ar(e.aux);
-    const InstanceId inst_id = InstanceId::decode(ar);
-    const std::uint64_t seq = ar.varint();
-    DepList deps = decode_deps(ar);
-    shipped.push_back(Shipped{inst_id, seq, std::move(deps), ar.boolean()});
-  }
+  for (const auto& e : msg.entries) shipped.push_back(wire::from_bytes<CatchupAux>(e.aux));
   // Only the first qualifying reply installs a snapshot: once rejoined the
   // store reflects live executions a later reply's snapshot (taken at the
   // peer's earlier reply time, or by a peer with a different execution
@@ -453,7 +407,7 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
     // depend on are merged below.
     std::unordered_set<InstanceId> peer_executed;
     for (const auto& s : shipped) {
-      if (s.peer_executed) peer_executed.insert(s.inst_id);
+      if (s.executed) peer_executed.insert(s.instance);
     }
     for (auto& [inst_id, inst] : instances_) {
       if (inst.status != Status::kExecuted || compacted(inst_id) ||
@@ -473,7 +427,7 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
   std::unordered_set<InstanceId> peer_knows;
   peer_knows.reserve(shipped.size());
   for (std::size_t i = 0; i < shipped.size(); ++i) {
-    const InstanceId& inst_id = shipped[i].inst_id;
+    const InstanceId& inst_id = shipped[i].instance;
     const std::uint64_t seq = shipped[i].seq;
     const sm::Command& command = msg.entries[i].command;
     peer_knows.insert(inst_id);
@@ -488,14 +442,14 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
       key_table_[command.key] = {inst_id, seq};
     }
     leading_.erase(inst_id);  // committed cluster-wide; nothing left to lead
-    if (installed && shipped[i].peer_executed) {
+    if (installed && shipped[i].executed) {
       // The installed snapshot already reflects this command's execution:
       // mark it executed without re-applying, and release its waiters.
       instances_[inst_id] =
           Instance{command, seq, std::move(shipped[i].deps), Status::kExecuted};
       wake_waiters(inst_id);
     } else {
-      commit_instance(inst_id, command, seq, shipped[i].deps, /*broadcast=*/false);
+      commit_instance(inst_id, command, seq, shipped[i].deps, /*announce=*/false);
     }
   }
   for (const auto& inst_id : rerun) try_execute(inst_id);
@@ -511,10 +465,7 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
       if (inst_id.replica != id()) continue;
       if (inst.status != Status::kCommitted && inst.status != Status::kExecuted) continue;
       if (inst_id.seq < peer_frontier[own] || peer_knows.contains(inst_id)) continue;
-      const Commit out{inst_id, inst.command, inst.seq, inst.deps};
-      for (NodeId r : replicas_) {
-        if (r != id()) send(r, out);
-      }
+      broadcast(Commit{inst_id, inst.command, inst.seq, inst.deps});
     }
   }
 }
@@ -527,7 +478,7 @@ void Replica::on_rejoined() {
 }
 
 void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
-                              std::uint64_t seq, const DepList& deps, bool broadcast) {
+                              std::uint64_t seq, const DepList& deps, bool announce) {
   if (compacted(inst_id)) return;  // executed: idempotent
   auto it = instances_.find(inst_id);
   if (it == instances_.end()) {
@@ -547,12 +498,7 @@ void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
     close_wait_span(qspan_it->second);
     quorum_spans_.erase(qspan_it);
   }
-  if (broadcast) {
-    Commit msg{inst_id, cmd, seq, deps};
-    for (NodeId r : replicas_) {
-      if (r != id()) send(r, msg);
-    }
-  }
+  if (announce) broadcast(Commit{inst_id, cmd, seq, deps});
   try_execute(inst_id);
   wake_waiters(inst_id);
 }

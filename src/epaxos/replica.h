@@ -74,6 +74,31 @@ class Replica : public recovery::Replica {
     Status status = Status::kPreAccepted;
   };
 
+  /// Durable kAccepted and kCommitted record body: an instance's attributes,
+  /// plus the requesting client on the command leader's own records.
+  struct InstanceRecord {
+    InstanceId instance;
+    sm::Command command;
+    std::uint64_t seq = 0;
+    DepList deps;
+    Status status = Status::kPreAccepted;
+    std::optional<NodeId> client;
+
+    static auto fields(auto& m) {
+      return std::tie(m.instance, m.command, m.seq, m.deps, m.status, m.client);
+    }
+  };
+
+  /// Catch-up aux bytes of one shipped committed instance.
+  struct CatchupAux {
+    InstanceId instance;
+    std::uint64_t seq = 0;
+    DepList deps;
+    bool executed = false;  // by the peer, so its snapshot reflects it
+
+    static auto fields(auto& m) { return std::tie(m.instance, m.seq, m.deps, m.executed); }
+  };
+
   struct LeaderBook {
     std::uint64_t seq = 0;
     DepList deps;
@@ -93,19 +118,13 @@ class Replica : public recovery::Replica {
   void handle_accept_reply(NodeId from, const wire::Payload& payload);
   void handle_commit(const wire::Payload& payload);
 
-  /// Serialize an instance's attributes into a durable record body.
-  [[nodiscard]] wire::Payload instance_record(const InstanceId& inst_id,
-                                              const sm::Command& cmd, std::uint64_t seq,
-                                              const DepList& deps, Status status,
-                                              NodeId client) const;
-
   /// Compute (seq, deps) for `cmd` against the local interference table and
   /// record `inst` as the latest writer of its key.
   std::pair<std::uint64_t, DepList> attributes_for(const sm::Command& cmd,
                                                    const InstanceId& inst);
 
   void commit_instance(const InstanceId& inst, const sm::Command& cmd, std::uint64_t seq,
-                       const DepList& deps, bool broadcast);
+                       const DepList& deps, bool announce);
   void try_execute(const InstanceId& inst);
   void execute_scc_from(const InstanceId& root);
   /// Re-try the instances blocked on `dep`, which is now executed or

@@ -18,8 +18,7 @@ struct ClientRequest {
   static constexpr wire::MessageType kType = wire::MessageType::kFastPaxosClientRequest;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const { command.encode(w); }
-  static ClientRequest decode(wire::ByteReader& r) { return {sm::Command::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.command); }
 };
 
 struct AcceptNotice {
@@ -27,16 +26,7 @@ struct AcceptNotice {
   std::uint64_t index = 0;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    command.encode(w);
-  }
-  static AcceptNotice decode(wire::ByteReader& r) {
-    AcceptNotice m;
-    m.index = r.varint();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.command); }
 };
 
 struct RecoveryAccept {
@@ -45,26 +35,14 @@ struct RecoveryAccept {
   bool is_noop = false;
   sm::Command command;  // meaningful when !is_noop
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    w.boolean(is_noop);
-    command.encode(w);
-  }
-  static RecoveryAccept decode(wire::ByteReader& r) {
-    RecoveryAccept m;
-    m.index = r.varint();
-    m.is_noop = r.boolean();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.is_noop, m.command); }
 };
 
 struct RecoveryReply {
   static constexpr wire::MessageType kType = wire::MessageType::kFastPaxosRecoveryReply;
   std::uint64_t index = 0;
 
-  void encode(wire::ByteWriter& w) const { w.varint(index); }
-  static RecoveryReply decode(wire::ByteReader& r) { return {r.varint()}; }
+  static auto fields(auto& m) { return std::tie(m.index); }
 };
 
 struct Commit {
@@ -73,26 +51,14 @@ struct Commit {
   bool is_noop = false;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    w.boolean(is_noop);
-    command.encode(w);
-  }
-  static Commit decode(wire::ByteReader& r) {
-    Commit m;
-    m.index = r.varint();
-    m.is_noop = r.boolean();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.is_noop, m.command); }
 };
 
 struct ClientReply {
   static constexpr wire::MessageType kType = wire::MessageType::kFastPaxosClientReply;
   RequestId request;
 
-  void encode(wire::ByteWriter& w) const { w.request_id(request); }
-  static ClientReply decode(wire::ByteReader& r) { return {r.request_id()}; }
+  static auto fields(auto& m) { return std::tie(m.request); }
 };
 
 }  // namespace domino::fastpaxos

@@ -79,17 +79,10 @@ void Replica::handle_client_request(const net::Packet& packet) {
   obs_accepts_.inc();
   assign(rid, index);
 
-  const sm::Command command = req.command;
+  const AcceptNotice notice{index, req.command};
   persistor_.persist(
-      recovery::RecordTag::kAccepted,
-      [&] {
-        wire::ByteWriter w;
-        w.varint(index);
-        command.encode(w);
-        return w.take();
-      },
-      [this, index, command, client = rid.client] {
-        const AcceptNotice notice{index, command};
+      recovery::RecordTag::kAccepted, [&] { return wire::to_bytes(notice); },
+      [this, notice, client = rid.client] {
         send(coordinator_, notice);
         send(client, notice);
       });
@@ -110,13 +103,7 @@ void Replica::handle_commit(const wire::Payload& payload) {
     log_.commit(msg.index, msg.command);
   }
   // Nothing is externalized on this path, so the persist is fire-and-forget.
-  persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    wire::ByteWriter w;
-    w.varint(msg.index);
-    w.boolean(msg.is_noop);
-    msg.command.encode(w);
-    return w.take();
-  });
+  persistor_.persist(recovery::RecordTag::kCommitted, [&] { return wire::to_bytes(msg); });
   execute_ready();
 }
 
@@ -236,10 +223,7 @@ void Replica::start_recovery(std::uint64_t index) {
   tally.recovery_choice = choice;
   tally.recovery_acks = 1;  // the coordinator accepts its own proposal
 
-  RecoveryAccept msg{index, choice.is_noop, choice.command};
-  for (NodeId r : replicas_) {
-    if (r != id()) send(r, msg);
-  }
+  broadcast(RecoveryAccept{index, choice.is_noop, choice.command});
 }
 
 void Replica::handle_recovery_reply(const wire::Payload& payload) {
@@ -278,25 +262,16 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
 
   // The decision is externalized by the Commit broadcast and the client
   // reply, so it must be durable first.
+  const Commit commit{index, is_noop, command};
   persistor_.persist(
-      recovery::RecordTag::kCommitted,
-      [&] {
-        wire::ByteWriter w;
-        w.varint(index);
-        w.boolean(is_noop);
-        command.encode(w);
-        return w.take();
-      },
-      [this, index, is_noop, command] {
+      recovery::RecordTag::kCommitted, [&] { return wire::to_bytes(commit); },
+      [this, commit] {
         // Notify acceptors first (FIFO: re-proposals below must arrive after
         // the Commit so acceptors see their old assignment resolved before
         // they are asked to reassign).
-        const Commit commit{index, is_noop, command};
-        for (NodeId r : replicas_) {
-          if (r != id()) send(r, commit);
-        }
-        if (!is_noop) send(command.id.client, ClientReply{command.id});
-        repropose_losers(index);
+        broadcast(commit);
+        if (!commit.is_noop) send(commit.command.id.client, ClientReply{commit.command.id});
+        repropose_losers(commit.index);
       });
   execute_ready();
 }
@@ -341,20 +316,17 @@ void Replica::recover() {
   std::uint64_t max_index = 0;
   bool any = false;
   persistor_.replay([this, &max_index, &any](const recovery::DurableRecord& rec) {
-    wire::ByteReader r(rec.body);
     switch (rec.tag) {
       case recovery::RecordTag::kAccepted: {
-        const std::uint64_t index = r.varint();
-        assign(sm::Command::decode(r).id, index);
+        const auto [index, cmd] = wire::from_bytes<AcceptNotice>(rec.body);
+        assign(cmd.id, index);
         next_index_ = std::max(next_index_, index + 1);
         max_index = std::max(max_index, index);
         any = true;
         break;
       }
       case recovery::RecordTag::kCommitted: {
-        const std::uint64_t index = r.varint();
-        const bool is_noop = r.boolean();
-        sm::Command cmd = sm::Command::decode(r);
+        auto [index, is_noop, cmd] = wire::from_bytes<Commit>(rec.body);
         if (is_noop) {
           log_.skip(index, index);
         } else {
@@ -401,10 +373,8 @@ void Replica::fill_catchup(recovery::CatchupReply& reply) const {
   // recovering replica cannot re-learn them from retransmissions: ship the
   // skipped ranges above the frontier explicitly (aux = range end).
   for (const auto& [lo, hi] : log_.skipped_after(log_.execution_frontier())) {
-    wire::ByteWriter aux;
-    aux.varint(hi);
     reply.entries.push_back(recovery::CatchupEntry{
-        static_cast<std::int64_t>(lo), 0, sm::Command{}, aux.take()});
+        static_cast<std::int64_t>(lo), 0, sm::Command{}, wire::to_bytes(hi)});
   }
 }
 
@@ -417,8 +387,7 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
   }
   for (const auto& e : msg.entries) {
     if (!e.aux.empty()) {  // skipped range [pos, aux]
-      wire::ByteReader ar(e.aux);
-      const std::uint64_t hi = ar.varint();
+      const auto hi = wire::from_bytes<std::uint64_t>(e.aux);
       const auto lo =
           std::max(static_cast<std::uint64_t>(e.pos), log_.execution_frontier());
       if (hi < lo) continue;

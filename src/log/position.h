@@ -16,8 +16,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
-
-#include "wire/codec.h"
+#include <tuple>
 
 namespace domino::log {
 
@@ -31,16 +30,7 @@ struct LogPosition {
     return "(" + std::to_string(ts) + ",lane" + std::to_string(lane) + ")";
   }
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(ts);
-    w.varint(lane);
-  }
-  static LogPosition decode(wire::ByteReader& r) {
-    LogPosition p;
-    p.ts = r.svarint();
-    p.lane = static_cast<std::uint32_t>(r.varint());
-    return p;
-  }
+  static auto fields(auto& m) { return std::tie(m.ts, m.lane); }
 };
 
 /// The DFP lane index in a deployment with `replica_count` replicas.

@@ -19,16 +19,7 @@ struct Probe {
   std::uint64_t seq = 0;
   TimePoint sender_local_time;  // the prober's clock when it sent this
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(seq);
-    w.time_point(sender_local_time);
-  }
-  static Probe decode(wire::ByteReader& r) {
-    Probe p;
-    p.seq = r.varint();
-    p.sender_local_time = r.time_point();
-    return p;
-  }
+  static auto fields(auto& m) { return std::tie(m.seq, m.sender_local_time); }
 };
 
 struct ProbeReply {
@@ -39,19 +30,9 @@ struct ProbeReply {
   TimePoint replica_local_time;      // replica's clock on receipt
   Duration replication_latency;      // the replica's L_r estimate (Section 5.6)
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(seq);
-    w.time_point(echo_sender_local_time);
-    w.time_point(replica_local_time);
-    w.duration(replication_latency);
-  }
-  static ProbeReply decode(wire::ByteReader& r) {
-    ProbeReply p;
-    p.seq = r.varint();
-    p.echo_sender_local_time = r.time_point();
-    p.replica_local_time = r.time_point();
-    p.replication_latency = r.duration();
-    return p;
+  static auto fields(auto& m) {
+    return std::tie(m.seq, m.echo_sender_local_time, m.replica_local_time,
+                    m.replication_latency);
   }
 };
 

@@ -27,8 +27,7 @@ namespace domino::measure {
 
 struct ProxyQuery {
   static constexpr wire::MessageType kType = wire::MessageType::kProxyQuery;
-  void encode(wire::ByteWriter&) const {}
-  static ProxyQuery decode(wire::ByteReader&) { return {}; }
+  static auto fields(auto&) { return std::tie(); }
 };
 
 struct ProxyReport {
@@ -41,13 +40,17 @@ struct ProxyReport {
     Duration replication_latency = Duration::max();
     bool failed = true;
     bool stale = true;  // proxy's prober has not heard from it recently
+
+    static auto fields(auto& m) {
+      return std::tie(m.replica, m.rtt, m.owd, m.replication_latency, m.failed, m.stale);
+    }
   };
   double percentile = 95.0;
   std::vector<Entry> entries;
 
-  void encode(wire::ByteWriter& w) const;
-  static ProxyReport decode(wire::ByteReader& r);
+  static auto fields(auto& m) { return std::tie(m.percentile, m.entries); }
 };
+static_assert(wire::min_size<ProxyReport::Entry>() == 9);
 
 /// A dedicated measurement node: one per datacenter instead of one prober
 /// per client. Sends (2f+1)R probes per second total, independent of the

@@ -17,8 +17,7 @@ struct ClientRequest {
   static constexpr wire::MessageType kType = wire::MessageType::kMenciusClientRequest;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const { command.encode(w); }
-  static ClientRequest decode(wire::ByteReader& r) { return {sm::Command::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.command); }
 };
 
 struct Accept {
@@ -33,18 +32,7 @@ struct Accept {
   /// FIFO ordering is not enough once a channel has dropped messages.
   std::uint64_t skip_through = 0;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    command.encode(w);
-    w.varint(skip_through);
-  }
-  static Accept decode(wire::ByteReader& r) {
-    Accept m;
-    m.index = r.varint();
-    m.command = sm::Command::decode(r);
-    m.skip_through = r.varint();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.command, m.skip_through); }
 };
 
 struct AcceptReply {
@@ -52,16 +40,7 @@ struct AcceptReply {
   std::uint64_t index = 0;
   std::uint64_t skip_through = 0;  // the replier's own-lane frontier
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    w.varint(skip_through);
-  }
-  static AcceptReply decode(wire::ByteReader& r) {
-    AcceptReply m;
-    m.index = r.varint();
-    m.skip_through = r.varint();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.skip_through); }
 };
 
 struct Commit {
@@ -72,16 +51,7 @@ struct Commit {
   /// a hole in a Mencius log would stall its execution frontier forever.
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    command.encode(w);
-  }
-  static Commit decode(wire::ByteReader& r) {
-    Commit m;
-    m.index = r.varint();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.command); }
 };
 
 /// Follower -> owner: confirms a Commit was received, so the owner can stop
@@ -90,8 +60,7 @@ struct CommitAck {
   static constexpr wire::MessageType kType = wire::MessageType::kMenciusCommitAck;
   std::uint64_t index = 0;
 
-  void encode(wire::ByteWriter& w) const { w.varint(index); }
-  static CommitAck decode(wire::ByteReader& r) { return {r.varint()}; }
+  static auto fields(auto& m) { return std::tie(m.index); }
 };
 
 /// Heartbeat: advertises the sender's own-lane frontier so idle lanes do not
@@ -100,16 +69,14 @@ struct Skip {
   static constexpr wire::MessageType kType = wire::MessageType::kMenciusSkip;
   std::uint64_t skip_through = 0;
 
-  void encode(wire::ByteWriter& w) const { w.varint(skip_through); }
-  static Skip decode(wire::ByteReader& r) { return {r.varint()}; }
+  static auto fields(auto& m) { return std::tie(m.skip_through); }
 };
 
 struct ClientReply {
   static constexpr wire::MessageType kType = wire::MessageType::kMenciusClientReply;
   RequestId request;
 
-  void encode(wire::ByteWriter& w) const { w.request_id(request); }
-  static ClientReply decode(wire::ByteReader& r) { return {r.request_id()}; }
+  static auto fields(auto& m) { return std::tie(m.request); }
 };
 
 }  // namespace domino::mencius

@@ -80,12 +80,8 @@ void Replica::handle_client_request(const net::Packet& packet) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        wire::ByteWriter w;
-        w.varint(p);
-        req.command.encode(w);
-        w.boolean(true);  // own instance: carries the requesting client
-        w.node_id(req.command.id.client);
-        return w.take();
+        return wire::to_bytes(
+            recovery::IndexAcceptedRecord{p, req.command, req.command.id.client});
       },
       [this, p, command = req.command] {
         for (NodeId r : replicas_) {
@@ -109,11 +105,8 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        wire::ByteWriter w;
-        w.varint(msg.index);
-        msg.command.encode(w);
-        w.boolean(false);
-        return w.take();
+        return wire::to_bytes(
+            recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt});
       },
       [this, from, index = msg.index] {
         send(from, AcceptReply{index, safe_skip_frontier(from)});
@@ -147,21 +140,14 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
       // the continuation's execute_ready) may send.
       persistor_.persist(
           recovery::RecordTag::kCommitted,
-          [&] {
-            wire::ByteWriter w;
-            w.varint(msg.index);
-            it->second.command.encode(w);
-            return w.take();
-          },
+          [&] { return wire::to_bytes(Commit{msg.index, it->second.command}); },
           [this, index = msg.index, command = it->second.command] {
             // The Pending entry stays until every peer CommitAcks: the owner
             // retransmits the Commit to the stragglers from the heartbeat,
             // so a follower that was crashed or partitioned at commit time
             // still learns the command instead of stalling its execution
             // frontier.
-            for (NodeId r : replicas_) {
-              if (r != id()) send(r, Commit{index, command});
-            }
+            broadcast(Commit{index, command});
             execute_ready();
           });
       return;
@@ -181,12 +167,7 @@ void Replica::handle_commit(NodeId from, const wire::Payload& payload) {
   // be durable before the ack leaves.
   persistor_.persist(
       recovery::RecordTag::kCommitted,
-      [&] {
-        wire::ByteWriter w;
-        w.varint(msg.index);
-        msg.command.encode(w);
-        return w.take();
-      },
+      [&] { return wire::to_bytes(msg); },
       [this, from, index = msg.index] { send(from, CommitAck{index}); });
   execute_ready();
 }
@@ -255,17 +236,13 @@ void Replica::recover() {
   owned_proposals_ = 0;
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
-    wire::ByteReader r(rec.body);
     switch (rec.tag) {
       case recovery::RecordTag::kAccepted: {
-        const std::uint64_t index = r.varint();
-        sm::Command cmd = sm::Command::decode(r);
-        const bool own = r.boolean();
-        if (own) {
-          const NodeId client = r.node_id();
+        auto [index, cmd, client] = wire::from_bytes<recovery::IndexAcceptedRecord>(rec.body);
+        if (client) {  // own instance
           if (!log_.is_committed(index)) log_.accept(index, cmd);
           pending_.insert_or_assign(index,
-                                    Pending{{}, {}, cmd, client, false, true_now()});
+                                    Pending{{}, {}, cmd, *client, false, true_now()});
           owned_request_.insert_or_assign(index, cmd.id);
           ++owned_proposals_;
           next_own_index_ =
@@ -278,8 +255,7 @@ void Replica::recover() {
         break;
       }
       case recovery::RecordTag::kCommitted: {
-        const std::uint64_t index = r.varint();
-        sm::Command cmd = sm::Command::decode(r);
+        auto [index, cmd] = wire::from_bytes<Commit>(rec.body);
         log_.commit(index, std::move(cmd));
         if (owner_of(index) == rank_) {
           const auto it = pending_.find(index);

@@ -15,8 +15,7 @@ struct ClientRequest {
   static constexpr wire::MessageType kType = wire::MessageType::kPaxosClientRequest;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const { command.encode(w); }
-  static ClientRequest decode(wire::ByteReader& r) { return {sm::Command::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.command); }
 };
 
 struct Accept {
@@ -24,24 +23,14 @@ struct Accept {
   std::uint64_t index = 0;
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    command.encode(w);
-  }
-  static Accept decode(wire::ByteReader& r) {
-    Accept m;
-    m.index = r.varint();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.command); }
 };
 
 struct AcceptReply {
   static constexpr wire::MessageType kType = wire::MessageType::kPaxosAcceptReply;
   std::uint64_t index = 0;
 
-  void encode(wire::ByteWriter& w) const { w.varint(index); }
-  static AcceptReply decode(wire::ByteReader& r) { return {r.varint()}; }
+  static auto fields(auto& m) { return std::tie(m.index); }
 };
 
 struct Commit {
@@ -52,24 +41,14 @@ struct Commit {
   /// instead of carrying a permanent hole in its log.
   sm::Command command;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(index);
-    command.encode(w);
-  }
-  static Commit decode(wire::ByteReader& r) {
-    Commit m;
-    m.index = r.varint();
-    m.command = sm::Command::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.index, m.command); }
 };
 
 struct ClientReply {
   static constexpr wire::MessageType kType = wire::MessageType::kPaxosClientReply;
   RequestId request;
 
-  void encode(wire::ByteWriter& w) const { w.request_id(request); }
-  static ClientReply decode(wire::ByteReader& r) { return {r.request_id()}; }
+  static auto fields(auto& m) { return std::tie(m.request); }
 };
 
 }  // namespace domino::paxos

@@ -50,19 +50,10 @@ void Replica::handle_client_request(const net::Packet& packet) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        wire::ByteWriter w;
-        w.varint(index);
-        command.encode(w);
-        w.boolean(true);  // leader record: carries the requesting client
-        w.node_id(command.id.client);
-        return w.take();
+        return wire::to_bytes(
+            recovery::IndexAcceptedRecord{index, command, command.id.client});
       },
-      [this, index, command] {
-        const Accept msg{index, command};
-        for (NodeId r : replicas_) {
-          if (r != id()) send(r, msg);
-        }
-      });
+      [this, index, command] { broadcast(Accept{index, command}); });
 }
 
 void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
@@ -78,11 +69,8 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
-        wire::ByteWriter w;
-        w.varint(msg.index);
-        msg.command.encode(w);
-        w.boolean(false);
-        return w.take();
+        return wire::to_bytes(
+            recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt});
       },
       [this, from, index = msg.index] { send(from, AcceptReply{index}); });
 }
@@ -120,17 +108,10 @@ void Replica::handle_accept_reply(const wire::Payload& payload) {
     const sm::Command command = entry->command;
     persistor_.persist(
         recovery::RecordTag::kCommitted,
-        [&] {
-          wire::ByteWriter w;
-          w.varint(index);
-          command.encode(w);
-          return w.take();
-        },
+        [&] { return wire::to_bytes(Commit{index, command}); },
         [this, index, command, origin] {
           if (origin.valid()) send(origin, ClientReply{command.id});
-          for (NodeId r : replicas_) {
-            if (r != id()) send(r, Commit{index, command});
-          }
+          broadcast(Commit{index, command});
         });
   }
   execute_ready();
@@ -143,12 +124,7 @@ void Replica::handle_commit(const wire::Payload& payload) {
   // entry instead of carrying a permanent hole.
   log_.commit(msg.index, msg.command);
   // Nothing is externalized on this path, so the persist is fire-and-forget.
-  persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    wire::ByteWriter w;
-    w.varint(msg.index);
-    msg.command.encode(w);
-    return w.take();
-  });
+  persistor_.persist(recovery::RecordTag::kCommitted, [&] { return wire::to_bytes(msg); });
   execute_ready();
 }
 
@@ -161,12 +137,10 @@ void Replica::recover() {
   committed_ = 0;
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
-    wire::ByteReader r(rec.body);
     switch (rec.tag) {
       case recovery::RecordTag::kAccepted: {
-        const std::uint64_t index = r.varint();
-        sm::Command cmd = sm::Command::decode(r);
-        if (r.boolean()) origin_[index] = r.node_id();
+        auto [index, cmd, client] = wire::from_bytes<recovery::IndexAcceptedRecord>(rec.body);
+        if (client) origin_[index] = *client;
         // A later kCommitted record (or a duplicate accept from a previous
         // incarnation) may already have resolved this index.
         if (!log_.is_committed(index)) log_.accept(index, std::move(cmd));
@@ -174,8 +148,7 @@ void Replica::recover() {
         break;
       }
       case recovery::RecordTag::kCommitted: {
-        const std::uint64_t index = r.varint();
-        sm::Command cmd = sm::Command::decode(r);
+        auto [index, cmd] = wire::from_bytes<Commit>(rec.body);
         log_.commit(index, std::move(cmd));
         origin_.erase(index);  // the client was already answered
         next_index_ = std::max(next_index_, index + 1);
@@ -195,10 +168,7 @@ void Replica::recover() {
       const auto* e = log_.entry(index);
       if (e == nullptr || e->status != log::EntryStatus::kAccepted) continue;
       accept_counts_[index] = 1;
-      const Accept msg{index, e->command};
-      for (NodeId r : replicas_) {
-        if (r != id()) send(r, msg);
-      }
+      broadcast(Accept{index, e->command});
     }
   }
 }

@@ -9,10 +9,13 @@
 // The exchange is deliberately protocol-agnostic: positions are an
 // (int64 pos, uint32 lane) pair — the baselines use (index, 0), Domino uses
 // (timestamp, lane) — and protocol-specific attributes (EPaxos instance id
-// + seq + deps + status) ride in an opaque `aux` byte string each protocol
-// encodes and decodes itself.
+// + seq + deps + status) ride in an opaque `aux` byte string, the
+// wire::to_bytes of a body each protocol declares itself.
+//
+// The durable record body Multi-Paxos and Mencius share lives here too.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,16 +33,7 @@ struct CatchupRequest {
   /// only for observability; the requester judges replies itself).
   std::uint64_t applied = 0;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(epoch);
-    w.varint(applied);
-  }
-  static CatchupRequest decode(wire::ByteReader& r) {
-    CatchupRequest m;
-    m.epoch = r.varint();
-    m.applied = r.varint();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.epoch, m.applied); }
 };
 
 /// One key-value pair of the executed-state snapshot.
@@ -47,17 +41,9 @@ struct KvEntry {
   std::string key;
   std::string value;
 
-  void encode(wire::ByteWriter& w) const {
-    w.str(key);
-    w.str(value);
-  }
-  static KvEntry decode(wire::ByteReader& r) {
-    KvEntry e;
-    e.key = r.str();
-    e.value = r.str();
-    return e;
-  }
+  static auto fields(auto& m) { return std::tie(m.key, m.value); }
 };
+static_assert(wire::min_size<KvEntry>() == 2);
 
 /// One committed log entry of the catch-up suffix.
 struct CatchupEntry {
@@ -67,21 +53,9 @@ struct CatchupEntry {
   /// Protocol-specific attributes (EPaxos: instance id, seq, deps, status).
   wire::Payload aux;
 
-  void encode(wire::ByteWriter& w) const {
-    w.svarint(pos);
-    w.varint(lane);
-    command.encode(w);
-    w.bytes(aux);
-  }
-  static CatchupEntry decode(wire::ByteReader& r) {
-    CatchupEntry e;
-    e.pos = r.svarint();
-    e.lane = static_cast<std::uint32_t>(r.varint());
-    e.command = sm::Command::decode(r);
-    e.aux = r.bytes();
-    return e;
-  }
+  static auto fields(auto& m) { return std::tie(m.pos, m.lane, m.command, m.aux); }
 };
+static_assert(wire::min_size<CatchupEntry>() == 10);
 
 struct CatchupReply {
   static constexpr wire::MessageType kType = wire::MessageType::kCatchupReply;
@@ -101,32 +75,23 @@ struct CatchupReply {
   /// committed instance set here (its snapshot covers no attributes).
   std::vector<CatchupEntry> entries;
 
-  void encode(wire::ByteWriter& w) const {
-    w.varint(epoch);
-    w.varint(applied);
-    w.svarint(frontier);
-    w.varint(frontier_lane);
-    w.varint(snapshot.size());
-    for (const auto& e : snapshot) e.encode(w);
-    w.varint(watermarks.size());
-    for (std::int64_t v : watermarks) w.svarint(v);
-    w.varint(entries.size());
-    for (const auto& e : entries) e.encode(w);
+  static auto fields(auto& m) {
+    return std::tie(m.epoch, m.applied, m.frontier, m.frontier_lane, m.snapshot, m.watermarks,
+                    m.entries);
   }
-  static CatchupReply decode(wire::ByteReader& r) {
-    CatchupReply m;
-    m.epoch = r.varint();
-    m.applied = r.varint();
-    m.frontier = r.svarint();
-    m.frontier_lane = static_cast<std::uint32_t>(r.varint());
-    m.snapshot.resize(r.length_prefix(2));
-    for (auto& e : m.snapshot) e = KvEntry::decode(r);
-    m.watermarks.resize(r.length_prefix(1));
-    for (auto& v : m.watermarks) v = r.svarint();
-    m.entries.resize(r.length_prefix(10));
-    for (auto& e : m.entries) e = CatchupEntry::decode(r);
-    return m;
-  }
+};
+static_assert(wire::min_size<std::int64_t>() == 1);
+
+/// Durable kAccepted record body of the two index-log protocols
+/// (Multi-Paxos, Mencius); their kCommitted body is their Commit message.
+/// `client` is set on the proposer's own record: it owes that client the
+/// reply.
+struct IndexAcceptedRecord {
+  std::uint64_t index = 0;
+  sm::Command command;
+  std::optional<NodeId> client;
+
+  static auto fields(auto& m) { return std::tie(m.index, m.command, m.client); }
 };
 
 }  // namespace domino::recovery

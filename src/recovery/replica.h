@@ -82,6 +82,14 @@ class Replica : public rpc::Node {
   /// Apply `command` to the store and report the execution.
   void execute(const sm::Command& command);
 
+  /// Send `msg` to every other replica, in replica order.
+  template <typename M>
+  void broadcast(const M& msg) {
+    for (NodeId r : replicas_) {
+      if (r != id()) send(r, msg);
+    }
+  }
+
   /// Replace the store with `reply`'s snapshot and count the install.
   void install_snapshot(const CatchupReply& reply, std::size_t bytes);
 

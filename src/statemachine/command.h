@@ -6,6 +6,7 @@
 
 #include <compare>
 #include <string>
+#include <tuple>
 
 #include "common/ids.h"
 #include "wire/codec.h"
@@ -21,18 +22,7 @@ struct Command {
 
   [[nodiscard]] bool conflicts_with(const Command& other) const { return key == other.key; }
 
-  void encode(wire::ByteWriter& w) const {
-    w.request_id(id);
-    w.str(key);
-    w.str(value);
-  }
-  static Command decode(wire::ByteReader& r) {
-    Command c;
-    c.id = r.request_id();
-    c.key = r.str();
-    c.value = r.str();
-    return c;
-  }
+  static auto fields(auto& m) { return std::tie(m.id, m.key, m.value); }
 };
 
 }  // namespace domino::sm

@@ -43,11 +43,6 @@ void ByteWriter::request_id(const RequestId& id) {
   varint(id.seq);
 }
 
-void ByteWriter::ballot(const Ballot& b) {
-  varint(b.round);
-  node_id(b.node);
-}
-
 void ByteReader::need(std::size_t n) const {
   if (pos_ + n > data_.size()) throw WireError("ByteReader: truncated input");
 }
@@ -131,13 +126,6 @@ RequestId ByteReader::request_id() {
   id.client = node_id();
   id.seq = varint();
   return id;
-}
-
-Ballot ByteReader::ballot() {
-  Ballot b;
-  b.round = static_cast<std::uint32_t>(varint());
-  b.node = node_id();
-  return b;
 }
 
 void ByteReader::expect_exhausted() const {

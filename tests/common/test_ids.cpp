@@ -48,11 +48,5 @@ TEST(RequestId, ToStringFormat) {
   EXPECT_EQ((RequestId{NodeId{3}, 9}).to_string(), "n3#9");
 }
 
-TEST(Ballot, RoundThenNodeOrdering) {
-  EXPECT_LT((Ballot{0, NodeId{9}}), (Ballot{1, NodeId{0}}));
-  EXPECT_LT((Ballot{1, NodeId{0}}), (Ballot{1, NodeId{1}}));
-  EXPECT_EQ((Ballot{2, NodeId{3}}), (Ballot{2, NodeId{3}}));
-}
-
 }  // namespace
 }  // namespace domino

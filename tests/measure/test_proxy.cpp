@@ -83,6 +83,12 @@ TEST_F(ProxyFixture, ReportRoundTripsOnWire) {
   EXPECT_EQ(decoded.percentile, 95.0);
   EXPECT_EQ(decoded.entries[0].rtt, milliseconds(20));
   EXPECT_TRUE(decoded.entries[1].failed);
+  // The percentile arrives exactly, not truncated to hundredths.
+  for (const double percentile : {64.1, 99.995}) {
+    report.percentile = percentile;
+    EXPECT_EQ(wire::decode_message<ProxyReport>(wire::encode_message(report)).percentile,
+              percentile);
+  }
 }
 
 TEST_F(ProxyFixture, FeedMatchesDirectMeasurement) {

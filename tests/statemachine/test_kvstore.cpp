@@ -50,10 +50,10 @@ TEST(Command, ConflictSemantics) {
 TEST(Command, WireRoundTrip) {
   const Command c = cmd(7, "key00001", "val00002");
   wire::ByteWriter w;
-  c.encode(w);
+  wire::write(w, c);
   const wire::Payload p = w.take();
   wire::ByteReader r{p};
-  EXPECT_EQ(Command::decode(r), c);
+  EXPECT_EQ(wire::read<Command>(r), c);
 }
 
 }  // namespace

@@ -88,7 +88,6 @@ TEST(Codec, DomainTypesRoundTrip) {
   ByteWriter w;
   w.node_id(NodeId{42});
   w.request_id(RequestId{NodeId{7}, 999});
-  w.ballot(Ballot{3, NodeId{1}});
   w.time_point(TimePoint::epoch() + milliseconds(123));
   w.duration(milliseconds(-55));
   w.boolean(true);
@@ -96,7 +95,6 @@ TEST(Codec, DomainTypesRoundTrip) {
   ByteReader r{p};
   EXPECT_EQ(r.node_id(), NodeId{42});
   EXPECT_EQ(r.request_id(), (RequestId{NodeId{7}, 999}));
-  EXPECT_EQ(r.ballot(), (Ballot{3, NodeId{1}}));
   EXPECT_EQ(r.time_point(), TimePoint::epoch() + milliseconds(123));
   EXPECT_EQ(r.duration(), milliseconds(-55));
   EXPECT_TRUE(r.boolean());
