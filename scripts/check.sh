@@ -11,6 +11,7 @@
 #   scripts/check.sh --timeline   # windowed-telemetry/SLO suite (ctest -L timeline), sanitized
 #   scripts/check.sh --wan        # WAN delay-trace suite (ctest -L wan), sanitized
 #   scripts/check.sh --wire       # wire codec suite (ctest -L wire), sanitized
+#   scripts/check.sh --store      # KV store and flat table suite (ctest -L store), sanitized
 #   scripts/check.sh --bench-baseline [--record]
 #                                 # run the regression-gate bench and compare it
 #                                 # against scripts/baselines/BENCH_gate.json
@@ -46,6 +47,10 @@
 #   --wire    wire codec: the field-list encoder/decoder, every message's
 #             recorded bytes and the codec fuzz test; ASan+UBSan check the
 #             templated decoders of untrusted bytes.
+#   --store   key-value state: the KV store's differential test against
+#             std::unordered_map, its catch-up round trip and the flat
+#             table under it; ASan+UBSan check the table's inline-buffer
+#             memcpy and its heap path for long strings.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -62,10 +67,11 @@ declare -A modes=(
   [--timeline]="build-asan:1:timeline:timeline"
   [--wan]="build-asan:1:wan:wan"
   [--wire]="build-asan:1:wire:"
+  [--store]="build-asan:1:store:"
 )
 
 usage() {
-  sed -n '2,48p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 
@@ -164,9 +170,9 @@ case "${1:-}" in
   --all)
     shift
     # Full plain suite first, then every sanitized gate (one build-asan
-    # configure+build serves all seven labelled suites).
+    # configure+build serves all eight labelled suites).
     run_mode --default "$@"
-    for gate in --chaos --trace --predict --recovery --timeline --wan --wire; do
+    for gate in --chaos --trace --predict --recovery --timeline --wan --wire --store; do
       run_mode "$gate" "$@"
     done
     exit 0

@@ -74,13 +74,18 @@ std::pair<std::uint64_t, DepList> Replica::attributes_for(const sm::Command& cmd
                                                           const InstanceId& inst) {
   std::uint64_t seq = 1;
   DepList deps;
-  auto it = key_table_.find(cmd.key);
-  if (it != key_table_.end() && it->second.first != inst) {
-    deps.push_back(it->second.first);
-    seq = it->second.second + 1;
+  auto [writer, fresh] = key_table_.try_emplace(cmd.key);
+  if (!fresh && writer->instance != inst) {
+    deps.push_back(writer->instance);
+    seq = writer->seq + 1;
   }
-  key_table_[cmd.key] = {inst, seq};
+  *writer = {inst, seq};
   return {seq, deps};
+}
+
+void Replica::note_writer(std::string_view key, const InstanceId& inst, std::uint64_t seq) {
+  auto [writer, fresh] = key_table_.try_emplace(key);
+  if (fresh || writer->seq < seq) *writer = {inst, seq};
 }
 
 void Replica::handle_client_request(const net::Packet& packet) {
@@ -114,12 +119,12 @@ void Replica::handle_preaccept(NodeId from, const wire::Payload& payload) {
   const auto msg = wire::decode_message<PreAccept>(payload);
   std::uint64_t seq = msg.seq;
   DepList deps = msg.deps;
-  auto it = key_table_.find(msg.command.key);
-  if (it != key_table_.end() && it->second.first != msg.instance) {
-    seq = std::max(seq, it->second.second + 1);
-    deps = merge_deps(std::move(deps), {it->second.first});
+  auto [writer, fresh] = key_table_.try_emplace(msg.command.key);
+  if (!fresh && writer->instance != msg.instance) {
+    seq = std::max(seq, writer->seq + 1);
+    deps = merge_deps(std::move(deps), {writer->instance});
   }
-  key_table_[msg.command.key] = {msg.instance, seq};
+  *writer = {msg.instance, seq};
   obs_preaccepts_.inc();
   // A commit may already have arrived on another channel; never downgrade,
   // and never re-create an instance that was executed and compacted.
@@ -216,10 +221,7 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
     it->second.deps = msg.deps;
     it->second.status = Status::kAccepted;
   }
-  auto kt = key_table_.find(msg.command.key);
-  if (kt == key_table_.end() || kt->second.second < msg.seq) {
-    key_table_[msg.command.key] = {msg.instance, msg.seq};
-  }
+  note_writer(msg.command.key, msg.instance, msg.seq);
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] {
@@ -296,10 +298,7 @@ void Replica::recover() {
     if (inst_id.replica == id()) {
       next_instance_ = std::max(next_instance_, inst_id.seq + 1);
     }
-    auto kt = key_table_.find(cmd.key);
-    if (kt == key_table_.end() || kt->second.second < seq) {
-      key_table_[cmd.key] = {inst_id, seq};
-    }
+    note_writer(cmd.key, inst_id, seq);
     if (rec.tag == recovery::RecordTag::kCommitted) {
       // Direct mutation (not commit_instance): replay rebuilds state without
       // re-counting commits or re-broadcasting.
@@ -437,10 +436,7 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
     if (compacted(inst_id)) continue;
     auto it = instances_.find(inst_id);
     if (it != instances_.end() && it->second.status == Status::kExecuted) continue;
-    auto kt = key_table_.find(command.key);
-    if (kt == key_table_.end() || kt->second.second < seq) {
-      key_table_[command.key] = {inst_id, seq};
-    }
+    note_writer(command.key, inst_id, seq);
     leading_.erase(inst_id);  // committed cluster-wide; nothing left to lead
     if (installed && shipped[i].executed) {
       // The installed snapshot already reflects this command's execution:

@@ -21,10 +21,12 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "epaxos/messages.h"
 #include "measure/quorum.h"
 #include "recovery/replica.h"
@@ -99,6 +101,14 @@ class Replica : public recovery::Replica {
     static auto fields(auto& m) { return std::tie(m.instance, m.seq, m.deps, m.executed); }
   };
 
+  /// Interference-table entry: the latest instance to write a key.
+  struct KeyWriter {
+    InstanceId instance;
+    std::uint64_t seq = 0;
+  };
+  // A short key inline, then the instance id and seq.
+  static_assert(FlatStringMap<KeyWriter>::kSlotBytes == 40);
+
   struct LeaderBook {
     std::uint64_t seq = 0;
     DepList deps;
@@ -122,6 +132,9 @@ class Replica : public recovery::Replica {
   /// record `inst` as the latest writer of its key.
   std::pair<std::uint64_t, DepList> attributes_for(const sm::Command& cmd,
                                                    const InstanceId& inst);
+  /// Record `inst` as the latest writer of `key` unless the table already
+  /// holds a writer with a seq at least `seq`.
+  void note_writer(std::string_view key, const InstanceId& inst, std::uint64_t seq);
 
   void commit_instance(const InstanceId& inst, const sm::Command& cmd, std::uint64_t seq,
                        const DepList& deps, bool announce);
@@ -150,7 +163,7 @@ class Replica : public recovery::Replica {
   std::vector<std::uint64_t> exec_frontier_;
   std::unordered_map<InstanceId, LeaderBook> leading_;
   // Interference: latest instance per key, with its seq.
-  std::unordered_map<std::string, std::pair<InstanceId, std::uint64_t>> key_table_;
+  FlatStringMap<KeyWriter> key_table_;
   // Commit wakeups: uncommitted dep -> instances waiting on it.
   std::unordered_map<InstanceId, std::vector<InstanceId>> waiters_;
   std::unordered_map<InstanceId, obs::SpanId> quorum_spans_;  // leader quorum gathers

@@ -1,7 +1,7 @@
 #include "recovery/replica.h"
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 
 namespace domino::recovery {
@@ -29,10 +29,10 @@ void Replica::on_packet(const net::Packet& packet) {
       CatchupReply reply;
       reply.epoch = wire::decode_message<CatchupRequest>(packet.payload).epoch;
       reply.applied = store_.applied_count();
-      reply.snapshot.reserve(store_.items().size());
-      for (const auto& [key, value] : store_.items()) {
-        reply.snapshot.push_back(KvEntry{key, value});
-      }
+      reply.snapshot.reserve(store_.size());
+      store_.for_each([&reply](std::string_view key, std::string_view value) {
+        reply.snapshot.push_back(KvEntry{std::string(key), std::string(value)});
+      });
       fill_catchup(reply);
       send(packet.src, reply);
       break;
@@ -57,10 +57,7 @@ void Replica::execute(const sm::Command& command) {
 }
 
 void Replica::install_snapshot(const CatchupReply& reply, std::size_t bytes) {
-  std::unordered_map<std::string, std::string> items;
-  items.reserve(reply.snapshot.size());
-  for (const auto& e : reply.snapshot) items.emplace(e.key, e.value);
-  store_.install_snapshot(std::move(items), reply.applied);
+  store_.install_snapshot(reply.snapshot, reply.applied);
   persistor_.note_catchup_install(bytes);
 }
 

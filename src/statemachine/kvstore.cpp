@@ -2,32 +2,31 @@
 
 namespace domino::sm {
 
-std::optional<std::string> KvStore::apply(const Command& cmd) {
+void KvStore::apply(const Command& cmd) {
   ++applied_;
-  auto it = data_.find(cmd.key);
-  std::optional<std::string> previous;
-  if (it != data_.end()) {
-    previous = it->second;
-    it->second = cmd.value;
-  } else {
-    data_.emplace(cmd.key, cmd.value);
-  }
-  return previous;
+  data_.try_emplace(cmd.key).first->assign(cmd.value);
 }
 
-std::optional<std::string> KvStore::get(const std::string& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return it->second;
+std::optional<std::string> KvStore::get(std::string_view key) const {
+  const InlineString* value = data_.find(key);
+  if (value == nullptr) return std::nullopt;
+  return std::string(value->view());
+}
+
+std::unordered_map<std::string, std::string> KvStore::items() const {
+  std::unordered_map<std::string, std::string> out;
+  out.reserve(size());
+  for_each([&out](std::string_view key, std::string_view value) { out.emplace(key, value); });
+  return out;
 }
 
 std::uint64_t KvStore::fingerprint() const {
   // FNV-1a per entry, combined with wrapping addition so the result does
-  // not depend on the unordered_map's iteration order.
+  // not depend on the table's iteration order.
   std::uint64_t total = 0;
-  for (const auto& [key, value] : data_) {
+  for_each([&total](std::string_view key, std::string_view value) {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const std::string& s) {
+    auto mix = [&h](std::string_view s) {
       for (unsigned char c : s) {
         h ^= c;
         h *= 0x100000001b3ull;
@@ -38,7 +37,7 @@ std::uint64_t KvStore::fingerprint() const {
     mix(key);
     mix(value);
     total += h;
-  }
+  });
   return total;
 }
 

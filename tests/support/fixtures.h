@@ -55,7 +55,7 @@ inline std::vector<RequestId> lost_commits(const std::vector<sm::Command>& ackno
   for (const sm::Command& c : acknowledged) {
     bool found = false;
     for (const sm::KvStore* s : stores) {
-      if (s->items().find(c.key) != s->items().end()) {
+      if (s->get(c.key).has_value()) {
         found = true;
         break;
       }
