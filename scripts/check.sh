@@ -4,7 +4,7 @@
 # Usage:
 #   scripts/check.sh              # plain RelWithDebInfo build + full ctest
 #   scripts/check.sh --sanitize   # full suite with ASan + UBSan (DOMINO_SANITIZE)
-#   scripts/check.sh --chaos      # chaos suite only (ctest -L chaos), sanitized
+#   scripts/check.sh --chaos      # chaos and replica-failure suite (ctest -L chaos), sanitized
 #   scripts/check.sh --trace      # tracing suite only (ctest -L trace), sanitized
 #   scripts/check.sh --predict    # prediction-audit suite (ctest -L predict), sanitized
 #   scripts/check.sh --recovery   # crash-recovery suite (ctest -L recovery), sanitized
@@ -23,8 +23,10 @@
 # the repository root. Extra arguments are forwarded to ctest.
 #
 # Gates (one row per mode in the table below):
-#   --chaos   robustness: the seeded fault-injection sweep under ASan+UBSan
-#             catches the memory errors fault-handling paths are prone to.
+#   --chaos   robustness: the seeded fault-injection sweep and Domino's
+#             replica-failure tests (the lane-keyed range-recovery rounds)
+#             under ASan+UBSan catch the memory errors fault-handling paths
+#             are prone to.
 #   --trace   observability: causal tracing, critical paths, Chrome export;
 #             smoke-runs scripts/trace_summary.py on the suite's sample CSV.
 #   --predict prediction audit: decision-record reconciliation, calibration
@@ -71,7 +73,7 @@ declare -A modes=(
 )
 
 usage() {
-  sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,55p' "$0" | sed 's/^# \{0,1\}//'
   exit 2
 }
 

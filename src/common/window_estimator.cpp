@@ -6,6 +6,13 @@
 
 namespace domino {
 
+Duration kth_smallest(std::vector<Duration> delays, std::size_t q) {
+  if (q == 0 || q > delays.size()) return Duration::max();
+  std::nth_element(delays.begin(), delays.begin() + static_cast<std::ptrdiff_t>(q - 1),
+                   delays.end());
+  return delays[q - 1];
+}
+
 void WindowEstimator::add(TimePoint now, Duration value) {
   samples_.push_back({now, value});
   evict(now);
@@ -32,14 +39,9 @@ std::optional<Duration> WindowEstimator::percentile(TimePoint now, double p) con
   }
   if (vals.empty()) return std::nullopt;
   p = std::clamp(p, 0.0, 100.0);
-  std::size_t rank = 0;
-  if (p > 0.0) {
-    rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(vals.size())));
-    if (rank > 0) --rank;  // convert 1-based nearest rank to 0-based index
-  }
-  std::nth_element(vals.begin(), vals.begin() + static_cast<std::ptrdiff_t>(rank), vals.end());
-  return vals[rank];
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(vals.size())));
+  return kth_smallest(std::move(vals), std::max<std::size_t>(rank, 1));
 }
 
 }  // namespace domino

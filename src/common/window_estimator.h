@@ -8,10 +8,15 @@
 
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "common/time.h"
 
 namespace domino {
+
+/// q-th smallest element of `delays` (1-based q). Returns Duration::max()
+/// when q is 0 or exceeds the number of entries.
+[[nodiscard]] Duration kth_smallest(std::vector<Duration> delays, std::size_t q);
 
 class WindowEstimator {
  public:

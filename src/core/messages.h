@@ -121,11 +121,12 @@ struct DmClientReply {
 };
 
 // ---------------------------------------------------------------------------
-// Failure handling (paper Section 5.8). When a replica crashes, a successor
-// revokes its DM lane (learning every live entry from the remaining
-// replicas, committing them, and no-op-filling the rest), and the DFP
-// coordinator recovers no-op ranges that the dead replica's frozen clock
-// watermark would otherwise block forever.
+// Failure handling (paper Section 5.8): one range-recovery round for every
+// lane. A successor revokes a crashed replica's DM lane, and the DFP
+// coordinator recovers the no-op range that the dead replica's frozen clock
+// watermark would otherwise block forever. Either way the round learns every
+// live replica's entries on the lane in [from_ts, to_ts], commits those and
+// no-ops the rest.
 
 struct RangeEntryWire {
   std::int64_t ts = 0;
@@ -135,8 +136,8 @@ struct RangeEntryWire {
 };
 static_assert(wire::min_size<RangeEntryWire>() == 8);
 
-struct DmRevoke {
-  static constexpr wire::MessageType kType = wire::MessageType::kDmRevoke;
+struct RangeRecover {
+  static constexpr wire::MessageType kType = wire::MessageType::kRangeRecover;
   std::uint32_t lane = 0;
   std::int64_t from_ts = 0;
   std::int64_t to_ts = 0;
@@ -144,8 +145,8 @@ struct DmRevoke {
   static auto fields(auto& m) { return std::tie(m.lane, m.from_ts, m.to_ts); }
 };
 
-struct DmRevokeReply {
-  static constexpr wire::MessageType kType = wire::MessageType::kDmRevokeReply;
+struct RangeReply {
+  static constexpr wire::MessageType kType = wire::MessageType::kRangeReply;
   std::uint32_t lane = 0;
   std::int64_t from_ts = 0;
   std::int64_t to_ts = 0;
@@ -154,40 +155,14 @@ struct DmRevokeReply {
   static auto fields(auto& m) { return std::tie(m.lane, m.from_ts, m.to_ts, m.entries); }
 };
 
-struct DmRevokeResult {
-  static constexpr wire::MessageType kType = wire::MessageType::kDmRevokeResult;
+struct RangeResolve {
+  static constexpr wire::MessageType kType = wire::MessageType::kRangeResolve;
   std::uint32_t lane = 0;
   std::int64_t from_ts = 0;
   std::int64_t through_ts = 0;
   std::vector<RangeEntryWire> entries;  // committed; unlisted range = no-ops
 
   static auto fields(auto& m) { return std::tie(m.lane, m.from_ts, m.through_ts, m.entries); }
-};
-
-struct DfpRangeRecover {
-  static constexpr wire::MessageType kType = wire::MessageType::kDfpRangeRecover;
-  std::int64_t from_ts = 0;
-  std::int64_t to_ts = 0;
-
-  static auto fields(auto& m) { return std::tie(m.from_ts, m.to_ts); }
-};
-
-struct DfpRangeReply {
-  static constexpr wire::MessageType kType = wire::MessageType::kDfpRangeReply;
-  std::int64_t from_ts = 0;
-  std::int64_t to_ts = 0;
-  std::vector<RangeEntryWire> entries;
-
-  static auto fields(auto& m) { return std::tie(m.from_ts, m.to_ts, m.entries); }
-};
-
-struct DfpRangeResolve {
-  static constexpr wire::MessageType kType = wire::MessageType::kDfpRangeResolve;
-  std::int64_t from_ts = 0;
-  std::int64_t through_ts = 0;
-  std::vector<RangeEntryWire> entries;  // committed; unlisted range = no-ops
-
-  static auto fields(auto& m) { return std::tie(m.from_ts, m.through_ts, m.entries); }
 };
 
 }  // namespace domino::core

@@ -118,23 +118,14 @@ void Replica::on_message(const net::Packet& packet) {
     case wire::MessageType::kDmCommit:
       handle_dm_commit(packet.payload);
       break;
-    case wire::MessageType::kDmRevoke:
-      handle_dm_revoke(packet.src, packet.payload);
+    case wire::MessageType::kRangeRecover:
+      handle_range_recover(packet.src, packet.payload);
       break;
-    case wire::MessageType::kDmRevokeReply:
-      handle_dm_revoke_reply(packet.src, packet.payload);
+    case wire::MessageType::kRangeReply:
+      handle_range_reply(packet.src, packet.payload);
       break;
-    case wire::MessageType::kDmRevokeResult:
-      apply_dm_revoke_result(wire::decode_message<DmRevokeResult>(packet.payload));
-      break;
-    case wire::MessageType::kDfpRangeRecover:
-      handle_dfp_range_recover(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kDfpRangeReply:
-      handle_dfp_range_reply(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kDfpRangeResolve:
-      apply_dfp_range_resolve(wire::decode_message<DfpRangeResolve>(packet.payload));
+    case wire::MessageType::kRangeResolve:
+      apply_range_resolve(wire::decode_message<RangeResolve>(packet.payload));
       break;
     default:
       break;
@@ -220,11 +211,7 @@ void Replica::handle_dfp_commit(const wire::Payload& payload) {
     dfp_committed_.insert(msg.command.id);
   }
   // Nothing is externalized on this learner path; fire-and-forget.
-  persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    return wire::to_bytes(CommittedRecord{
-        msg.ts, dfp_lane(), msg.is_noop,
-        msg.is_noop ? std::nullopt : std::optional(msg.command)});
-  });
+  persist_committed(pos, msg.is_noop, msg.is_noop ? nullptr : &msg.command);
   // Settle any learner-side tally for this position.
   auto it = dfp_positions_.find(msg.ts);
   if (it != dfp_positions_.end()) {
@@ -332,10 +319,9 @@ void Replica::coordinator_check(std::int64_t ts) {
         pos.resolved = true;
         pos.winner = t.command.id;
         dfp_committed_.insert(t.command.id);
-        log_.commit(log::LogPosition{ts, dfp_lane()}, t.command);
-        persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-          return wire::to_bytes(CommittedRecord{ts, dfp_lane(), false, t.command});
-        });
+        const log::LogPosition lp{ts, dfp_lane()};
+        log_.commit(lp, t.command);
+        persist_committed(lp, /*is_noop=*/false, &t.command);
         execute_ready();
       }
       return;
@@ -455,12 +441,8 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
   if (!is_noop) watermark_holds_.insert(ts);
   // The DfpCommit broadcast and the client reply externalize the decision;
   // they wait for the commit record to be durable.
-  persistor_.persist(
-      recovery::RecordTag::kCommitted,
-      [&] {
-        return wire::to_bytes(CommittedRecord{
-            ts, dfp_lane(), is_noop, is_noop ? std::nullopt : std::optional(command)});
-      },
+  persist_committed(
+      lp, is_noop, is_noop ? nullptr : &command,
       [this, ts, is_noop, command, was_fast, losers = std::move(losers)] {
         if (!is_noop) release_watermark_hold(ts);
         broadcast(DfpCommit{ts, is_noop, is_noop ? sm::Command{} : command});
@@ -492,7 +474,7 @@ std::int64_t Replica::computed_commit_frontier() const {
   }
   const std::size_t rank_needed =
       replicas_.size() - measure::supermajority(replicas_.size()) + 1;
-  const Duration wq = measure::kth_smallest(std::move(wms), rank_needed);
+  const Duration wq = kth_smallest(std::move(wms), rank_needed);
   std::int64_t frontier = wq.nanos();
   // Never advance past an unresolved proposal (its outcome is still open).
   for (const auto& [ts, pos] : dfp_positions_) {
@@ -593,18 +575,15 @@ void Replica::maybe_commit_dm(std::int64_t ts) {
     dm_quorum_spans_.erase(span_it);
   }
 
-  log_.commit(log::LogPosition{ts, static_cast<std::uint32_t>(rank_)});
+  const log::LogPosition pos{ts, static_cast<std::uint32_t>(rank_)};
+  log_.commit(pos);
   ++dm_commits_;
   obs_dm_commits_.inc();
   // The client reply externalizes the commit; it waits for the decision to
   // be durable. The record carries no command — the leader's own kAccepted
   // record for this position always precedes it in the durable log.
-  persistor_.persist(
-      recovery::RecordTag::kCommitted,
-      [&] {
-        return wire::to_bytes(
-            CommittedRecord{ts, static_cast<std::uint32_t>(rank_), false, std::nullopt});
-      },
+  persist_committed(
+      pos, /*is_noop=*/false, nullptr,
       [this, ts, pending] {
         broadcast(DmCommit{ts, static_cast<std::uint32_t>(rank_)});
         if (pending.reply_via_dfp) {
@@ -620,7 +599,8 @@ void Replica::handle_dm_commit(const wire::Payload& payload) {
   const auto msg = wire::decode_message<DmCommit>(payload);
   if (msg.lane >= replicas_.size()) return;
   const log::LogPosition pos{msg.ts, msg.lane};
-  if (log_.entry(pos) == nullptr) {
+  const auto* entry = log_.entry(pos);
+  if (entry == nullptr) {
     // We never saw the accept (it was lost while we were crashed or
     // partitioned) and the commit carries no command, so there is nothing
     // to materialize. Ignore it: the position stays unresolved here and
@@ -632,9 +612,7 @@ void Replica::handle_dm_commit(const wire::Payload& payload) {
   // Nothing is externalized on this follower path; fire-and-forget. The
   // command rides in the record so replay does not depend on a local
   // kAccepted record (the entry may have arrived via catch-up instead).
-  persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    return wire::to_bytes(CommittedRecord{msg.ts, msg.lane, false, log_.entry(pos)->command});
-  });
+  persist_committed(pos, /*is_noop=*/false, &entry->command);
   execute_ready();
 }
 
@@ -663,78 +641,94 @@ void Replica::maybe_run_failure_recovery() {
   }
   if (reachable < measure::majority(replicas_.size())) return;
 
+  // A replica that died after an open round asked it has left the round's
+  // wait-set without replying; no reply will ever trigger the finalize.
+  for (std::uint32_t lane = 0; lane < log_.lane_count(); ++lane) try_finalize(lane);
+
   bool any_failed = false;
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     if (r == rank_ || !prober_.looks_failed(replicas_[r])) continue;
     any_failed = true;
     // DM lane takeover: the successor revokes the dead leader's lane
     // ("DM will select one of the remaining replicas to manage the log
-    // positions that are associated with the failed replica").
-    if (is_successor_for(r)) {
-      const auto lane = static_cast<std::uint32_t>(r);
-      auto& next_at = next_dm_revoke_at_[lane];
-      if (true_now() >= next_at && !dm_revokes_[lane].active) {
-        next_at = true_now() + kRecoveryRoundInterval;
-        start_dm_revoke(lane);
-      }
+    // positions that are associated with the failed replica"), from where
+    // its last revocation (or the lane watermark) stopped up to our clock.
+    const auto lane = static_cast<std::uint32_t>(r);
+    if (is_successor_for(r) && round_due(lane)) {
+      const auto through = dm_revoked_through_.find(lane);
+      start_round(lane,
+                  through == dm_revoked_through_.end() ? log_.watermark(lane)
+                                                       : through->second,
+                  local_now().nanos());
     }
   }
   // DFP frontier recovery: the dead replica's frozen watermark would stall
   // the committed-no-op frontier forever; the coordinator recovers the
   // range with a ballot-1 round over the live replicas.
-  if (any_failed && is_coordinator() && !dfp_range_round_.active &&
-      true_now() >= next_dfp_range_at_) {
-    next_dfp_range_at_ = true_now() + kRecoveryRoundInterval;
-    start_dfp_range_recover(commit_frontier_);
+  if (any_failed && is_coordinator() && round_due(dfp_lane())) {
+    start_dfp_round(commit_frontier_);
   }
 }
 
-void Replica::start_dm_revoke(std::uint32_t lane) {
-  RecoveryRound& round = dm_revokes_[lane];
-  round = RecoveryRound{};
-  round.active = true;
-  auto through_it = dm_revoked_through_.find(lane);
-  round.from = through_it == dm_revoked_through_.end() ? log_.watermark(lane)
-                                                       : through_it->second;
-  round.to = local_now().nanos();
-  if (round.to <= round.from) {
-    round.active = false;
-    return;
+bool Replica::round_due(std::uint32_t lane) {
+  return !rounds_[lane].active && true_now() >= next_round_at_[lane];
+}
+
+void Replica::start_dfp_round(std::int64_t from_ts) {
+  // Recover up to the slowest live watermark (live replicas have no-op'd
+  // everything below their clocks; the dead one cannot object at ballot 1).
+  Duration to = local_now() - TimePoint::epoch();
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
+    if (r == rank_ || prober_.looks_failed(replicas_[r])) continue;
+    to = std::min(to, replica_watermarks_[r] - TimePoint::epoch());
   }
+  start_round(dfp_lane(), from_ts, to.nanos());
+}
+
+void Replica::start_round(std::uint32_t lane, std::int64_t from_ts, std::int64_t to_ts) {
+  next_round_at_[lane] = true_now() + kRecoveryRoundInterval;
+  RecoveryRound& round = rounds_[lane];
+  round = RecoveryRound{};
+  if (to_ts <= from_ts) return;
+  round.active = true;
+  round.from = from_ts;
+  round.to = to_ts;
   // Seed with our own live entries on the lane.
-  for (const auto& e : log_.entries_in_range(lane, round.from, round.to)) {
+  for (const auto& e : log_.entries_in_range(lane, from_ts, to_ts)) {
     round.entries.emplace(e.ts, e.command);
   }
-  broadcast(DmRevoke{lane, round.from, round.to});
-  try_finalize_dm_revoke(lane);  // single-live-replica degenerate case
+  const RangeRecover msg{lane, from_ts, to_ts};
+  for (NodeId r : replicas_) {
+    if (r != id() && !prober_.looks_failed(r)) send(r, msg);
+  }
+  try_finalize(lane);  // single-live-replica degenerate case
 }
 
-void Replica::handle_dm_revoke(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DmRevoke>(payload);
-  DmRevokeReply reply;
-  reply.lane = msg.lane;
-  reply.from_ts = msg.from_ts;
-  reply.to_ts = msg.to_ts;
+void Replica::handle_range_recover(NodeId from, const wire::Payload& payload) {
+  const auto msg = wire::decode_message<RangeRecover>(payload);
+  if (msg.lane >= log_.lane_count()) return;
+  RangeReply reply{msg.lane, msg.from_ts, msg.to_ts, {}};
   for (const auto& e : log_.entries_in_range(msg.lane, msg.from_ts, msg.to_ts)) {
     reply.entries.push_back(RangeEntryWire{e.ts, e.command});
   }
   send(from, reply);
 }
 
-void Replica::handle_dm_revoke_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DmRevokeReply>(payload);
-  auto it = dm_revokes_.find(msg.lane);
-  if (it == dm_revokes_.end() || !it->second.active) return;
+void Replica::handle_range_reply(NodeId from, const wire::Payload& payload) {
+  const auto msg = wire::decode_message<RangeReply>(payload);
+  auto it = rounds_.find(msg.lane);
+  if (it == rounds_.end() || !it->second.active) return;
   RecoveryRound& round = it->second;
   if (msg.from_ts != round.from || msg.to_ts != round.to) return;  // stale round
   round.replied.insert(from);
   for (const auto& e : msg.entries) round.entries.emplace(e.ts, e.command);
-  try_finalize_dm_revoke(msg.lane);
+  try_finalize(msg.lane);
 }
 
-void Replica::try_finalize_dm_revoke(std::uint32_t lane) {
-  RecoveryRound& round = dm_revokes_[lane];
-  if (!round.active) return;
+void Replica::try_finalize(std::uint32_t lane) {
+  auto it = rounds_.find(lane);
+  if (it == rounds_.end() || !it->second.active) return;
+  RecoveryRound& round = it->second;
   // Wait for every replica we believe is alive: querying all live replicas
   // (not just a majority) guarantees that an entry committed-and-compacted
   // at some replicas is still reported by any replica that merely accepted
@@ -746,111 +740,28 @@ void Replica::try_finalize_dm_revoke(std::uint32_t lane) {
     ++replied;
   }
   // Never finalize on less than a majority of lane state: if the failure
-  // detector degraded mid-round (e.g. we got partitioned while revoking),
+  // detector degraded mid-round (e.g. we got partitioned while recovering),
   // the "all live replicas" wait-set above can shrink to just ourselves,
-  // and a single-replica revocation could no-op entries the connected
-  // majority has accepted. Keep the round open until probes recover.
+  // and a single-replica round could no-op entries the connected majority
+  // has accepted. Keep the round open until probes recover.
   if (replied < measure::majority(replicas_.size())) return;
-  DmRevokeResult result;
-  result.lane = lane;
-  result.from_ts = round.from;
-  result.through_ts = round.to;
-  for (const auto& [ts, cmd] : round.entries) {
-    result.entries.push_back(RangeEntryWire{ts, cmd});
-  }
   round.active = false;
-  dm_revoked_through_[lane] = round.to;
-  broadcast(result);
-  apply_dm_revoke_result(result);
-}
-
-void Replica::apply_dm_revoke_result(const DmRevokeResult& result) {
-  if (result.lane >= replicas_.size()) return;
-  // No-op our accepted entries that the revocation did not commit.
-  for (const auto& e :
-       log_.entries_in_range(result.lane, result.from_ts, result.through_ts)) {
-    if (e.committed) continue;
-    const bool listed =
-        std::any_of(result.entries.begin(), result.entries.end(),
-                    [&](const RangeEntryWire& w) { return w.ts == e.ts; });
-    if (!listed) {
-      log_.resolve_as_noop(log::LogPosition{e.ts, result.lane});
-      persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-        return wire::to_bytes(CommittedRecord{e.ts, result.lane, true, std::nullopt});
-      });
-    }
-  }
-  for (const auto& e : result.entries) {
-    log_.commit(log::LogPosition{e.ts, result.lane}, e.command);
-    persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-      return wire::to_bytes(CommittedRecord{e.ts, result.lane, false, e.command});
-    });
-  }
-  log_.advance_watermark(result.lane, result.through_ts);
-  execute_ready();
-}
-
-void Replica::start_dfp_range_recover(std::int64_t from_ts) {
-  RecoveryRound& round = dfp_range_round_;
-  round = RecoveryRound{};
-  round.active = true;
-  round.from = from_ts;
-  // Recover up to the slowest live watermark (live replicas have no-op'd
-  // everything below their clocks; the dead one cannot object at ballot 1).
-  Duration to = local_now() - TimePoint::epoch();
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    if (r == rank_ || prober_.looks_failed(replicas_[r])) continue;
-    to = std::min(to, replica_watermarks_[r] - TimePoint::epoch());
-  }
-  round.to = to.nanos();
-  if (round.to <= round.from) {
-    round.active = false;
-    return;
-  }
-  for (const auto& e : log_.entries_in_range(dfp_lane(), round.from, round.to)) {
-    round.entries.emplace(e.ts, e.command);
-  }
-  DfpRangeRecover msg{round.from, round.to};
-  for (NodeId r : replicas_) {
-    if (r != id() && !prober_.looks_failed(r)) send(r, msg);
-  }
-  try_finalize_dfp_range();
-}
-
-void Replica::handle_dfp_range_recover(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DfpRangeRecover>(payload);
-  DfpRangeReply reply;
-  reply.from_ts = msg.from_ts;
-  reply.to_ts = msg.to_ts;
-  for (const auto& e : log_.entries_in_range(dfp_lane(), msg.from_ts, msg.to_ts)) {
-    reply.entries.push_back(RangeEntryWire{e.ts, e.command});
-  }
-  send(from, reply);
-}
-
-void Replica::handle_dfp_range_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DfpRangeReply>(payload);
-  RecoveryRound& round = dfp_range_round_;
-  if (!round.active || msg.from_ts != round.from || msg.to_ts != round.to) return;
-  round.replied.insert(from);
-  for (const auto& e : msg.entries) round.entries.emplace(e.ts, e.command);
-  try_finalize_dfp_range();
-}
-
-void Replica::try_finalize_dfp_range() {
-  RecoveryRound& round = dfp_range_round_;
-  if (!round.active) return;
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    if (r == rank_ || prober_.looks_failed(replicas_[r])) continue;
-    if (!round.replied.contains(replicas_[r])) return;
-  }
-  round.active = false;
-
-  DfpRangeResolve resolve;
-  resolve.from_ts = round.from;
-  resolve.through_ts = round.to;
+  RangeResolve resolve{lane, round.from, round.to, {}};
   for (const auto& [ts, cmd] : round.entries) {
     resolve.entries.push_back(RangeEntryWire{ts, cmd});
+  }
+  if (lane == dfp_lane()) {
+    settle_dfp_positions(round.from, round.to, round.entries);
+  } else {
+    dm_revoked_through_[lane] = round.to;
+  }
+  broadcast(resolve);
+  apply_range_resolve(resolve);
+}
+
+void Replica::settle_dfp_positions(std::int64_t from_ts, std::int64_t to_ts,
+                                   const std::map<std::int64_t, sm::Command>& entries) {
+  for (const auto& [ts, cmd] : entries) {
     if (dfp_committed_.insert(cmd.id)) {
       ++dfp_slow_commits_;
       obs_dfp_slow_.inc();
@@ -861,13 +772,13 @@ void Replica::try_finalize_dfp_range() {
   }
   // Settle the coordinator's per-position bookkeeping inside the range:
   // commands that did not make the committed list continue through DM.
-  for (auto it = dfp_positions_.lower_bound(round.from);
-       it != dfp_positions_.end() && it->first <= round.to;) {
+  for (auto it = dfp_positions_.lower_bound(from_ts);
+       it != dfp_positions_.end() && it->first <= to_ts;) {
     DfpPosition& pos = it->second;
     if (!pos.resolved) {
       pos.resolved = true;
-      const auto winner = round.entries.find(it->first);
-      if (winner != round.entries.end()) pos.winner = winner->second.id;
+      const auto winner = entries.find(it->first);
+      if (winner != entries.end()) pos.winner = winner->second.id;
       for (const CommandTally& t : pos.tallies) {
         if (pos.winner && *pos.winner == t.command.id) continue;
         reroute_via_dm(t.command);
@@ -875,33 +786,30 @@ void Replica::try_finalize_dfp_range() {
     }
     it = dfp_positions_.erase(it);
   }
-  commit_frontier_ = std::max(commit_frontier_, round.to);
-
-  broadcast(resolve);
-  apply_dfp_range_resolve(resolve);
+  commit_frontier_ = std::max(commit_frontier_, to_ts);
 }
 
-void Replica::apply_dfp_range_resolve(const DfpRangeResolve& resolve) {
+void Replica::apply_range_resolve(const RangeResolve& resolve) {
+  if (resolve.lane >= log_.lane_count()) return;
+  // No-op our accepted entries that the round did not commit.
   for (const auto& e :
-       log_.entries_in_range(dfp_lane(), resolve.from_ts, resolve.through_ts)) {
+       log_.entries_in_range(resolve.lane, resolve.from_ts, resolve.through_ts)) {
     if (e.committed) continue;
     const bool listed =
         std::any_of(resolve.entries.begin(), resolve.entries.end(),
                     [&](const RangeEntryWire& w) { return w.ts == e.ts; });
     if (!listed) {
-      log_.resolve_as_noop(log::LogPosition{e.ts, dfp_lane()});
-      persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-        return wire::to_bytes(CommittedRecord{e.ts, dfp_lane(), true, std::nullopt});
-      });
+      const log::LogPosition pos{e.ts, resolve.lane};
+      log_.resolve_as_noop(pos);
+      persist_committed(pos, /*is_noop=*/true, nullptr);
     }
   }
   for (const auto& e : resolve.entries) {
-    log_.commit(log::LogPosition{e.ts, dfp_lane()}, e.command);
-    persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-      return wire::to_bytes(CommittedRecord{e.ts, dfp_lane(), false, e.command});
-    });
+    const log::LogPosition pos{e.ts, resolve.lane};
+    log_.commit(pos, e.command);
+    persist_committed(pos, /*is_noop=*/false, &e.command);
   }
-  log_.advance_watermark(dfp_lane(), resolve.through_ts);
+  log_.advance_watermark(resolve.lane, resolve.through_ts);
   execute_ready();
 }
 
@@ -921,11 +829,9 @@ void Replica::recover() {
   watermark_holds_.clear();
   dm_last_assigned_ = 0;
   rerouted_.clear();
-  dm_revokes_.clear();
+  rounds_.clear();
+  next_round_at_.clear();
   dm_revoked_through_.clear();
-  next_dm_revoke_at_.clear();
-  dfp_range_round_ = RecoveryRound{};
-  next_dfp_range_at_ = TimePoint::epoch();
   dfp_fast_commits_ = 0;
   dfp_slow_commits_ = 0;
   dfp_noop_resolutions_ = 0;
@@ -958,21 +864,7 @@ void Replica::recover() {
           if (lane == dfp_lane()) dfp_positions_[ts].resolved = true;
           break;
         }
-        const auto* e = log_.entry(pos);
-        if (e != nullptr && e->status == log::GlobalLog::Status::kAbortedNoop) break;
-        if (!cmd && e == nullptr) break;  // no accept record either; catch-up covers it
-        const RequestId rid = cmd ? cmd->id : e->command.id;
-        log_.commit(pos, std::move(cmd));
-        if (lane == dfp_lane()) {
-          dfp_committed_.insert(rid);
-          // Keep the position marked resolved so a late notice for it
-          // reroutes instead of re-opening a decided position.
-          DfpPosition& p = dfp_positions_[ts];
-          p.resolved = true;
-          p.winner = rid;
-        } else if (lane == rank_) {
-          dm_pending_.erase(ts);
-        }
+        learn_committed(pos, std::move(cmd));
         break;
       }
       default:
@@ -1017,9 +909,8 @@ void Replica::recover() {
   // committed, so a client-observed fast commit cannot be no-op'd.
   if (is_coordinator()) {
     after(config_.recovery_timeout, [this, epoch = persistor_.epoch()] {
-      if (epoch != persistor_.epoch() || dfp_range_round_.active) return;
-      next_dfp_range_at_ = true_now() + kRecoveryRoundInterval;
-      start_dfp_range_recover(0);
+      if (epoch != persistor_.epoch() || rounds_[dfp_lane()].active) return;
+      start_dfp_round(0);
     });
   }
 }
@@ -1060,24 +951,7 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
       if (!log_.is_committed(pos)) log_.resolve_as_noop(pos);
       continue;
     }
-    const auto* local = log_.entry(pos);
-    if (local != nullptr && local->status == log::GlobalLog::Status::kAbortedNoop) continue;
-    log_.commit(pos, e.command);
-    if (e.lane == dfp_lane()) {
-      dfp_committed_.insert(e.command.id);
-      DfpPosition& p = dfp_positions_[e.pos];
-      p.resolved = true;
-      p.winner = e.command.id;
-    } else if (e.lane == rank_) {
-      // Committed on our lane by someone else (a revocation while we were
-      // down): nothing left to replicate.
-      dm_pending_.erase(e.pos);
-      const auto span_it = dm_quorum_spans_.find(e.pos);
-      if (span_it != dm_quorum_spans_.end()) {
-        close_wait_span(span_it->second);
-        dm_quorum_spans_.erase(span_it);
-      }
-    }
+    learn_committed(pos, e.command);
   }
   execute_ready();
 }
@@ -1129,6 +1003,42 @@ void Replica::broadcast_heartbeat() {
 void Replica::execute_ready() {
   for (auto& [pos, command] : log_.drain_executable()) {
     execute(command);
+  }
+}
+
+void Replica::persist_committed(log::LogPosition pos, bool is_noop, const sm::Command* command,
+                                std::function<void()> then) {
+  persistor_.persist(
+      recovery::RecordTag::kCommitted,
+      [&] {
+        return wire::to_bytes(CommittedRecord{
+            pos.ts, pos.lane, is_noop, command ? std::optional(*command) : std::nullopt});
+      },
+      std::move(then));
+}
+
+void Replica::learn_committed(log::LogPosition pos, std::optional<sm::Command> command) {
+  const auto* local = log_.entry(pos);
+  if (local != nullptr && local->status == log::GlobalLog::Status::kAbortedNoop) return;
+  if (!command && local == nullptr) return;  // nothing to commit; catch-up covers it
+  const RequestId rid = command ? command->id : local->command.id;
+  log_.commit(pos, std::move(command));
+  if (pos.lane == dfp_lane()) {
+    dfp_committed_.insert(rid);
+    // Keep the position marked resolved so a late notice for it reroutes
+    // instead of re-opening a decided position.
+    DfpPosition& p = dfp_positions_[pos.ts];
+    p.resolved = true;
+    p.winner = rid;
+  } else if (pos.lane == rank_) {
+    // Committed on our lane without our own majority (replayed, or revoked
+    // while we were down): nothing left to replicate.
+    dm_pending_.erase(pos.ts);
+    const auto span_it = dm_quorum_spans_.find(pos.ts);
+    if (span_it != dm_quorum_spans_.end()) {
+      close_wait_span(span_it->second);
+      dm_quorum_spans_.erase(span_it);
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 //     (Section 5.7).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -135,22 +136,30 @@ class Replica : public recovery::Replica {
   // ---- failure handling (Section 5.8) ----
   void maybe_run_failure_recovery();
   [[nodiscard]] bool is_successor_for(std::size_t dead_rank) const;
-  void start_dm_revoke(std::uint32_t lane);
-  void handle_dm_revoke(NodeId from, const wire::Payload& payload);
-  void handle_dm_revoke_reply(NodeId from, const wire::Payload& payload);
-  void try_finalize_dm_revoke(std::uint32_t lane);
-  void apply_dm_revoke_result(const DmRevokeResult& result);
-  void start_dfp_range_recover(std::int64_t from_ts);
-  void handle_dfp_range_recover(NodeId from, const wire::Payload& payload);
-  void handle_dfp_range_reply(NodeId from, const wire::Payload& payload);
-  void try_finalize_dfp_range();
-  void apply_dfp_range_resolve(const DfpRangeResolve& resolve);
+  [[nodiscard]] bool round_due(std::uint32_t lane);
+  void start_dfp_round(std::int64_t from_ts);
+  void start_round(std::uint32_t lane, std::int64_t from_ts, std::int64_t to_ts);
+  void handle_range_recover(NodeId from, const wire::Payload& payload);
+  void handle_range_reply(NodeId from, const wire::Payload& payload);
+  void try_finalize(std::uint32_t lane);
+  void settle_dfp_positions(std::int64_t from_ts, std::int64_t to_ts,
+                            const std::map<std::int64_t, sm::Command>& entries);
+  void apply_range_resolve(const RangeResolve& resolve);
 
   // ---- shared ----
   void handle_heartbeat(NodeId from, const wire::Payload& payload);
   void handle_probe(const net::Packet& packet);
   void broadcast_heartbeat();
   void execute_ready();
+  /// Durable kCommitted record for `pos`: a no-op, or a commit of `command`
+  /// (null when the lane leader's own kAccepted record supplies it). `then`
+  /// runs once the record is durable.
+  void persist_committed(log::LogPosition pos, bool is_noop, const sm::Command* command,
+                         std::function<void()> then = [] {});
+  /// Commit `pos`, learned from the durable log or a peer rather than from
+  /// this replica's own protocol step, unless it resolved as a no-op here;
+  /// settles the DFP-lane or own-lane bookkeeping for it.
+  void learn_committed(log::LogPosition pos, std::optional<sm::Command> command);
 
   std::size_t rank_ = 0;
   NodeId coordinator_;
@@ -202,7 +211,8 @@ class Replica : public recovery::Replica {
   std::int64_t dm_last_assigned_ = 0;
   RequestIdSet rerouted_;  // requests re-proposed through DM
 
-  // Failure-recovery rounds (Section 5.8).
+  // Failure-recovery rounds (Section 5.8), keyed by lane: a dead replica's
+  // DM lane, or the DFP lane.
   struct RecoveryRound {
     bool active = false;
     std::int64_t from = 0;
@@ -210,11 +220,9 @@ class Replica : public recovery::Replica {
     std::map<std::int64_t, sm::Command> entries;  // union of reported entries
     std::unordered_set<NodeId> replied;
   };
-  std::unordered_map<std::uint32_t, RecoveryRound> dm_revokes_;  // keyed by lane
+  std::unordered_map<std::uint32_t, RecoveryRound> rounds_;
+  std::unordered_map<std::uint32_t, TimePoint> next_round_at_;
   std::unordered_map<std::uint32_t, std::int64_t> dm_revoked_through_;
-  std::unordered_map<std::uint32_t, TimePoint> next_dm_revoke_at_;
-  RecoveryRound dfp_range_round_;
-  TimePoint next_dfp_range_at_ = TimePoint::epoch();
   /// Minimum spacing between recovery rounds for the same lane.
   static constexpr Duration kRecoveryRoundInterval = milliseconds(100);
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "measure/estimator.h"
+#include "common/window_estimator.h"
 #include "measure/quorum.h"
 
 namespace domino::harness {
@@ -28,7 +28,7 @@ Duration fast_paxos_latency(const net::Topology& topology,
   std::vector<Duration> rtts;
   rtts.reserve(replica_dcs.size());
   for (std::size_t dc : replica_dcs) rtts.push_back(topology.rtt(client_dc, dc));
-  return measure::kth_smallest(std::move(rtts), measure::supermajority(replica_dcs.size()));
+  return kth_smallest(std::move(rtts), measure::supermajority(replica_dcs.size()));
 }
 
 Duration replication_latency(const net::Topology& topology,
@@ -41,7 +41,7 @@ Duration replication_latency(const net::Topology& topology,
                        ? Duration::zero()
                        : topology.rtt(replica_dcs[replica_index], replica_dcs[i]));
   }
-  return measure::kth_smallest(std::move(rtts), measure::majority(replica_dcs.size()));
+  return kth_smallest(std::move(rtts), measure::majority(replica_dcs.size()));
 }
 
 Duration mencius_latency(const net::Topology& topology,

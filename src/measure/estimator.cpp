@@ -1,15 +1,8 @@
 #include "measure/estimator.h"
 
-#include <algorithm>
+#include "common/window_estimator.h"
 
 namespace domino::measure {
-
-Duration kth_smallest(std::vector<Duration> delays, std::size_t q) {
-  if (q == 0 || q > delays.size()) return Duration::max();
-  std::nth_element(delays.begin(), delays.begin() + static_cast<std::ptrdiff_t>(q - 1),
-                   delays.end());
-  return delays[q - 1];
-}
 
 Duration estimate_dfp_latency(const LatencyView& view, const std::vector<NodeId>& replicas) {
   std::vector<Duration> rtts;

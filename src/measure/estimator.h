@@ -18,10 +18,6 @@
 
 namespace domino::measure {
 
-/// q-th smallest element of `delays` (1-based q). Returns Duration::max()
-/// when q exceeds the number of entries.
-[[nodiscard]] Duration kth_smallest(std::vector<Duration> delays, std::size_t q);
-
 /// Estimated DFP commit latency: the RTT to the furthest replica in the
 /// closest supermajority (Section 5.6).
 [[nodiscard]] Duration estimate_dfp_latency(const LatencyView& view,

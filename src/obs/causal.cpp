@@ -62,12 +62,9 @@ const char* transit_phase(std::uint16_t msg_type) {
     case MT::kFastPaxosRecoveryReply:
     case MT::kDfpRecoveryAccept:
     case MT::kDfpRecoveryReply:
-    case MT::kDmRevoke:
-    case MT::kDmRevokeReply:
-    case MT::kDmRevokeResult:
-    case MT::kDfpRangeRecover:
-    case MT::kDfpRangeReply:
-    case MT::kDfpRangeResolve: return "recovery_transit";
+    case MT::kRangeRecover:
+    case MT::kRangeReply:
+    case MT::kRangeResolve: return "recovery_transit";
     default: return "transit";
   }
 }

@@ -69,12 +69,9 @@ enum class MessageType : std::uint16_t {
   kProxyReport = 66,
 
   // Domino failure handling (paper Section 5.8)
-  kDmRevoke = 70,
-  kDmRevokeReply = 71,
-  kDmRevokeResult = 72,
-  kDfpRangeRecover = 73,
-  kDfpRangeReply = 74,
-  kDfpRangeResolve = 75,
+  kRangeRecover = 70,
+  kRangeReply = 71,
+  kRangeResolve = 72,
 
   // Crash recovery (src/recovery): peer catch-up after an amnesiac restart
   kCatchupRequest = 76,
@@ -126,12 +123,9 @@ enum class MessageType : std::uint16_t {
     case MessageType::kDmClientReply: return "DmClientReply";
     case MessageType::kProxyQuery: return "ProxyQuery";
     case MessageType::kProxyReport: return "ProxyReport";
-    case MessageType::kDmRevoke: return "DmRevoke";
-    case MessageType::kDmRevokeReply: return "DmRevokeReply";
-    case MessageType::kDmRevokeResult: return "DmRevokeResult";
-    case MessageType::kDfpRangeRecover: return "DfpRangeRecover";
-    case MessageType::kDfpRangeReply: return "DfpRangeReply";
-    case MessageType::kDfpRangeResolve: return "DfpRangeResolve";
+    case MessageType::kRangeRecover: return "RangeRecover";
+    case MessageType::kRangeReply: return "RangeReply";
+    case MessageType::kRangeResolve: return "RangeResolve";
     case MessageType::kCatchupRequest: return "CatchupRequest";
     case MessageType::kCatchupReply: return "CatchupReply";
   }

@@ -75,5 +75,19 @@ TEST(WindowEstimator, NegativeDurationsSupported) {
   EXPECT_EQ(*w.percentile(at_ms(1), 100), milliseconds(5));
 }
 
+TEST(KthSmallest, BasicOrderStatistics) {
+  std::vector<Duration> v{milliseconds(30), milliseconds(10), milliseconds(20)};
+  EXPECT_EQ(kth_smallest(v, 1), milliseconds(10));
+  EXPECT_EQ(kth_smallest(v, 2), milliseconds(20));
+  EXPECT_EQ(kth_smallest(v, 3), milliseconds(30));
+}
+
+TEST(KthSmallest, OutOfRangeReturnsMax) {
+  std::vector<Duration> v{milliseconds(1)};
+  EXPECT_EQ(kth_smallest(v, 0), Duration::max());
+  EXPECT_EQ(kth_smallest(v, 2), Duration::max());
+  EXPECT_EQ(kth_smallest({}, 1), Duration::max());
+}
+
 }  // namespace
 }  // namespace domino

@@ -7,6 +7,7 @@
 
 #include "core/client.h"
 #include "core/replica.h"
+#include "harness/runner.h"
 #include "support/fixtures.h"
 
 namespace domino::core {
@@ -237,6 +238,39 @@ TEST_F(FailureCluster, SustainedLoadAcrossCrash) {
   EXPECT_GT(client->committed_count(), client->submitted_count() * 9 / 10);
   // Survivors converge.
   EXPECT_EQ(replicas[0]->store().items(), replicas[2]->store().items());
+}
+
+// n = 5 tolerates f = 2 crash-stop failures. The second replica dies after
+// the first one's recovery rounds have asked it for its entries but before
+// it replies, so those rounds end only once a later failure-recovery tick
+// re-checks them against the shrunken set of live replicas.
+TEST(FailureHarness, FiveReplicasSurviveTwoCrashStops) {
+  harness::Scenario s;
+  s.topology = net::Topology::north_america();
+  s.replica_dcs = {0, 1, 2, 3, 4};
+  s.client_dcs = {6, 7, 8};
+  s.rps = 50;
+  s.warmup = seconds(1);
+  s.measure = seconds(4);
+  s.cooldown = seconds(3);
+  s.seed = 5;
+  s.client_request_timeout = milliseconds(600);
+  s.client_max_retries = 6;
+  const TimePoint w0 = TimePoint::epoch() + s.warmup;
+  s.faults.crash(w0 + milliseconds(500), NodeId{3});
+  s.faults.crash(w0 + milliseconds(900), NodeId{4});
+  const harness::RunResult r = harness::run_protocol(harness::Protocol::kDomino, s);
+
+  ASSERT_EQ(r.replica_applied_counts.size(), 5u);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(r.replica_store_fingerprints[i], r.replica_store_fingerprints[0]) << i;
+    EXPECT_EQ(r.replica_applied_counts[i], r.replica_applied_counts[0]) << i;
+  }
+  // At least: a retried request can execute twice (no replica deduplicates
+  // retries yet), so the counts may exceed the client acknowledgements.
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_GE(r.replica_applied_counts[i], r.client_committed) << i;
+  }
 }
 
 }  // namespace

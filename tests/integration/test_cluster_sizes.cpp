@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "common/window_estimator.h"
 #include "harness/geometry.h"
-#include "measure/estimator.h"
 #include "harness/runner.h"
 #include "measure/quorum.h"
 
@@ -78,8 +78,8 @@ TEST(ClusterSizeGeometry, SupermajorityNeverCheaperThanMajority) {
     for (std::size_t client = 0; client < topo.size(); ++client) {
       std::vector<Duration> rtts;
       for (std::size_t dc : placement) rtts.push_back(topo.rtt(client, dc));
-      const Duration super = measure::kth_smallest(rtts, measure::supermajority(n));
-      const Duration major = measure::kth_smallest(rtts, measure::majority(n));
+      const Duration super = kth_smallest(rtts, measure::supermajority(n));
+      const Duration major = kth_smallest(rtts, measure::majority(n));
       EXPECT_GE(super, major) << "n=" << n << " client=" << client;
       EXPECT_EQ(fast_paxos_latency(topo, placement, client), super);
     }

@@ -4,6 +4,8 @@
 
 #include <unordered_map>
 
+#include "common/window_estimator.h"
+
 namespace domino::measure {
 namespace {
 
@@ -47,20 +49,6 @@ class FakeView : public LatencyView {
  private:
   std::unordered_map<NodeId, Entry> entries_;
 };
-
-TEST(KthSmallest, BasicOrderStatistics) {
-  std::vector<Duration> v{milliseconds(30), milliseconds(10), milliseconds(20)};
-  EXPECT_EQ(kth_smallest(v, 1), milliseconds(10));
-  EXPECT_EQ(kth_smallest(v, 2), milliseconds(20));
-  EXPECT_EQ(kth_smallest(v, 3), milliseconds(30));
-}
-
-TEST(KthSmallest, OutOfRangeReturnsMax) {
-  std::vector<Duration> v{milliseconds(1)};
-  EXPECT_EQ(kth_smallest(v, 0), Duration::max());
-  EXPECT_EQ(kth_smallest(v, 2), Duration::max());
-  EXPECT_EQ(kth_smallest({}, 1), Duration::max());
-}
 
 // A stub prober is impractical (Prober needs a live node), so the
 // composite estimators are covered by tests/measure/test_prober.cpp and the

@@ -162,7 +162,7 @@ TEST(TransitPhase, NamesDominoPhases) {
                "dfp_propose_transit");
   EXPECT_STREQ(transit_phase(static_cast<std::uint16_t>(MT::kDfpAcceptNotice)),
                "dfp_quorum_wait");
-  EXPECT_STREQ(transit_phase(static_cast<std::uint16_t>(MT::kDmRevoke)),
+  EXPECT_STREQ(transit_phase(static_cast<std::uint16_t>(MT::kRangeRecover)),
                "recovery_transit");
   EXPECT_STREQ(transit_phase(9999), "transit");
 }

@@ -47,8 +47,7 @@ void try_decode_all(const Payload& payload) {
   probe_one(core::DfpAcceptNotice{});
   probe_one(core::Heartbeat{});
   probe_one(core::DmAccept{});
-  probe_one(core::DmRevokeResult{});
-  probe_one(core::DfpRangeResolve{});
+  probe_one(core::RangeResolve{});
 }
 
 TEST(CodecFuzz, RandomBytesNeverCrash) {
@@ -65,7 +64,7 @@ TEST(CodecFuzz, TruncatedRealMessagesThrowCleanly) {
   seeds.push_back(encode_message(core::DfpPropose{123456, test_cmd()}));
   seeds.push_back(encode_message(epaxos::PreAccept{
       {NodeId{1}, 5}, test_cmd(), 7, {{NodeId{0}, 1}, {NodeId{2}, 9}}}));
-  core::DmRevokeResult rr;
+  core::RangeResolve rr;
   rr.lane = 2;
   rr.from_ts = 5;
   rr.through_ts = 500;

@@ -285,12 +285,9 @@ std::vector<std::pair<std::string, wire::Payload>> every_message() {
   add(core::DmAcceptReply{1000, 3});
   add(core::DmCommit{static_cast<std::int64_t>(kBig), 1});
   add(core::DmClientReply{rid});
-  add(core::DmRevoke{1, -3, static_cast<std::int64_t>(kBig)});
-  add(core::DmRevokeReply{2, kNeg, 8, entries});
-  add(core::DmRevokeResult{0, 1, 2, {}});
-  add(core::DfpRangeRecover{kNeg, -1});
-  add(core::DfpRangeReply{-2, 40, {entries[0]}});
-  add(core::DfpRangeResolve{3, kNeg, {}});
+  add(core::RangeRecover{1, -3, static_cast<std::int64_t>(kBig)});
+  add(core::RangeReply{2, kNeg, 8, entries});
+  add(core::RangeResolve{0, 1, 2, {}});
 
   add(recovery::CatchupRequest{kBig, 7});
   add(recovery::CatchupReply{
@@ -358,14 +355,11 @@ constexpr GoldenEncoding kGolden[] = {
     {"DmAcceptReply", "3b00d00f03"},
     {"DmCommit", "3c008a8080804001"},
     {"DmClientReply", "3d00ea0300008680808020"},
-    {"DmRevoke", "460001058a80808040"},
-    {"DmRevokeReply",
+    {"RangeRecover", "460001058a80808040"},
+    {"RangeReply",
      "4700028580808080011002858080808001e90300008580808020086b30303030303031037634320a0700"
      "000003016b00"},
-    {"DmRevokeResult", "480000020400"},
-    {"DfpRangeRecover", "490085808080800101"},
-    {"DfpRangeReply", "4a00035001858080808001e90300008580808020086b3030303030303103763432"},
-    {"DfpRangeResolve", "4b000685808080800100"},
+    {"RangeResolve", "480000020400"},
     {"CatchupRequest", "4c00858080802007"},
     {"CatchupReply",
      "4d0085808080200c85808080800103020161013100000301008a808080400285808080800102e9030000"
@@ -374,7 +368,7 @@ constexpr GoldenEncoding kGolden[] = {
 
 TEST(WireGolden, EveryMessageEncodesAsRecorded) {
   const auto encodings = every_message();
-  ASSERT_EQ(encodings.size(), 49u);
+  ASSERT_EQ(encodings.size(), 46u);
   ASSERT_EQ(encodings.size(), std::size(kGolden));
   for (std::size_t i = 0; i < encodings.size(); ++i) {
     EXPECT_EQ(encodings[i].first, kGolden[i].name);
