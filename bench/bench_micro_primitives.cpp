@@ -1,8 +1,14 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: the wire
 // codec, the compressed logs, the sliding-window estimator and the
 // discrete-event core. These bound the simulator's capacity for the
-// Figure 13 throughput sweeps.
+// Figure 13 throughput sweeps. The delay-trace loader, run over the
+// globe_va.csv fixture, is the set-up cost of every trace-replay run.
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "common/interval_set.h"
 #include "common/window_estimator.h"
@@ -10,6 +16,7 @@
 #include "log/global_log.h"
 #include "log/index_log.h"
 #include "sim/simulator.h"
+#include "wan/delay_trace.h"
 #include "wire/message.h"
 
 namespace {
@@ -107,6 +114,27 @@ void BM_WindowEstimatorP95(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowEstimatorP95);
+
+const std::string kTraceFixture = std::string(DOMINO_TRACE_DIR) + "/globe_va.csv";
+
+void BM_DelayTraceParseCsv(benchmark::State& state) {
+  std::ifstream in(kTraceFixture, std::ios::binary);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wan::DelayTrace::parse_csv(text));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_DelayTraceParseCsv)->Unit(benchmark::kMillisecond);
+
+void BM_DelayTraceLoad(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wan::DelayTrace::load(kTraceFixture));
+  }
+  const auto bytes = static_cast<std::int64_t>(std::filesystem::file_size(kTraceFixture));
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_DelayTraceLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

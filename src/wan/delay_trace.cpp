@@ -4,8 +4,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+
+#include "wan/ms_field.h"
 
 namespace domino::wan {
 namespace {
@@ -14,22 +17,11 @@ namespace {
   throw TraceError("delay trace, line " + std::to_string(line) + ": " + what);
 }
 
-/// Millisecond value -> nanoseconds, with the finite/range checks every
-/// numeric trace field needs.
-std::int64_t parse_ms_field(std::string_view field, std::size_t line, const char* name) {
-  if (field.empty()) fail(line, std::string(name) + " is empty");
-  // from_chars rounds correctly, as strtod does, but takes no leading
-  // whitespace, '+' or hex form.
-  double ms = 0;
-  const auto [end, ec] = std::from_chars(field.data(), field.data() + field.size(), ms);
-  if (ec != std::errc{} || end != field.data() + field.size()) {
-    fail(line, std::string(name) + " is not a number");
-  }
-  if (!std::isfinite(ms)) fail(line, std::string(name) + " is not finite");
-  // llround keeps the CSV<->ns round trip exact at the printed resolution.
-  const double ns = ms * 1e6;
-  if (ns < -9.2e18 || ns > 9.2e18) fail(line, std::string(name) + " out of range");
-  return std::llround(ns);
+/// Millisecond field -> nanoseconds: the exact path when the field is in
+/// the writer's form, the general one otherwise.
+std::int64_t ms_to_ns(std::string_view field, const char* name) {
+  if (const auto ns = detail::exact_ms_to_ns(field)) return *ns;
+  return detail::general_ms_to_ns(field, name);
 }
 
 void check_order(std::string_view from, std::string_view to, TimePoint prev, TimePoint at) {
@@ -52,13 +44,8 @@ void append_ms(std::string& out, std::int64_t ns) {
 }  // namespace
 
 DelayTrace::Link& DelayTrace::link_slot(std::string_view from, std::string_view to) {
-  const auto is = [&](const Link& l) { return l.key.from == from && l.key.to == to; };
-  if (last_link_ < links_.size() && is(links_[last_link_])) return links_[last_link_];
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (is(links_[i])) {
-      last_link_ = i;
-      return links_[i];
-    }
+  for (Link& l : links_) {
+    if (l.key.from == from && l.key.to == to) return l;
   }
   if (from.empty() || to.empty()) throw TraceError("delay trace: empty endpoint name");
   if (from.size() > limits_.max_name_length || to.size() > limits_.max_name_length) {
@@ -69,7 +56,6 @@ DelayTrace::Link& DelayTrace::link_slot(std::string_view from, std::string_view 
     throw TraceError("delay trace: more than " + std::to_string(limits_.max_links) +
                      " directed links");
   }
-  last_link_ = links_.size();
   links_.push_back(Link{LinkKey{std::string(from), std::string(to)},
                         std::make_shared<std::vector<TraceSample>>()});
   return links_.back();
@@ -98,11 +84,15 @@ void DelayTrace::add(std::string_view from, std::string_view to, TimePoint at,
   check_rows(1);
   const TraceSample sample{at, owd};
   check_sample(sample);
-  Link& l = link_slot(from, to);
-  if (!l.samples->empty()) check_order(from, to, l.samples->back().at, at);
-  l.samples->push_back(sample);
+  append(*link_slot(from, to).samples, from, to, sample);
+}
+
+void DelayTrace::append(std::vector<TraceSample>& samples, std::string_view from,
+                        std::string_view to, const TraceSample& s) {
+  if (!samples.empty()) check_order(from, to, samples.back().at, s.at);
+  samples.push_back(s);
   ++total_samples_;
-  if (at > end_time_) end_time_ = at;
+  if (s.at > end_time_) end_time_ = s.at;
 }
 
 void DelayTrace::add_link(std::string_view from, std::string_view to,
@@ -132,56 +122,107 @@ std::shared_ptr<const std::vector<TraceSample>> DelayTrace::samples(
   return nullptr;
 }
 
-DelayTrace DelayTrace::parse_csv(std::string_view text, const TraceLimits& limits) {
-  DelayTrace trace(limits);
-  trace.parse_into(text);
-  return trace;
+void DelayTrace::trim() {
+  for (Link& l : links_) l.samples->shrink_to_fit();
 }
 
-void DelayTrace::parse_into(std::string_view text) {
-  const std::size_t samples_before = total_samples_;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty() || line.front() == '#') continue;
-    if (!saw_header) {
-      if (line != "time_ms,from,to,owd_ms") {
-        fail(line_no, "expected header \"time_ms,from,to,owd_ms\"");
-      }
-      saw_header = true;
-      continue;
+/// The line parser for one input. feed() parses the complete lines of
+/// each stretch of text and reports how much it used; the caller keeps the
+/// rest for the next stretch, and hands the unterminated tail to finish().
+/// Line numbers run across feeds.
+class DelayTrace::CsvReader {
+ public:
+  explicit CsvReader(DelayTrace& trace)
+      : trace_(trace), samples_before_(trace.total_samples_) {}
+
+  /// Parse every '\n'-terminated line of `text`; returns the bytes used.
+  std::size_t feed(std::string_view text) {
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    while (p != end) {
+      const auto* eol = static_cast<const char*>(std::memchr(p, '\n', end - p));
+      if (eol == nullptr) break;
+      line({p, static_cast<std::size_t>(eol - p)});
+      p = eol + 1;
     }
+    return static_cast<std::size_t>(p - text.data());
+  }
+
+  /// Parse the last line (no terminator, maybe empty) and check that the
+  /// input held a header and a sample.
+  void finish(std::string_view last) {
+    line(last);
+    if (!saw_header_) throw TraceError("delay trace: empty input (no header)");
+    if (trace_.total_samples_ == samples_before_) throw TraceError("delay trace: no samples");
+  }
+
+ private:
+  void line(std::string_view text) {
+    ++line_no_;
+    if (!text.empty() && text.back() == '\r') text.remove_suffix(1);
+    if (text.empty() || text.front() == '#') return;
+    if (!saw_header_) {
+      if (text != "time_ms,from,to,owd_ms") {
+        fail(line_no_, "expected header \"time_ms,from,to,owd_ms\"");
+      }
+      saw_header_ = true;
+      return;
+    }
+    try {
+      row(text);
+    } catch (const TraceError& e) {
+      fail(line_no_, e.what());
+    }
+  }
+
+  void row(std::string_view text) {
     // Split into exactly four fields; a truncated or overlong row is a
     // parse error, not a silently-misread sample.
     std::string_view fields[4];
-    std::size_t start = 0;
-    std::size_t field = 0;
-    for (std::size_t i = 0; i <= line.size(); ++i) {
-      if (i == line.size() || line[i] == ',') {
-        if (field >= 4) fail(line_no, "too many fields (want 4)");
-        fields[field++] = line.substr(start, i - start);
-        start = i + 1;
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    for (std::size_t i = 0; i < 3; ++i) {
+      const auto* comma = static_cast<const char*>(std::memchr(p, ',', end - p));
+      if (comma == nullptr) {
+        throw TraceError("truncated row (want 4 fields, got " + std::to_string(i + 1) + ")");
       }
+      fields[i] = {p, static_cast<std::size_t>(comma - p)};
+      p = comma + 1;
     }
-    if (field != 4) fail(line_no, "truncated row (want 4 fields, got " +
-                                      std::to_string(field) + ")");
-    const std::int64_t at_ns = parse_ms_field(fields[0], line_no, "time_ms");
-    const std::int64_t owd_ns = parse_ms_field(fields[3], line_no, "owd_ms");
-    try {
-      add(fields[1], fields[2], TimePoint{at_ns}, Duration{owd_ns});
-    } catch (const TraceError& e) {
-      fail(line_no, e.what());
+    if (std::memchr(p, ',', end - p) != nullptr) throw TraceError("too many fields (want 4)");
+    fields[3] = {p, static_cast<std::size_t>(end - p)};
+    const std::int64_t at_ns = ms_to_ns(fields[0], "time_ms");
+    const std::int64_t owd_ns = ms_to_ns(fields[3], "owd_ms");
+    // add()'s checks in add()'s order, but the link comes from this
+    // reader's cache when the row names the previous row's link, as a CSV
+    // that lists each link's rows in a run mostly does. "from,to" is one
+    // span of the row and holds no other comma, so it names the link.
+    const TraceSample sample{TimePoint{at_ns}, Duration{owd_ns}};
+    trace_.check_rows(1);
+    trace_.check_sample(sample);
+    const std::string_view pair =
+        text.substr(fields[0].size() + 1, fields[1].size() + 1 + fields[2].size());
+    if (samples_ == nullptr || pair != pair_) {
+      samples_ = trace_.link_slot(fields[1], fields[2]).samples.get();
+      pair_.assign(pair);
     }
+    trace_.append(*samples_, fields[1], fields[2], sample);
   }
-  if (!saw_header) throw TraceError("delay trace: empty input (no header)");
-  if (total_samples_ == samples_before) throw TraceError("delay trace: no samples");
+
+  DelayTrace& trace_;
+  const std::size_t samples_before_;
+  std::size_t line_no_ = 0;
+  bool saw_header_ = false;
+  std::string pair_;  // the cached link as its "from,to" row span
+  std::vector<TraceSample>* samples_ = nullptr;  // and its samples
+};
+
+DelayTrace DelayTrace::parse_csv(std::string_view text, const TraceLimits& limits) {
+  DelayTrace trace(limits);
+  CsvReader reader(trace);
+  reader.finish(text.substr(reader.feed(text)));
+  trace.trim();
+  return trace;
 }
 
 DelayTrace DelayTrace::load(const std::string& path, const TraceLimits& limits) {
@@ -198,21 +239,37 @@ DelayTrace DelayTrace::load(const std::string& path, const TraceLimits& limits) 
     files.push_back(path);
   }
   DelayTrace trace(limits);
-  std::string text;
+  // The partial line carried over from the last chunk, then one chunk; it
+  // grows only to hold a line longer than a chunk.
+  std::vector<char> buffer(kReadChunk);
   for (const std::string& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) throw TraceError("delay trace: cannot open " + file);
-    // Chunked reads, not a size from seeking: a FIFO or `<(zcat ...)` works.
-    text.clear();
-    char chunk[1 << 16];
-    while (in.read(chunk, sizeof chunk) || in.gcount() > 0) text.append(chunk, in.gcount());
-    if (in.bad()) throw TraceError("delay trace: cannot read " + file);
+    CsvReader reader(trace);
+    std::size_t carry = 0;
     try {
-      trace.parse_into(text);
+      // Chunked reads, not a size from seeking: a FIFO or `<(zcat ...)` works.
+      while (in.read(buffer.data() + carry, kReadChunk) || in.gcount() > 0) {
+        const auto got = static_cast<std::size_t>(in.gcount());
+        // The carried bytes hold no '\n': feed only when the new ones end
+        // a line, so a line that spans many chunks is scanned once.
+        if (std::memchr(buffer.data() + carry, '\n', got) == nullptr) {
+          carry += got;
+        } else {
+          const std::string_view text(buffer.data(), carry + got);
+          const std::size_t used = reader.feed(text);
+          carry = text.size() - used;
+          std::memmove(buffer.data(), buffer.data() + used, carry);
+        }
+        if (buffer.size() < carry + kReadChunk) buffer.resize(carry + kReadChunk);
+      }
+      if (!in.bad()) reader.finish({buffer.data(), carry});
     } catch (const TraceError& e) {
       throw TraceError(file + ": " + e.what());
     }
+    if (in.bad()) throw TraceError("delay trace: cannot read " + file);
   }
+  trace.trim();
   return trace;
 }
 
@@ -233,4 +290,57 @@ std::string DelayTrace::to_csv() const {
   return out;
 }
 
+namespace detail {
+
+std::optional<std::int64_t> exact_ms_to_ns(std::string_view field) noexcept {
+  const char* p = field.data();
+  const char* const end = p + field.size();
+  const bool negative = p != end && *p == '-';
+  if (negative) ++p;
+  // Unsigned accumulation: a run too long to fit wraps harmlessly and is
+  // rejected by its length.
+  const auto digits = [&](std::uint64_t& value) {
+    const char* const first = p;
+    for (; p != end; ++p) {
+      const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+      if (d > 9) break;
+      value = value * 10 + d;
+    }
+    return p - first;
+  };
+  std::uint64_t whole = 0;
+  const auto whole_digits = digits(whole);
+  if (whole_digits < 1 || whole_digits > 9) return std::nullopt;
+  std::uint64_t frac = 0;
+  std::ptrdiff_t frac_digits = 0;
+  if (p != end) {
+    if (*p != '.') return std::nullopt;
+    ++p;
+    frac_digits = digits(frac);
+    if (frac_digits < 1 || frac_digits > 6 || p != end) return std::nullopt;
+  }
+  static constexpr std::uint64_t kFracScale[] = {1'000'000, 100'000, 10'000, 1'000,
+                                                 100,       10,      1};
+  const auto ns =
+      static_cast<std::int64_t>(whole * 1'000'000 + frac * kFracScale[frac_digits]);
+  return negative ? -ns : ns;
+}
+
+std::int64_t general_ms_to_ns(std::string_view field, const char* name) {
+  if (field.empty()) throw TraceError(std::string(name) + " is empty");
+  // from_chars rounds correctly, as strtod does, but takes no leading
+  // whitespace, '+' or hex form.
+  double ms = 0;
+  const auto [end, ec] = std::from_chars(field.data(), field.data() + field.size(), ms);
+  if (ec != std::errc{} || end != field.data() + field.size()) {
+    throw TraceError(std::string(name) + " is not a number");
+  }
+  if (!std::isfinite(ms)) throw TraceError(std::string(name) + " is not finite");
+  // llround keeps the CSV<->ns round trip exact at the printed resolution.
+  const double ns = ms * 1e6;
+  if (ns < -9.2e18 || ns > 9.2e18) throw TraceError(std::string(name) + " out of range");
+  return std::llround(ns);
+}
+
+}  // namespace detail
 }  // namespace domino::wan

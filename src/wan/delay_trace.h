@@ -21,6 +21,17 @@
 // non-negative delays, a sane delay ceiling — and guards allocations
 // against hostile row/link counts (mirroring the wire-layer length-prefix
 // guards in recovery/messages.h).
+//
+// Ingestion is one streaming pass. load() reads each file in kReadChunk
+// pieces into a buffer that holds one chunk plus the partial line carried
+// over from the last one, so a file is never held whole, and parse_csv()
+// runs the same line parser over its text. A number in the writer's form
+// (an optional '-', 1-9 integer digits, optionally '.' and 1-6 fraction
+// digits) is converted exactly in fixed point; any other syntax goes
+// through std::from_chars and llround, which give the same nanoseconds on
+// the writer's form, so exponents, errors and their messages are the
+// general path's. Each link's vector is trimmed to its size once the input
+// is read.
 #pragma once
 
 #include <cstddef>
@@ -75,6 +86,9 @@ class DelayTrace {
     friend bool operator==(const LinkKey&, const LinkKey&) = default;
   };
 
+  /// load() reads a file in pieces of this many bytes.
+  static constexpr std::size_t kReadChunk = std::size_t{1} << 16;
+
   DelayTrace() = default;
   explicit DelayTrace(TraceLimits limits) : limits_(limits) {}
 
@@ -127,17 +141,20 @@ class DelayTrace {
     std::shared_ptr<std::vector<TraceSample>> samples;
   };
 
-  /// Parse one CSV text into this trace. The text carries its own header
-  /// and at least one sample; a row that breaks monotonicity against
-  /// samples already held (an earlier file) fails with its line number.
-  void parse_into(std::string_view text);
+  /// The line parser for one input (defined in delay_trace.cpp).
+  class CsvReader;
+
   Link& link_slot(std::string_view from, std::string_view to);
   void check_rows(std::size_t extra) const;
   void check_sample(const TraceSample& s) const;
+  /// Append a checked sample to one link's samples (monotonicity is checked here).
+  void append(std::vector<TraceSample>& samples, std::string_view from, std::string_view to,
+              const TraceSample& s);
+  /// Drop every link vector's growth slack once an input is read.
+  void trim();
 
   TraceLimits limits_;
   std::vector<Link> links_;
-  std::size_t last_link_ = 0;  // link_slot's cache: a CSV lists each link's rows in a run
   std::size_t total_samples_ = 0;
   TimePoint end_time_ = TimePoint::epoch();
 };
