@@ -55,20 +55,18 @@ double Client::recent_fast_rate() const {
 }
 
 void Client::record_dfp_outcome(bool fast) {
-  if (!config_.adaptive || config_.adaptive_window == 0) return;
-  if (outcomes_.size() < config_.adaptive_window) {
+  if (!config_.adaptive) return;
+  if (outcomes_.size() < kAdaptiveWindow) {
     outcomes_.push_back(fast);
   } else {
     outcomes_[outcome_cursor_] = fast;
-    outcome_cursor_ = (outcome_cursor_ + 1) % config_.adaptive_window;
+    outcome_cursor_ = (outcome_cursor_ + 1) % kAdaptiveWindow;
   }
   // Grow the slack while the fast path struggles; decay it when healthy.
   if (!fast) {
-    adaptive_extra_ = std::min(adaptive_extra_ + config_.adaptive_step,
-                               config_.adaptive_max_extra);
-  } else if (recent_fast_rate() >= config_.adaptive_target &&
-             adaptive_extra_ > Duration::zero()) {
-    adaptive_extra_ -= Duration{config_.adaptive_step.nanos() / 4};
+    adaptive_extra_ = std::min(adaptive_extra_ + kAdaptiveStep, kAdaptiveMaxExtra);
+  } else if (recent_fast_rate() >= kAdaptiveTarget && adaptive_extra_ > Duration::zero()) {
+    adaptive_extra_ -= Duration{kAdaptiveStep.nanos() / 4};
     if (adaptive_extra_ < Duration::zero()) adaptive_extra_ = Duration::zero();
   }
 }
@@ -89,7 +87,7 @@ void Client::propose(const sm::Command& command) {
       // Feedback override: an extended run of slow-path commits means the
       // arrival predictions are off; fall back to DM until the (slack-
       // assisted) fast path recovers (Section 5.4).
-      if (config_.adaptive && use_dfp && outcomes_.size() >= config_.adaptive_window / 2 &&
+      if (config_.adaptive && use_dfp && outcomes_.size() >= kAdaptiveWindow / 2 &&
           recent_fast_rate() < 0.5) {
         use_dfp = false;
         adaptive_override = true;
@@ -115,12 +113,10 @@ void Client::propose(const sm::Command& command) {
     a->open(d);
   }
   if (use_dfp && est.dfp != Duration::max()) {
-    ++dfp_chosen_;
     obs_dfp_chosen_.inc();
     propose_dfp(command);
     return;
   }
-  ++dm_chosen_;
   obs_dm_chosen_.inc();
   propose_dm(command, est.dm_leader.valid() ? est.dm_leader : fallback_dm_leader());
 }
@@ -139,13 +135,11 @@ void Client::on_request_timeout(const sm::Command& command, std::size_t /*attemp
   if (const auto it = dfp_pending_.find(command.id); it != dfp_pending_.end()) {
     close_wait_span(it->second.span);
     dfp_pending_.erase(it);
-    ++dfp_failovers_;
     obs_failovers_.inc();
   }
   // Re-route through DM: the estimator skips stale leaders, so a crashed
   // replica's lane is avoided once its probe feed goes quiet.
   const auto dm = measure::estimate_dm_latency(view(), replicas_);
-  ++dm_chosen_;
   obs_dm_chosen_.inc();
   propose_dm(command, dm.leader.valid() ? dm.leader : fallback_dm_leader());
 }
@@ -227,7 +221,6 @@ void Client::on_packet(const net::Packet& packet) {
       if (++it->second.accepts >= measure::supermajority(replicas_.size())) {
         close_wait_span(it->second.span);
         dfp_pending_.erase(it);
-        ++dfp_fast_learns_;
         obs_fast_learns_.inc();
         record_dfp_outcome(true);
         if (obs::PredictionAudit* a = audit()) {
@@ -244,7 +237,6 @@ void Client::on_packet(const net::Packet& packet) {
         dfp_pending_.erase(it);
         record_dfp_outcome(false);
       }
-      ++dfp_slow_replies_;
       obs_slow_replies_.inc();
       if (obs::PredictionAudit* a = audit()) {
         a->note_outcome(reply.request, obs::DecisionOutcome::kSlowPath);

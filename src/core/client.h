@@ -35,15 +35,11 @@ struct ClientConfig {
   /// success rate and have clients adaptively adjust their request
   /// timestamps or switch between DFP and DM"): when enabled, the client
   /// tracks the fast-path success of its recent DFP requests and grows the
-  /// additional delay while the rate is below `adaptive_target` (up to
-  /// `adaptive_max_extra`), shrinking it once the fast path is healthy
-  /// again; while the measured success rate is very low the client
-  /// temporarily prefers DM even if DFP's estimate looks better.
+  /// additional delay while the rate is below a target, shrinking it once
+  /// the fast path is healthy again; while the measured success rate is
+  /// very low the client temporarily prefers DM even if DFP's estimate
+  /// looks better (Client's kAdaptive* constants).
   bool adaptive = false;
-  double adaptive_target = 0.9;          // desired fast-path success rate
-  Duration adaptive_step = milliseconds(1);
-  Duration adaptive_max_extra = milliseconds(16);
-  std::size_t adaptive_window = 32;      // recent DFP outcomes considered
 
   /// Section 5.6's probe-traffic reduction: when set, the client does not
   /// probe the replicas itself; it polls this co-located measurement proxy
@@ -90,15 +86,12 @@ class Client : public rpc::ClientBase {
   [[nodiscard]] Estimates estimates() const;
 
   // Counters for experiments.
-  [[nodiscard]] std::uint64_t dfp_chosen() const { return dfp_chosen_; }
-  [[nodiscard]] std::uint64_t dm_chosen() const { return dm_chosen_; }
-  [[nodiscard]] std::uint64_t dfp_fast_learns() const { return dfp_fast_learns_; }
-  [[nodiscard]] std::uint64_t dfp_slow_replies() const { return dfp_slow_replies_; }
+  [[nodiscard]] std::uint64_t dfp_chosen() const { return obs_dfp_chosen_.value(); }
+  [[nodiscard]] std::uint64_t dm_chosen() const { return obs_dm_chosen_.value(); }
+  [[nodiscard]] std::uint64_t dfp_fast_learns() const { return obs_fast_learns_.value(); }
+  [[nodiscard]] std::uint64_t dfp_slow_replies() const { return obs_slow_replies_.value(); }
   /// Timed-out requests re-routed through DM (see on_request_timeout).
-  [[nodiscard]] std::uint64_t dfp_failovers() const { return dfp_failovers_; }
-
-  void set_additional_delay(Duration d) { config_.additional_delay = d; }
-  void set_mode(ClientConfig::Mode mode) { config_.mode = mode; }
+  [[nodiscard]] std::uint64_t dfp_failovers() const { return obs_failovers_.value(); }
 
   /// Extra timestamp slack currently applied by the adaptive controller.
   [[nodiscard]] Duration adaptive_extra_delay() const { return adaptive_extra_; }
@@ -147,16 +140,17 @@ class Client : public rpc::ClientBase {
   std::unordered_map<RequestId, DfpPendingState> dfp_pending_;
   std::int64_t last_dfp_ts_ = 0;  // timestamps are unique per client
 
-  // Adaptive feedback state (ring buffer of recent DFP outcomes).
+  // Adaptive feedback (ClientConfig::adaptive): the desired fast-path
+  // success rate, the slack step per slow-path outcome (a fast one decays
+  // it by a quarter step), the slack cap, and how many recent DFP outcomes
+  // the rate covers (a ring buffer).
+  static constexpr double kAdaptiveTarget = 0.9;
+  static constexpr Duration kAdaptiveStep = milliseconds(1);
+  static constexpr Duration kAdaptiveMaxExtra = milliseconds(16);
+  static constexpr std::size_t kAdaptiveWindow = 32;
   std::vector<bool> outcomes_;
   std::size_t outcome_cursor_ = 0;
   Duration adaptive_extra_ = Duration::zero();
-
-  std::uint64_t dfp_chosen_ = 0;
-  std::uint64_t dm_chosen_ = 0;
-  std::uint64_t dfp_fast_learns_ = 0;
-  std::uint64_t dfp_slow_replies_ = 0;
-  std::uint64_t dfp_failovers_ = 0;
 
   void init_obs();
   obs::CounterHandle obs_dfp_chosen_;

@@ -337,7 +337,7 @@ void Replica::coordinator_check(std::int64_t ts) {
   }
   if (!pos.timer_armed) {
     pos.timer_armed = true;
-    after(config_.recovery_timeout, [this, ts] {
+    after(kRecoveryTimeout, [this, ts] {
       auto pit = dfp_positions_.find(ts);
       if (pit == dfp_positions_.end() || pit->second.resolved || pit->second.recovering) {
         return;
@@ -418,10 +418,8 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
     pos.winner = command.id;
     dfp_committed_.insert(command.id);
     log_.commit(lp, command);
-    was_fast ? ++dfp_fast_commits_ : ++dfp_slow_commits_;
     was_fast ? obs_dfp_fast_.inc() : obs_dfp_slow_.inc();
   } else {
-    ++dfp_noop_resolutions_;
     obs_dfp_noops_.inc();
     // Single-position resolution; see handle_dfp_commit for why the lane
     // watermark must not jump to ts + 1 here.
@@ -577,7 +575,6 @@ void Replica::maybe_commit_dm(std::int64_t ts) {
 
   const log::LogPosition pos{ts, static_cast<std::uint32_t>(rank_)};
   log_.commit(pos);
-  ++dm_commits_;
   obs_dm_commits_.inc();
   // The client reply externalizes the commit; it waits for the decision to
   // be durable. The record carries no command — the leader's own kAccepted
@@ -763,7 +760,6 @@ void Replica::settle_dfp_positions(std::int64_t from_ts, std::int64_t to_ts,
                                    const std::map<std::int64_t, sm::Command>& entries) {
   for (const auto& [ts, cmd] : entries) {
     if (dfp_committed_.insert(cmd.id)) {
-      ++dfp_slow_commits_;
       obs_dfp_slow_.inc();
       // The client may not have reached a supermajority on its own; tell it
       // (duplicate notifications are deduplicated client-side).
@@ -832,10 +828,6 @@ void Replica::recover() {
   rounds_.clear();
   next_round_at_.clear();
   dm_revoked_through_.clear();
-  dfp_fast_commits_ = 0;
-  dfp_slow_commits_ = 0;
-  dfp_noop_resolutions_ = 0;
-  dm_commits_ = 0;
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     switch (rec.tag) {
@@ -908,7 +900,7 @@ void Replica::recover() {
   // replica reports its accepted entries and each reported entry is
   // committed, so a client-observed fast commit cannot be no-op'd.
   if (is_coordinator()) {
-    after(config_.recovery_timeout, [this, epoch = persistor_.epoch()] {
+    after(kRecoveryTimeout, [this, epoch = persistor_.epoch()] {
       if (epoch != persistor_.epoch() || rounds_[dfp_lane()].active) return;
       start_dfp_round(0);
     });

@@ -44,8 +44,6 @@ namespace domino::core {
 struct ReplicaConfig {
   Duration heartbeat_interval = milliseconds(10);
   measure::ProberConfig prober;
-  /// Recovery is forced for a proposal that stays unresolved this long.
-  Duration recovery_timeout = milliseconds(500);
   /// Section 5.7's optimization: "Making every replica be a learner in DFP
   /// will reduce this delay." When true (default), acceptors broadcast
   /// their acceptance notices to every replica, and each replica both
@@ -91,10 +89,10 @@ class Replica : public recovery::Replica {
   [[nodiscard]] Duration replication_latency_estimate() const;
 
   // Counters for tests and experiment output.
-  [[nodiscard]] std::uint64_t dfp_fast_commits() const { return dfp_fast_commits_; }
-  [[nodiscard]] std::uint64_t dfp_slow_commits() const { return dfp_slow_commits_; }
-  [[nodiscard]] std::uint64_t dfp_noop_resolutions() const { return dfp_noop_resolutions_; }
-  [[nodiscard]] std::uint64_t dm_commits() const { return dm_commits_; }
+  [[nodiscard]] std::uint64_t dfp_fast_commits() const { return obs_dfp_fast_.value(); }
+  [[nodiscard]] std::uint64_t dfp_slow_commits() const { return obs_dfp_slow_.value(); }
+  [[nodiscard]] std::uint64_t dfp_noop_resolutions() const { return obs_dfp_noops_.value(); }
+  [[nodiscard]] std::uint64_t dm_commits() const { return obs_dm_commits_.value(); }
   [[nodiscard]] std::uint64_t executed_count() const { return log_.executed_count(); }
 
  protected:
@@ -225,15 +223,13 @@ class Replica : public recovery::Replica {
   std::unordered_map<std::uint32_t, std::int64_t> dm_revoked_through_;
   /// Minimum spacing between recovery rounds for the same lane.
   static constexpr Duration kRecoveryRoundInterval = milliseconds(100);
+  /// The coordinator recovers a DFP position that stays unresolved this
+  /// long; a restarted coordinator waits this long before its range round.
+  static constexpr Duration kRecoveryTimeout = milliseconds(500);
 
-  std::uint64_t dfp_fast_commits_ = 0;
-  std::uint64_t dfp_slow_commits_ = 0;
-  std::uint64_t dfp_noop_resolutions_ = 0;
-  std::uint64_t dm_commits_ = 0;
-
-  // Observability handles (mirror the counters above; see bind order in
-  // harness::Env — the sink must be bound to the network before replicas
-  // are constructed).
+  // Counters for the accessors above and the domino.* metrics (see bind
+  // order in harness::Env — the sink must be bound to the network before
+  // replicas are constructed).
   void init_obs();
   obs::CounterHandle obs_dfp_fast_;
   obs::CounterHandle obs_dfp_slow_;

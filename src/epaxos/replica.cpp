@@ -170,7 +170,6 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
   Instance& inst = inst_it->second;
   if (!book.attributes_changed) {
     // Fast path: one round trip.
-    ++fast_commits_;
     obs_fast_.inc();
     // The commit decision is externalized by the ClientReply and the Commit
     // broadcast, so it must be durable first. The book is erased now so
@@ -246,7 +245,6 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
 
   auto inst_it = instances_.find(msg.instance);
   if (inst_it == instances_.end()) return;
-  ++slow_commits_;
   obs_slow_.inc();
   const sm::Command command = inst_it->second.command;
   const std::uint64_t seq = book.seq;

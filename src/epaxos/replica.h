@@ -52,8 +52,8 @@ class Replica : public recovery::Replica {
 
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
   [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
-  [[nodiscard]] std::uint64_t fast_path_commits() const { return fast_commits_; }
-  [[nodiscard]] std::uint64_t slow_path_commits() const { return slow_commits_; }
+  [[nodiscard]] std::uint64_t fast_path_commits() const { return obs_fast_.value(); }
+  [[nodiscard]] std::uint64_t slow_path_commits() const { return obs_slow_.value(); }
   /// Instances held in memory: the ones not yet compacted behind their
   /// owner's executed frontier.
   [[nodiscard]] std::size_t retained_entries() const override { return instances_.size(); }
@@ -170,10 +170,11 @@ class Replica : public recovery::Replica {
   std::unordered_map<InstanceId, obs::SpanId> dep_spans_;     // execution blocked on deps
 
   std::uint64_t next_instance_ = 0;
+  // Instances committed and executed here: replica state, rebuilt by replay
+  // and lowered by a snapshot install, unlike the epaxos.committed and
+  // epaxos.executed event counts.
   std::uint64_t committed_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t fast_commits_ = 0;
-  std::uint64_t slow_commits_ = 0;
 
   obs::CounterHandle obs_preaccepts_;
   obs::CounterHandle obs_fast_;

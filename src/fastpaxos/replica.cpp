@@ -8,11 +8,9 @@
 namespace domino::fastpaxos {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
-                 std::vector<NodeId> replicas, NodeId coordinator,
-                 Duration recovery_timeout, sim::LocalClock clock)
+                 std::vector<NodeId> replicas, NodeId coordinator, sim::LocalClock clock)
     : recovery::Replica(id, dc, context, std::move(replicas), "fastpaxos.executed", clock),
-      coordinator_(coordinator),
-      recovery_timeout_(recovery_timeout) {
+      coordinator_(coordinator) {
   if (std::find(replicas_.begin(), replicas_.end(), id) == replicas_.end()) {
     throw std::invalid_argument("fastpaxos::Replica: id not in replica set");
   }
@@ -168,7 +166,7 @@ void Replica::maybe_resolve(std::uint64_t index) {
 
   if (!tally.timer_armed) {
     tally.timer_armed = true;
-    after(recovery_timeout_, [this, index] {
+    after(kRecoveryTimeout, [this, index] {
       auto it = tallies_.find(index);
       if (it == tallies_.end() || decided(index) || it->second.recovering) return;
       if (it->second.reports.size() >= measure::majority(replicas_.size())) {
@@ -244,13 +242,7 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
     close_wait_span(rspan_it->second);
     recovery_spans_.erase(rspan_it);
   }
-  if (was_fast) {
-    ++fast_commits_;
-    obs_fast_.inc();
-  } else {
-    ++slow_commits_;
-    obs_slow_.inc();
-  }
+  was_fast ? obs_fast_.inc() : obs_slow_.inc();
 
   if (!is_noop) {
     record_commit(index, command);
@@ -310,8 +302,6 @@ void Replica::recover() {
   decided_commands_.clear();
   committed_.clear();
   recovery_chosen_.clear();
-  fast_commits_ = 0;
-  slow_commits_ = 0;
 
   std::uint64_t max_index = 0;
   bool any = false;
@@ -354,7 +344,7 @@ void Replica::recover() {
     for (std::uint64_t index = log_.execution_frontier(); index <= max_index; ++index) {
       if (decided(index)) continue;
       tallies_[index].timer_armed = true;
-      after(recovery_timeout_, [this, index] {
+      after(kRecoveryTimeout, [this, index] {
         auto it = tallies_.find(index);
         if (it == tallies_.end() || decided(index) || it->second.recovering) return;
         start_recovery(index);

@@ -36,13 +36,12 @@ namespace domino::fastpaxos {
 class Replica : public recovery::Replica {
  public:
   Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
-          NodeId coordinator, Duration recovery_timeout = milliseconds(500),
-          sim::LocalClock clock = sim::LocalClock{});
+          NodeId coordinator, sim::LocalClock clock = sim::LocalClock{});
 
   [[nodiscard]] bool is_coordinator() const { return coordinator_ == id(); }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
-  [[nodiscard]] std::uint64_t fast_commits() const { return fast_commits_; }
-  [[nodiscard]] std::uint64_t slow_commits() const { return slow_commits_; }
+  [[nodiscard]] std::uint64_t fast_commits() const { return obs_fast_.value(); }
+  [[nodiscard]] std::uint64_t slow_commits() const { return obs_slow_.value(); }
 
   /// In-flight state this replica holds: live log entries, coordinator
   /// tallies, acceptor assignments and recovery picks. None of it grows
@@ -81,8 +80,11 @@ class Replica : public recovery::Replica {
   void assign(const RequestId& rid, std::uint64_t index);
   void execute_ready();
 
+  /// A coordinator recovers a position still undecided this long after its
+  /// first report (or after the coordinator's restart).
+  static constexpr Duration kRecoveryTimeout = milliseconds(500);
+
   NodeId coordinator_;
-  Duration recovery_timeout_;
   log::IndexLog log_;
 
   // Acceptor state: its ballot-0 acceptances as index -> request for
@@ -117,8 +119,6 @@ class Replica : public recovery::Replica {
   // Requests picked by an in-flight recovery; excluded from concurrent
   // recovery choices so one request cannot be chosen at two indices.
   std::unordered_set<RequestId> recovery_chosen_;
-  std::uint64_t fast_commits_ = 0;
-  std::uint64_t slow_commits_ = 0;
 
   obs::CounterHandle obs_accepts_;
   obs::CounterHandle obs_fast_;

@@ -153,7 +153,7 @@ struct Env {
     if (timeseries != nullptr) {
       // Read-only sampler on the virtual-time queue: snapshots metric
       // deltas every interval, so enabling it cannot perturb the protocols.
-      sampler.start(simulator, scenario.timeseries_interval, scenario.timeseries_interval,
+      sampler.start(network, scenario.timeseries_interval, scenario.timeseries_interval,
                     [this] { timeseries->sample(*metrics, simulator.now()); });
     }
     simulator.run_until(window_end + scenario.cooldown);
@@ -245,8 +245,8 @@ struct Env {
   std::shared_ptr<obs::PredictionAudit> predict;
   std::shared_ptr<obs::Timeseries> timeseries;
   sim::Simulator simulator;
-  sim::PeriodicTimer sampler;
   net::Network network;
+  rpc::RepeatingTimer sampler;
   Rng clock_rng;
   TimePoint window_start;
   TimePoint window_end;
@@ -338,7 +338,7 @@ RunResult run_protocol(Protocol protocol, const Scenario& s) {
       return run_cluster(env, Deployment<mencius::Replica, mencius::Client>{
           .replica = [&](std::size_t i, sim::LocalClock clock) {
             return std::make_unique<mencius::Replica>(rids[i], s.replica_dcs[i], net, rids,
-                                                      milliseconds(10), clock);
+                                                      clock);
           },
           .client = [&](std::size_t i, sim::LocalClock clock) {
             return std::make_unique<mencius::Client>(client_id(i), s.client_dcs[i], net,
@@ -366,7 +366,7 @@ RunResult run_protocol(Protocol protocol, const Scenario& s) {
       return run_cluster(env, Deployment<fastpaxos::Replica, fastpaxos::Client>{
           .replica = [&](std::size_t i, sim::LocalClock clock) {
             return std::make_unique<fastpaxos::Replica>(rids[i], s.replica_dcs[i], net, rids,
-                                                        leader, milliseconds(500), clock);
+                                                        leader, clock);
           },
           .client = [&](std::size_t i, sim::LocalClock clock) {
             return std::make_unique<fastpaxos::Client>(client_id(i), s.client_dcs[i], net,

@@ -6,21 +6,12 @@ Prober::Prober(rpc::Node& owner, std::vector<NodeId> targets, ProberConfig confi
     : owner_(owner),
       targets_(std::move(targets)),
       config_(config),
-      calibration_(owner.id(), targets_) {
+      calibration_(owner.id(), targets_, owner.obs_sink()) {
   obs_probes_sent_ = owner_.obs_sink().counter("measure.probes_sent");
   obs_probe_replies_ = owner_.obs_sink().counter("measure.probe_replies");
   obs_calib_margin_ = owner_.obs_sink().histogram("calib.owd_margin_ns");
   obs_calib_overshoot_ = owner_.obs_sink().histogram("calib.owd_overshoot_ns");
-  for (NodeId t : targets_) {
-    auto [it, inserted] = state_.emplace(t, TargetState{config_.window});
-    if (!inserted || t == owner_.id()) continue;
-    // Per-series coverage counters, named like the per-link net metrics.
-    const std::string series = owner_.id().to_string() + "->" + t.to_string();
-    it->second.obs_calib_samples =
-        owner_.obs_sink().counter("calib." + series + ".samples");
-    it->second.obs_calib_covered =
-        owner_.obs_sink().counter("calib." + series + ".covered");
-  }
+  for (NodeId t : targets_) state_.emplace(t, TargetState{config_.window});
 }
 
 void Prober::start() {
@@ -40,7 +31,6 @@ void Prober::send_probes() {
     p.seq = seq;
     p.sender_local_time = owner_.local_now();
     owner_.send(t, p);
-    ++probes_sent_;
     obs_probes_sent_.inc();
   }
 }
@@ -57,9 +47,7 @@ void Prober::on_probe_reply(NodeId from, const ProbeReply& reply) {
   if (const auto predicted = ts.owd.percentile(local_now, config_.percentile)) {
     calibration_.record(from, *predicted, realized_owd);
     const std::int64_t margin = (*predicted - realized_owd).nanos();
-    ts.obs_calib_samples.inc();
     if (margin >= 0) {
-      ts.obs_calib_covered.inc();
       obs_calib_margin_.record(margin);
     } else {
       obs_calib_overshoot_.record(-margin);
@@ -90,17 +78,16 @@ bool Prober::looks_failed(NodeId target) const {
   if (!ts.ever_replied) {
     // A target that has never answered only counts as failed once probing
     // has been running long enough for a reply to be overdue.
-    return ever_started_ && owner_.true_now() - started_ > config_.failure_timeout;
+    return ever_started_ && owner_.true_now() - started_ > kFailureTimeout;
   }
-  return owner_.true_now() - ts.last_reply_true_time > config_.failure_timeout;
+  return owner_.true_now() - ts.last_reply_true_time > kFailureTimeout;
 }
 
 bool Prober::is_stale(NodeId target) const {
   if (target == owner_.id()) return false;
   auto it = state_.find(target);
   if (it == state_.end()) return true;
-  const Duration stale_after =
-      config_.probe_interval * static_cast<std::int64_t>(config_.stale_after_intervals);
+  const Duration stale_after = config_.probe_interval * kStaleAfterIntervals;
   const TargetState& ts = it->second;
   if (!ts.ever_replied) {
     return ever_started_ && owner_.true_now() - started_ > stale_after;

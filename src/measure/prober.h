@@ -34,14 +34,6 @@ struct ProberConfig {
   Duration probe_interval = milliseconds(10);
   Duration window = seconds(1);
   double percentile = 95.0;
-  /// A target that has not answered for this long is considered failed and
-  /// reported with Duration::max() estimates.
-  Duration failure_timeout = milliseconds(500);
-  /// A target that has not answered for this many probe intervals is marked
-  /// *stale* (LatencyView::is_stale) well before the failure timeout fires:
-  /// its estimates still exist but consumers should stop trusting the link
-  /// (e.g. the Domino client skips stale DM leaders).
-  std::size_t stale_after_intervals = 3;
 };
 
 class Prober final : public LatencyView {
@@ -74,10 +66,16 @@ class Prober final : public LatencyView {
   /// Latest piggybacked replication-latency estimate from `target`.
   [[nodiscard]] Duration replication_latency_of(NodeId target) const override;
 
+  /// A target that has not answered for this long is considered failed and
+  /// reported with Duration::max() estimates.
+  static constexpr Duration kFailureTimeout = milliseconds(500);
   [[nodiscard]] bool looks_failed(NodeId target) const override;
 
-  /// No reply for `stale_after_intervals` probe intervals (Section 5.8's
-  /// fast "stop trusting this link" signal; fires before failure_timeout).
+  /// A target that has not answered for this many probe intervals is
+  /// *stale* well before kFailureTimeout (Section 5.8's fast "stop trusting
+  /// this link" signal): its estimates still exist but consumers should
+  /// stop trusting the link (e.g. the Domino client skips stale DM leaders).
+  static constexpr std::int64_t kStaleAfterIntervals = 3;
   [[nodiscard]] bool is_stale(NodeId target) const override;
 
   [[nodiscard]] double default_percentile() const override { return config_.percentile; }
@@ -87,7 +85,7 @@ class Prober final : public LatencyView {
 
   /// Total probes sent (tests / overhead accounting, Section 5.6 discusses
   /// probe traffic growth).
-  [[nodiscard]] std::uint64_t probes_sent() const { return probes_sent_; }
+  [[nodiscard]] std::uint64_t probes_sent() const { return obs_probes_sent_.value(); }
 
   /// Per-target estimator calibration: each probe reply's realized arrival
   /// offset is checked against the percentile prediction the window held
@@ -106,8 +104,6 @@ class Prober final : public LatencyView {
     Duration replication_latency = Duration::zero();
     TimePoint last_reply_true_time = TimePoint::epoch();
     bool ever_replied = false;
-    obs::CounterHandle obs_calib_samples;
-    obs::CounterHandle obs_calib_covered;
     explicit TargetState(Duration window) : rtt(window), owd(window) {}
   };
 
@@ -124,7 +120,6 @@ class Prober final : public LatencyView {
   TimePoint started_;
   bool ever_started_ = false;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t probes_sent_ = 0;
 };
 
 }  // namespace domino::measure

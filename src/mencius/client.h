@@ -15,7 +15,6 @@ class Client : public rpc::ClientBase {
          sim::LocalClock clock = sim::LocalClock{})
       : rpc::ClientBase(id, dc, context, clock), coordinator_(coordinator) {}
 
-  void set_coordinator(NodeId coordinator) { coordinator_ = coordinator; }
   [[nodiscard]] NodeId coordinator() const { return coordinator_; }
 
  protected:

@@ -10,10 +10,8 @@
 namespace domino::mencius {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
-                 std::vector<NodeId> replicas, Duration heartbeat_interval,
-                 sim::LocalClock clock)
+                 std::vector<NodeId> replicas, sim::LocalClock clock)
     : recovery::Replica(id, dc, context, std::move(replicas), "mencius.executed", clock),
-      heartbeat_interval_(heartbeat_interval),
       skip_frontier_seen_(replicas_.size(), 0) {
   const auto it = std::find(replicas_.begin(), replicas_.end(), id);
   if (it == replicas_.end()) throw std::invalid_argument("mencius::Replica: id not in set");
@@ -26,7 +24,7 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
 }
 
 void Replica::start() {
-  heartbeat_.start(context(), heartbeat_interval_, heartbeat_interval_,
+  heartbeat_.start(context(), kHeartbeatInterval, kHeartbeatInterval,
                    [this] { broadcast_heartbeat(); });
 }
 
@@ -67,7 +65,6 @@ void Replica::handle_client_request(const net::Packet& packet) {
   const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const std::uint64_t p = next_own_index_;
   next_own_index_ = p + replicas_.size();
-  ++owned_proposals_;
   obs_proposals_.inc();
 
   log_.accept(p, req.command);
@@ -233,7 +230,6 @@ void Replica::recover() {
   owned_request_.clear();
   next_own_index_ = rank_;
   skip_frontier_seen_.assign(replicas_.size(), 0);
-  owned_proposals_ = 0;
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     switch (rec.tag) {
@@ -244,7 +240,6 @@ void Replica::recover() {
           pending_.insert_or_assign(index,
                                     Pending{{}, {}, cmd, *client, false, true_now()});
           owned_request_.insert_or_assign(index, cmd.id);
-          ++owned_proposals_;
           next_own_index_ =
               std::max(next_own_index_, index + replicas_.size());
         } else {

@@ -26,7 +26,6 @@ namespace domino::mencius {
 class Replica : public recovery::Replica {
  public:
   Replica(NodeId id, std::size_t dc, rpc::Context& context, std::vector<NodeId> replicas,
-          Duration heartbeat_interval = milliseconds(10),
           sim::LocalClock clock = sim::LocalClock{});
 
   /// Start heartbeats; call after attach().
@@ -34,7 +33,7 @@ class Replica : public recovery::Replica {
 
   [[nodiscard]] std::size_t rank() const { return rank_; }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
-  [[nodiscard]] std::uint64_t owned_proposals() const { return owned_proposals_; }
+  [[nodiscard]] std::uint64_t owned_proposals() const { return obs_proposals_.value(); }
   [[nodiscard]] std::size_t retained_entries() const override {
     return log_.occupied_count();
   }
@@ -84,8 +83,11 @@ class Replica : public recovery::Replica {
   /// fault-free runs never retransmit.
   static constexpr Duration kAcceptRetransmitAfter = milliseconds(400);
 
+  /// Heartbeat period: each heartbeat carries the per-peer skip frontier and
+  /// retransmits overdue Accepts and Commits.
+  static constexpr Duration kHeartbeatInterval = milliseconds(10);
+
   std::size_t rank_ = 0;
-  Duration heartbeat_interval_;
   log::IndexLog log_;
   rpc::RepeatingTimer heartbeat_;
 
@@ -106,7 +108,6 @@ class Replica : public recovery::Replica {
   std::map<std::uint64_t, Pending> pending_;  // ordered: commit in index order
   std::unordered_map<std::uint64_t, RequestId> owned_request_;  // index -> request id
   std::unordered_map<std::uint64_t, obs::SpanId> quorum_spans_;  // index -> open wait span
-  std::uint64_t owned_proposals_ = 0;
 
   obs::CounterHandle obs_proposals_;
   obs::CounterHandle obs_accepts_;

@@ -182,7 +182,6 @@ void FaultInjector::install(const FaultSchedule& schedule) {
 void FaultInjector::crash(NodeId node) {
   if (!crashed_.insert(node).second) return;
   crashed_at_[node] = sim_.now();
-  ++transitions_;
   obs_faults_applied_.inc();
   mix(0x01);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
@@ -193,7 +192,6 @@ void FaultInjector::crash(NodeId node) {
 
 void FaultInjector::recover(NodeId node) {
   if (crashed_.erase(node) == 0) return;
-  ++transitions_;
   obs_faults_applied_.inc();
   mix(0x02);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
@@ -219,7 +217,6 @@ void FaultInjector::partition(std::size_t from_dc, std::size_t to_dc) {
   std::vector<bool>::reference flag = partitioned_[link_index(from_dc, to_dc)];
   if (flag) return;
   flag = true;
-  ++transitions_;
   obs_faults_applied_.inc();
   mix(0x03);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
@@ -233,7 +230,6 @@ void FaultInjector::heal(std::size_t from_dc, std::size_t to_dc) {
   std::vector<bool>::reference flag = partitioned_[link_index(from_dc, to_dc)];
   if (!flag) return;
   flag = false;
-  ++transitions_;
   obs_faults_applied_.inc();
   mix(0x04);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
@@ -250,7 +246,6 @@ void FaultInjector::degrade(std::size_t from_dc, std::size_t to_dc, double multi
   d.extra_spike_prob = extra_spike_prob;
   d.spike_mean = spike_mean;
   d.active = true;
-  ++transitions_;
   obs_faults_applied_.inc();
   mix(0x05);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
@@ -265,7 +260,6 @@ void FaultInjector::end_degrade(std::size_t from_dc, std::size_t to_dc) {
   Degradation& d = degraded_[link_index(from_dc, to_dc)];
   if (!d.active) return;
   d = Degradation{};
-  ++transitions_;
   obs_faults_applied_.inc();
   mix(0x06);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
@@ -278,7 +272,6 @@ void FaultInjector::route_change(std::size_t from_dc, std::size_t to_dc,
   check_dc(from_dc, "route_change");
   check_dc(to_dc, "route_change");
   route_base_[link_index(from_dc, to_dc)] = new_base;
-  ++transitions_;
   obs_faults_applied_.inc();
   mix(0x07);
   mix(static_cast<std::uint64_t>(sim_.now().nanos()));
@@ -322,17 +315,10 @@ Duration FaultInjector::deform(std::size_t from_dc, std::size_t to_dc, Duration 
 }
 
 void FaultInjector::count_drop(DropReason reason, TimePoint at, NodeId src, NodeId dst) {
-  ++drops_[static_cast<std::size_t>(reason)];
   obs_drop_reason_[static_cast<std::size_t>(reason)].inc();
   mix(0x10 + static_cast<std::uint64_t>(reason));
   mix(static_cast<std::uint64_t>(at.nanos()));
   mix((static_cast<std::uint64_t>(src.value()) << 32) | dst.value());
-}
-
-std::uint64_t FaultInjector::total_drops() const {
-  std::uint64_t total = 0;
-  for (std::size_t r = 1; r < kDropReasonCount; ++r) total += drops_[r];
-  return total;
 }
 
 }  // namespace domino::net

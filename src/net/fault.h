@@ -163,9 +163,8 @@ class FaultInjector {
   void count_drop(DropReason reason, TimePoint at, NodeId src, NodeId dst);
 
   [[nodiscard]] std::uint64_t drops(DropReason reason) const {
-    return drops_[static_cast<std::size_t>(reason)];
+    return obs_drop_reason_[static_cast<std::size_t>(reason)].value();
   }
-  [[nodiscard]] std::uint64_t total_drops() const;
 
   /// Order-sensitive FNV-1a digest over every fault transition and drop
   /// (kind, virtual time, endpoints). Two runs with the same seed and
@@ -174,7 +173,7 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
 
   /// Fault transitions applied so far (for tests; drops excluded).
-  [[nodiscard]] std::uint64_t transitions() const { return transitions_; }
+  [[nodiscard]] std::uint64_t transitions() const { return obs_faults_applied_.value(); }
 
   /// Total crashed time over all completed crash->recover pairs, for the
   /// recovery accounting (recovery.downtime_ns records each one).
@@ -208,9 +207,7 @@ class FaultInjector {
   std::function<void(NodeId)> recover_hook_;
   std::function<void(NodeId)> restart_hook_;
 
-  std::uint64_t drops_[kDropReasonCount] = {0, 0, 0, 0};
   std::uint64_t digest_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  std::uint64_t transitions_ = 0;
 
   obs::Sink obs_;
   obs::CounterHandle obs_drop_reason_[kDropReasonCount];

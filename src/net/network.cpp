@@ -73,7 +73,6 @@ void Network::bind_obs(const obs::Sink& sink) {
 }
 
 void Network::count_drop(DropReason reason, NodeId src, NodeId dst) {
-  ++packets_dropped_;
   obs_dropped_.inc();
   // The injector owns the per-reason counters and the fault/drop digest.
   fault_.count_drop(reason, sim_.now(), src, dst);

@@ -103,7 +103,7 @@ class Network final : public rpc::Context {
   // Traffic statistics.
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
-  [[nodiscard]] std::uint64_t packets_dropped() const { return packets_dropped_; }
+  [[nodiscard]] std::uint64_t packets_dropped() const { return obs_dropped_.value(); }
   [[nodiscard]] std::uint64_t packets_dropped(DropReason reason) const {
     return fault_.drops(reason);
   }
@@ -160,7 +160,6 @@ class Network final : public rpc::Context {
 
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t packets_dropped_ = 0;
 
   obs::Sink obs_;
   std::vector<std::vector<LinkObs>> link_obs_;  // [from_dc][to_dc]

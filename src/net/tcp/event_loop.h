@@ -49,9 +49,6 @@ class EventLoop {
   void stop() { stopped_ = true; }
   [[nodiscard]] bool stopped() const { return stopped_; }
 
-  [[nodiscard]] std::size_t fd_count() const { return callbacks_.size(); }
-  [[nodiscard]] std::size_t pending_timers() const { return timers_.size(); }
-
  private:
   struct Timer {
     TimePoint at;

@@ -50,7 +50,6 @@ class TcpHost {
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] std::size_t connection_count() const { return by_peer_.size(); }
 
   /// Drop the connection to `peer` (tests: simulated link failure).
   void disconnect(NodeId peer);

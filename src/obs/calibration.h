@@ -11,9 +11,10 @@
 // DFP deadlines, and the prediction-audit layer (obs/predict.h) blames it.
 //
 // CalibrationCell accumulates one (owner, target) series; Calibration owns
-// the per-target map a measure::Prober reports into. Everything is integer
-// arithmetic over virtual time, so same-seed runs export byte-identical
-// calibration tables.
+// the per-target map a measure::Prober reports into, and its cells count
+// through the calib.<owner>-><target>.{samples,covered} metrics. Everything
+// is integer arithmetic over virtual time, so same-seed runs export
+// byte-identical calibration tables.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 
 #include "common/ids.h"
 #include "common/time.h"
+#include "obs/sink.h"
 
 namespace domino::obs {
 
@@ -30,40 +32,44 @@ namespace domino::obs {
 /// *before* the sample was folded into the estimator window.
 class CalibrationCell {
  public:
+  CalibrationCell() = default;
+  CalibrationCell(CounterHandle samples, CounterHandle covered)
+      : samples_(samples), covered_(covered) {}
+
   void record(Duration predicted, Duration realized) {
-    ++samples_;
+    samples_.inc();
     const std::int64_t margin = (predicted - realized).nanos();
     sum_margin_ns_ += margin;
     if (margin >= 0) {
       // Covered: the realized offset stayed at or below the prediction.
-      ++covered_;
+      covered_.inc();
     } else if (-margin > max_overshoot_ns_) {
       max_overshoot_ns_ = -margin;
     }
   }
 
-  [[nodiscard]] std::uint64_t samples() const { return samples_; }
-  [[nodiscard]] std::uint64_t covered() const { return covered_; }
+  [[nodiscard]] std::uint64_t samples() const { return samples_.value(); }
+  [[nodiscard]] std::uint64_t covered() const { return covered_.value(); }
   /// Fraction of samples with realized <= predicted (1.0 when empty, the
   /// same convention as Client::recent_fast_rate).
   [[nodiscard]] double coverage() const {
-    return samples_ == 0
+    return samples() == 0
                ? 1.0
-               : static_cast<double>(covered_) / static_cast<double>(samples_);
+               : static_cast<double>(covered()) / static_cast<double>(samples());
   }
   /// Mean signed margin (predicted - realized) in nanoseconds; positive
   /// means the estimator predicts conservatively (slack), negative means it
   /// systematically undershoots.
   [[nodiscard]] std::int64_t mean_margin_ns() const {
-    return samples_ == 0 ? 0 : sum_margin_ns_ / static_cast<std::int64_t>(samples_);
+    return samples() == 0 ? 0 : sum_margin_ns_ / static_cast<std::int64_t>(samples());
   }
   [[nodiscard]] std::int64_t sum_margin_ns() const { return sum_margin_ns_; }
   /// Largest realized-above-predicted excursion seen (0 if always covered).
   [[nodiscard]] std::int64_t max_overshoot_ns() const { return max_overshoot_ns_; }
 
  private:
-  std::uint64_t samples_ = 0;
-  std::uint64_t covered_ = 0;
+  CounterHandle samples_;
+  CounterHandle covered_;
   std::int64_t sum_margin_ns_ = 0;
   std::int64_t max_overshoot_ns_ = 0;
 };
@@ -74,9 +80,20 @@ class CalibrationCell {
 class Calibration {
  public:
   Calibration() = default;
-  Calibration(NodeId owner, const std::vector<NodeId>& targets) : owner_(owner) {
+  /// Cells for every target but `owner` itself count into `sink`'s
+  /// calib.<owner>-><target>.* metrics, named like the per-link net metrics.
+  Calibration(NodeId owner, const std::vector<NodeId>& targets, const Sink& sink = {})
+      : owner_(owner) {
     cells_.reserve(targets.size());
-    for (NodeId t : targets) cells_.push_back({t, CalibrationCell{}});
+    for (NodeId t : targets) {
+      if (t == owner) {
+        cells_.push_back({t, CalibrationCell{}});
+        continue;
+      }
+      const std::string series = "calib." + owner.to_string() + "->" + t.to_string();
+      cells_.push_back({t, CalibrationCell{sink.counter(series + ".samples"),
+                                           sink.counter(series + ".covered")}});
+    }
   }
 
   void record(NodeId target, Duration predicted, Duration realized) {

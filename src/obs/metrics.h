@@ -194,17 +194,25 @@ class MetricsRegistry {
 
 /// Null-safe handles: the hot-path API. A default-constructed handle is
 /// disabled and every operation on it is a single predictable branch.
+///
+/// A counter handle is also the owner's own count: value() is every inc()
+/// made through this handle, whether or not a registry is bound, while the
+/// registry's Counter sums every handle bound to the same name. Bind (assign
+/// from Sink::counter) before the first inc(); assignment replaces the count.
 class CounterHandle {
  public:
   CounterHandle() = default;
   explicit CounterHandle(Counter* c) : c_(c) {}
   void inc(std::uint64_t delta = 1) {
+    v_ += delta;
     if (c_ != nullptr) c_->inc(delta);
   }
+  [[nodiscard]] std::uint64_t value() const { return v_; }
   [[nodiscard]] bool enabled() const { return c_ != nullptr; }
 
  private:
   Counter* c_ = nullptr;
+  std::uint64_t v_ = 0;
 };
 
 class GaugeHandle {

@@ -58,12 +58,10 @@ DecisionRecord* PredictionAudit::find_pending(const RequestId& id) {
 
 void PredictionAudit::open(const DecisionRecord& decision) {
   if (pending_.size() + records_.size() >= capacity_) {
-    ++dropped_;
     obs_dropped_.inc();
     return;
   }
   if (pending_.contains(decision.request)) return;  // exactly one per command
-  ++decisions_;
   obs_decisions_.inc();
   pending_.emplace(decision.request, decision);
 }
@@ -206,14 +204,8 @@ void PredictionAudit::reconcile(const RequestId& id, TimePoint committed_at,
     case DecisionOutcome::kDmCommit: ++dm_commits_; break;
     case DecisionOutcome::kPending: break;  // unreachable
   }
-  if (r.failover) {
-    ++failovers_;
-    obs_failovers_.inc();
-  }
-  if (r.adaptive_override) {
-    ++adaptive_overrides_;
-    obs_adaptive_overrides_.inc();
-  }
+  if (r.failover) obs_failovers_.inc();
+  if (r.adaptive_override) obs_adaptive_overrides_.inc();
   obs_reconciled_.inc();
   records_.push_back(std::move(r));
 }

@@ -184,17 +184,19 @@ class PredictionAudit {
   void reconcile(const RequestId& id, TimePoint committed_at, Duration realized);
 
   [[nodiscard]] const std::vector<DecisionRecord>& records() const { return records_; }
-  [[nodiscard]] std::uint64_t decisions() const { return decisions_; }
+  [[nodiscard]] std::uint64_t decisions() const { return obs_decisions_.value(); }
   [[nodiscard]] std::uint64_t reconciled() const { return records_.size(); }
   [[nodiscard]] std::uint64_t pending() const { return pending_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  [[nodiscard]] std::uint64_t dropped() const { return obs_dropped_.value(); }
 
   // Deterministic aggregates over reconciled records (integer sums).
   [[nodiscard]] std::uint64_t fast_path() const { return fast_path_; }
   [[nodiscard]] std::uint64_t slow_path() const { return slow_path_; }
   [[nodiscard]] std::uint64_t dm_commits() const { return dm_commits_; }
-  [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
-  [[nodiscard]] std::uint64_t adaptive_overrides() const { return adaptive_overrides_; }
+  [[nodiscard]] std::uint64_t failovers() const { return obs_failovers_.value(); }
+  [[nodiscard]] std::uint64_t adaptive_overrides() const {
+    return obs_adaptive_overrides_.value();
+  }
   [[nodiscard]] std::uint64_t regret_samples() const { return regret_samples_; }
   [[nodiscard]] std::int64_t regret_sum_ns() const { return regret_sum_ns_; }
   [[nodiscard]] std::int64_t regret_max_ns() const { return regret_max_ns_; }
@@ -207,23 +209,19 @@ class PredictionAudit {
   std::size_t capacity_;
   std::unordered_map<RequestId, DecisionRecord> pending_;
   std::vector<DecisionRecord> records_;  // reconciled, in commit order
-  std::uint64_t decisions_ = 0;
-  std::uint64_t dropped_ = 0;
 
   std::uint64_t fast_path_ = 0;
   std::uint64_t slow_path_ = 0;
   std::uint64_t dm_commits_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t adaptive_overrides_ = 0;
   std::uint64_t regret_samples_ = 0;
   std::int64_t regret_sum_ns_ = 0;
   std::int64_t regret_max_ns_ = 0;
   std::uint64_t error_samples_ = 0;
   std::int64_t error_abs_sum_ns_ = 0;
 
-  // predict.* metric handles (null when no registry is bound). Histograms
-  // only hold non-negative values, so signed quantities split into
-  // over/under pairs.
+  // predict.* metric handles (null when no registry is bound; the counters
+  // count either way). Histograms only hold non-negative values, so signed
+  // quantities split into over/under pairs.
   CounterHandle obs_decisions_;
   CounterHandle obs_reconciled_;
   CounterHandle obs_dropped_;

@@ -28,7 +28,6 @@ struct Sink {
     return metrics != nullptr || trace != nullptr || spans != nullptr ||
            predict != nullptr;
   }
-  [[nodiscard]] bool spans_enabled() const { return spans != nullptr; }
 
   /// Handle factories: null handles when the registry is disabled.
   [[nodiscard]] CounterHandle counter(std::string_view name) const {

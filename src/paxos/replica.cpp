@@ -89,7 +89,6 @@ void Replica::handle_accept_reply(const wire::Payload& payload) {
     quorum_spans_.erase(span_it);
   }
   log_.commit(msg.index);
-  ++committed_;
   obs_commits_.inc();
 
   const auto* entry = log_.entry(msg.index);
@@ -134,7 +133,6 @@ void Replica::recover() {
   accept_counts_.clear();
   origin_.clear();
   next_index_ = 0;
-  committed_ = 0;
 
   persistor_.replay([this](const recovery::DurableRecord& rec) {
     switch (rec.tag) {

@@ -27,7 +27,7 @@ class Replica : public recovery::Replica {
   [[nodiscard]] bool is_leader() const { return leader_ == id(); }
   [[nodiscard]] NodeId leader() const { return leader_; }
   [[nodiscard]] const log::IndexLog& log() const { return log_; }
-  [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
+  [[nodiscard]] std::uint64_t committed_count() const { return obs_commits_.value(); }
   [[nodiscard]] std::size_t retained_entries() const override {
     return log_.occupied_count();
   }
@@ -53,7 +53,6 @@ class Replica : public recovery::Replica {
   std::unordered_map<std::uint64_t, std::size_t> accept_counts_;  // index -> acks (incl. self)
   std::unordered_map<std::uint64_t, obs::SpanId> quorum_spans_;   // index -> open wait span
   std::unordered_map<std::uint64_t, NodeId> origin_;              // index -> requesting client
-  std::uint64_t committed_ = 0;
 
   obs::CounterHandle obs_accepts_;
   obs::CounterHandle obs_commits_;

@@ -19,21 +19,7 @@ const char* record_tag_name(RecordTag tag) {
   return "Unknown";
 }
 
-RecoveryStats& RecoveryStats::operator+=(const RecoveryStats& o) {
-  persisted_records += o.persisted_records;
-  persisted_bytes += o.persisted_bytes;
-  restarts += o.restarts;
-  replayed_records += o.replayed_records;
-  replayed_bytes += o.replayed_bytes;
-  catchup_installs += o.catchup_installs;
-  catchup_bytes += o.catchup_bytes;
-  rejoin_ns_total += o.rejoin_ns_total;
-  return *this;
-}
-
 void DurableLog::append(RecordTag tag, wire::Payload body) {
-  ++stats.persisted_records;
-  stats.persisted_bytes += body.size() + 1;
   if (weakened_) return;  // the forgotten fsync: code path identical, data gone
   bytes_ += body.size() + 1;
   records_.push_back(DurableRecord{tag, std::move(body)});
@@ -53,12 +39,14 @@ void DurableStore::bind_obs(const obs::Sink& sink) {
 }
 
 RecoveryStats DurableStore::aggregate() const {
-  RecoveryStats total;
-  for (const auto& [node, log] : logs_) {
-    (void)node;
-    total += log.stats;
-  }
-  return total;
+  return RecoveryStats{.persisted_records = obs_persist_records_.value(),
+                       .persisted_bytes = obs_persist_bytes_.value(),
+                       .restarts = obs_restarts_.value(),
+                       .replayed_records = obs_replay_records_.value(),
+                       .replayed_bytes = obs_replay_bytes_.value(),
+                       .catchup_installs = obs_catchup_installs_.value(),
+                       .catchup_bytes = obs_catchup_bytes_.value(),
+                       .rejoin_ns_total = rejoin_ns_total_};
 }
 
 void Persistor::persist(RecordTag tag, const BodyFn& body, std::function<void()> then) {
@@ -87,7 +75,6 @@ void Persistor::begin_restart() {
   ++epoch_;
   catching_up_ = true;
   started_at_ = node_->true_now();
-  ++store_->log_of(node_->id()).stats.restarts;
   store_->obs_restarts_.inc();
   node_->obs_sink().record(obs::TraceEvent{.at = started_at_,
                                            .kind = obs::EventKind::kRecoveryStart,
@@ -96,10 +83,7 @@ void Persistor::begin_restart() {
 }
 
 void Persistor::replay(const std::function<void(const DurableRecord&)>& fn) {
-  DurableLog& log = store_->log_of(node_->id());
-  for (const DurableRecord& record : log.records()) {
-    ++log.stats.replayed_records;
-    log.stats.replayed_bytes += record.body.size() + 1;
+  for (const DurableRecord& record : store_->log_of(node_->id()).records()) {
     store_->obs_replay_records_.inc();
     store_->obs_replay_bytes_.inc(record.body.size() + 1);
     fn(record);
@@ -123,9 +107,6 @@ void Persistor::request_catchup(const std::vector<NodeId>& replicas,
 }
 
 void Persistor::note_catchup_install(std::size_t bytes) {
-  DurableLog& log = store_->log_of(node_->id());
-  ++log.stats.catchup_installs;
-  log.stats.catchup_bytes += bytes;
   store_->obs_catchup_installs_.inc();
   store_->obs_catchup_bytes_.inc(bytes);
   store_->obs_catchup_duration_ns_.record(node_->true_now() - started_at_);
@@ -135,7 +116,7 @@ bool Persistor::finish_rejoin() {
   if (!catching_up_) return false;
   catching_up_ = false;
   const Duration took = node_->true_now() - started_at_;
-  store_->log_of(node_->id()).stats.rejoin_ns_total += took.nanos();
+  store_->rejoin_ns_total_ += took.nanos();
   store_->obs_rejoin_ns_.record(took);
   node_->obs_sink().record(obs::TraceEvent{.at = node_->true_now(),
                                            .kind = obs::EventKind::kRecoveryDone,

@@ -72,7 +72,7 @@ struct DurableConfig {
   Duration sync_latency = Duration::zero();
 };
 
-/// Per-node recovery accounting, aggregated into RunResult and the run report.
+/// A store's recovery accounting, reported in RunResult and the run report.
 struct RecoveryStats {
   std::uint64_t persisted_records = 0;
   std::uint64_t persisted_bytes = 0;
@@ -82,8 +82,6 @@ struct RecoveryStats {
   std::uint64_t catchup_installs = 0;
   std::uint64_t catchup_bytes = 0;
   std::int64_t rejoin_ns_total = 0;  // sum of time-to-rejoin over restarts
-
-  RecoveryStats& operator+=(const RecoveryStats& o);
 };
 
 /// One node's append-only durable image. Survives the node's restarts (it
@@ -98,8 +96,6 @@ class DurableLog {
   /// Negative-test knob: drop appends silently (a forgotten fsync).
   void set_weakened(bool weakened) { weakened_ = weakened; }
   [[nodiscard]] bool weakened() const { return weakened_; }
-
-  RecoveryStats stats;
 
  private:
   std::vector<DurableRecord> records_;
@@ -121,14 +117,15 @@ class DurableStore {
   void weaken(NodeId node) { log_of(node).set_weakened(true); }
 
   /// Attach an observability sink for the recovery.* metrics. Optional;
-  /// unbound stores just skip the instrumentation.
+  /// an unbound store still counts for aggregate(). Bind before first use.
   void bind_obs(const obs::Sink& sink);
   [[nodiscard]] const obs::Sink& obs() const { return obs_; }
 
-  /// Sum of every node's recovery accounting.
+  /// The recovery accounting of every node on this store, summed.
   [[nodiscard]] RecoveryStats aggregate() const;
 
-  // Metric handles shared by every Persistor bound to this store.
+  // Metric handles shared by every Persistor bound to this store; the
+  // counters are also the store's own counts.
   obs::CounterHandle obs_persist_records_;
   obs::CounterHandle obs_persist_bytes_;
   obs::CounterHandle obs_restarts_;
@@ -138,6 +135,8 @@ class DurableStore {
   obs::CounterHandle obs_catchup_bytes_;
   obs::HistogramHandle obs_rejoin_ns_;
   obs::HistogramHandle obs_catchup_duration_ns_;
+  /// Sum of every time-to-rejoin, which obs_rejoin_ns_ keeps as a histogram.
+  std::int64_t rejoin_ns_total_ = 0;
 
  private:
   DurableConfig config_;

@@ -30,7 +30,6 @@ void ClientBase::set_request_timeout(Duration timeout, std::size_t max_retries) 
 }
 
 void ClientBase::submit(sm::Command command) {
-  ++submitted_;
   sent_at_.emplace(command.id, true_now());
   obs_submitted_.inc();
   if (send_hook_) send_hook_(command.id, true_now());
@@ -92,7 +91,6 @@ void ClientBase::arm_timeout(const RequestId& id, std::size_t attempt) {
     }
     const std::size_t next_attempt = attempt + 1;
     it->second.attempts = next_attempt;
-    ++retries_;
     obs_retries_.inc();
     obs_sink().record(obs::TraceEvent{.at = true_now(),
                                       .kind = obs::EventKind::kClientRetry,
@@ -125,7 +123,6 @@ void ClientBase::handle_committed(const RequestId& id) {
   const auto seq = static_cast<IntervalSet::Key>(id.seq);
   if (done_seqs_.contains(seq)) return;  // duplicate notification
   done_seqs_.insert(seq);
-  ++committed_;
   obs_committed_.inc();
   pending_.erase(id);
   if (abandoned_seqs_.erase(id.seq) > 0) {

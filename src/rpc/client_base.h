@@ -52,13 +52,12 @@ class ClientBase : public Node {
   /// on_request_timeout(), at most `max_retries` times, then abandoned.
   /// Duration::zero() disables (the default).
   void set_request_timeout(Duration timeout, std::size_t max_retries = 3);
-  [[nodiscard]] Duration request_timeout() const { return request_timeout_; }
 
-  [[nodiscard]] std::uint64_t submitted_count() const { return submitted_; }
-  [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
+  [[nodiscard]] std::uint64_t submitted_count() const { return obs_submitted_.value(); }
+  [[nodiscard]] std::uint64_t committed_count() const { return obs_committed_.value(); }
   [[nodiscard]] std::uint64_t inflight_count() const { return sent_at_.size(); }
   /// Timed-out re-proposals issued so far.
-  [[nodiscard]] std::uint64_t retry_count() const { return retries_; }
+  [[nodiscard]] std::uint64_t retry_count() const { return obs_retries_.value(); }
   /// Requests given up on after exhausting retries (each is accounted for:
   /// submitted == committed + abandoned + inflight).
   [[nodiscard]] std::uint64_t abandoned_count() const { return abandoned_; }
@@ -112,9 +111,7 @@ class ClientBase : public Node {
   std::unordered_set<std::uint64_t> abandoned_seqs_;  // for late-commit fixup
   Duration request_timeout_ = Duration::zero();       // zero = disabled
   std::size_t max_retries_ = 0;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t committed_ = 0;
-  std::uint64_t retries_ = 0;
+  /// Net of late commits, so not client.abandoned's count of abandon events.
   std::uint64_t abandoned_ = 0;
 };
 

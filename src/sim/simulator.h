@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -48,7 +47,7 @@ class Simulator {
   bool step();
 
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
+  [[nodiscard]] std::uint64_t executed_events() const { return obs_executed_.value(); }
 
  private:
   struct Event {
@@ -65,36 +64,11 @@ class Simulator {
 
   TimePoint now_ = TimePoint::epoch();
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 
   obs::CounterHandle obs_executed_;
   obs::CounterHandle obs_scheduled_;
   obs::GaugeHandle obs_queue_depth_;
-};
-
-/// A periodic timer helper: reschedules itself every `interval` until
-/// cancelled. Cancellation is cooperative (a shared flag), since the
-/// simulator has no event handles.
-class PeriodicTimer {
- public:
-  PeriodicTimer() = default;
-  ~PeriodicTimer() { stop(); }
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  /// Starts firing `tick` every `interval`, first firing after `initial`.
-  /// Any previously started schedule is cancelled.
-  void start(Simulator& simulator, Duration initial, Duration interval,
-             std::function<void()> tick);
-
-  void stop();
-
-  [[nodiscard]] bool running() const { return alive_ && *alive_; }
-
- private:
-  std::shared_ptr<bool> alive_;
-  std::shared_ptr<std::function<void()>> fire_;
 };
 
 }  // namespace domino::sim

@@ -99,7 +99,6 @@ TEST_F(ExtensionCluster, AdaptiveControllerGrowsSlackUnderMispredictions) {
   cc.mode = ClientConfig::Mode::kDfpOnly;
   cc.additional_delay = milliseconds(-3);  // predictions land 3 ms late
   cc.adaptive = true;
-  cc.adaptive_step = milliseconds(1);
   auto c = make_client(NodeId{1000}, 4, cc);
   simulator.run_until(TimePoint::epoch() + seconds(1));
   sm::WorkloadConfig wc;

@@ -172,14 +172,38 @@ TEST_P(AmnesiaSweep, RecoversConvergesAndStaysDeterministic) {
     EXPECT_EQ(a.slo.steady[i].settle_window, b.slo.steady[i].settle_window);
   }
 
-  // -- The recovery.* metrics mirror the aggregate accounting.
+  // -- RunResult's counts are the registry's: a restart wipes replica state,
+  // not the run's accounting.
   ASSERT_NE(a.metrics, nullptr);
-  const obs::Counter* restarts = a.metrics->find_counter("recovery.restarts");
-  ASSERT_NE(restarts, nullptr);
-  EXPECT_EQ(restarts->value(), a.recovery.restarts);
-  const obs::Counter* persisted = a.metrics->find_counter("recovery.persist_records");
-  ASSERT_NE(persisted, nullptr);
-  EXPECT_EQ(persisted->value(), a.recovery.persisted_records);
+  const auto counter = [&a](const std::string& name) {
+    const obs::Counter* c = a.metrics->find_counter(name);
+    return c == nullptr ? std::uint64_t{0} : c->value();
+  };
+  const std::map<Protocol, std::string> commit_prefix = {
+      {Protocol::kEPaxos, "epaxos."},
+      {Protocol::kFastPaxos, "fastpaxos."},
+      {Protocol::kDomino, "domino.dfp."}};
+  if (const auto it = commit_prefix.find(c.protocol); it != commit_prefix.end()) {
+    EXPECT_EQ(a.fast_path, counter(it->second + "fast_commits"));
+    EXPECT_EQ(a.slow_path, counter(it->second + "slow_commits"));
+  } else {
+    EXPECT_EQ(a.fast_path, 0u);
+    EXPECT_EQ(a.slow_path, 0u);
+  }
+  EXPECT_EQ(a.dfp_chosen, counter("domino.client.dfp_chosen"));
+  EXPECT_EQ(a.dm_chosen, counter("domino.client.dm_chosen"));
+  EXPECT_EQ(a.client_retries, counter("client.retries"));
+  EXPECT_EQ(a.recovery.restarts, counter("recovery.restarts"));
+  EXPECT_EQ(a.recovery.persisted_records, counter("recovery.persist_records"));
+  EXPECT_EQ(a.recovery.persisted_bytes, counter("recovery.persist_bytes"));
+  EXPECT_EQ(a.recovery.replayed_records, counter("recovery.replay_records"));
+  EXPECT_EQ(a.recovery.replayed_bytes, counter("recovery.replay_bytes"));
+  EXPECT_EQ(a.recovery.catchup_installs, counter("recovery.catchup_installs"));
+  EXPECT_EQ(a.recovery.catchup_bytes, counter("recovery.catchup_bytes"));
+  const obs::Histogram* rejoin = a.metrics->find_histogram("recovery.time_to_rejoin_ns");
+  ASSERT_NE(rejoin, nullptr);
+  EXPECT_EQ(rejoin->count(), a.recovery.restarts);
+  EXPECT_EQ(rejoin->snapshot().sum, static_cast<double>(a.recovery.rejoin_ns_total));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -171,6 +171,20 @@ TEST(Handles, BoundHandlesForward) {
   EXPECT_EQ(reg.find_histogram("h")->max(), 2000000);
 }
 
+TEST(Handles, CounterHandlesKeepTheirOwnCount) {
+  MetricsRegistry reg;
+  CounterHandle a{&reg.counter("c")};
+  CounterHandle b{&reg.counter("c")};
+  CounterHandle unbound;
+  a.inc(2);
+  b.inc();
+  unbound.inc(5);
+  EXPECT_EQ(a.value(), 2u);
+  EXPECT_EQ(b.value(), 1u);
+  EXPECT_EQ(unbound.value(), 5u);
+  EXPECT_EQ(reg.find_counter("c")->value(), 3u);  // the sum over bound handles
+}
+
 TEST(Export, MetricsJsonAndCsvAreDeterministic) {
   MetricsRegistry reg;
   reg.counter("b.count").inc(2);

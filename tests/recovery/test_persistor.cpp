@@ -59,8 +59,8 @@ TEST_F(PersistorTest, ContinuationRunsOneSyncLatencyLater) {
   EXPECT_EQ(ran_at, TimePoint::max());
   simulator.run();
   EXPECT_EQ(ran_at, TimePoint::epoch() + milliseconds(2));
-  EXPECT_EQ(log().stats.persisted_records, 1u);
-  EXPECT_EQ(log().stats.persisted_bytes, 3u);  // body + tag byte
+  EXPECT_EQ(durable.aggregate().persisted_records, 1u);
+  EXPECT_EQ(durable.aggregate().persisted_bytes, 3u);  // body + tag byte
 }
 
 TEST_F(PersistorTest, RestartInsideSyncWindowCancelsContinuationButKeepsRecord) {
@@ -72,7 +72,7 @@ TEST_F(PersistorTest, RestartInsideSyncWindowCancelsContinuationButKeepsRecord) 
   EXPECT_FALSE(ran);
   ASSERT_EQ(log().records().size(), 1u);
   EXPECT_EQ(log().records()[0].tag, RecordTag::kCommitted);
-  EXPECT_EQ(log().stats.restarts, 1u);
+  EXPECT_EQ(durable.aggregate().restarts, 1u);
 }
 
 TEST_F(PersistorTest, WeakenedLogCountsButKeepsAndReplaysNothing) {
@@ -82,14 +82,14 @@ TEST_F(PersistorTest, WeakenedLogCountsButKeepsAndReplaysNothing) {
                       [&] { ran = true; });
   simulator.run();
   EXPECT_TRUE(ran);  // the code path is identical; only the data is gone
-  EXPECT_EQ(log().stats.persisted_records, 1u);
-  EXPECT_EQ(log().stats.persisted_bytes, 4u);
+  EXPECT_EQ(durable.aggregate().persisted_records, 1u);
+  EXPECT_EQ(durable.aggregate().persisted_bytes, 4u);
   EXPECT_TRUE(log().records().empty());
   EXPECT_EQ(log().byte_size(), 0u);
   std::size_t replayed = 0;
   a.persistor.replay([&](const DurableRecord&) { ++replayed; });
   EXPECT_EQ(replayed, 0u);
-  EXPECT_EQ(log().stats.replayed_records, 0u);
+  EXPECT_EQ(durable.aggregate().replayed_records, 0u);
 }
 
 TEST_F(PersistorTest, ReplayWalksRecordsInAppendOrder) {
@@ -105,8 +105,8 @@ TEST_F(PersistorTest, ReplayWalksRecordsInAppendOrder) {
   EXPECT_EQ(tags, (std::vector<RecordTag>{RecordTag::kReservation, RecordTag::kAccepted,
                                           RecordTag::kCommitted}));
   EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 3}));
-  EXPECT_EQ(log().stats.replayed_records, 3u);
-  EXPECT_EQ(log().stats.replayed_bytes, 9u);  // 6 body bytes + 3 tag bytes
+  EXPECT_EQ(durable.aggregate().replayed_records, 3u);
+  EXPECT_EQ(durable.aggregate().replayed_bytes, 9u);  // 6 body bytes + 3 tag bytes
 }
 
 TEST(Persistor, UnboundRunsContinuationInlineWithoutEncoding) {
@@ -146,8 +146,8 @@ TEST(Persistor, LoneReplicaRejoinsAtOnce) {
   EXPECT_FALSE(lone.persistor.finish_rejoin());  // already rejoined: no-op
   simulator.run();
 
-  EXPECT_EQ(store.log_of(lone.id()).stats.restarts, 1u);
-  EXPECT_EQ(store.log_of(lone.id()).stats.rejoin_ns_total, 0);
+  EXPECT_EQ(store.aggregate().restarts, 1u);
+  EXPECT_EQ(store.aggregate().rejoin_ns_total, 0);
   ASSERT_EQ(trace.events().size(), 2u);
   EXPECT_EQ(trace.events()[0].kind, obs::EventKind::kRecoveryStart);
   EXPECT_EQ(trace.events()[0].value, 1);  // the new epoch
@@ -178,8 +178,8 @@ TEST_F(PersistorTest, RetryArmedBeforeSecondRestartNeverFires) {
   EXPECT_TRUE(a.persistor.finish_rejoin());
   simulator.run_until(t0 + milliseconds(400));
   EXPECT_EQ(b.request_epochs.size(), 3u);
-  EXPECT_EQ(log().stats.restarts, 2u);
-  EXPECT_EQ(log().stats.rejoin_ns_total, milliseconds(140).nanos());
+  EXPECT_EQ(durable.aggregate().restarts, 2u);
+  EXPECT_EQ(durable.aggregate().rejoin_ns_total, milliseconds(140).nanos());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "measure/messages.h"
 #include "net/network.h"
 
@@ -75,6 +77,56 @@ TEST(Node, AfterSchedulesOnSimulator) {
   simulator.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(simulator.now(), TimePoint::epoch() + milliseconds(5));
+}
+
+// RepeatingTimer over the simulator's Context (net::Network): the periodic
+// timer every node and the harness timeline sampler use.
+TEST(RepeatingTimer, FiresAtInterval) {
+  sim::Simulator simulator;
+  net::Network network(simulator, one_dc(), 1);
+  RepeatingTimer timer;
+  int ticks = 0;
+  timer.start(network, milliseconds(10), milliseconds(10), [&] { ++ticks; });
+  simulator.run_until(TimePoint::epoch() + milliseconds(100));
+  EXPECT_EQ(ticks, 10);
+}
+
+TEST(RepeatingTimer, StopEndsFiring) {
+  sim::Simulator simulator;
+  net::Network network(simulator, one_dc(), 1);
+  RepeatingTimer timer;
+  int ticks = 0;
+  timer.start(network, milliseconds(10), milliseconds(10), [&] {
+    if (++ticks == 3) timer.stop();
+  });
+  simulator.run();
+  EXPECT_EQ(ticks, 3);
+  EXPECT_FALSE(timer.running());
+}
+
+TEST(RepeatingTimer, RestartCancelsPrevious) {
+  sim::Simulator simulator;
+  net::Network network(simulator, one_dc(), 1);
+  RepeatingTimer timer;
+  int a = 0, b = 0;
+  timer.start(network, milliseconds(10), milliseconds(10), [&] { ++a; });
+  timer.start(network, milliseconds(10), milliseconds(10), [&] { ++b; });
+  simulator.run_until(TimePoint::epoch() + milliseconds(55));
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 5);
+}
+
+TEST(RepeatingTimer, InitialDelayDiffersFromInterval) {
+  sim::Simulator simulator;
+  net::Network network(simulator, one_dc(), 1);
+  RepeatingTimer timer;
+  std::vector<TimePoint> fires;
+  timer.start(network, Duration::zero(), milliseconds(20),
+              [&] { fires.push_back(simulator.now()); });
+  simulator.run_until(TimePoint::epoch() + milliseconds(50));
+  ASSERT_EQ(fires.size(), 3u);  // 0, 20, 40
+  EXPECT_EQ(fires[0], TimePoint::epoch());
+  EXPECT_EQ(fires[2], TimePoint::epoch() + milliseconds(40));
 }
 
 }  // namespace

@@ -101,49 +101,5 @@ TEST(Simulator, ExecutedEventsCounted) {
   EXPECT_EQ(s.executed_events(), 7u);
 }
 
-TEST(PeriodicTimer, FiresAtInterval) {
-  Simulator s;
-  PeriodicTimer t;
-  int ticks = 0;
-  t.start(s, milliseconds(10), milliseconds(10), [&] { ++ticks; });
-  s.run_until(TimePoint::epoch() + milliseconds(100));
-  EXPECT_EQ(ticks, 10);
-}
-
-TEST(PeriodicTimer, StopEndsFiring) {
-  Simulator s;
-  PeriodicTimer t;
-  int ticks = 0;
-  t.start(s, milliseconds(10), milliseconds(10), [&] {
-    if (++ticks == 3) t.stop();
-  });
-  s.run();
-  EXPECT_EQ(ticks, 3);
-}
-
-TEST(PeriodicTimer, RestartCancelsPrevious) {
-  Simulator s;
-  PeriodicTimer t;
-  int a = 0, b = 0;
-  t.start(s, milliseconds(10), milliseconds(10), [&] { ++a; });
-  t.start(s, milliseconds(10), milliseconds(10), [&] { ++b; });
-  s.run_until(TimePoint::epoch() + milliseconds(55));
-  EXPECT_EQ(a, 0);
-  EXPECT_EQ(b, 5);
-  t.stop();
-}
-
-TEST(PeriodicTimer, InitialDelayDiffersFromInterval) {
-  Simulator s;
-  PeriodicTimer t;
-  std::vector<TimePoint> fires;
-  t.start(s, Duration::zero(), milliseconds(20), [&] { fires.push_back(s.now()); });
-  s.run_until(TimePoint::epoch() + milliseconds(50));
-  ASSERT_EQ(fires.size(), 3u);  // 0, 20, 40
-  EXPECT_EQ(fires[0], TimePoint::epoch());
-  EXPECT_EQ(fires[2], TimePoint::epoch() + milliseconds(40));
-  t.stop();
-}
-
 }  // namespace
 }  // namespace domino::sim
