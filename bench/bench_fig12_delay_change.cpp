@@ -94,7 +94,7 @@ Timeline run_case(bool case_b) {
     client->attach();
     client->start();
     client->set_commit_hook([&](const RequestId&, TimePoint sent, TimePoint committed) {
-      timeline.domino.add(sent, (committed - sent).millis());
+      timeline.domino.add(sent, committed - sent);
     });
     sm::WorkloadConfig wc;
     sm::WorkloadGenerator gen(wc, 1);
@@ -123,7 +123,7 @@ Timeline run_case(bool case_b) {
     auto client = std::make_unique<mencius::Client>(NodeId{1000}, 3, network, rids[0]);
     client->attach();
     client->set_commit_hook([&](const RequestId&, TimePoint sent, TimePoint committed) {
-      timeline.mencius.add(sent, (committed - sent).millis());
+      timeline.mencius.add(sent, committed - sent);
     });
     sm::WorkloadConfig wc;
     sm::WorkloadGenerator gen(wc, 1);

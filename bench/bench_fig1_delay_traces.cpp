@@ -48,7 +48,7 @@ int main() {
     TimeSeries per_minute(seconds(60));
     StatAccumulator all;
     for (std::size_t i = 0; i < fwd->size(); ++i) {
-      const double rtt = ((*fwd)[i].owd + (*rev)[i].owd).millis();
+      const Duration rtt = (*fwd)[i].owd + (*rev)[i].owd;
       per_minute.add((*fwd)[i].at, rtt);
       all.add(rtt);
     }

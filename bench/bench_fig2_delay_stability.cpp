@@ -38,7 +38,7 @@ double print_boxes(const wan::DelayTrace& trace, Duration duration) {
     for (std::size_t i = 0; i < fwd->size(); ++i) {
       const TimePoint at = (*fwd)[i].at;
       if (at < lo || at >= hi) continue;
-      box.add(((*fwd)[i].owd + (*rev)[i].owd).millis());
+      box.add((*fwd)[i].owd + (*rev)[i].owd);
     }
     if (box.empty()) continue;
     if (half % 10 == 0) {  // print every 5 s to keep output readable
@@ -49,7 +49,7 @@ double print_boxes(const wan::DelayTrace& trace, Duration duration) {
   }
   for (std::size_t i = 0; i < fwd->size(); ++i) {
     if ((*fwd)[i].at - TimePoint::epoch() >= duration) break;
-    all.add(((*fwd)[i].owd + (*rev)[i].owd).millis());
+    all.add((*fwd)[i].owd + (*rev)[i].owd);
   }
   return all.percentile(95) - all.percentile(5);
 }

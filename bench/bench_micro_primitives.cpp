@@ -1,16 +1,20 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: the wire
-// codec, the compressed logs, the sliding-window estimator and the
-// discrete-event core. These bound the simulator's capacity for the
-// Figure 13 throughput sweeps. The delay-trace loader, run over the
-// globe_va.csv fixture, is the set-up cost of every trace-replay run.
+// codec, the compressed logs, the sliding-window estimator, the latency
+// sample store and the discrete-event core. These bound the simulator's
+// capacity for the Figure 13 throughput sweeps. The delay-trace loader, run
+// over the globe_va.csv fixture, is the set-up cost of every trace-replay
+// run.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/interval_set.h"
+#include "common/rng.h"
+#include "common/stats.h"
 #include "common/window_estimator.h"
 #include "core/messages.h"
 #include "log/global_log.h"
@@ -114,6 +118,27 @@ void BM_WindowEstimatorP95(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowEstimatorP95);
+
+// One cluster_load run's execution samples (Fig. 13 at 34K req/s: 51,000
+// tracked requests executed at three replicas), then the two percentiles
+// perfbench reads.
+void BM_StatAccumulatorAddPercentile(benchmark::State& state) {
+  constexpr int kSamples = 153'000;
+  Rng rng(1);
+  std::vector<Duration> samples;
+  samples.reserve(kSamples);
+  for (int i = 0; i < kSamples; ++i) {
+    samples.push_back(rng.uniform_duration(microseconds(200), milliseconds(3)));
+  }
+  for (auto _ : state) {
+    StatAccumulator acc;
+    for (const Duration d : samples) acc.add(d);
+    benchmark::DoNotOptimize(acc.percentile(50));
+    benchmark::DoNotOptimize(acc.percentile(99.9));
+  }
+  state.SetItemsProcessed(state.iterations() * kSamples);
+}
+BENCHMARK(BM_StatAccumulatorAddPercentile)->Unit(benchmark::kMillisecond);
 
 const std::string kTraceFixture = std::string(DOMINO_TRACE_DIR) + "/globe_va.csv";
 

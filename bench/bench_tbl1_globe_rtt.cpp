@@ -61,8 +61,8 @@ void measure_va_row_traced(const net::Topology& topo, const wan::DelayTrace& tra
     const auto rev = trace.samples(topo.name(j), "VA");
     if (fwd == nullptr || rev == nullptr) continue;
     StatAccumulator f, r;
-    for (const auto& s : *fwd) f.add(s.owd.millis());
-    for (const auto& s : *rev) r.add(s.owd.millis());
+    for (const auto& s : *fwd) f.add(s.owd);
+    for (const auto& s : *rev) r.add(s.owd);
     const double trace_p50 = f.percentile(50) + r.percentile(50);
     const double probed = nodes[va]->prober.rtt_estimate(nodes[j]->id(), 50.0).millis();
     std::printf("  VA<->%-4s %10.1f %11.1f %12.0f   tracks trace: %s\n",

@@ -11,7 +11,7 @@
 #   scripts/check.sh --timeline   # windowed-telemetry/SLO suite (ctest -L timeline), sanitized
 #   scripts/check.sh --wan        # WAN delay-trace suite (ctest -L wan), sanitized
 #   scripts/check.sh --wire       # wire codec suite (ctest -L wire), sanitized
-#   scripts/check.sh --store      # KV store and flat table suite (ctest -L store), sanitized
+#   scripts/check.sh --store      # KV store, flat table and latency-sample suite (ctest -L store), sanitized
 #   scripts/check.sh --bench-baseline [--record]
 #                                 # run the regression-gate bench and compare it
 #                                 # against scripts/baselines/BENCH_gate.json
@@ -49,10 +49,13 @@
 #   --wire    wire codec: the field-list encoder/decoder, every message's
 #             recorded bytes and the codec fuzz test; ASan+UBSan check the
 #             templated decoders of untrusted bytes.
-#   --store   key-value state: the KV store's differential test against
-#             std::unordered_map, its catch-up round trip and the flat
-#             table under it; ASan+UBSan check the table's inline-buffer
-#             memcpy and its heap path for long strings.
+#   --store   key-value state and latency samples: the KV store's
+#             differential test against std::unordered_map, its catch-up
+#             round trip, the flat table under it, StatAccumulator's
+#             differential test against sorted doubles and the collector's
+#             flat send arrays; ASan+UBSan check the table's inline-buffer
+#             memcpy, its heap path for long strings and the sample
+#             stores' rank and slot indexing.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"

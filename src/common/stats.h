@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,18 +11,29 @@
 
 namespace domino {
 
-/// Accumulates scalar samples (latencies in milliseconds, rates, ...) and
-/// answers order statistics. Sorting is deferred until a query.
+/// Accumulates latency samples and answers order statistics in
+/// milliseconds. Each sample is kept as its exact nanosecond count: values
+/// in [0, 2^32) ns (every latency under 4.29 s) take four bytes, and the
+/// rest (negatives, longer spans) spill to one eight-byte array. A query
+/// answers Duration{ns}.millis() of the sample it selects, so the answers
+/// are the ones a sorted vector of millis() doubles gives. Sorting is
+/// deferred until a query.
 class StatAccumulator {
  public:
-  void add(double v) {
-    values_.push_back(v);
+  void add(Duration d) {
+    const std::int64_t ns = d.nanos();
+    if (ns >= 0 && ns <= kNarrowMax) {
+      narrow_.push_back(static_cast<std::uint32_t>(ns));
+    } else {
+      spill_.push_back(ns);
+    }
+    sum_ns_ += ns;
     sorted_ = false;
   }
-  void add(Duration d) { add(d.millis()); }
 
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-  [[nodiscard]] bool empty() const { return values_.empty(); }
+  [[nodiscard]] std::size_t count() const { return narrow_.size() + spill_.size(); }
+  [[nodiscard]] bool empty() const { return count() == 0; }
+  /// From the exact nanosecond sum, so independent of sample order.
   [[nodiscard]] double mean() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
@@ -31,14 +43,17 @@ class StatAccumulator {
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50); }
 
-  /// Fraction of samples <= x, in [0, 1].
+  /// Fraction of samples <= x milliseconds, in [0, 1].
   [[nodiscard]] double cdf_at(double x) const;
 
   /// Merge another accumulator's samples into this one.
   void merge(const StatAccumulator& other);
 
-  /// All samples, sorted ascending.
-  [[nodiscard]] const std::vector<double>& sorted_values() const;
+  /// Release the spare capacity the sample arrays grew while adding.
+  void shrink_to_fit();
+
+  /// All samples in milliseconds, sorted ascending.
+  [[nodiscard]] std::vector<double> sorted_values() const;
 
   /// Render an ASCII CDF table: `points` rows of "value  cdf".
   [[nodiscard]] std::string render_cdf(std::size_t points = 20) const;
@@ -51,9 +66,15 @@ class StatAccumulator {
   [[nodiscard]] BoxSummary box_summary() const;
 
  private:
-  void ensure_sorted() const;
+  static constexpr std::int64_t kNarrowMax = 0xFFFF'FFFF;
 
-  mutable std::vector<double> values_;
+  void ensure_sorted() const;
+  /// The sample of 0-based `rank` in ascending order, in milliseconds.
+  [[nodiscard]] double at_rank(std::size_t rank) const;
+
+  mutable std::vector<std::uint32_t> narrow_;  // samples in [0, 2^32) ns
+  mutable std::vector<std::int64_t> spill_;    // every other sample, in ns
+  std::int64_t sum_ns_ = 0;
   mutable bool sorted_ = false;
 };
 
@@ -64,7 +85,7 @@ class TimeSeries {
  public:
   explicit TimeSeries(Duration bucket_width) : width_(bucket_width) {}
 
-  void add(TimePoint at, double value);
+  void add(TimePoint at, Duration value);
 
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
   [[nodiscard]] TimePoint bucket_start(std::size_t i) const {

@@ -10,7 +10,9 @@
 // lasts 90 s, and we use the results in the middle 60 s".
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -43,11 +45,20 @@ struct LatencySummary {
 
 class LatencyCollector {
  public:
+  /// Every sample the collector holds; see release().
+  struct Samples {
+    StatAccumulator commit_ms;                      // all clients
+    std::vector<StatAccumulator> commit_per_client;
+    StatAccumulator exec_ms;
+  };
+
   LatencyCollector(TimePoint window_start, TimePoint window_end, std::size_t client_count)
-      : window_start_(window_start), window_end_(window_end), per_client_(client_count) {}
+      : window_start_(window_start), window_end_(window_end) {
+    samples_.commit_per_client.resize(client_count);
+  }
 
   /// Wire into ClientBase::set_send_hook. `client_index` selects the
-  /// per-client accumulator.
+  /// per-client accumulator. A re-sent id keeps its first send time.
   void on_send(std::size_t client_index, const RequestId& id, TimePoint at);
 
   /// Wire into ClientBase::set_commit_hook.
@@ -58,10 +69,10 @@ class LatencyCollector {
   /// tracked command contributes one sample.
   void on_execute(const RequestId& id, TimePoint at);
 
-  [[nodiscard]] const StatAccumulator& commit_ms() const { return commit_; }
-  [[nodiscard]] const StatAccumulator& exec_ms() const { return exec_; }
+  [[nodiscard]] const StatAccumulator& commit_ms() const { return samples_.commit_ms; }
+  [[nodiscard]] const StatAccumulator& exec_ms() const { return samples_.exec_ms; }
   [[nodiscard]] const StatAccumulator& commit_ms_of(std::size_t client) const {
-    return per_client_.at(client);
+    return samples_.commit_per_client.at(client);
   }
   [[nodiscard]] std::size_t tracked_count() const { return tracked_; }
   [[nodiscard]] std::size_t committed_count() const { return committed_; }
@@ -69,13 +80,24 @@ class LatencyCollector {
   /// Snapshot the order statistics of everything collected so far.
   [[nodiscard]] LatencySummary summarize() const;
 
+  /// Move every sample out, leaving the collector with none.
+  [[nodiscard]] Samples release() { return std::exchange(samples_, Samples{}); }
+
  private:
+  /// One client's tracked send times, indexed by seq - first_seq. The
+  /// workload numbers a client's requests consecutively, so the tracked
+  /// seqs of a window are dense; a gap holds kUntracked.
+  struct ClientSends {
+    std::uint64_t first_seq = 0;
+    std::vector<TimePoint> at;
+  };
+  static constexpr TimePoint kUntracked = TimePoint::max();
+
   TimePoint window_start_;
   TimePoint window_end_;
-  StatAccumulator commit_;
-  StatAccumulator exec_;
-  std::vector<StatAccumulator> per_client_;
-  std::unordered_map<RequestId, TimePoint> pending_exec_;  // tracked, not yet executed
+  Samples samples_;
+  std::vector<ClientSends> sends_;                        // by client index
+  std::unordered_map<NodeId, std::size_t> client_index_;  // client node -> sends_ index
   std::size_t tracked_ = 0;
   std::size_t committed_ = 0;
 };

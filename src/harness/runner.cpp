@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/replica.h"
@@ -164,12 +165,12 @@ struct Env {
       timeseries->sample(*metrics, simulator.now());
     }
 
-    result.commit_ms = collector.commit_ms();
-    result.exec_ms = collector.exec_ms();
-    result.commit_per_client.reserve(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      result.commit_per_client.push_back(collector.commit_ms_of(i));
-    }
+    // Summarize first, then move the samples out: no copy of them is made.
+    result.latency = collector.summarize();
+    LatencyCollector::Samples samples = collector.release();
+    result.commit_ms = std::move(samples.commit_ms);
+    result.commit_per_client = std::move(samples.commit_per_client);
+    result.exec_ms = std::move(samples.exec_ms);
     for (const auto& c : clients) {
       result.submitted += c->submitted_count();
       result.client_committed += c->committed_count();
@@ -189,7 +190,6 @@ struct Env {
     result.recovery = durable.aggregate();
     result.recovery_downtime_ns = network.fault().total_downtime().nanos();
     result.measure_window = scenario.measure;
-    result.latency = collector.summarize();
     result.metrics = metrics;
     result.trace = trace;
     result.spans = spans;
@@ -310,9 +310,9 @@ RunResult run_cluster(Env& env, const Deployment<ReplicaT, ClientT>& deployment)
   return result;
 }
 
-}  // namespace
-
-RunResult run_protocol(Protocol protocol, const Scenario& s) {
+/// Build and run `protocol`'s deployment; the Env and every node die on
+/// return.
+RunResult run_deployment(Protocol protocol, const Scenario& s) {
   Env env(s);
   std::vector<NodeId> rids;
   for (std::size_t i = 0; i < s.replica_dcs.size(); ++i) rids.push_back(replica_id(i));
@@ -423,6 +423,19 @@ RunResult run_protocol(Protocol protocol, const Scenario& s) {
           }});
   }
   throw std::logic_error("run_protocol: unknown protocol");
+}
+
+}  // namespace
+
+RunResult run_protocol(Protocol protocol, const Scenario& s) {
+  RunResult result = run_deployment(protocol, s);
+  // The samples moved out of the collector still carry the arrays' growth
+  // slack. Trim it now that the nodes and the network are gone and the heap
+  // is at its lowest, so the copy shrink_to_fit makes adds no peak.
+  result.commit_ms.shrink_to_fit();
+  result.exec_ms.shrink_to_fit();
+  for (StatAccumulator& client : result.commit_per_client) client.shrink_to_fit();
+  return result;
 }
 
 }  // namespace domino::harness

@@ -41,7 +41,7 @@ PredictionOutcome evaluate_predictions(const std::vector<ProbeSample>& trace,
       if (s.owd_measured <= *predicted_offset) {
         ++correct;
       } else {
-        late_ms.add((s.owd_measured - *predicted_offset).millis());
+        late_ms.add(s.owd_measured - *predicted_offset);
       }
     }
     // Feed the estimator after predicting (the probe that measures this

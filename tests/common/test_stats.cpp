@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace domino {
 namespace {
 
 TEST(StatAccumulator, BasicStats) {
   StatAccumulator s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
+  for (int i = 1; i <= 100; ++i) s.add(milliseconds(i));
   EXPECT_EQ(s.count(), 100u);
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
@@ -34,7 +43,7 @@ TEST(StatAccumulator, AddDurationConvertsToMillis) {
 
 TEST(StatAccumulator, CdfAt) {
   StatAccumulator s;
-  for (int i = 1; i <= 10; ++i) s.add(static_cast<double>(i));
+  for (int i = 1; i <= 10; ++i) s.add(milliseconds(i));
   EXPECT_DOUBLE_EQ(s.cdf_at(0.5), 0.0);
   EXPECT_DOUBLE_EQ(s.cdf_at(5.0), 0.5);
   EXPECT_DOUBLE_EQ(s.cdf_at(10.0), 1.0);
@@ -43,8 +52,8 @@ TEST(StatAccumulator, CdfAt) {
 
 TEST(StatAccumulator, MergeCombines) {
   StatAccumulator a, b;
-  a.add(1.0);
-  b.add(3.0);
+  a.add(milliseconds(1));
+  b.add(milliseconds(3));
   a.merge(b);
   EXPECT_EQ(a.count(), 2u);
   EXPECT_DOUBLE_EQ(a.mean(), 2.0);
@@ -52,28 +61,28 @@ TEST(StatAccumulator, MergeCombines) {
 
 TEST(StatAccumulator, StddevOfConstantIsZero) {
   StatAccumulator s;
-  s.add(5.0);
-  s.add(5.0);
-  s.add(5.0);
+  s.add(milliseconds(5));
+  s.add(milliseconds(5));
+  s.add(milliseconds(5));
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
 TEST(StatAccumulator, StddevSample) {
   StatAccumulator s;
-  s.add(2.0);
-  s.add(4.0);
-  s.add(4.0);
-  s.add(4.0);
-  s.add(5.0);
-  s.add(5.0);
-  s.add(7.0);
-  s.add(9.0);
+  s.add(milliseconds(2));
+  s.add(milliseconds(4));
+  s.add(milliseconds(4));
+  s.add(milliseconds(4));
+  s.add(milliseconds(5));
+  s.add(milliseconds(5));
+  s.add(milliseconds(7));
+  s.add(milliseconds(9));
   EXPECT_NEAR(s.stddev(), 2.138, 0.01);  // sample stddev
 }
 
 TEST(StatAccumulator, BoxSummaryOrdered) {
   StatAccumulator s;
-  for (int i = 1; i <= 1000; ++i) s.add(static_cast<double>(i));
+  for (int i = 1; i <= 1000; ++i) s.add(milliseconds(i));
   const auto b = s.box_summary();
   EXPECT_LE(b.p5, b.p25);
   EXPECT_LE(b.p25, b.p50);
@@ -84,25 +93,184 @@ TEST(StatAccumulator, BoxSummaryOrdered) {
 
 TEST(StatAccumulator, RenderCdfHasRows) {
   StatAccumulator s;
-  for (int i = 1; i <= 10; ++i) s.add(static_cast<double>(i));
+  for (int i = 1; i <= 10; ++i) s.add(milliseconds(i));
   const std::string cdf = s.render_cdf(5);
   EXPECT_EQ(std::count(cdf.begin(), cdf.end(), '\n'), 5);
 }
 
 TEST(StatAccumulator, SortedValuesAscending) {
   StatAccumulator s;
-  s.add(3.0);
-  s.add(1.0);
-  s.add(2.0);
-  const auto& v = s.sorted_values();
+  s.add(milliseconds(3));
+  s.add(milliseconds(1));
+  s.add(milliseconds(2));
+  const auto v = s.sorted_values();
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+}
+
+/// The answers a plain sorted std::vector<double> of Duration::millis()
+/// gives: nearest-rank percentiles, the CDF and its rendering.
+class Reference {
+ public:
+  void add(Duration d) { values_.push_back(d.millis()); }
+  void merge(const Reference& other) {
+    values_.insert(values_.end(), other.values_.begin(), other.values_.end());
+  }
+  const std::vector<double>& sorted() {
+    std::sort(values_.begin(), values_.end());
+    return values_;
+  }
+  double percentile(double p) {
+    const std::vector<double>& v = sorted();
+    std::size_t rank = 0;
+    if (p > 0.0) {
+      rank = static_cast<std::size_t>(std::ceil(p / 100.0 * static_cast<double>(v.size())));
+      if (rank > 0) --rank;
+    }
+    return v[rank];
+  }
+  double cdf_at(double x) {
+    const std::vector<double>& v = sorted();
+    return static_cast<double>(std::upper_bound(v.begin(), v.end(), x) - v.begin()) /
+           static_cast<double>(v.size());
+  }
+  std::string render_cdf(std::size_t points) {
+    const std::vector<double>& v = sorted();
+    std::string out;
+    char line[96];
+    for (std::size_t i = 1; i <= points; ++i) {
+      const double frac = static_cast<double>(i) / static_cast<double>(points);
+      const auto idx = std::min(
+          v.size() - 1,
+          static_cast<std::size_t>(std::ceil(frac * static_cast<double>(v.size()))) - 1);
+      std::snprintf(line, sizeof(line), "%10.2f  %5.3f\n", v[idx], frac);
+      out += line;
+    }
+    return out;
+  }
+
+ private:
+  std::vector<double> values_;
+};
+
+/// A latency-like sample: mostly [0, 2^32) ns, with negatives and spans of
+/// 4.29 s and more mixed in, and exact repeats of a few values.
+Duration random_sample(Rng& rng) {
+  constexpr std::int64_t kNarrowEnd = std::int64_t{1} << 32;
+  const std::uint64_t pick = rng.next_u64() % 20;
+  if (pick == 0) return Duration{rng.uniform_i64(-seconds(3).nanos(), -1)};
+  if (pick == 1) return Duration{rng.uniform_i64(kNarrowEnd, seconds(60).nanos())};
+  if (pick == 2) return Duration{kNarrowEnd - 1 - static_cast<std::int64_t>(rng.next_u64() % 3)};
+  if (pick == 3) return milliseconds(static_cast<std::int64_t>(rng.next_u64() % 8));
+  return Duration{rng.uniform_i64(0, kNarrowEnd - 1)};
+}
+
+void expect_matches(const StatAccumulator& s, Reference& ref) {
+  for (const double p : {0.0, 0.1, 50.0, 99.9, 100.0}) {
+    EXPECT_EQ(s.percentile(p), ref.percentile(p)) << "p" << p;
+  }
+  EXPECT_EQ(s.min(), ref.sorted().front());
+  EXPECT_EQ(s.max(), ref.sorted().back());
+  EXPECT_EQ(s.sorted_values(), ref.sorted());
+  EXPECT_EQ(s.render_cdf(), ref.render_cdf(20));
+  EXPECT_EQ(s.render_cdf(7), ref.render_cdf(7));
+  const StatAccumulator::BoxSummary b = s.box_summary();
+  EXPECT_EQ(b.p5, ref.percentile(5));
+  EXPECT_EQ(b.p25, ref.percentile(25));
+  EXPECT_EQ(b.p50, ref.percentile(50));
+  EXPECT_EQ(b.p75, ref.percentile(75));
+  EXPECT_EQ(b.p95, ref.percentile(95));
+  // Every sample value, its neighbours and the ends answer cdf_at alike.
+  const std::vector<double> values = ref.sorted();
+  for (std::size_t i = 0; i < values.size(); i += 7) {
+    for (const double x : {values[i], std::nextafter(values[i], -1e300),
+                           std::nextafter(values[i], 1e300)}) {
+      EXPECT_EQ(s.cdf_at(x), ref.cdf_at(x)) << "x " << x;
+    }
+  }
+  for (const double x : {-1e300, -0.0, 0.0, 4294.967295, 4294.967296, 1e300}) {
+    EXPECT_EQ(s.cdf_at(x), ref.cdf_at(x)) << "x " << x;
+  }
+}
+
+TEST(StatAccumulator, MatchesSortedMillisReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    StatAccumulator s;
+    Reference ref;
+    for (int i = 0; i < 2'000; ++i) {
+      const Duration d = random_sample(rng);
+      s.add(d);
+      ref.add(d);
+    }
+    expect_matches(s, ref);
+    // Adding after a query re-sorts before the next one.
+    for (int i = 0; i < 300; ++i) {
+      const Duration d = random_sample(rng);
+      s.add(d);
+      ref.add(d);
+    }
+    expect_matches(s, ref);
+  }
+}
+
+TEST(StatAccumulator, MergeMatchesReference) {
+  Rng rng(7);
+  StatAccumulator a, b;
+  Reference ra, rb;
+  for (int i = 0; i < 1'500; ++i) {
+    const Duration d = random_sample(rng);
+    if (i % 3 == 0) {
+      b.add(d);
+      rb.add(d);
+    } else {
+      a.add(d);
+      ra.add(d);
+    }
+  }
+  (void)a.percentile(50);  // merging into a sorted accumulator
+  a.merge(b);
+  ra.merge(rb);
+  EXPECT_EQ(a.count(), 1'500u);
+  expect_matches(a, ra);
+}
+
+TEST(StatAccumulator, MeanIsExactNanosecondSum) {
+  StatAccumulator s;
+  s.add(Duration{-1'500'000});
+  s.add(Duration{(std::int64_t{1} << 32) + 1'500'000});
+  s.add(Duration{3});
+  const std::int64_t sum = (std::int64_t{1} << 32) + 3;
+  EXPECT_EQ(s.mean(), Duration{sum}.millis() / 3.0);
+  EXPECT_EQ(s.min(), -1.5);
+  EXPECT_EQ(s.max(), Duration{(std::int64_t{1} << 32) + 1'500'000}.millis());
+  // The mean does not depend on whether a query sorted the samples.
+  StatAccumulator t;
+  t.add(Duration{3});
+  t.add(Duration{(std::int64_t{1} << 32) + 1'500'000});
+  t.add(Duration{-1'500'000});
+  (void)t.median();
+  EXPECT_EQ(t.mean(), s.mean());
+}
+
+TEST(StatAccumulator, NarrowBoundaryIsExact) {
+  StatAccumulator s;
+  constexpr std::int64_t kEnd = std::int64_t{1} << 32;
+  s.add(Duration{kEnd});
+  s.add(Duration{kEnd - 1});
+  s.add(Duration{0});
+  s.add(Duration{-1});
+  EXPECT_EQ(s.sorted_values(), (std::vector<double>{Duration{-1}.millis(), 0.0,
+                                                    Duration{kEnd - 1}.millis(),
+                                                    Duration{kEnd}.millis()}));
+  EXPECT_EQ(s.percentile(50), 0.0);
+  EXPECT_EQ(s.percentile(75), Duration{kEnd - 1}.millis());
 }
 
 TEST(TimeSeries, BucketsByTime) {
   TimeSeries ts(seconds(1));
-  ts.add(TimePoint::epoch() + milliseconds(100), 1.0);
-  ts.add(TimePoint::epoch() + milliseconds(900), 3.0);
-  ts.add(TimePoint::epoch() + milliseconds(1500), 7.0);
+  ts.add(TimePoint::epoch() + milliseconds(100), milliseconds(1));
+  ts.add(TimePoint::epoch() + milliseconds(900), milliseconds(3));
+  ts.add(TimePoint::epoch() + milliseconds(1500), milliseconds(7));
   ASSERT_EQ(ts.bucket_count(), 2u);
   EXPECT_DOUBLE_EQ(ts.bucket(0).mean(), 2.0);
   EXPECT_DOUBLE_EQ(ts.bucket(1).mean(), 7.0);
@@ -111,7 +279,7 @@ TEST(TimeSeries, BucketsByTime) {
 
 TEST(TimeSeries, IgnoresNegativeTimes) {
   TimeSeries ts(seconds(1));
-  ts.add(TimePoint::epoch() - milliseconds(5), 1.0);
+  ts.add(TimePoint::epoch() - milliseconds(5), milliseconds(1));
   EXPECT_EQ(ts.bucket_count(), 0u);
 }
 

@@ -19,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -89,10 +91,18 @@ net::FaultSchedule amnesia_schedule(const Scenario& s) {
   return f;
 }
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and that
+// text becomes part of the listed test name. The explicit zero field keeps
+// the bytes between the 4-byte enum and the 8-byte seed from being stack
+// garbage, so the names are the same on every build.
 struct RecoveryCase {
+  RecoveryCase(Protocol p, std::uint64_t s) : protocol(p), seed(s) {}
   Protocol protocol;
+  std::uint32_t zero = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<RecoveryCase>,
+              "RecoveryCase must have no padding bytes");
 
 class AmnesiaSweep : public ::testing::TestWithParam<RecoveryCase> {};
 

@@ -38,7 +38,7 @@ TEST(WanTraceGenerator, StationaryRegimeIsStable) {
   cfg.duration = seconds(30);
   const auto samples = TraceGenerator(cfg).generate();
   StatAccumulator s;
-  for (const TraceSample& x : samples) s.add(x.owd.millis());
+  for (const TraceSample& x : samples) s.add(x.owd);
   // The Section 3 observation: p5-p95 spread is small vs the floor.
   EXPECT_LT(s.percentile(95) - s.percentile(5), 2.0);
   EXPECT_GE(s.min(), 32.5);  // floor minus the 0.3 ms preset wander
@@ -72,8 +72,8 @@ TEST(WanTraceGenerator, DiurnalDriftMovesTheMedian) {
   StatAccumulator up, down;
   for (const TraceSample& x : samples) {
     const double t = (x.at - TimePoint::epoch()).seconds();
-    if (t >= 8 && t < 12) up.add(x.owd.millis());
-    if (t >= 28 && t < 32) down.add(x.owd.millis());
+    if (t >= 8 && t < 12) up.add(x.owd);
+    if (t >= 28 && t < 32) down.add(x.owd);
   }
   EXPECT_GT(up.percentile(50), down.percentile(50) + 15.0);
 }
@@ -86,9 +86,9 @@ TEST(WanTraceGenerator, CongestionEpochsRaiseDelays) {
   congested.congestion_len = seconds(2);
   congested.congestion_extra = milliseconds(10);
   StatAccumulator quiet_s, cong_s;
-  for (const TraceSample& x : TraceGenerator(base).generate()) quiet_s.add(x.owd.millis());
+  for (const TraceSample& x : TraceGenerator(base).generate()) quiet_s.add(x.owd);
   for (const TraceSample& x : TraceGenerator(congested).generate()) {
-    cong_s.add(x.owd.millis());
+    cong_s.add(x.owd);
   }
   // Epochs cover a large fraction of the run, so the upper tail must rise
   // by about the queueing extra.
