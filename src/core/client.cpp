@@ -133,7 +133,7 @@ void Client::on_request_timeout(const sm::Command& command, std::size_t /*attemp
   // Forget the DFP attempt (any quorum it was gathering is moot; the DFP
   // timestamp of the retry will differ, so late notices are ignored).
   if (const auto it = dfp_pending_.find(command.id); it != dfp_pending_.end()) {
-    close_wait_span(it->second.span);
+    close_wait("dfp_attempt", command.id);
     dfp_pending_.erase(it);
     obs_failovers_.inc();
   }
@@ -179,7 +179,8 @@ void Client::propose_dfp(const sm::Command& command) {
     a->note_dfp(command.id, ts, now_local, config_.additional_delay, adaptive_extra_,
                 replicas_, offsets);
   }
-  dfp_pending_[command.id] = DfpPendingState{ts, 0, open_wait_span("dfp_attempt")};
+  open_wait("dfp_attempt", command.id);
+  dfp_pending_[command.id] = DfpPendingState{ts, 0};
   DfpPropose msg{ts, command};
   for (NodeId r : replicas_) send(r, msg);
 }
@@ -219,7 +220,7 @@ void Client::on_packet(const net::Packet& packet) {
       if (it == dfp_pending_.end() || it->second.ts != notice.ts) break;
       if (!notice.accepted) break;  // rejected: wait for the coordinator's slow path
       if (++it->second.accepts >= measure::supermajority(replicas_.size())) {
-        close_wait_span(it->second.span);
+        close_wait("dfp_attempt", notice.command.id);
         dfp_pending_.erase(it);
         obs_fast_learns_.inc();
         record_dfp_outcome(true);
@@ -233,7 +234,7 @@ void Client::on_packet(const net::Packet& packet) {
     case wire::MessageType::kDfpClientReply: {
       const auto reply = wire::decode_message<DfpClientReply>(packet.payload);
       if (const auto it = dfp_pending_.find(reply.request); it != dfp_pending_.end()) {
-        close_wait_span(it->second.span);
+        close_wait("dfp_attempt", reply.request);
         dfp_pending_.erase(it);
         record_dfp_outcome(false);
       }

@@ -135,7 +135,6 @@ class Client : public rpc::ClientBase {
   struct DfpPendingState {
     std::int64_t ts = 0;
     std::size_t accepts = 0;
-    obs::SpanId span = 0;  // open "dfp_attempt" wait span (0 = disabled)
   };
   std::unordered_map<RequestId, DfpPendingState> dfp_pending_;
   std::int64_t last_dfp_ts_ = 0;  // timestamps are unique per client

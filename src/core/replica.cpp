@@ -350,9 +350,7 @@ void Replica::coordinator_check(std::int64_t ts) {
 void Replica::start_dfp_recovery(std::int64_t ts) {
   DfpPosition& pos = dfp_positions_[ts];
   pos.recovering = true;
-  if (const obs::SpanId s = open_wait_span("dfp_recovery"); s != 0) {
-    dfp_recovery_spans_[ts] = s;
-  }
+  open_wait("dfp_recovery", ts);
   // Ballot-1 choice: the most-accepted proposal if it is still choosable,
   // else no-op. The choosability threshold is q - f accepts: below it, a
   // supermajority of replicas must have no-op'd the position, so learners
@@ -407,11 +405,7 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
                           bool was_fast) {
   DfpPosition& pos = dfp_positions_[ts];
   pos.resolved = true;
-  const auto rspan_it = dfp_recovery_spans_.find(ts);
-  if (rspan_it != dfp_recovery_spans_.end()) {
-    close_wait_span(rspan_it->second);
-    dfp_recovery_spans_.erase(rspan_it);
-  }
+  close_wait("dfp_recovery", ts);
 
   const log::LogPosition lp{ts, dfp_lane()};
   if (!is_noop) {
@@ -512,9 +506,7 @@ void Replica::dm_lead(const sm::Command& command, bool reply_via_dfp) {
   log_.accept(pos, command);
   watermark_holds_.insert(ts);  // released once the DmAccepts leave
   dm_pending_.emplace(ts, DmPending{1, command.id, reply_via_dfp});
-  if (const obs::SpanId s = open_wait_span("dm_quorum_wait"); s != 0) {
-    dm_quorum_spans_[ts] = s;
-  }
+  open_wait("dm_quorum_wait", ts);
 
   // The accept record doubles as the timestamp reservation: replay raises
   // dm_last_assigned_ past it, so a restarted leader can never re-assign a
@@ -567,11 +559,7 @@ void Replica::maybe_commit_dm(std::int64_t ts) {
   if (it->second.acks < measure::majority(replicas_.size())) return;
   const DmPending pending = it->second;
   dm_pending_.erase(it);
-  const auto span_it = dm_quorum_spans_.find(ts);
-  if (span_it != dm_quorum_spans_.end()) {
-    close_wait_span(span_it->second);
-    dm_quorum_spans_.erase(span_it);
-  }
+  close_wait("dm_quorum_wait", ts);
 
   const log::LogPosition pos{ts, static_cast<std::uint32_t>(rank_)};
   log_.commit(pos);
@@ -812,8 +800,6 @@ void Replica::apply_range_resolve(const RangeResolve& resolve) {
 // ---------------------------------------------------------- crash recovery
 
 void Replica::recover() {
-  close_wait_spans(dm_quorum_spans_);
-  close_wait_spans(dfp_recovery_spans_);
   log_ = log::GlobalLog(replicas_.size() + 1);
   dfp_positions_.clear();
   std::fill(replica_watermarks_.begin(), replica_watermarks_.end(), TimePoint::epoch());
@@ -882,9 +868,7 @@ void Replica::recover() {
       dm_pending_.erase(ts);  // resolved by a replayed record after all
       continue;
     }
-    if (const obs::SpanId s = open_wait_span("dm_quorum_wait"); s != 0) {
-      dm_quorum_spans_[ts] = s;
-    }
+    open_wait("dm_quorum_wait", ts);
     broadcast(DmAccept{ts, static_cast<std::uint32_t>(rank_), e->command});
     maybe_commit_dm(ts);  // single-replica deployments commit immediately
   }
@@ -1026,11 +1010,7 @@ void Replica::learn_committed(log::LogPosition pos, std::optional<sm::Command> c
     // Committed on our lane without our own majority (replayed, or revoked
     // while we were down): nothing left to replicate.
     dm_pending_.erase(pos.ts);
-    const auto span_it = dm_quorum_spans_.find(pos.ts);
-    if (span_it != dm_quorum_spans_.end()) {
-      close_wait_span(span_it->second);
-      dm_quorum_spans_.erase(span_it);
-    }
+    close_wait("dm_quorum_wait", pos.ts);
   }
 }
 

@@ -204,8 +204,6 @@ class Replica : public recovery::Replica {
     bool reply_via_dfp = false;  // reply with DfpClientReply (re-routed request)
   };
   std::unordered_map<std::int64_t, DmPending> dm_pending_;
-  std::unordered_map<std::int64_t, obs::SpanId> dm_quorum_spans_;     // ts -> wait span
-  std::unordered_map<std::int64_t, obs::SpanId> dfp_recovery_spans_;  // ts -> wait span
   std::int64_t dm_last_assigned_ = 0;
   RequestIdSet rerouted_;  // requests re-proposed through DM
 

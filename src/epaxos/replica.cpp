@@ -99,9 +99,7 @@ void Replica::handle_client_request(const net::Packet& packet) {
   book.deps = deps;
   book.client = req.command.id.client;
   leading_[inst] = std::move(book);
-  if (const obs::SpanId s = open_wait_span("epaxos_quorum_wait"); s != 0) {
-    quorum_spans_[inst] = s;
-  }
+  open_wait("epaxos_quorum_wait", {inst.replica, inst.seq});
 
   const sm::Command command = req.command;
   persistor_.persist(
@@ -274,8 +272,6 @@ void Replica::handle_commit(const wire::Payload& payload) {
 }
 
 void Replica::recover() {
-  close_wait_spans(quorum_spans_);
-  close_wait_spans(dep_spans_);
   instances_.clear();
   exec_frontier_.assign(replicas_.size(), 0);
   leading_.clear();
@@ -337,9 +333,7 @@ void Replica::recover() {
     if (it == instances_.end() || it->second.status >= Status::kCommitted) continue;
     book.preaccept_acks.clear();
     book.accept_acks.clear();
-    if (const obs::SpanId s = open_wait_span("epaxos_quorum_wait"); s != 0) {
-      quorum_spans_[inst_id] = s;
-    }
+    open_wait("epaxos_quorum_wait", {inst_id.replica, inst_id.seq});
     if (book.in_accept_phase) {
       broadcast(Accept{inst_id, it->second.command, book.seq, book.deps});
     } else {
@@ -487,11 +481,7 @@ void Replica::commit_instance(const InstanceId& inst_id, const sm::Command& cmd,
   }
   ++committed_;
   obs_committed_.inc();
-  const auto qspan_it = quorum_spans_.find(inst_id);
-  if (qspan_it != quorum_spans_.end()) {
-    close_wait_span(qspan_it->second);
-    quorum_spans_.erase(qspan_it);
-  }
+  close_wait("epaxos_quorum_wait", {inst_id.replica, inst_id.seq});
   if (announce) broadcast(Commit{inst_id, cmd, seq, deps});
   try_execute(inst_id);
   wake_waiters(inst_id);
@@ -503,11 +493,7 @@ void Replica::wake_waiters(const InstanceId& dep) {
   const std::vector<InstanceId> blocked = std::move(w->second);
   waiters_.erase(w);
   for (const auto& b : blocked) {
-    const auto dspan_it = dep_spans_.find(b);
-    if (dspan_it != dep_spans_.end()) {
-      close_wait_span(dspan_it->second);
-      dep_spans_.erase(dspan_it);
-    }
+    close_wait("epaxos_dep_wait", {b.replica, b.seq});
     try_execute(b);
   }
 }
@@ -583,11 +569,7 @@ void Replica::execute_scc_from(const InstanceId& root) {
            dep_it->second.status != Status::kExecuted)) {
         // Uncommitted dependency: defer the whole attempt.
         waiters_[dep].push_back(root);
-        if (span_store() != nullptr && dep_spans_.find(root) == dep_spans_.end()) {
-          if (const obs::SpanId s = open_wait_span("epaxos_dep_wait"); s != 0) {
-            dep_spans_[root] = s;
-          }
-        }
+        open_wait("epaxos_dep_wait", {root.replica, root.seq});
         return;
       }
       if (dep_it->second.status == Status::kExecuted) continue;

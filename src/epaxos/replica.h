@@ -166,8 +166,6 @@ class Replica : public recovery::Replica {
   FlatStringMap<KeyWriter> key_table_;
   // Commit wakeups: uncommitted dep -> instances waiting on it.
   std::unordered_map<InstanceId, std::vector<InstanceId>> waiters_;
-  std::unordered_map<InstanceId, obs::SpanId> quorum_spans_;  // leader quorum gathers
-  std::unordered_map<InstanceId, obs::SpanId> dep_spans_;     // execution blocked on deps
 
   std::uint64_t next_instance_ = 0;
   // Instances committed and executed here: replica state, rebuilt by replay

@@ -179,9 +179,7 @@ void Replica::maybe_resolve(std::uint64_t index) {
 void Replica::start_recovery(std::uint64_t index) {
   Tally& tally = tallies_.at(index);
   tally.recovering = true;
-  if (const obs::SpanId s = open_wait_span("fp_recovery"); s != 0) {
-    recovery_spans_[index] = s;
-  }
+  open_wait("fp_recovery", index);
 
   // Pick the most-accepted request that is not already committed elsewhere;
   // no-op if none. (The coordinator has ballot-0 reports from everyone who
@@ -237,11 +235,7 @@ void Replica::handle_recovery_reply(const wire::Payload& payload) {
 
 void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command& command,
                             bool was_fast) {
-  const auto rspan_it = recovery_spans_.find(index);
-  if (rspan_it != recovery_spans_.end()) {
-    close_wait_span(rspan_it->second);
-    recovery_spans_.erase(rspan_it);
-  }
+  close_wait("fp_recovery", index);
   was_fast ? obs_fast_.inc() : obs_slow_.inc();
 
   if (!is_noop) {
@@ -292,7 +286,6 @@ void Replica::record_commit(std::uint64_t index, const sm::Command& command) {
 }
 
 void Replica::recover() {
-  close_wait_spans(recovery_spans_);
   log_ = log::IndexLog{};
   assignment_.clear();
   assigned_at_.clear();

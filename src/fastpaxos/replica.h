@@ -109,7 +109,6 @@ class Replica : public recovery::Replica {
     bool timer_armed = false;
   };
   std::map<std::uint64_t, Tally> tallies_;
-  std::unordered_map<std::uint64_t, obs::SpanId> recovery_spans_;  // index -> wait span
   // The command decided at each position (an empty command for no-ops and
   // for positions a snapshot covered), re-sent to a late reporter. This is
   // the one coordinator store that grows with history: a recovering

@@ -5,31 +5,10 @@
 #pragma once
 
 #include "mencius/messages.h"
-#include "rpc/client_base.h"
+#include "rpc/forwarding_client.h"
 
 namespace domino::mencius {
 
-class Client : public rpc::ClientBase {
- public:
-  Client(NodeId id, std::size_t dc, rpc::Context& context, NodeId coordinator,
-         sim::LocalClock clock = sim::LocalClock{})
-      : rpc::ClientBase(id, dc, context, clock), coordinator_(coordinator) {}
-
-  [[nodiscard]] NodeId coordinator() const { return coordinator_; }
-
- protected:
-  void propose(const sm::Command& command) override {
-    send(coordinator_, ClientRequest{command});
-  }
-
-  void on_packet(const net::Packet& packet) override {
-    if (wire::peek_type(packet.payload) != wire::MessageType::kMenciusClientReply) return;
-    const auto reply = wire::decode_message<ClientReply>(packet.payload);
-    handle_committed(reply.request);
-  }
-
- private:
-  NodeId coordinator_;
-};
+using Client = rpc::ForwardingClient<ClientRequest, ClientReply>;
 
 }  // namespace domino::mencius

@@ -70,9 +70,7 @@ void Replica::handle_client_request(const net::Packet& packet) {
   log_.accept(p, req.command);
   pending_.emplace(p, Pending{{}, {}, req.command, req.command.id.client, false, true_now()});
   owned_request_.emplace(p, req.command.id);
-  if (const obs::SpanId s = open_wait_span("mencius_quorum_wait"); s != 0) {
-    quorum_spans_[p] = s;
-  }
+  open_wait("mencius_quorum_wait", p);
 
   persistor_.persist(
       recovery::RecordTag::kAccepted,
@@ -125,11 +123,7 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
     if (acked.size() + 1 >= measure::majority(replicas_.size())) {
       it->second.committed = true;
       it->second.last_sent = true_now();
-      const auto span_it = quorum_spans_.find(msg.index);
-      if (span_it != quorum_spans_.end()) {
-        close_wait_span(span_it->second);
-        quorum_spans_.erase(span_it);
-      }
+      close_wait("mencius_quorum_wait", msg.index);
       log_.commit(msg.index);
       obs_commits_.inc();
       // Persist the commit decision before it is externalized — by the
@@ -224,7 +218,6 @@ void Replica::advance_own_lane(std::uint64_t index) {
 }
 
 void Replica::recover() {
-  close_wait_spans(quorum_spans_);
   log_ = log::IndexLog{};
   pending_.clear();
   owned_request_.clear();

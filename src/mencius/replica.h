@@ -107,7 +107,6 @@ class Replica : public recovery::Replica {
   };
   std::map<std::uint64_t, Pending> pending_;  // ordered: commit in index order
   std::unordered_map<std::uint64_t, RequestId> owned_request_;  // index -> request id
-  std::unordered_map<std::uint64_t, obs::SpanId> quorum_spans_;  // index -> open wait span
 
   obs::CounterHandle obs_proposals_;
   obs::CounterHandle obs_accepts_;

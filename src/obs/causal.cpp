@@ -131,9 +131,10 @@ std::vector<CommandPath> critical_paths(const SpanStore& store) {
       } else {
         // A span with no inbound message edge that is not our root: the
         // root of another command's trace (cross-command dependency, e.g.
-        // an EPaxos dependency or a rerouted attempt), a wait span, or a
-        // handler whose edge record was dropped. Whatever the command was
-        // blocked on is outside its own causal chain — slow-path penalty.
+        // an EPaxos dependency or a rerouted attempt), or a handler whose
+        // edge record was dropped. (Never a wait span: no message is sent
+        // from one, so no edge leads the walk into it.) Whatever the command
+        // was blocked on is outside its own causal chain — slow-path penalty.
         emit("slow_path_wait", s->node, s->node, t0, cur_time);
         break;
       }

@@ -43,9 +43,7 @@ void Replica::handle_client_request(const net::Packet& packet) {
   log_.accept(index, req.command);
   accept_counts_[index] = 1;  // self-accept
   origin_[index] = req.command.id.client;
-  if (const obs::SpanId s = open_wait_span("paxos_quorum_wait"); s != 0) {
-    quorum_spans_[index] = s;
-  }
+  open_wait("paxos_quorum_wait", index);
   const sm::Command command = req.command;
   persistor_.persist(
       recovery::RecordTag::kAccepted,
@@ -83,11 +81,7 @@ void Replica::handle_accept_reply(const wire::Payload& payload) {
   if (++it->second < measure::majority(replicas_.size())) return;
 
   accept_counts_.erase(it);
-  const auto span_it = quorum_spans_.find(msg.index);
-  if (span_it != quorum_spans_.end()) {
-    close_wait_span(span_it->second);
-    quorum_spans_.erase(span_it);
-  }
+  close_wait("paxos_quorum_wait", msg.index);
   log_.commit(msg.index);
   obs_commits_.inc();
 
@@ -128,7 +122,6 @@ void Replica::handle_commit(const wire::Payload& payload) {
 }
 
 void Replica::recover() {
-  close_wait_spans(quorum_spans_);
   log_ = log::IndexLog{};
   accept_counts_.clear();
   origin_.clear();

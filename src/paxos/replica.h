@@ -51,7 +51,6 @@ class Replica : public recovery::Replica {
   // Leader state.
   std::uint64_t next_index_ = 0;
   std::unordered_map<std::uint64_t, std::size_t> accept_counts_;  // index -> acks (incl. self)
-  std::unordered_map<std::uint64_t, obs::SpanId> quorum_spans_;   // index -> open wait span
   std::unordered_map<std::uint64_t, NodeId> origin_;              // index -> requesting client
 
   obs::CounterHandle obs_accepts_;

@@ -16,6 +16,7 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
 void Replica::restart() {
   persistor_.begin_restart();
   store_ = sm::KvStore{};
+  close_waits();
   recover();
   persistor_.request_catchup(replicas_, store_);
   if (!catching_up()) on_rejoined();  // a lone replica rejoins at once

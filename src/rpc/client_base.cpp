@@ -39,10 +39,7 @@ void ClientBase::submit(sm::Command command) {
   if (span_store() != nullptr) {
     const obs::TraceId trace = obs::trace_id_of(command.id);
     const obs::SpanId root = span_store()->open_root(trace, id(), "command", true_now());
-    if (root != 0) {
-      root_spans_.emplace(command.id, root);
-      set_active_span(obs::TraceContext{trace, root});
-    }
+    if (root != 0) set_active_span(obs::TraceContext{trace, root});
   }
   if (request_timeout_ > Duration::zero()) {
     const RequestId rid = command.id;
@@ -54,11 +51,6 @@ void ClientBase::submit(sm::Command command) {
   }
   propose(command);
   set_active_span(prev_span);
-}
-
-obs::SpanId ClientBase::root_span_of(const RequestId& id) const {
-  const auto it = root_spans_.find(id);
-  return it == root_spans_.end() ? 0 : it->second;
 }
 
 void ClientBase::arm_timeout(const RequestId& id, std::size_t attempt) {
@@ -76,11 +68,7 @@ void ClientBase::arm_timeout(const RequestId& id, std::size_t attempt) {
       ++abandoned_;
       obs_abandoned_.inc();
       if (span_store() != nullptr) {
-        const auto root_it = root_spans_.find(id);
-        if (root_it != root_spans_.end()) {
-          span_store()->close(root_it->second, true_now());
-          root_spans_.erase(root_it);
-        }
+        span_store()->close(span_store()->root_of(obs::trace_id_of(id)), true_now());
       }
       obs_sink().record(obs::TraceEvent{.at = true_now(),
                                         .kind = obs::EventKind::kClientAbandon,
@@ -101,10 +89,9 @@ void ClientBase::arm_timeout(const RequestId& id, std::size_t attempt) {
     const sm::Command command = it->second.command;
     // Re-activate the command's root span so the retry's messages stay on
     // the original trace (the retry is causally part of the same command).
-    const obs::SpanId root = root_span_of(id);
-    if (root != 0) {
-      set_active_span(obs::TraceContext{obs::trace_id_of(id), root});
-    }
+    const obs::SpanId root =
+        span_store() != nullptr ? span_store()->root_of(obs::trace_id_of(id)) : 0;
+    if (root != 0) set_active_span(obs::TraceContext{obs::trace_id_of(id), root});
     on_request_timeout(command, next_attempt);
     if (root != 0) clear_active_span();
     arm_timeout(id, next_attempt);
@@ -125,22 +112,22 @@ void ClientBase::handle_committed(const RequestId& id) {
   done_seqs_.insert(seq);
   obs_committed_.inc();
   pending_.erase(id);
-  if (abandoned_seqs_.erase(id.seq) > 0) {
+  const bool late = abandoned_seqs_.erase(id.seq) > 0;
+  if (late) {
     // A retry we had given up on came through after all; un-count the
     // abandonment so the accounting invariant keeps holding. (The obs
     // counter stays monotonic: it counts abandon *events*, not the net.)
     --abandoned_;
   }
-  if (span_store() != nullptr) {
+  if (span_store() != nullptr && !late) {
     // Terminal event of the trace: close the root span at commit time and
     // record which span delivered the commit (the handler span of the
-    // message being processed right now; 0 on an untraced path).
-    const auto root_it = root_spans_.find(id);
-    if (root_it != root_spans_.end()) {
-      span_store()->close(root_it->second, true_now());
-      span_store()->note_commit(obs::trace_id_of(id), id, true_now(),
-                                active_span().span_id);
-      root_spans_.erase(root_it);
+    // message being processed right now; 0 on an untraced path). The
+    // abandon already ended a late commit's trace, so it records nothing.
+    const obs::TraceId trace = obs::trace_id_of(id);
+    if (const obs::SpanId root = span_store()->root_of(trace); root != 0) {
+      span_store()->close(root, true_now());
+      span_store()->note_commit(trace, id, true_now(), active_span().span_id);
     }
   }
   auto it = sent_at_.find(id);

@@ -91,8 +91,6 @@ class ClientBase : public Node {
 
   void arm_timeout(const RequestId& id, std::size_t attempt);
   void init_obs();
-  /// Root span id of a live request's trace (0 when spans are disabled).
-  [[nodiscard]] obs::SpanId root_span_of(const RequestId& id) const;
 
   CommitHook commit_hook_;
   SendHook send_hook_;
@@ -103,7 +101,6 @@ class ClientBase : public Node {
   obs::CounterHandle obs_abandoned_;
   obs::HistogramHandle obs_commit_latency_;
   std::unordered_map<RequestId, TimePoint> sent_at_;  // true send time
-  std::unordered_map<RequestId, obs::SpanId> root_spans_;  // live command traces
   // Committed request seqs. Seqs commit mostly in order, so they coalesce
   // into a few intervals instead of one hash node per commit.
   IntervalSet done_seqs_;

@@ -46,6 +46,28 @@ void Node::dispatch_traced(const net::Packet& pkt, const wire::TraceContextWire&
   clear_active_span();
 }
 
+void Node::open_wait(const char* name, WaitKey key) {
+  if (obs_.spans == nullptr || !active_span_.valid()) return;
+  const auto [it, opened] = waits_.try_emplace({name, key});
+  if (opened) {
+    it->second = obs_.spans->open(active_span_.trace_id, active_span_.span_id, id_, name,
+                                  context_.now());
+  }
+}
+
+void Node::close_wait(const char* name, WaitKey key) {
+  if (obs_.spans == nullptr) return;
+  const auto it = waits_.find({name, key});
+  if (it == waits_.end()) return;
+  obs_.spans->close(it->second, context_.now());
+  waits_.erase(it);
+}
+
+void Node::close_waits() {
+  for (const auto& [wait, span] : waits_) obs_.spans->close(span, context_.now());
+  waits_.clear();
+}
+
 void Node::instrument_send(wire::MessageType type, std::size_t bytes) {
   obs_sent_.inc();
   const auto tag = static_cast<std::size_t>(type);

@@ -10,7 +10,10 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <functional>
+#include <map>
+#include <string_view>
 #include <utility>
 
 #include "common/ids.h"
@@ -90,24 +93,31 @@ class Node {
   /// The span store this node records into (null = spans disabled).
   [[nodiscard]] obs::SpanStore* span_store() const { return obs_.spans; }
 
-  /// Open a named child span of the active span (a wait that spans virtual
-  /// time, e.g. a quorum gather). Returns 0 when spans are disabled or no
-  /// span is active; close_wait_span(0) is a no-op, so call sites need no
-  /// guards.
-  [[nodiscard]] obs::SpanId open_wait_span(const char* name) {
-    if (obs_.spans == nullptr || !active_span_.valid()) return 0;
-    return obs_.spans->open(active_span_.trace_id, active_span_.span_id, id_, name,
-                            context_.now());
-  }
-  void close_wait_span(obs::SpanId span) {
-    if (span != 0 && obs_.spans != nullptr) obs_.spans->close(span, context_.now());
-  }
-  /// Close every span of `spans` (a key -> SpanId map), then clear it.
-  template <typename SpanMap>
-  void close_wait_spans(SpanMap& spans) {
-    for (const auto& entry : spans) close_wait_span(entry.second);
-    spans.clear();
-  }
+  /// The protocol's own key of a keyed wait: an index, a timestamp, or a
+  /// (node, counter) pair such as a RequestId or EPaxos's InstanceId.
+  /// Implicit, so call sites pass the key itself.
+  struct WaitKey {
+    NodeId node;
+    std::uint64_t n = 0;
+
+    template <std::integral I>
+    constexpr WaitKey(I v) : n(static_cast<std::uint64_t>(v)) {}
+    constexpr WaitKey(NodeId node, std::uint64_t n) : node(node), n(n) {}
+    constexpr WaitKey(const RequestId& id) : node(id.client), n(id.seq) {}
+    constexpr auto operator<=>(const WaitKey&) const = default;
+  };
+
+  /// Keyed wait spans: open_wait opens a child span of the active span named
+  /// `name` (a static string) for a wait that outlasts one handler, e.g. a
+  /// quorum gather; close_wait with the same name and key closes it. A wait
+  /// is keyed by the name's contents plus `key`, so one key can be waited on
+  /// under two names. Both are no-ops when spans are off; open_wait is one
+  /// also when no span is active or the wait is already open (the first span
+  /// stays), and close_wait when it is not open.
+  void open_wait(const char* name, WaitKey key);
+  void close_wait(const char* name, WaitKey key);
+  /// Close every open wait (an amnesiac restart forgets what it waited for).
+  void close_waits();
 
  private:
   void instrument_send(wire::MessageType type, std::size_t bytes);
@@ -123,6 +133,7 @@ class Node {
   bool attached_ = false;
 
   obs::TraceContext active_span_;
+  std::map<std::pair<std::string_view, WaitKey>, obs::SpanId> waits_;  // open keyed waits
 
   // Per-message-type handles, created lazily off the hot path; index = wire
   // tag. init bits distinguish "not yet created" from "disabled".

@@ -16,9 +16,13 @@
 #include <string>
 
 #include "harness/runner.h"
+#include "support/golden_scenarios.h"
 
 namespace domino::harness {
 namespace {
+
+using test::faulted_scenario;
+using test::globe_scenario;
 
 class Digest {
  public:
@@ -83,39 +87,6 @@ std::uint64_t run_digest(const RunResult& r, Fold fold = Fold::kAll) {
     d.add(row.max_overshoot_ns);
   }
   return d.value();
-}
-
-/// A short seeded Globe run (Figure 8c placement). The prediction audit is
-/// on so Domino's calibration rows are part of the digest; it only records.
-Scenario globe_scenario() {
-  Scenario s;
-  s.topology = net::Topology::globe();
-  s.replica_dcs = {s.topology.index_of("WA"), s.topology.index_of("PR"),
-                   s.topology.index_of("NSW")};
-  s.client_dcs = {0, 1, 2, 3, 4, 5};
-  s.rps = 50;
-  s.warmup = seconds(1);
-  s.measure = seconds(2);
-  s.cooldown = seconds(2);
-  s.seed = 13;
-  s.prediction_audit = true;
-  return s;
-}
-
-/// The same run with durable syncs on the critical path, client retries, an
-/// amnesiac follower crash, and a two-way partition between a replica site
-/// and a client-only site.
-Scenario faulted_scenario() {
-  Scenario s = globe_scenario();
-  s.sync_latency = milliseconds(2);
-  s.amnesia_crashes = true;
-  s.client_request_timeout = milliseconds(600);
-  s.client_max_retries = 6;
-  const TimePoint w0 = TimePoint::epoch() + s.warmup;
-  s.faults.crash_for(w0 + milliseconds(300), NodeId{1}, milliseconds(250));
-  s.faults.partition_both_for(w0 + milliseconds(900), s.topology.index_of("NSW"),
-                              s.topology.index_of("SG"), milliseconds(400));
-  return s;
 }
 
 struct GoldenCase {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "measure/messages.h"
 #include "net/network.h"
 
 namespace domino::rpc {
@@ -315,6 +316,113 @@ TEST(ClientBase, CustomTimeoutHookOverridesDefault) {
   EXPECT_EQ(c.committed_count(), 1u);
   EXPECT_EQ(c.retry_count(), 1u);
   EXPECT_EQ(c.abandoned_count(), 0u);
+}
+
+// Root spans: ClientBase opens one per submitted command and finds it again
+// in the span store for retries, abandons and commits.
+
+/// Records the trace context each delivered packet carries on the wire.
+class ContextRecorder : public Node {
+ public:
+  using Node::Node;
+  std::vector<wire::TraceContextWire> seen;
+
+ protected:
+  void on_packet(const net::Packet& packet) override {
+    seen.push_back(wire::peek_trace_context(packet.payload));
+  }
+};
+
+/// Client whose every proposal, the first and each retry, sends a Probe to
+/// `peer`; a request commits only when commit() is called.
+class ProbingClient : public ClientBase {
+ public:
+  ProbingClient(NodeId id, net::Network& network, NodeId peer)
+      : ClientBase(id, 0, network, sim::LocalClock{}), peer_(peer) {}
+  void commit(const RequestId& id) { handle_committed(id); }
+
+ protected:
+  void propose(const sm::Command&) override { send(peer_, measure::Probe{}); }
+  void on_packet(const net::Packet&) override {}
+
+ private:
+  NodeId peer_;
+};
+
+/// A span store, a ContextRecorder peer and a ProbingClient, wired up.
+struct SpanRig {
+  sim::Simulator simulator;
+  net::Network network{simulator, one_dc(), 1};
+  obs::SpanStore store;
+  ContextRecorder peer{NodeId{0}, 0, bound(network, store)};
+  ProbingClient client{NodeId{1000}, network, peer.id()};
+
+  explicit SpanRig(std::size_t max_retries) {
+    peer.attach();
+    client.attach();
+    client.set_request_timeout(milliseconds(20), max_retries);
+  }
+  // Binds the store before the nodes are built: a node captures the sink
+  // at construction.
+  static net::Network& bound(net::Network& network, obs::SpanStore& store) {
+    network.bind_obs(obs::Sink{.spans = &store});
+    return network;
+  }
+  void run_to(std::int64_t ms) { simulator.run_until(TimePoint::epoch() + milliseconds(ms)); }
+  const obs::Span& root_of(const RequestId& id) {
+    return *store.span(store.root_of(obs::trace_id_of(id)));
+  }
+};
+
+TEST(ClientBaseSpans, RetryCarriesOriginalRootContext) {
+  SpanRig rig(/*max_retries=*/2);
+  const RequestId id{NodeId{1000}, 0};
+  rig.client.submit(command_for(NodeId{1000}, 0));
+  rig.run_to(50);
+
+  ASSERT_EQ(rig.client.retry_count(), 2u);
+  const obs::SpanId root = rig.store.root_of(obs::trace_id_of(id));
+  ASSERT_NE(root, 0u);
+  ASSERT_EQ(rig.peer.seen.size(), 3u);  // the proposal and both retries
+  for (const wire::TraceContextWire& ctx : rig.peer.seen) {
+    EXPECT_EQ(ctx.trace_id, obs::trace_id_of(id));
+    EXPECT_EQ(ctx.span_id, root);
+  }
+}
+
+TEST(ClientBaseSpans, AbandonClosesRoot) {
+  SpanRig rig(/*max_retries=*/1);
+  const RequestId id{NodeId{1000}, 0};
+  rig.client.submit(command_for(NodeId{1000}, 0));
+  rig.run_to(50);
+
+  ASSERT_EQ(rig.client.abandoned_count(), 1u);  // timed out at 20 ms, abandoned at 40 ms
+  EXPECT_EQ(rig.root_of(id).end, TimePoint::epoch() + milliseconds(40));
+  EXPECT_TRUE(rig.store.commits().empty());
+}
+
+TEST(ClientBaseSpans, LateCommitAfterAbandonAddsNoCommitRecord) {
+  SpanRig rig(/*max_retries=*/1);
+  const RequestId lost{NodeId{1000}, 0};
+  rig.client.submit(command_for(NodeId{1000}, 0));
+  rig.run_to(50);
+  ASSERT_EQ(rig.client.abandoned_count(), 1u);
+
+  rig.client.commit(lost);  // the books count it; the trace stays as the abandon left it
+  EXPECT_EQ(rig.client.committed_count(), 1u);
+  EXPECT_EQ(rig.client.abandoned_count(), 0u);
+  EXPECT_TRUE(rig.store.commits().empty());
+  EXPECT_EQ(rig.root_of(lost).end, TimePoint::epoch() + milliseconds(40));
+
+  // A commit in time closes its root and adds one CommitRecord.
+  const RequestId kept{NodeId{1000}, 1};
+  rig.client.submit(command_for(NodeId{1000}, 1));
+  rig.run_to(55);
+  rig.client.commit(kept);
+  ASSERT_EQ(rig.store.commits().size(), 1u);
+  EXPECT_EQ(rig.store.commits()[0].request, kept);
+  EXPECT_EQ(rig.store.commits()[0].committed_at, TimePoint::epoch() + milliseconds(55));
+  EXPECT_EQ(rig.root_of(kept).end, TimePoint::epoch() + milliseconds(55));
 }
 
 }  // namespace
