@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace domino {
@@ -67,18 +66,6 @@ double StatAccumulator::percentile(double p) const {
   return at_rank(rank);
 }
 
-double StatAccumulator::cdf_at(double x) const {
-  ensure_sorted();
-  if (empty()) return 0.0;
-  // millis() never decreases as ns grows, so each sorted array holds the
-  // samples <= x as a prefix.
-  const auto at_most_x = [x](std::int64_t ns) { return Duration{ns}.millis() <= x; };
-  const auto narrow = std::partition_point(narrow_.begin(), narrow_.end(), at_most_x);
-  const auto spill = std::partition_point(spill_.begin(), spill_.end(), at_most_x);
-  return static_cast<double>((narrow - narrow_.begin()) + (spill - spill_.begin())) /
-         static_cast<double>(count());
-}
-
 void StatAccumulator::merge(const StatAccumulator& other) {
   narrow_.insert(narrow_.end(), other.narrow_.begin(), other.narrow_.end());
   spill_.insert(spill_.end(), other.spill_.begin(), other.spill_.end());
@@ -96,22 +83,6 @@ std::vector<double> StatAccumulator::sorted_values() const {
   std::vector<double> out;
   out.reserve(count());
   for (std::size_t rank = 0; rank < count(); ++rank) out.push_back(at_rank(rank));
-  return out;
-}
-
-std::string StatAccumulator::render_cdf(std::size_t points) const {
-  if (empty()) return "(no samples)\n";
-  ensure_sorted();
-  std::string out;
-  char line[96];
-  for (std::size_t i = 1; i <= points; ++i) {
-    const double frac = static_cast<double>(i) / static_cast<double>(points);
-    const auto idx = std::min(
-        count() - 1,
-        static_cast<std::size_t>(std::ceil(frac * static_cast<double>(count()))) - 1);
-    std::snprintf(line, sizeof(line), "%10.2f  %5.3f\n", at_rank(idx), frac);
-    out += line;
-  }
   return out;
 }
 

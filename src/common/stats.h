@@ -1,10 +1,9 @@
 // Offline statistics accumulators used by the evaluation harness:
-// percentiles, CDF rendering, box-plot summaries and time-bucketed series.
+// percentiles, box-plot summaries and time-bucketed series.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/time.h"
@@ -43,9 +42,6 @@ class StatAccumulator {
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50); }
 
-  /// Fraction of samples <= x milliseconds, in [0, 1].
-  [[nodiscard]] double cdf_at(double x) const;
-
   /// Merge another accumulator's samples into this one.
   void merge(const StatAccumulator& other);
 
@@ -54,9 +50,6 @@ class StatAccumulator {
 
   /// All samples in milliseconds, sorted ascending.
   [[nodiscard]] std::vector<double> sorted_values() const;
-
-  /// Render an ASCII CDF table: `points` rows of "value  cdf".
-  [[nodiscard]] std::string render_cdf(std::size_t points = 20) const;
 
   /// Five-number summary (p5, p25, p50, p75, p95) as used by the paper's
   /// box-and-whisker figures (Figures 2 and 11).

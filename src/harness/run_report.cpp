@@ -8,26 +8,25 @@ namespace {
 
 // Shared formatting helpers (obs/json.h) under the names this file has
 // always used.
-using obs::append_u64;
 using obs::append_i64;
-
-void append_f(std::string& out, const char* fmt, double v) { obs::appendf(out, fmt, v); }
+using obs::append_u64;
+using obs::appendf;
 
 void append_latency_stats(std::string& out, const LatencyStats& s) {
   out += "{\"count\":";
   append_u64(out, s.count);
   out += ",\"mean\":";
-  append_f(out, "%.6f", s.mean);
+  appendf(out, "%.6f", s.mean);
   out += ",\"min\":";
-  append_f(out, "%.6f", s.min);
+  appendf(out, "%.6f", s.min);
   out += ",\"max\":";
-  append_f(out, "%.6f", s.max);
+  appendf(out, "%.6f", s.max);
   out += ",\"p50\":";
-  append_f(out, "%.6f", s.p50);
+  appendf(out, "%.6f", s.p50);
   out += ",\"p95\":";
-  append_f(out, "%.6f", s.p95);
+  appendf(out, "%.6f", s.p95);
   out += ",\"p99\":";
-  append_f(out, "%.6f", s.p99);
+  appendf(out, "%.6f", s.p99);
   out += "}";
 }
 
@@ -46,17 +45,17 @@ std::string report_json(Protocol protocol, const Scenario& scenario, const RunRe
   out += ",\n\"clients\":";
   append_u64(out, scenario.client_dcs.size());
   out += ",\n\"rps_per_client\":";
-  append_f(out, "%.3f", scenario.rps);
+  appendf(out, "%.3f", scenario.rps);
   out += ",\n\"warmup_ms\":";
-  append_f(out, "%.3f", scenario.warmup.millis());
+  appendf(out, "%.3f", scenario.warmup.millis());
   out += ",\n\"measure_ms\":";
-  append_f(out, "%.3f", scenario.measure.millis());
+  appendf(out, "%.3f", scenario.measure.millis());
   out += ",\n\"submitted\":";
   append_u64(out, result.submitted);
   out += ",\n\"committed\":";
   append_u64(out, result.committed);
   out += ",\n\"throughput_rps\":";
-  append_f(out, "%.3f", result.throughput_rps());
+  appendf(out, "%.3f", result.throughput_rps());
   out += ",\n\"fast_path\":";
   append_u64(out, result.fast_path);
   out += ",\n\"slow_path\":";
@@ -162,7 +161,7 @@ std::string report_json(Protocol protocol, const Scenario& scenario, const RunRe
   }
   if (result.timeseries != nullptr) {
     out += ",\n\"timeline\":{\"interval_ms\":";
-    append_f(out, "%.3f", scenario.timeseries_interval.millis());
+    appendf(out, "%.3f", scenario.timeseries_interval.millis());
     out += ",\"series\":";
     obs::append_timeseries_json(out, *result.timeseries);
     out += "}";

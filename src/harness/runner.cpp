@@ -208,9 +208,8 @@ struct Env {
         metrics->counter("obs.timeseries.dropped_windows")
             .inc(timeseries->dropped_windows());
       }
-      obs::SloConfig cfg = scenario.slo;
-      if (cfg.evaluate_until == TimePoint::max()) cfg.evaluate_until = window_end;
-      result.slo = obs::evaluate_slo(*timeseries, cfg, fault_instants());
+      result.slo =
+          obs::evaluate_slo(*timeseries, scenario.slo, fault_instants(), window_end);
       if (metrics != nullptr) obs::publish_slo_metrics(result.slo, *metrics);
     }
   }
@@ -415,7 +414,7 @@ RunResult run_deployment(Protocol protocol, const Scenario& s) {
             // score card, replicas first then clients, in construction order
             // (each prober's targets are already in registered order).
             const auto append = [&result](const measure::Prober& prober) {
-              const auto rows = obs::calibration_rows(prober.calibration());
+              const auto rows = prober.calibration_rows();
               result.calibration.insert(result.calibration.end(), rows.begin(), rows.end());
             };
             for (const auto& r : replicas) append(r->prober());

@@ -106,9 +106,8 @@ struct Scenario {
   Duration timeseries_interval = Duration::zero();
   /// Steady-state detector evaluated over the timeline after the run
   /// (obs/slo.h). Ignored unless timeseries_interval is set. The
-  /// harness fills slo.evaluate_until with the end of the load window when
-  /// left at its TimePoint::max() default, and derives the fault instants
-  /// from `faults`.
+  /// harness evaluates up to the end of the load window and derives the
+  /// fault instants from `faults`.
   obs::SloConfig slo;
 
   // Robustness knobs (chaos runs).

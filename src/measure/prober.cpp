@@ -5,13 +5,23 @@ namespace domino::measure {
 Prober::Prober(rpc::Node& owner, std::vector<NodeId> targets, ProberConfig config)
     : owner_(owner),
       targets_(std::move(targets)),
-      config_(config),
-      calibration_(owner.id(), targets_, owner.obs_sink()) {
-  obs_probes_sent_ = owner_.obs_sink().counter("measure.probes_sent");
-  obs_probe_replies_ = owner_.obs_sink().counter("measure.probe_replies");
-  obs_calib_margin_ = owner_.obs_sink().histogram("calib.owd_margin_ns");
-  obs_calib_overshoot_ = owner_.obs_sink().histogram("calib.owd_overshoot_ns");
-  for (NodeId t : targets_) state_.emplace(t, TargetState{config_.window});
+      config_(config) {
+  const obs::Sink& sink = owner_.obs_sink();
+  obs_probes_sent_ = sink.counter("measure.probes_sent");
+  obs_probe_replies_ = sink.counter("measure.probe_replies");
+  obs_calib_margin_ = sink.histogram("calib.owd_margin_ns");
+  obs_calib_overshoot_ = sink.histogram("calib.owd_overshoot_ns");
+  for (NodeId t : targets_) {
+    // Each target's calibration counts into calib.<owner>-><target>.*,
+    // named like the per-link net metrics; the owner is never probed.
+    obs::CalibrationCell cell;
+    if (t != owner_.id()) {
+      const std::string series = "calib." + owner_.id().to_string() + "->" + t.to_string();
+      cell = obs::CalibrationCell{sink.counter(series + ".samples"),
+                                  sink.counter(series + ".covered")};
+    }
+    state_.emplace(t, TargetState{config_.window, cell});
+  }
 }
 
 void Prober::start() {
@@ -45,7 +55,7 @@ void Prober::on_probe_reply(NodeId from, const ProbeReply& reply) {
   // prediction the window held *before* this sample is folded in — exactly
   // the prediction a DFP timestamp stamped "now" would have used.
   if (const auto predicted = ts.owd.percentile(local_now, config_.percentile)) {
-    calibration_.record(from, *predicted, realized_owd);
+    ts.calibration.record(*predicted, realized_owd);
     const std::int64_t margin = (*predicted - realized_owd).nanos();
     if (margin >= 0) {
       obs_calib_margin_.record(margin);
@@ -59,6 +69,17 @@ void Prober::on_probe_reply(NodeId from, const ProbeReply& reply) {
   ts.last_reply_true_time = owner_.true_now();
   ts.ever_replied = true;
   obs_probe_replies_.inc();
+}
+
+std::vector<obs::CalibrationRow> Prober::calibration_rows() const {
+  std::vector<obs::CalibrationRow> rows;
+  for (NodeId t : targets_) {
+    const obs::CalibrationCell& cell = state_.at(t).calibration;
+    if (cell.samples() == 0) continue;
+    rows.push_back(obs::CalibrationRow{owner_.id(), t, cell.samples(), cell.covered(),
+                                       cell.mean_margin_ns(), cell.max_overshoot_ns()});
+  }
+  return rows;
 }
 
 ProbeReply Prober::make_reply(const Probe& probe, TimePoint replica_local_now,

@@ -92,8 +92,9 @@ class Prober final : public LatencyView {
   /// just before the sample arrived. Coverage near the configured
   /// percentile means the arrival predictor is honest; systematic
   /// under-coverage on a target is the miscalibration the prediction audit
-  /// (obs/predict.h) blames for blown DFP deadlines.
-  [[nodiscard]] const obs::Calibration& calibration() const { return calibration_; }
+  /// (obs/predict.h) blames for blown DFP deadlines. One row per target
+  /// that produced a sample, in target order.
+  [[nodiscard]] std::vector<obs::CalibrationRow> calibration_rows() const;
 
  private:
   void send_probes();
@@ -104,13 +105,14 @@ class Prober final : public LatencyView {
     Duration replication_latency = Duration::zero();
     TimePoint last_reply_true_time = TimePoint::epoch();
     bool ever_replied = false;
-    explicit TargetState(Duration window) : rtt(window), owd(window) {}
+    obs::CalibrationCell calibration;
+    TargetState(Duration window, obs::CalibrationCell calibration)
+        : rtt(window), owd(window), calibration(calibration) {}
   };
 
   rpc::Node& owner_;
   std::vector<NodeId> targets_;
   ProberConfig config_;
-  obs::Calibration calibration_;
   obs::CounterHandle obs_probes_sent_;
   obs::CounterHandle obs_probe_replies_;
   obs::HistogramHandle obs_calib_margin_;

@@ -1,36 +1,17 @@
 #include "obs/calibration.h"
 
-#include <cstdio>
+#include "obs/json.h"
 
 namespace domino::obs {
 
-std::vector<CalibrationRow> calibration_rows(const Calibration& calibration) {
-  std::vector<CalibrationRow> rows;
-  calibration.visit([&](NodeId target, const CalibrationCell& cell) {
-    if (cell.samples() == 0) return;
-    CalibrationRow row;
-    row.owner = calibration.owner();
-    row.target = target;
-    row.samples = cell.samples();
-    row.covered = cell.covered();
-    row.mean_margin_ns = cell.mean_margin_ns();
-    row.max_overshoot_ns = cell.max_overshoot_ns();
-    rows.push_back(row);
-  });
-  return rows;
-}
-
 std::string calibration_to_csv(const std::vector<CalibrationRow>& rows) {
   std::string out = "owner,target,samples,covered,coverage,mean_margin_ns,max_overshoot_ns\n";
-  char buf[192];
   for (const CalibrationRow& r : rows) {
-    std::snprintf(buf, sizeof(buf), "%s,%s,%llu,%llu,%.6f,%lld,%lld\n",
-                  r.owner.to_string().c_str(), r.target.to_string().c_str(),
-                  static_cast<unsigned long long>(r.samples),
-                  static_cast<unsigned long long>(r.covered), r.coverage(),
-                  static_cast<long long>(r.mean_margin_ns),
-                  static_cast<long long>(r.max_overshoot_ns));
-    out += buf;
+    appendf(out, "%s,%s,%llu,%llu,%.6f,%lld,%lld\n", r.owner.to_string().c_str(),
+            r.target.to_string().c_str(), static_cast<unsigned long long>(r.samples),
+            static_cast<unsigned long long>(r.covered), r.coverage(),
+            static_cast<long long>(r.mean_margin_ns),
+            static_cast<long long>(r.max_overshoot_ns));
   }
   return out;
 }

@@ -10,11 +10,11 @@
 // coverage on one target is exactly the stale/wrong estimate that blows
 // DFP deadlines, and the prediction-audit layer (obs/predict.h) blames it.
 //
-// CalibrationCell accumulates one (owner, target) series; Calibration owns
-// the per-target map a measure::Prober reports into, and its cells count
-// through the calib.<owner>-><target>.{samples,covered} metrics. Everything
-// is integer arithmetic over virtual time, so same-seed runs export
-// byte-identical calibration tables.
+// CalibrationCell accumulates one (owner, target) series. A measure::Prober
+// keeps one per target beside that target's estimators, counting through
+// the calib.<owner>-><target>.{samples,covered} metrics, and flattens them
+// into CalibrationRows. Everything is integer arithmetic over virtual time,
+// so same-seed runs export byte-identical calibration tables.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@
 
 #include "common/ids.h"
 #include "common/time.h"
-#include "obs/sink.h"
+#include "obs/metrics.h"
 
 namespace domino::obs {
 
@@ -74,60 +74,6 @@ class CalibrationCell {
   std::int64_t max_overshoot_ns_ = 0;
 };
 
-/// Per-target calibration map for one measurement owner (a prober). Targets
-/// are registered up front so iteration order is the owner's target order —
-/// deterministic, not hash order.
-class Calibration {
- public:
-  Calibration() = default;
-  /// Cells for every target but `owner` itself count into `sink`'s
-  /// calib.<owner>-><target>.* metrics, named like the per-link net metrics.
-  Calibration(NodeId owner, const std::vector<NodeId>& targets, const Sink& sink = {})
-      : owner_(owner) {
-    cells_.reserve(targets.size());
-    for (NodeId t : targets) {
-      if (t == owner) {
-        cells_.push_back({t, CalibrationCell{}});
-        continue;
-      }
-      const std::string series = "calib." + owner.to_string() + "->" + t.to_string();
-      cells_.push_back({t, CalibrationCell{sink.counter(series + ".samples"),
-                                           sink.counter(series + ".covered")}});
-    }
-  }
-
-  void record(NodeId target, Duration predicted, Duration realized) {
-    for (auto& [id, cell] : cells_) {
-      if (id == target) {
-        cell.record(predicted, realized);
-        return;
-      }
-    }
-  }
-
-  [[nodiscard]] NodeId owner() const { return owner_; }
-  [[nodiscard]] const CalibrationCell* cell(NodeId target) const {
-    for (const auto& [id, cell] : cells_) {
-      if (id == target) return &cell;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] std::uint64_t total_samples() const {
-    std::uint64_t n = 0;
-    for (const auto& [id, cell] : cells_) n += cell.samples();
-    return n;
-  }
-
-  template <typename Fn>
-  void visit(Fn&& fn) const {
-    for (const auto& [id, cell] : cells_) fn(id, cell);
-  }
-
- private:
-  NodeId owner_;
-  std::vector<std::pair<NodeId, CalibrationCell>> cells_;
-};
-
 /// One exported calibration series (owner -> target), flattened for run
 /// reports and CSV.
 struct CalibrationRow {
@@ -142,10 +88,6 @@ struct CalibrationRow {
     return samples == 0 ? 1.0 : static_cast<double>(covered) / static_cast<double>(samples);
   }
 };
-
-/// Flatten a calibration map into rows (target order), skipping targets
-/// that never produced a sample.
-[[nodiscard]] std::vector<CalibrationRow> calibration_rows(const Calibration& calibration);
 
 /// CSV with header
 ///   owner,target,samples,covered,coverage,mean_margin_ns,max_overshoot_ns

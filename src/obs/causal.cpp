@@ -1,9 +1,9 @@
 #include "obs/causal.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
+#include "obs/json.h"
 #include "wire/message.h"
 
 namespace domino::obs {
@@ -165,25 +165,21 @@ std::string paths_to_csv(const std::vector<CommandPath>& paths, std::string_view
   std::string out =
       "protocol,request,trace,submit_ns,commit_ns,total_ns,"
       "phase_index,phase,node,peer,begin_ns,end_ns,dur_ns\n";
-  char buf[320];
   const std::string proto(protocol);
   for (const CommandPath& p : paths) {
     std::size_t idx = 0;
     for (const PathSegment& s : p.segments) {
-      std::snprintf(buf, sizeof buf,
-                    "%s,%lu:%llu,%llu,%lld,%lld,%lld,%zu,%s,%lu,%lu,%lld,%lld,%lld\n",
-                    proto.c_str(), static_cast<unsigned long>(p.request.client.value()),
-                    static_cast<unsigned long long>(p.request.seq),
-                    static_cast<unsigned long long>(p.trace),
-                    static_cast<long long>(p.submitted_at.nanos()),
-                    static_cast<long long>(p.committed_at.nanos()),
-                    static_cast<long long>(p.total().nanos()), idx, s.phase,
-                    static_cast<unsigned long>(s.node.value()),
-                    static_cast<unsigned long>(s.peer.value()),
-                    static_cast<long long>(s.begin.nanos()),
-                    static_cast<long long>(s.end.nanos()),
-                    static_cast<long long>(s.duration().nanos()));
-      out += buf;
+      appendf(out, "%s,%lu:%llu,%llu,%lld,%lld,%lld,%zu,%s,%lu,%lu,%lld,%lld,%lld\n",
+              proto.c_str(), static_cast<unsigned long>(p.request.client.value()),
+              static_cast<unsigned long long>(p.request.seq),
+              static_cast<unsigned long long>(p.trace),
+              static_cast<long long>(p.submitted_at.nanos()),
+              static_cast<long long>(p.committed_at.nanos()),
+              static_cast<long long>(p.total().nanos()), idx, s.phase,
+              static_cast<unsigned long>(s.node.value()),
+              static_cast<unsigned long>(s.peer.value()),
+              static_cast<long long>(s.begin.nanos()), static_cast<long long>(s.end.nanos()),
+              static_cast<long long>(s.duration().nanos()));
       ++idx;
     }
   }

@@ -22,8 +22,6 @@ void append_histogram_json(std::string& out, const Histogram& h) {
   out += "]}";
 }
 
-std::string node_str(NodeId id) { return id.valid() ? id.to_string() : "-"; }
-
 std::string request_str(const RequestId& id) {
   return id.client.valid() ? id.to_string() : "-";
 }
@@ -50,34 +48,6 @@ std::string metrics_to_json(const MetricsRegistry& registry) {
   });
   return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges + "},\"histograms\":{" +
          histograms + "}}";
-}
-
-std::string metrics_to_csv(const MetricsRegistry& registry) {
-  std::string out = "kind,name,field,value\n";
-  registry.visit([&](const std::string& name, const Counter* c, const Gauge* g,
-                     const Histogram* h) {
-    if (c != nullptr) {
-      appendf(out, "counter,%s,value,%llu\n", name.c_str(),
-               static_cast<unsigned long long>(c->value()));
-    } else if (g != nullptr) {
-      appendf(out, "gauge,%s,value,%lld\n", name.c_str(),
-               static_cast<long long>(g->value()));
-      appendf(out, "gauge,%s,max,%lld\n", name.c_str(), static_cast<long long>(g->max()));
-    } else if (h != nullptr) {
-      appendf(out, "histogram,%s,count,%llu\n", name.c_str(),
-               static_cast<unsigned long long>(h->count()));
-      appendf(out, "histogram,%s,min,%lld\n", name.c_str(),
-               static_cast<long long>(h->min()));
-      appendf(out, "histogram,%s,max,%lld\n", name.c_str(),
-               static_cast<long long>(h->max()));
-      appendf(out, "histogram,%s,mean,%.6g\n", name.c_str(), h->mean());
-      for (const double p : {50.0, 95.0, 99.0}) {
-        appendf(out, "histogram,%s,p%.0f,%lld\n", name.c_str(), p,
-                 static_cast<long long>(h->percentile(p)));
-      }
-    }
-  });
-  return out;
 }
 
 std::string trace_to_json(const TraceRecorder& trace) {

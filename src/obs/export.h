@@ -17,10 +17,6 @@ namespace domino::obs {
 /// {"counters":{...},"gauges":{...},"histograms":{...}}
 [[nodiscard]] std::string metrics_to_json(const MetricsRegistry& registry);
 
-/// One row per scalar: kind,name,field,value. Histograms emit count, min,
-/// max, mean and the standard percentiles.
-[[nodiscard]] std::string metrics_to_csv(const MetricsRegistry& registry);
-
 /// JSON array of event objects, oldest first.
 [[nodiscard]] std::string trace_to_json(const TraceRecorder& trace);
 

@@ -6,12 +6,23 @@
 namespace domino::obs {
 
 void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
   va_list args;
   va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_list again;
+  va_copy(again, args);
+  char buf[256];
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
-  out += buf;
+  if (n >= static_cast<int>(sizeof(buf))) {
+    // Too long for the stack buffer: format again straight into `out`.
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, again);
+    out.resize(at + static_cast<std::size_t>(n));
+  } else if (n > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  va_end(again);
 }
 
 void append_u64(std::string& out, std::uint64_t v) {
@@ -25,6 +36,8 @@ void append_i64(std::string& out, std::int64_t v) {
   std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   out += buf;
 }
+
+std::string node_str(NodeId id) { return id.valid() ? id.to_string() : "-"; }
 
 std::string json_escape(std::string_view s) {
   std::string out;

@@ -13,10 +13,11 @@
 #include <string>
 #include <string_view>
 
+#include "common/ids.h"
+
 namespace domino::obs {
 
-/// Append printf-formatted text to `out`. The formatted result must fit in
-/// 256 bytes (every caller formats a handful of scalars at a time).
+/// Append printf-formatted text to `out`, whatever its length.
 void appendf(std::string& out, const char* fmt, ...)
 #if defined(__GNUC__) || defined(__clang__)
     __attribute__((format(printf, 2, 3)))
@@ -28,6 +29,9 @@ void append_u64(std::string& out, std::uint64_t v);
 
 /// Append a decimal signed 64-bit integer ("%lld").
 void append_i64(std::string& out, std::int64_t v);
+
+/// A node id as exported ("n3"), or "-" for an invalid id.
+[[nodiscard]] std::string node_str(NodeId id);
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 [[nodiscard]] std::string json_escape(std::string_view s);

@@ -29,45 +29,12 @@ std::int64_t Histogram::bucket_upper_bound(std::size_t i) {
   return static_cast<std::int64_t>(lower + width - 1);
 }
 
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot s;
-  s.buckets = buckets_;
-  s.count = count_;
-  s.sum = sum_;
-  s.min = min();
-  s.max = max_;
-  return s;
-}
-
-HistogramDelta::HistogramDelta(const HistogramSnapshot& before,
-                               const HistogramSnapshot& after) {
-  for (std::size_t i = 0; i < HistogramSnapshot::kBucketCount; ++i) {
-    buckets_[i] = after.buckets[i] - before.buckets[i];
-  }
-  count_ = after.count - before.count;
-  sum_ = after.sum - before.sum;
-  max_ = after.max;
-}
-
-std::int64_t HistogramDelta::percentile(double p) const {
-  if (count_ == 0) return 0;
-  p = std::clamp(p, 0.0, 100.0);
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(p / 100.0 * static_cast<double>(count_))));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < HistogramSnapshot::kBucketCount; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) return std::min(Histogram::bucket_upper_bound(i), max_);
-  }
-  return max_;
-}
-
-void Histogram::reset() {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0;
-  max_ = 0;
+Histogram Histogram::since(const Histogram& before) const {
+  Histogram d = *this;
+  for (std::size_t i = 0; i < kBucketCount; ++i) d.buckets_[i] -= before.buckets_[i];
+  d.count_ -= before.count_;
+  d.sum_ -= before.sum_;
+  return d;
 }
 
 namespace {
@@ -125,14 +92,6 @@ const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
   const auto it = slots_.find(name);
   return it == slots_.end() ? nullptr : it->second.histogram.get();
-}
-
-void MetricsRegistry::reset() {
-  for (auto& [name, slot] : slots_) {
-    if (slot.counter) slot.counter->reset();
-    if (slot.gauge) slot.gauge->reset();
-    if (slot.histogram) slot.histogram->reset();
-  }
 }
 
 }  // namespace domino::obs

@@ -30,7 +30,6 @@ class Counter {
  public:
   void inc(std::uint64_t delta = 1) { v_ += delta; }
   [[nodiscard]] std::uint64_t value() const { return v_; }
-  void reset() { v_ = 0; }
 
  private:
   std::uint64_t v_ = 0;
@@ -42,58 +41,15 @@ class Gauge {
   void set(std::int64_t v) { v_ = v; }
   void add(std::int64_t delta) { v_ += delta; }
   [[nodiscard]] std::int64_t value() const { return v_; }
-  /// High-water mark since the last reset.
+  /// High-water mark.
   [[nodiscard]] std::int64_t max() const { return max_; }
   void update_max() {
     if (v_ > max_) max_ = v_;
   }
-  void reset() { v_ = max_ = 0; }
 
  private:
   std::int64_t v_ = 0;
   std::int64_t max_ = 0;
-};
-
-class Histogram;
-
-/// A point-in-time copy of a histogram's state. Two snapshots of the same
-/// histogram delimit a window; HistogramDelta recovers the distribution of
-/// exactly the values recorded between them (bucket counts are monotone).
-struct HistogramSnapshot {
-  static constexpr std::size_t kBucketCount = 8 + 60 * 8;  // == Histogram::kBucketCount
-  std::array<std::uint64_t, kBucketCount> buckets{};
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  /// Lifetime extrema at snapshot time (not per-window; used to clamp
-  /// windowed percentiles to values that were actually ever recorded).
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-};
-
-/// The distribution of values recorded between two snapshots of one
-/// histogram (`after - before`, bucket-wise). Percentiles carry the same
-/// <= 12.5% bucket-width error as Histogram::percentile; the clamp uses the
-/// lifetime max, so a windowed percentile never exceeds any recorded value.
-class HistogramDelta {
- public:
-  HistogramDelta() = default;
-  HistogramDelta(const HistogramSnapshot& before, const HistogramSnapshot& after);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-  /// Nearest-rank percentile over the window's values, p in [0, 100].
-  [[nodiscard]] std::int64_t percentile(double p) const;
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const { return buckets_[i]; }
-
- private:
-  std::array<std::uint64_t, HistogramSnapshot::kBucketCount> buckets_{};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  std::int64_t max_ = 0;  // lifetime max at `after`
 };
 
 /// Fixed-bucket log-scale histogram of non-negative 64-bit values
@@ -104,7 +60,6 @@ class Histogram {
  public:
   static constexpr std::size_t kSubBuckets = 8;  // per power of two
   static constexpr std::size_t kBucketCount = 8 + 60 * kSubBuckets;
-  static_assert(kBucketCount == HistogramSnapshot::kBucketCount);
 
   void record(std::int64_t v) {
     if (v < 0) v = 0;
@@ -120,6 +75,7 @@ class Histogram {
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] std::int64_t min() const { return count_ == 0 ? 0 : min_; }
   [[nodiscard]] std::int64_t max() const { return max_; }
+  [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
@@ -133,11 +89,11 @@ class Histogram {
   /// Inclusive upper bound of bucket `i`'s value range.
   [[nodiscard]] static std::int64_t bucket_upper_bound(std::size_t i);
 
-  /// Copy the current state; diff two snapshots with HistogramDelta to get
-  /// the distribution of one window's worth of samples.
-  [[nodiscard]] HistogramSnapshot snapshot() const;
-
-  void reset();
+  /// The values recorded since `before`, an earlier copy of this
+  /// histogram: bucket counts, count and sum are differences (all are
+  /// monotone). min and max stay this histogram's lifetime extrema, so a
+  /// window's percentile is clamped to a value that was actually recorded.
+  [[nodiscard]] Histogram since(const Histogram& before) const;
 
  private:
   [[nodiscard]] static std::size_t bucket_index(std::uint64_t v) {
@@ -171,9 +127,6 @@ class MetricsRegistry {
   [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
-
-  /// Zero every metric, keeping registrations (and handle validity).
-  void reset();
 
   /// Visit metrics in name order. Exactly one pointer per slot is non-null.
   template <typename Fn>

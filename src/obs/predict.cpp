@@ -1,7 +1,8 @@
 #include "obs/predict.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json.h"
 
 namespace domino::obs {
 
@@ -220,7 +221,6 @@ std::string decisions_to_csv(const std::vector<DecisionRecord>& records,
       "error_ns,error_valid,regret_ns,hindsight_best_ns,regret_valid,"
       "arrivals_heard,arrivals_accepted,blamed,blamed_overshoot_ns\n";
   const std::string proto(protocol);
-  char buf[512];
   for (const DecisionRecord& r : records) {
     std::size_t heard_count = 0;
     std::size_t accepted_count = 0;
@@ -233,28 +233,24 @@ std::string decisions_to_csv(const std::vector<DecisionRecord>& records,
     const auto est = [](Duration d) {
       return static_cast<long long>(d == Duration::max() ? -1 : d.nanos());
     };
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s,%s,%s,%s,%s,%d,%d,%d,%lld,%lld,%lld,%lld,%lld,%s,%lld,%lld,%lld,"
-        "%.6f,%lld,%d,%lld,%lld,%d,%zu,%zu,%s,%lld\n",
-        proto.c_str(), r.request.to_string().c_str(), to_string(r.mode),
-        to_string(r.chosen), to_string(r.outcome), r.failover ? 1 : 0,
-        r.adaptive_override ? 1 : 0, r.dfp_unpredictable ? 1 : 0,
-        static_cast<long long>(r.decided_at.nanos()),
-        static_cast<long long>(r.committed_at.nanos()),
-        static_cast<long long>(r.realized == Duration::max() ? -1 : r.realized.nanos()),
-        est(r.predicted_dfp), est(r.predicted_dm),
-        r.dm_leader.valid() ? r.dm_leader.to_string().c_str() : "-",
-        static_cast<long long>(r.deadline_ts),
-        static_cast<long long>(r.additional_delay.nanos()),
-        static_cast<long long>(r.adaptive_extra.nanos()), r.recent_fast_rate,
-        static_cast<long long>(r.error_ns), r.error_valid ? 1 : 0,
-        static_cast<long long>(r.regret_ns),
-        static_cast<long long>(r.hindsight_best_ns), r.regret_valid ? 1 : 0,
-        heard_count, accepted_count,
-        r.blamed.valid() ? r.blamed.to_string().c_str() : "-",
-        static_cast<long long>(r.blamed_overshoot_ns));
-    out += buf;
+    appendf(out,
+            "%s,%s,%s,%s,%s,%d,%d,%d,%lld,%lld,%lld,%lld,%lld,%s,%lld,%lld,%lld,"
+            "%.6f,%lld,%d,%lld,%lld,%d,%zu,%zu,%s,%lld\n",
+            proto.c_str(), r.request.to_string().c_str(), to_string(r.mode),
+            to_string(r.chosen), to_string(r.outcome), r.failover ? 1 : 0,
+            r.adaptive_override ? 1 : 0, r.dfp_unpredictable ? 1 : 0,
+            static_cast<long long>(r.decided_at.nanos()),
+            static_cast<long long>(r.committed_at.nanos()),
+            static_cast<long long>(r.realized == Duration::max() ? -1 : r.realized.nanos()),
+            est(r.predicted_dfp), est(r.predicted_dm),
+            node_str(r.dm_leader).c_str(), static_cast<long long>(r.deadline_ts),
+            static_cast<long long>(r.additional_delay.nanos()),
+            static_cast<long long>(r.adaptive_extra.nanos()), r.recent_fast_rate,
+            static_cast<long long>(r.error_ns), r.error_valid ? 1 : 0,
+            static_cast<long long>(r.regret_ns),
+            static_cast<long long>(r.hindsight_best_ns), r.regret_valid ? 1 : 0,
+            heard_count, accepted_count, node_str(r.blamed).c_str(),
+            static_cast<long long>(r.blamed_overshoot_ns));
   }
   return out;
 }

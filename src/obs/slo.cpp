@@ -32,8 +32,8 @@ bool metric_is_rate(const Timeseries& ts, const std::string& metric) {
 }
 
 SteadyStateResult evaluate_steady(const Timeseries& ts, const SloConfig& cfg,
-                                  const FaultInstant& fault, double baseline,
-                                  bool has_baseline, bool is_rate) {
+                                  TimePoint until, const FaultInstant& fault,
+                                  double baseline, bool has_baseline, bool is_rate) {
   SteadyStateResult r;
   r.fault = fault;
   r.baseline = baseline;
@@ -50,7 +50,7 @@ SteadyStateResult evaluate_steady(const Timeseries& ts, const SloConfig& cfg,
   std::size_t run_start = 0;
   double run_start_value = 0.0;
   for (std::size_t w = 0; w < windows.size(); ++w) {
-    if (windows[w].end > cfg.evaluate_until) break;
+    if (windows[w].end > until) break;
     if (windows[w].start < fault.at) continue;  // straddling windows can't settle
     const auto v = window_value(ts, cfg.steady_metric, w);
     if (!v.has_value() || !in_tolerance(*v)) {
@@ -73,17 +73,10 @@ SteadyStateResult evaluate_steady(const Timeseries& ts, const SloConfig& cfg,
   return r;
 }
 
-std::string node_str(NodeId id) { return id.valid() ? id.to_string() : "-"; }
-
 }  // namespace
 
-bool SloReport::all_settled() const {
-  return std::all_of(steady.begin(), steady.end(),
-                     [](const SteadyStateResult& s) { return s.reached; });
-}
-
 SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
-                       const std::vector<FaultInstant>& faults) {
+                       const std::vector<FaultInstant>& faults, TimePoint until) {
   SloReport report;
   report.steady_metric = config.steady_metric;
   report.steady_tolerance = config.steady_tolerance;
@@ -100,7 +93,7 @@ SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
   std::size_t baseline_n = 0;
   const auto& windows = ts.windows();
   for (std::size_t w = 0; w < windows.size(); ++w) {
-    if (windows[w].end > first_fault || windows[w].end > config.evaluate_until) break;
+    if (windows[w].end > first_fault || windows[w].end > until) break;
     const auto v = window_value(ts, config.steady_metric, w);
     if (!v.has_value()) continue;
     baseline_sum += *v;
@@ -113,7 +106,7 @@ SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
   report.steady.reserve(faults.size());
   for (const FaultInstant& f : faults) {
     report.steady.push_back(
-        evaluate_steady(ts, config, f, baseline, has_baseline, is_rate));
+        evaluate_steady(ts, config, until, f, baseline, has_baseline, is_rate));
   }
   return report;
 }

@@ -50,11 +50,6 @@ struct SloConfig {
   std::string steady_metric = "client.commit_latency_ns";
   double steady_tolerance = 0.25;
   std::size_t steady_windows = 3;
-
-  /// Windows ending after this instant are ignored. The harness sets it to
-  /// the end of the load window so drained-load windows can't masquerade
-  /// as (or prevent) steady state.
-  TimePoint evaluate_until = TimePoint::max();
 };
 
 struct SloReport {
@@ -62,16 +57,16 @@ struct SloReport {
   std::string steady_metric;
   double steady_tolerance = 0.0;
   std::size_t steady_windows = 0;
-
-  /// True iff every fault instant reached steady state.
-  [[nodiscard]] bool all_settled() const;
 };
 
 /// Evaluate steady state over the timeline, one result per fault in the
-/// order given. A steady_metric the timeline never sampled settles no
-/// fault (reported, not an error).
+/// order given. Windows ending after `until` are ignored: the harness
+/// passes the end of the load window, so drained-load windows can't
+/// masquerade as (or prevent) steady state. A steady_metric the timeline
+/// never sampled settles no fault (reported, not an error).
 [[nodiscard]] SloReport evaluate_slo(const Timeseries& ts, const SloConfig& config,
-                                     const std::vector<FaultInstant>& faults);
+                                     const std::vector<FaultInstant>& faults,
+                                     TimePoint until = TimePoint::max());
 
 /// Surface the report as slo.* metrics (a steady-state reached/unreached
 /// pair and a time-to-steady histogram) so existing exports and report

@@ -40,11 +40,10 @@ void Timeseries::sample(const MetricsRegistry& registry, TimePoint now) {
     } else if (h != nullptr) {
       auto& s = histograms_[name];
       pad_to(s.windows, w);
-      const HistogramSnapshot cur = h->snapshot();
-      const HistogramDelta d(s.prev, cur);
+      const Histogram d = h->since(s.prev);
       s.windows.push_back(WindowHistogram{d.count(), d.sum(), d.percentile(50),
                                           d.percentile(95), d.percentile(99)});
-      s.prev = cur;
+      s.prev = *h;
     }
   });
 }

@@ -5,7 +5,7 @@
 // stream: each sample() call closes one window and appends, per metric,
 // the *delta* since the previous sample — counter increments, gauge last
 // values, and the exact distribution of histogram values recorded inside
-// the window (via Histogram::snapshot() / HistogramDelta, so windowed
+// the window (the bucket-wise difference Histogram::since, so windowed
 // percentiles carry the same <= 12.5% bucket error as lifetime ones).
 //
 // Design constraints:
@@ -65,8 +65,8 @@ class Timeseries {
     [[nodiscard]] Duration length() const { return end - start; }
   };
 
-  /// Per-series storage. `prev` members carry the between-samples snapshot
-  /// state; exports only read the per-window vectors.
+  /// Per-series storage. `prev` members carry the metric as of the previous
+  /// sample; exports only read the per-window vectors.
   struct CounterSeries {
     std::vector<std::uint64_t> deltas;  // one per window
     std::uint64_t prev = 0;
@@ -76,7 +76,7 @@ class Timeseries {
   };
   struct HistogramSeries {
     std::vector<WindowHistogram> windows;
-    HistogramSnapshot prev;
+    Histogram prev;
   };
   using CounterMap = std::map<std::string, CounterSeries, std::less<>>;
   using GaugeMap = std::map<std::string, GaugeSeries, std::less<>>;

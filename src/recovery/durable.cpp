@@ -64,8 +64,9 @@ void Persistor::persist(RecordTag tag, const BodyFn& body, std::function<void()>
     return;
   }
   // The record is on disk only after the sync completes: defer the
-  // externalizing continuation, and cancel it if the node restarts first.
-  node_->after(sync, [this, epoch = epoch_, fn = std::move(then)] {
+  // externalizing continuation, inside the span that asked for the write,
+  // and cancel it if the node restarts first.
+  node_->after_in_span(sync, [this, epoch = epoch_, fn = std::move(then)] {
     if (epoch == epoch_) fn();
   });
 }

@@ -46,6 +46,19 @@ void Node::dispatch_traced(const net::Packet& pkt, const wire::TraceContextWire&
   clear_active_span();
 }
 
+void Node::after_in_span(Duration delay, std::function<void()> fn) {
+  if (obs_.spans == nullptr || !active_span_.valid()) {
+    after(delay, std::move(fn));
+    return;
+  }
+  after(delay, [this, span = active_span_, fn = std::move(fn)] {
+    const obs::TraceContext prev = active_span_;
+    active_span_ = span;
+    fn();
+    active_span_ = prev;
+  });
+}
+
 void Node::open_wait(const char* name, WaitKey key) {
   if (obs_.spans == nullptr || !active_span_.valid()) return;
   const auto [it, opened] = waits_.try_emplace({name, key});

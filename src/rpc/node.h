@@ -76,6 +76,11 @@ class Node {
     context_.schedule(delay, std::move(fn));
   }
 
+  /// after(), with `fn` run inside the span active now, so what it sends
+  /// stays on the trace that deferred it (e.g. a reply held back by a disk
+  /// sync). Timers that start work of their own use after().
+  void after_in_span(Duration delay, std::function<void()> fn);
+
   [[nodiscard]] Context& context() { return context_; }
   [[nodiscard]] const Context& context() const { return context_; }
 

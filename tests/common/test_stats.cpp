@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,15 +37,6 @@ TEST(StatAccumulator, AddDurationConvertsToMillis) {
   StatAccumulator s;
   s.add(milliseconds(25));
   EXPECT_DOUBLE_EQ(s.percentile(50), 25.0);
-}
-
-TEST(StatAccumulator, CdfAt) {
-  StatAccumulator s;
-  for (int i = 1; i <= 10; ++i) s.add(milliseconds(i));
-  EXPECT_DOUBLE_EQ(s.cdf_at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.cdf_at(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(s.cdf_at(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.cdf_at(100.0), 1.0);
 }
 
 TEST(StatAccumulator, MergeCombines) {
@@ -91,13 +80,6 @@ TEST(StatAccumulator, BoxSummaryOrdered) {
   EXPECT_DOUBLE_EQ(b.p50, 500.0);
 }
 
-TEST(StatAccumulator, RenderCdfHasRows) {
-  StatAccumulator s;
-  for (int i = 1; i <= 10; ++i) s.add(milliseconds(i));
-  const std::string cdf = s.render_cdf(5);
-  EXPECT_EQ(std::count(cdf.begin(), cdf.end(), '\n'), 5);
-}
-
 TEST(StatAccumulator, SortedValuesAscending) {
   StatAccumulator s;
   s.add(milliseconds(3));
@@ -108,7 +90,7 @@ TEST(StatAccumulator, SortedValuesAscending) {
 }
 
 /// The answers a plain sorted std::vector<double> of Duration::millis()
-/// gives: nearest-rank percentiles, the CDF and its rendering.
+/// gives: nearest-rank percentiles.
 class Reference {
  public:
   void add(Duration d) { values_.push_back(d.millis()); }
@@ -127,25 +109,6 @@ class Reference {
       if (rank > 0) --rank;
     }
     return v[rank];
-  }
-  double cdf_at(double x) {
-    const std::vector<double>& v = sorted();
-    return static_cast<double>(std::upper_bound(v.begin(), v.end(), x) - v.begin()) /
-           static_cast<double>(v.size());
-  }
-  std::string render_cdf(std::size_t points) {
-    const std::vector<double>& v = sorted();
-    std::string out;
-    char line[96];
-    for (std::size_t i = 1; i <= points; ++i) {
-      const double frac = static_cast<double>(i) / static_cast<double>(points);
-      const auto idx = std::min(
-          v.size() - 1,
-          static_cast<std::size_t>(std::ceil(frac * static_cast<double>(v.size()))) - 1);
-      std::snprintf(line, sizeof(line), "%10.2f  %5.3f\n", v[idx], frac);
-      out += line;
-    }
-    return out;
   }
 
  private:
@@ -171,25 +134,12 @@ void expect_matches(const StatAccumulator& s, Reference& ref) {
   EXPECT_EQ(s.min(), ref.sorted().front());
   EXPECT_EQ(s.max(), ref.sorted().back());
   EXPECT_EQ(s.sorted_values(), ref.sorted());
-  EXPECT_EQ(s.render_cdf(), ref.render_cdf(20));
-  EXPECT_EQ(s.render_cdf(7), ref.render_cdf(7));
   const StatAccumulator::BoxSummary b = s.box_summary();
   EXPECT_EQ(b.p5, ref.percentile(5));
   EXPECT_EQ(b.p25, ref.percentile(25));
   EXPECT_EQ(b.p50, ref.percentile(50));
   EXPECT_EQ(b.p75, ref.percentile(75));
   EXPECT_EQ(b.p95, ref.percentile(95));
-  // Every sample value, its neighbours and the ends answer cdf_at alike.
-  const std::vector<double> values = ref.sorted();
-  for (std::size_t i = 0; i < values.size(); i += 7) {
-    for (const double x : {values[i], std::nextafter(values[i], -1e300),
-                           std::nextafter(values[i], 1e300)}) {
-      EXPECT_EQ(s.cdf_at(x), ref.cdf_at(x)) << "x " << x;
-    }
-  }
-  for (const double x : {-1e300, -0.0, 0.0, 4294.967295, 4294.967296, 1e300}) {
-    EXPECT_EQ(s.cdf_at(x), ref.cdf_at(x)) << "x " << x;
-  }
 }
 
 TEST(StatAccumulator, MatchesSortedMillisReference) {

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "harness/run_report.h"
 #include "harness/runner.h"
 #include "obs/chrome_trace.h"
+#include "support/golden_scenarios.h"
 
 namespace domino::harness {
 namespace {
@@ -170,6 +172,32 @@ TEST(CriticalPathRun, EveryProtocolSumsExactly) {
     const RunResult r = run_protocol(p, traced_scenario());
     check_exact_sum(r);
     EXPECT_EQ(r.critical_paths.size(), r.client_committed);
+  }
+}
+
+TEST(CriticalPathRun, DurableSyncKeepsRepliesTraced) {
+  // With a 2 ms sync on the critical path, a replica's reply is sent from
+  // the sync's continuation. It must still carry the handler's span, or the
+  // client's commit is reached on an untraced path and its whole latency
+  // becomes untraced_wait.
+  Scenario s = test::globe_scenario();
+  s.command_spans = true;
+  s.sync_latency = milliseconds(2);
+  for (const Protocol p : {Protocol::kMultiPaxos, Protocol::kEPaxos, Protocol::kFastPaxos,
+                           Protocol::kDomino}) {
+    SCOPED_TRACE(protocol_name(p));
+    const RunResult r = run_protocol(p, s);
+    check_exact_sum(r);
+    std::int64_t total = 0;
+    std::int64_t untraced = 0;
+    for (const obs::CommandPath& path : r.critical_paths) {
+      total += path.total().nanos();
+      for (const obs::PathSegment& seg : path.segments) {
+        if (std::string_view(seg.phase) == "untraced_wait") untraced += seg.duration().nanos();
+      }
+    }
+    ASSERT_GT(total, 0);
+    EXPECT_LT(untraced, total / 2) << untraced << " of " << total << " ns untraced";
   }
 }
 

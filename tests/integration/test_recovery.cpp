@@ -213,7 +213,7 @@ TEST_P(AmnesiaSweep, RecoversConvergesAndStaysDeterministic) {
   const obs::Histogram* rejoin = a.metrics->find_histogram("recovery.time_to_rejoin_ns");
   ASSERT_NE(rejoin, nullptr);
   EXPECT_EQ(rejoin->count(), a.recovery.restarts);
-  EXPECT_EQ(rejoin->snapshot().sum, static_cast<double>(a.recovery.rejoin_ns_total));
+  EXPECT_EQ(rejoin->sum(), static_cast<double>(a.recovery.rejoin_ns_total));
 }
 
 INSTANTIATE_TEST_SUITE_P(

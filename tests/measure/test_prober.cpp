@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "measure/estimator.h"
 #include "net/network.h"
 
@@ -128,6 +131,59 @@ TEST(Prober, SelfTargetIsZero) {
   client.attach();
   EXPECT_EQ(client.prober.rtt_estimate(NodeId{100}), Duration::zero());
   EXPECT_EQ(client.prober.owd_estimate(NodeId{100}), Duration::zero());
+}
+
+/// A probe reply whose realized arrival offset is `owd`, answering a probe
+/// sent at the epoch (the prober's clock before the simulator runs).
+ProbeReply reply_with_owd(Duration owd) {
+  ProbeReply r;
+  r.echo_sender_local_time = TimePoint::epoch();
+  r.replica_local_time = TimePoint::epoch() + owd;
+  return r;
+}
+
+TEST(Calibration, TargetsKeepRegistrationOrder) {
+  sim::Simulator simulator;
+  net::Network network(simulator, three_dc(), 1);
+  ProbingClient client(NodeId{7}, 0, network, {NodeId{2}, NodeId{0}, NodeId{1}});
+  Prober& prober = client.prober;
+  // A target's first reply only fills its window (nothing to score yet);
+  // later ones are scored against the window's p95 before they join it.
+  prober.on_probe_reply(NodeId{1}, reply_with_owd(milliseconds(30)));
+  prober.on_probe_reply(NodeId{2}, reply_with_owd(milliseconds(30)));
+  prober.on_probe_reply(NodeId{1}, reply_with_owd(milliseconds(20)));  // p95 30: covered
+  prober.on_probe_reply(NodeId{2}, reply_with_owd(milliseconds(40)));  // p95 30: overshoot
+  prober.on_probe_reply(NodeId{2}, reply_with_owd(milliseconds(10)));  // p95 40: covered
+  prober.on_probe_reply(NodeId{99}, reply_with_owd(milliseconds(1)));  // unknown: ignored
+
+  // Rows come out in registration order and skip the sample-less target n0
+  // and the unknown n99.
+  const auto rows = prober.calibration_rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].owner, NodeId{7});
+  EXPECT_EQ(rows[1].owner, NodeId{7});
+  EXPECT_EQ(rows[0].samples + rows[1].samples, 3u);
+  EXPECT_EQ(rows[0].target, NodeId{2});
+  EXPECT_EQ(rows[0].samples, 2u);
+  EXPECT_EQ(rows[0].covered, 1u);
+  EXPECT_EQ(rows[1].target, NodeId{1});
+  EXPECT_DOUBLE_EQ(rows[1].coverage(), 1.0);
+}
+
+TEST(Calibration, CsvFormat) {
+  sim::Simulator simulator;
+  net::Network network(simulator, three_dc(), 1);
+  ProbingClient client(NodeId{7}, 0, network, {NodeId{1}});
+  client.prober.on_probe_reply(NodeId{1}, reply_with_owd(milliseconds(30)));
+  client.prober.on_probe_reply(NodeId{1}, reply_with_owd(milliseconds(20)));  // p95 30
+  client.prober.on_probe_reply(NodeId{1}, reply_with_owd(milliseconds(42)));  // p95 30
+  const std::string csv = obs::calibration_to_csv(client.prober.calibration_rows());
+  EXPECT_NE(csv.find("owner,target,samples,covered,coverage,mean_margin_ns,max_overshoot_ns"),
+            std::string::npos);
+  // margin sum = 10ms - 12ms = -2ms, mean = -1ms; overshoot max 12ms.
+  EXPECT_NE(csv.find("n7,n1,2,1,0.500000,-1000000,12000000"), std::string::npos);
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
+  EXPECT_EQ(csv, obs::calibration_to_csv(client.prober.calibration_rows()));  // deterministic
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Known-answer tests of the estimator-calibration cells (obs/calibration.h).
+// Known-answer test of the estimator-calibration cell (obs/calibration.h);
+// the prober's per-target cells and their CSV are tested in
+// tests/measure/test_prober.cpp.
 #include "obs/calibration.h"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 namespace domino::obs {
 namespace {
@@ -25,43 +25,6 @@ TEST(CalibrationCell, CoverageAndMargins) {
   EXPECT_EQ(cell.sum_margin_ns(), milliseconds(-13).nanos());
   EXPECT_EQ(cell.mean_margin_ns(), milliseconds(-13).nanos() / 4);
   EXPECT_EQ(cell.max_overshoot_ns(), milliseconds(15).nanos());
-}
-
-TEST(Calibration, TargetsKeepRegistrationOrder) {
-  const std::vector<NodeId> targets{NodeId{2}, NodeId{0}, NodeId{1}};
-  Calibration cal(NodeId{7}, targets);
-  cal.record(NodeId{1}, milliseconds(30), milliseconds(20));
-  cal.record(NodeId{2}, milliseconds(30), milliseconds(40));
-  cal.record(NodeId{2}, milliseconds(30), milliseconds(10));
-  cal.record(NodeId{99}, milliseconds(1), milliseconds(1));  // unknown: ignored
-
-  EXPECT_EQ(cal.owner(), NodeId{7});
-  EXPECT_EQ(cal.total_samples(), 3u);
-  ASSERT_NE(cal.cell(NodeId{2}), nullptr);
-  EXPECT_EQ(cal.cell(NodeId{2})->samples(), 2u);
-  EXPECT_EQ(cal.cell(NodeId{99}), nullptr);
-
-  // Rows come out in registration order and skip the sample-less target n0.
-  const auto rows = calibration_rows(cal);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].target, NodeId{2});
-  EXPECT_EQ(rows[0].samples, 2u);
-  EXPECT_EQ(rows[0].covered, 1u);
-  EXPECT_EQ(rows[1].target, NodeId{1});
-  EXPECT_DOUBLE_EQ(rows[1].coverage(), 1.0);
-}
-
-TEST(Calibration, CsvFormat) {
-  Calibration cal(NodeId{7}, {NodeId{1}});
-  cal.record(NodeId{1}, milliseconds(30), milliseconds(20));
-  cal.record(NodeId{1}, milliseconds(30), milliseconds(42));
-  const std::string csv = calibration_to_csv(calibration_rows(cal));
-  EXPECT_NE(csv.find("owner,target,samples,covered,coverage,mean_margin_ns,max_overshoot_ns"),
-            std::string::npos);
-  // margin sum = 10ms - 12ms = -2ms, mean = -1ms; overshoot max 12ms.
-  EXPECT_NE(csv.find("n7,n1,2,1,0.500000,-1000000,12000000"), std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
-  EXPECT_EQ(csv, calibration_to_csv(calibration_rows(cal)));  // deterministic
 }
 
 }  // namespace

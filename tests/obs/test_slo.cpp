@@ -45,7 +45,6 @@ TEST(SloSteadyState, LatencyRecoversAfterFault) {
   EXPECT_EQ(s.settle_window, 8u);
   EXPECT_EQ(s.time_to_steady.nanos(), (at_ms(1000) - at_ms(500)).nanos());
   EXPECT_GT(s.baseline, 0.0);
-  EXPECT_TRUE(rep.all_settled());
 }
 
 TEST(SloSteadyState, NeverRecoversWhenDegradationPersists) {
@@ -64,7 +63,6 @@ TEST(SloSteadyState, NeverRecoversWhenDegradationPersists) {
       evaluate_slo(ts, cfg, {{at_ms(500), "degrade_start", NodeId::invalid()}});
   ASSERT_EQ(rep.steady.size(), 1u);
   EXPECT_FALSE(rep.steady[0].reached);
-  EXPECT_FALSE(rep.all_settled());
 }
 
 TEST(SloSteadyState, ImprovementCountsAsSteady) {
@@ -90,8 +88,9 @@ TEST(SloSteadyState, EvaluateUntilCutsOffDrainedWindows) {
   SloConfig cfg;
   cfg.steady_metric = "lat";
   cfg.steady_windows = 2;
-  cfg.evaluate_until = at_ms(800);  // settle windows 8..9 are out of scope
-  const SloReport rep = evaluate_slo(f.ts, cfg, {{at_ms(500), "crash", NodeId{1}}});
+  // Evaluated until 800 ms: settle windows 8..9 are out of scope.
+  const SloReport rep =
+      evaluate_slo(f.ts, cfg, {{at_ms(500), "crash", NodeId{1}}}, at_ms(800));
   EXPECT_FALSE(rep.steady[0].reached);
 }
 

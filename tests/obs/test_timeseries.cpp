@@ -1,4 +1,4 @@
-// Windowed-telemetry engine: snapshot/delta known answers, padding for
+// Windowed-telemetry engine: histogram-difference known answers, padding for
 // late-registered metrics, capacity accounting, and byte-stable exports.
 #include "obs/timeseries.h"
 
@@ -15,11 +15,11 @@ TEST(HistogramDelta, RecoversExactlyTheWindowSamples) {
   Histogram h;
   h.record(10);
   h.record(20);
-  const HistogramSnapshot before = h.snapshot();
+  const Histogram before = h;
   h.record(100);
   h.record(200);
   h.record(300);
-  const HistogramDelta d(before, h.snapshot());
+  const Histogram d = h.since(before);
 
   EXPECT_EQ(d.count(), 3u);
   EXPECT_DOUBLE_EQ(d.sum(), 600.0);
@@ -35,8 +35,7 @@ TEST(HistogramDelta, RecoversExactlyTheWindowSamples) {
 TEST(HistogramDelta, EmptyWindowIsZero) {
   Histogram h;
   h.record(42);
-  const HistogramSnapshot s = h.snapshot();
-  const HistogramDelta d(s, s);
+  const Histogram d = h.since(h);
   EXPECT_TRUE(d.empty());
   EXPECT_EQ(d.percentile(99), 0);
   EXPECT_DOUBLE_EQ(d.mean(), 0.0);
