@@ -10,7 +10,7 @@
 #   scripts/check.sh --recovery   # crash-recovery suite (ctest -L recovery), sanitized
 #   scripts/check.sh --timeline   # windowed-telemetry/SLO suite (ctest -L timeline), sanitized
 #   scripts/check.sh --wan        # WAN delay-trace suite (ctest -L wan), sanitized
-#   scripts/check.sh --wire       # wire codec suite (ctest -L wire), sanitized
+#   scripts/check.sh --wire       # wire codec + dispatch suite (ctest -L wire), sanitized
 #   scripts/check.sh --store      # KV store, flat table and latency-sample suite (ctest -L store), sanitized
 #   scripts/check.sh --bench-baseline [--record]
 #                                 # run the regression-gate bench and compare it
@@ -47,8 +47,10 @@
 #             drift acceptance run; smoke-runs scripts/trace_stats.py on the
 #             checked-in fixtures under bench/traces/.
 #   --wire    wire codec: the field-list encoder/decoder, every message's
-#             recorded bytes and the codec fuzz test; ASan+UBSan check the
-#             templated decoders of untrusted bytes.
+#             recorded bytes, the codec fuzz test and rpc::Node's typed
+#             dispatch (truncated and too-short payloads are dropped, not
+#             thrown); ASan+UBSan check the templated decoders of untrusted
+#             bytes and the one decode point every node receives through.
 #   --store   key-value state and latency samples: the KV store's
 #             differential test against std::unordered_map, its catch-up
 #             round trip, the flat table under it, StatAccumulator's

@@ -199,63 +199,52 @@ void Client::on_committed(const RequestId& id, TimePoint sent_at, TimePoint comm
 }
 
 void Client::on_packet(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kProbeReply:
-      prober_.on_probe_reply(packet.src,
-                             wire::decode_message<measure::ProbeReply>(packet.payload));
-      break;
-    case wire::MessageType::kProxyReport:
-      proxy_feed_.update(wire::decode_message<measure::ProxyReport>(packet.payload));
-      break;
-    case wire::MessageType::kDfpAcceptNotice: {
-      const auto notice = wire::decode_message<DfpAcceptNotice>(packet.payload);
-      if (notice.command.id.client != id()) break;
-      if (obs::PredictionAudit* a = audit()) {
-        // Rejections matter too: they carry the realized arrival that blew
-        // the deadline (the audit validates ts against the live attempt).
-        a->note_arrival(notice.command.id, packet.src, notice.ts,
-                        notice.sender_local_time, notice.accepted);
-      }
-      auto it = dfp_pending_.find(notice.command.id);
-      if (it == dfp_pending_.end() || it->second.ts != notice.ts) break;
-      if (!notice.accepted) break;  // rejected: wait for the coordinator's slow path
-      if (++it->second.accepts >= measure::supermajority(replicas_.size())) {
-        close_wait("dfp_attempt", notice.command.id);
-        dfp_pending_.erase(it);
-        obs_fast_learns_.inc();
-        record_dfp_outcome(true);
-        if (obs::PredictionAudit* a = audit()) {
-          a->note_outcome(notice.command.id, obs::DecisionOutcome::kFastPath);
-        }
-        handle_committed(notice.command.id);
-      }
-      break;
-    }
-    case wire::MessageType::kDfpClientReply: {
-      const auto reply = wire::decode_message<DfpClientReply>(packet.payload);
-      if (const auto it = dfp_pending_.find(reply.request); it != dfp_pending_.end()) {
-        close_wait("dfp_attempt", reply.request);
-        dfp_pending_.erase(it);
-        record_dfp_outcome(false);
-      }
-      obs_slow_replies_.inc();
-      if (obs::PredictionAudit* a = audit()) {
-        a->note_outcome(reply.request, obs::DecisionOutcome::kSlowPath);
-      }
-      handle_committed(reply.request);
-      break;
-    }
-    case wire::MessageType::kDmClientReply: {
-      const auto reply = wire::decode_message<DmClientReply>(packet.payload);
-      if (obs::PredictionAudit* a = audit()) {
-        a->note_outcome(reply.request, obs::DecisionOutcome::kDmCommit);
-      }
-      handle_committed(reply.request);
-      break;
-    }
-    default:
-      break;
+  dispatch<measure::ProbeReply, measure::ProxyReport, DfpAcceptNotice, DfpClientReply,
+           DmClientReply>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
+}
+
+void Client::handle(const net::Packet& packet, const DfpAcceptNotice& notice) {
+  if (notice.command.id.client != id()) return;
+  if (obs::PredictionAudit* a = audit()) {
+    // Rejections matter too: they carry the realized arrival that blew the
+    // deadline (the audit validates ts against the live attempt).
+    a->note_arrival(notice.command.id, packet.src, notice.ts, notice.sender_local_time,
+                    notice.accepted);
   }
+  auto it = dfp_pending_.find(notice.command.id);
+  if (it == dfp_pending_.end() || it->second.ts != notice.ts) return;
+  if (!notice.accepted) return;  // rejected: wait for the coordinator's slow path
+  if (++it->second.accepts >= measure::supermajority(replicas_.size())) {
+    close_wait("dfp_attempt", notice.command.id);
+    dfp_pending_.erase(it);
+    obs_fast_learns_.inc();
+    record_dfp_outcome(true);
+    if (obs::PredictionAudit* a = audit()) {
+      a->note_outcome(notice.command.id, obs::DecisionOutcome::kFastPath);
+    }
+    handle_committed(notice.command.id);
+  }
+}
+
+void Client::handle(const net::Packet&, const DfpClientReply& reply) {
+  if (const auto it = dfp_pending_.find(reply.request); it != dfp_pending_.end()) {
+    close_wait("dfp_attempt", reply.request);
+    dfp_pending_.erase(it);
+    record_dfp_outcome(false);
+  }
+  obs_slow_replies_.inc();
+  if (obs::PredictionAudit* a = audit()) {
+    a->note_outcome(reply.request, obs::DecisionOutcome::kSlowPath);
+  }
+  handle_committed(reply.request);
+}
+
+void Client::handle(const net::Packet&, const DmClientReply& reply) {
+  if (obs::PredictionAudit* a = audit()) {
+    a->note_outcome(reply.request, obs::DecisionOutcome::kDmCommit);
+  }
+  handle_committed(reply.request);
 }
 
 }  // namespace domino::core

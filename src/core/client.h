@@ -116,6 +116,15 @@ class Client : public rpc::ClientBase {
   void on_committed(const RequestId& id, TimePoint sent_at, TimePoint committed_at) override;
 
  private:
+  void handle(const net::Packet& packet, const measure::ProbeReply& reply) {
+    prober_.on_probe_reply(packet.src, reply);
+  }
+  void handle(const net::Packet&, const measure::ProxyReport& report) {
+    proxy_feed_.update(report);
+  }
+  void handle(const net::Packet& packet, const DfpAcceptNotice& notice);
+  void handle(const net::Packet& packet, const DfpClientReply& reply);
+  void handle(const net::Packet& packet, const DmClientReply& reply);
   void propose_dfp(const sm::Command& command);
   void propose_dm(const sm::Command& command, NodeId leader);
   /// The run-wide decision-record store, or null when prediction auditing

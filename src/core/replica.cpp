@@ -80,68 +80,20 @@ Duration Replica::replication_latency_estimate() const {
 }
 
 void Replica::on_message(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kProbe:
-      handle_probe(packet);
-      break;
-    case wire::MessageType::kProbeReply:
-      prober_.on_probe_reply(packet.src,
-                             wire::decode_message<measure::ProbeReply>(packet.payload));
-      break;
-    case wire::MessageType::kDfpPropose:
-      handle_dfp_propose(packet);
-      break;
-    case wire::MessageType::kDfpAcceptNotice:
-      handle_dfp_accept_notice(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kDfpCommit:
-      handle_dfp_commit(packet.payload);
-      break;
-    case wire::MessageType::kDfpRecoveryAccept:
-      handle_dfp_recovery_accept(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kDfpRecoveryReply:
-      handle_dfp_recovery_reply(packet.payload);
-      break;
-    case wire::MessageType::kDominoHeartbeat:
-      handle_heartbeat(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kDmPropose:
-      handle_dm_propose(packet);
-      break;
-    case wire::MessageType::kDmAccept:
-      handle_dm_accept(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kDmAcceptReply:
-      handle_dm_accept_reply(packet.payload);
-      break;
-    case wire::MessageType::kDmCommit:
-      handle_dm_commit(packet.payload);
-      break;
-    case wire::MessageType::kRangeRecover:
-      handle_range_recover(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kRangeReply:
-      handle_range_reply(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kRangeResolve:
-      apply_range_resolve(wire::decode_message<RangeResolve>(packet.payload));
-      break;
-    default:
-      break;
-  }
+  dispatch<measure::Probe, measure::ProbeReply, DfpPropose, DfpAcceptNotice, DfpCommit,
+           DfpRecoveryAccept, DfpRecoveryReply, Heartbeat, DmPropose, DmAccept, DmAcceptReply,
+           DmCommit, RangeRecover, RangeReply, RangeResolve>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
 }
 
-void Replica::handle_probe(const net::Packet& packet) {
-  const auto probe = wire::decode_message<measure::Probe>(packet.payload);
+void Replica::handle(const net::Packet& packet, const measure::Probe& probe) {
   send(packet.src,
        measure::Prober::make_reply(probe, local_now(), replication_latency_estimate()));
 }
 
 // ------------------------------------------------------------ DFP acceptor
 
-void Replica::handle_dfp_propose(const net::Packet& packet) {
-  const auto msg = wire::decode_message<DfpPropose>(packet.payload);
+void Replica::handle(const net::Packet&, const DfpPropose& msg) {
   const log::LogPosition pos{msg.ts, dfp_lane()};
 
   // Accept iff our clock has not yet passed the timestamp (Section 5.3.2's
@@ -195,8 +147,7 @@ void Replica::handle_dfp_propose(const net::Packet& packet) {
   }
 }
 
-void Replica::handle_dfp_commit(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DfpCommit>(payload);
+void Replica::handle(const net::Packet&, const DfpCommit& msg) {
   const log::LogPosition pos{msg.ts, dfp_lane()};
   if (msg.is_noop) {
     // Resolve only this position. Advancing the lane watermark to ts + 1
@@ -221,19 +172,17 @@ void Replica::handle_dfp_commit(const wire::Payload& payload) {
   execute_ready();
 }
 
-void Replica::handle_dfp_recovery_accept(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DfpRecoveryAccept>(payload);
+void Replica::handle(const net::Packet& packet, const DfpRecoveryAccept& msg) {
   // Ballot 1 from the single coordinator supersedes our ballot-0 choice;
   // the durable state change lands with the DfpCommit that follows.
-  send(from, DfpRecoveryReply{msg.ts});
+  send(packet.src, DfpRecoveryReply{msg.ts});
 }
 
 // --------------------------------------------------------- DFP coordinator
 
-void Replica::handle_dfp_accept_notice(NodeId from, const wire::Payload& payload) {
+void Replica::handle(const net::Packet& packet, const DfpAcceptNotice& msg) {
   if (!is_coordinator() && !config_.all_replicas_learn) return;
-  const auto msg = wire::decode_message<DfpAcceptNotice>(payload);
-  const std::size_t from_rank = rank_of(from);
+  const std::size_t from_rank = rank_of(packet.src);
   if (from_rank < replicas_.size()) {
     note_replica_watermark(from_rank, msg.sender_local_time);
   }
@@ -390,9 +339,8 @@ void Replica::start_dfp_recovery(std::int64_t ts) {
   broadcast(DfpRecoveryAccept{ts, choice.is_noop, choice.command});
 }
 
-void Replica::handle_dfp_recovery_reply(const wire::Payload& payload) {
+void Replica::handle(const net::Packet&, const DfpRecoveryReply& msg) {
   if (!is_coordinator()) return;
-  const auto msg = wire::decode_message<DfpRecoveryReply>(payload);
   auto it = dfp_positions_.find(msg.ts);
   if (it == dfp_positions_.end() || it->second.resolved || !it->second.recovering) return;
   DfpPosition& pos = it->second;
@@ -415,7 +363,7 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
     was_fast ? obs_dfp_fast_.inc() : obs_dfp_slow_.inc();
   } else {
     obs_dfp_noops_.inc();
-    // Single-position resolution; see handle_dfp_commit for why the lane
+    // Single-position resolution; see the DfpCommit handler for why the lane
     // watermark must not jump to ts + 1 here.
     log_.resolve_as_noop(lp);
   }
@@ -487,9 +435,8 @@ std::int64_t Replica::computed_commit_frontier() const {
 
 // --------------------------------------------------------------------- DM
 
-void Replica::handle_dm_propose(const net::Packet& packet) {
+void Replica::handle(const net::Packet&, const DmPropose& msg) {
   if (catching_up()) return;  // not rejoined yet; the client's retry will land
-  const auto msg = wire::decode_message<DmPropose>(packet.payload);
   dm_lead(msg.command, /*reply_via_dfp=*/false);
 }
 
@@ -524,8 +471,7 @@ void Replica::dm_lead(const sm::Command& command, bool reply_via_dfp) {
       });
 }
 
-void Replica::handle_dm_accept(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DmAccept>(payload);
+void Replica::handle(const net::Packet& packet, const DmAccept& msg) {
   if (msg.lane >= replicas_.size()) return;
   const log::LogPosition pos{msg.ts, msg.lane};
   if (log_.is_resolved(pos) && !log_.is_committed(pos)) {
@@ -541,11 +487,12 @@ void Replica::handle_dm_accept(NodeId from, const wire::Payload& payload) {
   persistor_.persist(
       recovery::RecordTag::kAccepted,
       [&] { return wire::to_bytes(AcceptedRecord{msg.ts, msg.lane, msg.command}); },
-      [this, from, ts = msg.ts, lane = msg.lane] { send(from, DmAcceptReply{ts, lane}); });
+      [this, from = packet.src, ts = msg.ts, lane = msg.lane] {
+        send(from, DmAcceptReply{ts, lane});
+      });
 }
 
-void Replica::handle_dm_accept_reply(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DmAcceptReply>(payload);
+void Replica::handle(const net::Packet&, const DmAcceptReply& msg) {
   if (msg.lane != rank_) return;
   auto it = dm_pending_.find(msg.ts);
   if (it == dm_pending_.end()) return;
@@ -580,8 +527,7 @@ void Replica::maybe_commit_dm(std::int64_t ts) {
       });
 }
 
-void Replica::handle_dm_commit(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<DmCommit>(payload);
+void Replica::handle(const net::Packet&, const DmCommit& msg) {
   if (msg.lane >= replicas_.size()) return;
   const log::LogPosition pos{msg.ts, msg.lane};
   const auto* entry = log_.entry(pos);
@@ -689,23 +635,21 @@ void Replica::start_round(std::uint32_t lane, std::int64_t from_ts, std::int64_t
   try_finalize(lane);  // single-live-replica degenerate case
 }
 
-void Replica::handle_range_recover(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<RangeRecover>(payload);
+void Replica::handle(const net::Packet& packet, const RangeRecover& msg) {
   if (msg.lane >= log_.lane_count()) return;
   RangeReply reply{msg.lane, msg.from_ts, msg.to_ts, {}};
   for (const auto& e : log_.entries_in_range(msg.lane, msg.from_ts, msg.to_ts)) {
     reply.entries.push_back(RangeEntryWire{e.ts, e.command});
   }
-  send(from, reply);
+  send(packet.src, reply);
 }
 
-void Replica::handle_range_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<RangeReply>(payload);
+void Replica::handle(const net::Packet& packet, const RangeReply& msg) {
   auto it = rounds_.find(msg.lane);
   if (it == rounds_.end() || !it->second.active) return;
   RecoveryRound& round = it->second;
   if (msg.from_ts != round.from || msg.to_ts != round.to) return;  // stale round
-  round.replied.insert(from);
+  round.replied.insert(packet.src);
   for (const auto& e : msg.entries) round.entries.emplace(e.ts, e.command);
   try_finalize(msg.lane);
 }
@@ -934,15 +878,14 @@ void Replica::merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes
 
 // ------------------------------------------------------------------ shared
 
-void Replica::handle_heartbeat(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Heartbeat>(payload);
-  const std::size_t from_rank = rank_of(from);
+void Replica::handle(const net::Packet& packet, const Heartbeat& msg) {
+  const std::size_t from_rank = rank_of(packet.src);
   if (from_rank >= replicas_.size()) return;
   note_replica_watermark(from_rank, msg.sender_local_time);
   // The sender's clock watermark no-ops the empty positions of its DM lane.
   log_.advance_watermark(static_cast<std::uint32_t>(from_rank),
                          msg.sender_local_time.nanos());
-  if (from == coordinator_ && msg.dfp_commit_frontier > 0) {
+  if (packet.src == coordinator_ && msg.dfp_commit_frontier > 0) {
     log_.advance_watermark(dfp_lane(), msg.dfp_commit_frontier);
   }
   execute_ready();

@@ -108,14 +108,14 @@ class Replica : public recovery::Replica {
   [[nodiscard]] std::size_t rank_of(NodeId node) const;
 
   // ---- DFP acceptor ----
-  void handle_dfp_propose(const net::Packet& packet);
-  void handle_dfp_commit(const wire::Payload& payload);
-  void handle_dfp_recovery_accept(NodeId from, const wire::Payload& payload);
+  void handle(const net::Packet& packet, const DfpPropose& msg);
+  void handle(const net::Packet& packet, const DfpCommit& msg);
+  void handle(const net::Packet& packet, const DfpRecoveryAccept& msg);
 
   // ---- DFP coordinator ----
-  void handle_dfp_accept_notice(NodeId from, const wire::Payload& payload);
+  void handle(const net::Packet& packet, const DfpAcceptNotice& msg);
   void process_dfp_notice(const DfpAcceptNotice& notice);
-  void handle_dfp_recovery_reply(const wire::Payload& payload);
+  void handle(const net::Packet& packet, const DfpRecoveryReply& msg);
   void note_replica_watermark(std::size_t rank, TimePoint watermark);
   void coordinator_check(std::int64_t ts);
   void start_dfp_recovery(std::int64_t ts);
@@ -124,10 +124,10 @@ class Replica : public recovery::Replica {
   [[nodiscard]] std::int64_t computed_commit_frontier() const;
 
   // ---- DM ----
-  void handle_dm_propose(const net::Packet& packet);
-  void handle_dm_accept(NodeId from, const wire::Payload& payload);
-  void handle_dm_accept_reply(const wire::Payload& payload);
-  void handle_dm_commit(const wire::Payload& payload);
+  void handle(const net::Packet& packet, const DmPropose& msg);
+  void handle(const net::Packet& packet, const DmAccept& msg);
+  void handle(const net::Packet& packet, const DmAcceptReply& msg);
+  void handle(const net::Packet& packet, const DmCommit& msg);
   void dm_lead(const sm::Command& command, bool reply_via_dfp);
   void maybe_commit_dm(std::int64_t ts);
 
@@ -137,16 +137,20 @@ class Replica : public recovery::Replica {
   [[nodiscard]] bool round_due(std::uint32_t lane);
   void start_dfp_round(std::int64_t from_ts);
   void start_round(std::uint32_t lane, std::int64_t from_ts, std::int64_t to_ts);
-  void handle_range_recover(NodeId from, const wire::Payload& payload);
-  void handle_range_reply(NodeId from, const wire::Payload& payload);
+  void handle(const net::Packet& packet, const RangeRecover& msg);
+  void handle(const net::Packet& packet, const RangeReply& msg);
   void try_finalize(std::uint32_t lane);
   void settle_dfp_positions(std::int64_t from_ts, std::int64_t to_ts,
                             const std::map<std::int64_t, sm::Command>& entries);
   void apply_range_resolve(const RangeResolve& resolve);
+  void handle(const net::Packet&, const RangeResolve& resolve) { apply_range_resolve(resolve); }
 
   // ---- shared ----
-  void handle_heartbeat(NodeId from, const wire::Payload& payload);
-  void handle_probe(const net::Packet& packet);
+  void handle(const net::Packet& packet, const Heartbeat& msg);
+  void handle(const net::Packet& packet, const measure::Probe& probe);
+  void handle(const net::Packet& packet, const measure::ProbeReply& reply) {
+    prober_.on_probe_reply(packet.src, reply);
+  }
   void broadcast_heartbeat();
   void execute_ready();
   /// Durable kCommitted record for `pos`: a no-op, or a commit of `command`

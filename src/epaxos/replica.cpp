@@ -40,28 +40,8 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
 }
 
 void Replica::on_message(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kEpaxosClientRequest:
-      handle_client_request(packet);
-      break;
-    case wire::MessageType::kEpaxosPreAccept:
-      handle_preaccept(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kEpaxosPreAcceptReply:
-      handle_preaccept_reply(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kEpaxosAccept:
-      handle_accept(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kEpaxosAcceptReply:
-      handle_accept_reply(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kEpaxosCommit:
-      handle_commit(packet.payload);
-      break;
-    default:
-      break;
-  }
+  dispatch<ClientRequest, PreAccept, PreAcceptReply, Accept, AcceptReply, Commit>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
 }
 
 std::size_t Replica::rank_of(NodeId owner) const {
@@ -88,9 +68,8 @@ void Replica::note_writer(std::string_view key, const InstanceId& inst, std::uin
   if (fresh || writer->seq < seq) *writer = {inst, seq};
 }
 
-void Replica::handle_client_request(const net::Packet& packet) {
+void Replica::handle(const net::Packet&, const ClientRequest& req) {
   if (catching_up()) return;  // not rejoined yet; the client's retry will land
-  const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const InstanceId inst{id(), next_instance_++};
   auto [seq, deps] = attributes_for(req.command, inst);
   instances_[inst] = Instance{req.command, seq, deps, Status::kPreAccepted};
@@ -113,8 +92,7 @@ void Replica::handle_client_request(const net::Packet& packet) {
       });
 }
 
-void Replica::handle_preaccept(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<PreAccept>(payload);
+void Replica::handle(const net::Packet& packet, const PreAccept& msg) {
   std::uint64_t seq = msg.seq;
   DepList deps = msg.deps;
   auto [writer, fresh] = key_table_.try_emplace(msg.command.key);
@@ -139,25 +117,24 @@ void Replica::handle_preaccept(NodeId from, const wire::Payload& payload) {
         return wire::to_bytes(InstanceRecord{msg.instance, msg.command, seq, deps,
                                              Status::kPreAccepted, std::nullopt});
       },
-      [this, from, inst = msg.instance, seq, deps] {
+      [this, from = packet.src, inst = msg.instance, seq, deps] {
         send(from, PreAcceptReply{inst, seq, deps});
       });
 }
 
-void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<PreAcceptReply>(payload);
+void Replica::handle(const net::Packet& packet, const PreAcceptReply& msg) {
   auto book_it = leading_.find(msg.instance);
   if (book_it == leading_.end()) return;
   LeaderBook& book = book_it->second;
   if (book.in_accept_phase) return;
   auto inst_it = instances_.find(msg.instance);
   if (inst_it == instances_.end() || inst_it->second.status != Status::kPreAccepted) return;
-  if (std::find(book.preaccept_acks.begin(), book.preaccept_acks.end(), from) !=
+  if (std::find(book.preaccept_acks.begin(), book.preaccept_acks.end(), packet.src) !=
       book.preaccept_acks.end()) {
     return;  // duplicate reply (re-broadcast after a restart)
   }
 
-  book.preaccept_acks.push_back(from);
+  book.preaccept_acks.push_back(packet.src);
   if (msg.seq != book.seq || !same_deps(msg.deps, book.deps)) {
     book.attributes_changed = true;
     book.seq = std::max(book.seq, msg.seq);
@@ -206,8 +183,7 @@ void Replica::handle_preaccept_reply(NodeId from, const wire::Payload& payload) 
       });
 }
 
-void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Accept>(payload);
+void Replica::handle(const net::Packet& packet, const Accept& msg) {
   auto it = instances_.find(msg.instance);
   if (compacted(msg.instance)) {
     // Executed and compacted: a late retransmission; just re-ack.
@@ -225,20 +201,19 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
         return wire::to_bytes(InstanceRecord{msg.instance, msg.command, msg.seq, msg.deps,
                                              Status::kAccepted, std::nullopt});
       },
-      [this, from, inst = msg.instance] { send(from, AcceptReply{inst}); });
+      [this, from = packet.src, inst = msg.instance] { send(from, AcceptReply{inst}); });
 }
 
-void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<AcceptReply>(payload);
+void Replica::handle(const net::Packet& packet, const AcceptReply& msg) {
   auto book_it = leading_.find(msg.instance);
   if (book_it == leading_.end()) return;
   LeaderBook& book = book_it->second;
   if (!book.in_accept_phase) return;
-  if (std::find(book.accept_acks.begin(), book.accept_acks.end(), from) !=
+  if (std::find(book.accept_acks.begin(), book.accept_acks.end(), packet.src) !=
       book.accept_acks.end()) {
     return;  // duplicate reply (re-broadcast after a restart)
   }
-  book.accept_acks.push_back(from);
+  book.accept_acks.push_back(packet.src);
   if (book.accept_acks.size() + 1 < measure::majority(replicas_.size())) return;
 
   auto inst_it = instances_.find(msg.instance);
@@ -261,8 +236,7 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
       });
 }
 
-void Replica::handle_commit(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Commit>(payload);
+void Replica::handle(const net::Packet&, const Commit& msg) {
   commit_instance(msg.instance, msg.command, msg.seq, msg.deps, /*announce=*/false);
   // Nothing is externalized on this path, so the persist is fire-and-forget.
   persistor_.persist(recovery::RecordTag::kCommitted, [&] {

@@ -121,12 +121,12 @@ class Replica : public recovery::Replica {
     NodeId client;
   };
 
-  void handle_client_request(const net::Packet& packet);
-  void handle_preaccept(NodeId from, const wire::Payload& payload);
-  void handle_preaccept_reply(NodeId from, const wire::Payload& payload);
-  void handle_accept(NodeId from, const wire::Payload& payload);
-  void handle_accept_reply(NodeId from, const wire::Payload& payload);
-  void handle_commit(const wire::Payload& payload);
+  void handle(const net::Packet& packet, const ClientRequest& req);
+  void handle(const net::Packet& packet, const PreAccept& msg);
+  void handle(const net::Packet& packet, const PreAcceptReply& msg);
+  void handle(const net::Packet& packet, const Accept& msg);
+  void handle(const net::Packet& packet, const AcceptReply& msg);
+  void handle(const net::Packet& packet, const Commit& msg);
 
   /// Compute (seq, deps) for `cmd` against the local interference table and
   /// record `inst` as the latest writer of its key.

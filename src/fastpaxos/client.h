@@ -26,30 +26,26 @@ class Client : public rpc::ClientBase {
   }
 
   void on_packet(const net::Packet& packet) override {
-    switch (wire::peek_type(packet.payload)) {
-      case wire::MessageType::kFastPaxosAcceptNotice: {
-        const auto notice = wire::decode_message<AcceptNotice>(packet.payload);
-        if (notice.command.id.client != id()) return;
-        const std::size_t count = ++tallies_[notice.command.id][notice.index];
-        if (count >= measure::supermajority(replicas_.size())) {
-          tallies_.erase(notice.command.id);
-          ++fast_learns_;
-          handle_committed(notice.command.id);
-        }
-        break;
-      }
-      case wire::MessageType::kFastPaxosClientReply: {
-        const auto reply = wire::decode_message<ClientReply>(packet.payload);
-        tallies_.erase(reply.request);
-        handle_committed(reply.request);
-        break;
-      }
-      default:
-        break;
-    }
+    dispatch<AcceptNotice, ClientReply>(
+        packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
   }
 
  private:
+  void handle(const net::Packet&, const AcceptNotice& notice) {
+    if (notice.command.id.client != id()) return;
+    const std::size_t count = ++tallies_[notice.command.id][notice.index];
+    if (count >= measure::supermajority(replicas_.size())) {
+      tallies_.erase(notice.command.id);
+      ++fast_learns_;
+      handle_committed(notice.command.id);
+    }
+  }
+
+  void handle(const net::Packet&, const ClientReply& reply) {
+    tallies_.erase(reply.request);
+    handle_committed(reply.request);
+  }
+
   std::vector<NodeId> replicas_;
   // request -> (index -> acceptance count)
   std::unordered_map<RequestId, std::unordered_map<std::uint64_t, std::size_t>> tallies_;

@@ -20,32 +20,14 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
 }
 
 void Replica::on_message(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kFastPaxosClientRequest:
-      handle_client_request(packet);
-      break;
-    case wire::MessageType::kFastPaxosAcceptNotice:
-      handle_accept_notice(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kFastPaxosRecoveryAccept:
-      handle_recovery_accept(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kFastPaxosRecoveryReply:
-      handle_recovery_reply(packet.payload);
-      break;
-    case wire::MessageType::kFastPaxosCommit:
-      handle_commit(packet.payload);
-      break;
-    default:
-      break;
-  }
+  dispatch<ClientRequest, AcceptNotice, RecoveryAccept, RecoveryReply, Commit>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
 }
 
 // ---------------------------------------------------------------- acceptor
 
-void Replica::handle_client_request(const net::Packet& packet) {
+void Replica::handle(const net::Packet&, const ClientRequest& req) {
   if (catching_up()) return;  // not rejoined yet; the client's retry will land
-  const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const RequestId rid = req.command.id;
 
   if (executed_.contains(rid)) {
@@ -86,15 +68,13 @@ void Replica::handle_client_request(const net::Packet& packet) {
       });
 }
 
-void Replica::handle_recovery_accept(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<RecoveryAccept>(payload);
+void Replica::handle(const net::Packet& packet, const RecoveryAccept& msg) {
   // Ballot 1 from the (only) coordinator always supersedes the ballot-0
   // acceptance; the actual log update happens on Commit.
-  send(from, RecoveryReply{msg.index});
+  send(packet.src, RecoveryReply{msg.index});
 }
 
-void Replica::handle_commit(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Commit>(payload);
+void Replica::handle(const net::Packet&, const Commit& msg) {
   if (msg.is_noop) {
     log_.skip(msg.index, msg.index);
   } else {
@@ -107,18 +87,17 @@ void Replica::handle_commit(const wire::Payload& payload) {
 
 // ------------------------------------------------------------- coordinator
 
-void Replica::handle_accept_notice(NodeId from, const wire::Payload& payload) {
+void Replica::handle(const net::Packet& packet, const AcceptNotice& msg) {
   if (!is_coordinator()) return;
-  const auto msg = wire::decode_message<AcceptNotice>(payload);
   if (decided(msg.index)) {
     // Late report for a decided position, whose tally may be gone. Re-send
     // the decision to the reporter: if it is a recovering acceptor retrying
     // a request whose Commit died with a crash, this is what unblocks its
     // log.
     if (log_.is_skipped(msg.index)) {
-      send(from, Commit{msg.index, /*is_noop=*/true, {}});
+      send(packet.src, Commit{msg.index, /*is_noop=*/true, {}});
     } else if (msg.index < decided_commands_.size()) {
-      send(from, Commit{msg.index, /*is_noop=*/false, decided_commands_[msg.index]});
+      send(packet.src, Commit{msg.index, /*is_noop=*/false, decided_commands_[msg.index]});
     }
     // If this request lost, get it re-proposed.
     if (!committed_.contains(msg.command.id)) {
@@ -127,7 +106,7 @@ void Replica::handle_accept_notice(NodeId from, const wire::Payload& payload) {
     return;
   }
   // Undecided, so creating the tally here cannot re-open a position.
-  tallies_[msg.index].reports[from] = msg.command;
+  tallies_[msg.index].reports[packet.src] = msg.command;
   maybe_resolve(msg.index);
 }
 
@@ -222,9 +201,8 @@ void Replica::start_recovery(std::uint64_t index) {
   broadcast(RecoveryAccept{index, choice.is_noop, choice.command});
 }
 
-void Replica::handle_recovery_reply(const wire::Payload& payload) {
+void Replica::handle(const net::Packet&, const RecoveryReply& msg) {
   if (!is_coordinator()) return;
-  const auto msg = wire::decode_message<RecoveryReply>(payload);
   auto it = tallies_.find(msg.index);
   if (it == tallies_.end() || decided(msg.index) || !it->second.recovering) return;
   Tally& tally = it->second;

@@ -59,13 +59,13 @@ class Replica : public recovery::Replica {
 
  private:
   // ---- acceptor side ----
-  void handle_client_request(const net::Packet& packet);
-  void handle_recovery_accept(NodeId from, const wire::Payload& payload);
-  void handle_commit(const wire::Payload& payload);
+  void handle(const net::Packet& packet, const ClientRequest& req);
+  void handle(const net::Packet& packet, const RecoveryAccept& msg);
+  void handle(const net::Packet& packet, const Commit& msg);
 
   // ---- coordinator side ----
-  void handle_accept_notice(NodeId from, const wire::Payload& payload);
-  void handle_recovery_reply(const wire::Payload& payload);
+  void handle(const net::Packet& packet, const AcceptNotice& msg);
+  void handle(const net::Packet& packet, const RecoveryReply& msg);
   void maybe_resolve(std::uint64_t index);
   void start_recovery(std::uint64_t index);
   void finish_commit(std::uint64_t index, bool is_noop, const sm::Command& command,

@@ -27,18 +27,17 @@ ProxyReport Proxy::snapshot() const {
 }
 
 void Proxy::on_packet(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kProbeReply:
-      prober_.on_probe_reply(packet.src,
-                             wire::decode_message<ProbeReply>(packet.payload));
-      break;
-    case wire::MessageType::kProxyQuery:
-      ++queries_served_;
-      send(packet.src, snapshot());
-      break;
-    default:
-      break;
-  }
+  dispatch<ProbeReply, ProxyQuery>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
+}
+
+void Proxy::handle(const net::Packet& packet, const ProbeReply& reply) {
+  prober_.on_probe_reply(packet.src, reply);
+}
+
+void Proxy::handle(const net::Packet& packet, const ProxyQuery&) {
+  ++queries_served_;
+  send(packet.src, snapshot());
 }
 
 void ProxyFeed::update(const ProxyReport& report) {
@@ -46,7 +45,6 @@ void ProxyFeed::update(const ProxyReport& report) {
   for (const auto& e : report.entries) table_[e.replica] = e;
   last_update_ = owner_.true_now();
   ever_updated_ = true;
-  ++updates_;
 }
 
 bool ProxyFeed::fresh() const {

@@ -72,6 +72,9 @@ class Proxy : public rpc::Node {
   void on_packet(const net::Packet& packet) override;
 
  private:
+  void handle(const net::Packet& packet, const ProbeReply& reply);
+  void handle(const net::Packet& packet, const ProxyQuery& query);
+
   std::vector<NodeId> replicas_;
   Prober prober_;
   std::uint64_t queries_served_ = 0;
@@ -99,7 +102,6 @@ class ProxyFeed final : public LatencyView {
   [[nodiscard]] double default_percentile() const override { return percentile_; }
 
   [[nodiscard]] bool fresh() const;
-  [[nodiscard]] std::uint64_t updates_received() const { return updates_; }
 
  private:
   rpc::Node& owner_;
@@ -108,7 +110,6 @@ class ProxyFeed final : public LatencyView {
   std::unordered_map<NodeId, ProxyReport::Entry> table_;
   TimePoint last_update_;
   bool ever_updated_ = false;
-  std::uint64_t updates_ = 0;
 };
 
 }  // namespace domino::measure

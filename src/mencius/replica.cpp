@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "mencius/messages.h"
-
 namespace domino::mencius {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
@@ -36,33 +34,12 @@ std::uint64_t Replica::next_owned_at_or_after(std::size_t rank, std::uint64_t at
 }
 
 void Replica::on_message(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kMenciusClientRequest:
-      handle_client_request(packet);
-      break;
-    case wire::MessageType::kMenciusAccept:
-      handle_accept(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kMenciusAcceptReply:
-      handle_accept_reply(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kMenciusCommit:
-      handle_commit(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kMenciusCommitAck:
-      handle_commit_ack(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kMenciusSkip:
-      handle_skip(packet.src, packet.payload);
-      break;
-    default:
-      break;
-  }
+  dispatch<ClientRequest, Accept, AcceptReply, Commit, CommitAck, Skip>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
 }
 
-void Replica::handle_client_request(const net::Packet& packet) {
+void Replica::handle(const net::Packet&, const ClientRequest& req) {
   if (catching_up()) return;  // not rejoined yet; the client's retry will land
-  const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const std::uint64_t p = next_own_index_;
   next_own_index_ = p + replicas_.size();
   obs_proposals_.inc();
@@ -85,8 +62,7 @@ void Replica::handle_client_request(const net::Packet& packet) {
       });
 }
 
-void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Accept>(payload);
+void Replica::handle(const net::Packet& packet, const Accept& msg) {
   const std::size_t owner = owner_of(msg.index);
   apply_skip_frontier(owner, msg.skip_through);
   if (!log_.is_committed(msg.index)) log_.accept(msg.index, msg.command);
@@ -103,15 +79,14 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
         return wire::to_bytes(
             recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt});
       },
-      [this, from, index = msg.index] {
+      [this, from = packet.src, index = msg.index] {
         send(from, AcceptReply{index, safe_skip_frontier(from)});
       });
   execute_ready();
 }
 
-void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<AcceptReply>(payload);
-  const auto from_it = std::find(replicas_.begin(), replicas_.end(), from);
+void Replica::handle(const net::Packet& packet, const AcceptReply& msg) {
+  const auto from_it = std::find(replicas_.begin(), replicas_.end(), packet.src);
   if (from_it != replicas_.end()) {
     apply_skip_frontier(static_cast<std::size_t>(from_it - replicas_.begin()),
                         msg.skip_through);
@@ -119,7 +94,7 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
   auto it = pending_.find(msg.index);
   if (it != pending_.end() && !it->second.committed) {
     auto& acked = it->second.acked;
-    if (std::find(acked.begin(), acked.end(), from) == acked.end()) acked.push_back(from);
+    if (std::ranges::find(acked, packet.src) == acked.end()) acked.push_back(packet.src);
     if (acked.size() + 1 >= measure::majority(replicas_.size())) {
       it->second.committed = true;
       it->second.last_sent = true_now();
@@ -147,8 +122,7 @@ void Replica::handle_accept_reply(NodeId from, const wire::Payload& payload) {
   execute_ready();
 }
 
-void Replica::handle_commit(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Commit>(payload);
+void Replica::handle(const net::Packet& packet, const Commit& msg) {
   // The command rides on the Commit, so a replica that missed the Accept
   // (dropped while it was crashed or partitioned) still materializes the
   // entry; a hole here would stall its execution frontier forever.
@@ -159,22 +133,20 @@ void Replica::handle_commit(NodeId from, const wire::Payload& payload) {
   persistor_.persist(
       recovery::RecordTag::kCommitted,
       [&] { return wire::to_bytes(msg); },
-      [this, from, index = msg.index] { send(from, CommitAck{index}); });
+      [this, from = packet.src, index = msg.index] { send(from, CommitAck{index}); });
   execute_ready();
 }
 
-void Replica::handle_commit_ack(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<CommitAck>(payload);
+void Replica::handle(const net::Packet& packet, const CommitAck& msg) {
   const auto it = pending_.find(msg.index);
   if (it == pending_.end() || !it->second.committed) return;
   auto& acked = it->second.commit_acked;
-  if (std::find(acked.begin(), acked.end(), from) == acked.end()) acked.push_back(from);
+  if (std::ranges::find(acked, packet.src) == acked.end()) acked.push_back(packet.src);
   if (acked.size() + 1 >= replicas_.size()) pending_.erase(it);
 }
 
-void Replica::handle_skip(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Skip>(payload);
-  const auto from_it = std::find(replicas_.begin(), replicas_.end(), from);
+void Replica::handle(const net::Packet& packet, const Skip& msg) {
+  const auto from_it = std::find(replicas_.begin(), replicas_.end(), packet.src);
   if (from_it == replicas_.end()) return;
   apply_skip_frontier(static_cast<std::size_t>(from_it - replicas_.begin()),
                       msg.skip_through);

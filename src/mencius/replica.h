@@ -16,6 +16,7 @@
 
 #include "log/index_log.h"
 #include "measure/quorum.h"
+#include "mencius/messages.h"
 #include "recovery/replica.h"
 
 namespace domino::mencius {
@@ -52,12 +53,12 @@ class Replica : public recovery::Replica {
   [[nodiscard]] std::uint64_t next_owned_at_or_after(std::size_t rank,
                                                      std::uint64_t at_least) const;
 
-  void handle_client_request(const net::Packet& packet);
-  void handle_accept(NodeId from, const wire::Payload& payload);
-  void handle_accept_reply(NodeId from, const wire::Payload& payload);
-  void handle_commit(NodeId from, const wire::Payload& payload);
-  void handle_commit_ack(NodeId from, const wire::Payload& payload);
-  void handle_skip(NodeId from, const wire::Payload& payload);
+  void handle(const net::Packet& packet, const ClientRequest& req);
+  void handle(const net::Packet& packet, const Accept& msg);
+  void handle(const net::Packet& packet, const AcceptReply& msg);
+  void handle(const net::Packet& packet, const Commit& msg);
+  void handle(const net::Packet& packet, const CommitAck& msg);
+  void handle(const net::Packet& packet, const Skip& msg);
 
   /// The largest own-lane frontier that is safe to advertise to `peer`:
   /// every used owned instance below it has been acknowledged by that peer

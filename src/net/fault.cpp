@@ -280,10 +280,6 @@ void FaultInjector::route_change(std::size_t from_dc, std::size_t to_dc,
                    new_base.nanos());
 }
 
-bool FaultInjector::is_partitioned(std::size_t from_dc, std::size_t to_dc) const {
-  return partitioned_[link_index(from_dc, to_dc)];
-}
-
 DropReason FaultInjector::drop_reason(NodeId src, std::size_t src_dc, NodeId dst,
                                       std::size_t dst_dc) const {
   if (crashed_.contains(src)) return DropReason::kCrashedSource;

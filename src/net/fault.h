@@ -145,7 +145,6 @@ class FaultInjector {
   }
 
   [[nodiscard]] bool is_crashed(NodeId node) const { return crashed_.contains(node); }
-  [[nodiscard]] bool is_partitioned(std::size_t from_dc, std::size_t to_dc) const;
 
   /// The drop decision for a packet src(@src_dc) -> dst(@dst_dc).
   [[nodiscard]] DropReason drop_reason(NodeId src, std::size_t src_dc, NodeId dst,

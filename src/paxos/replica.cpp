@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "paxos/messages.h"
-
 namespace domino::paxos {
 
 Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
@@ -17,28 +15,13 @@ Replica::Replica(NodeId id, std::size_t dc, rpc::Context& context,
 }
 
 void Replica::on_message(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kPaxosClientRequest:
-      handle_client_request(packet);
-      break;
-    case wire::MessageType::kPaxosAccept:
-      handle_accept(packet.src, packet.payload);
-      break;
-    case wire::MessageType::kPaxosAcceptReply:
-      handle_accept_reply(packet.payload);
-      break;
-    case wire::MessageType::kPaxosCommit:
-      handle_commit(packet.payload);
-      break;
-    default:
-      break;  // not a Multi-Paxos message; ignore
-  }
+  dispatch<ClientRequest, Accept, AcceptReply, Commit>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
 }
 
-void Replica::handle_client_request(const net::Packet& packet) {
+void Replica::handle(const net::Packet&, const ClientRequest& req) {
   if (!is_leader()) return;  // clients are configured to talk to the leader only
   if (catching_up()) return;  // not rejoined yet; the client's retry will land
-  const auto req = wire::decode_message<ClientRequest>(packet.payload);
   const std::uint64_t index = next_index_++;
   log_.accept(index, req.command);
   accept_counts_[index] = 1;  // self-accept
@@ -54,12 +37,11 @@ void Replica::handle_client_request(const net::Packet& packet) {
       [this, index, command] { broadcast(Accept{index, command}); });
 }
 
-void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Accept>(payload);
+void Replica::handle(const net::Packet& packet, const Accept& msg) {
   if (log_.is_committed(msg.index)) {
     // Re-proposal from a restarted leader for an entry this follower already
     // learned committed: the promise is already durable, just re-ack.
-    send(from, AcceptReply{msg.index});
+    send(packet.src, AcceptReply{msg.index});
     return;
   }
   log_.accept(msg.index, msg.command);
@@ -70,12 +52,11 @@ void Replica::handle_accept(NodeId from, const wire::Payload& payload) {
         return wire::to_bytes(
             recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt});
       },
-      [this, from, index = msg.index] { send(from, AcceptReply{index}); });
+      [this, from = packet.src, index = msg.index] { send(from, AcceptReply{index}); });
 }
 
-void Replica::handle_accept_reply(const wire::Payload& payload) {
+void Replica::handle(const net::Packet&, const AcceptReply& msg) {
   if (!is_leader()) return;
-  const auto msg = wire::decode_message<AcceptReply>(payload);
   auto it = accept_counts_.find(msg.index);
   if (it == accept_counts_.end()) return;  // already committed
   if (++it->second < measure::majority(replicas_.size())) return;
@@ -110,8 +91,7 @@ void Replica::handle_accept_reply(const wire::Payload& payload) {
   execute_ready();
 }
 
-void Replica::handle_commit(const wire::Payload& payload) {
-  const auto msg = wire::decode_message<Commit>(payload);
+void Replica::handle(const net::Packet&, const Commit& msg) {
   // The command rides on the Commit, so a follower that missed the Accept
   // (dropped while it was crashed or partitioned) still materializes the
   // entry instead of carrying a permanent hole.

@@ -13,6 +13,7 @@
 #include "log/index_log.h"
 #include "measure/prober.h"
 #include "measure/quorum.h"
+#include "paxos/messages.h"
 #include "recovery/replica.h"
 
 namespace domino::paxos {
@@ -39,10 +40,10 @@ class Replica : public recovery::Replica {
   void merge_catchup(const recovery::CatchupReply& msg, std::size_t bytes) override;
 
  private:
-  void handle_client_request(const net::Packet& packet);
-  void handle_accept(NodeId from, const wire::Payload& payload);
-  void handle_accept_reply(const wire::Payload& payload);
-  void handle_commit(const wire::Payload& payload);
+  void handle(const net::Packet& packet, const ClientRequest& req);
+  void handle(const net::Packet& packet, const Accept& msg);
+  void handle(const net::Packet& packet, const AcceptReply& msg);
+  void handle(const net::Packet& packet, const Commit& msg);
   void execute_ready();
 
   NodeId leader_;

@@ -23,32 +23,29 @@ void Replica::restart() {
 }
 
 void Replica::on_packet(const net::Packet& packet) {
-  switch (wire::peek_type(packet.payload)) {
-    case wire::MessageType::kCatchupRequest: {
-      // The executed state, in the store's iteration order; the protocol
-      // adds its frontier, watermarks and entries.
-      CatchupReply reply;
-      reply.epoch = wire::decode_message<CatchupRequest>(packet.payload).epoch;
-      reply.applied = store_.applied_count();
-      reply.snapshot.reserve(store_.size());
-      store_.for_each([&reply](std::string_view key, std::string_view value) {
-        reply.snapshot.push_back(KvEntry{std::string(key), std::string(value)});
-      });
-      fill_catchup(reply);
-      send(packet.src, reply);
-      break;
-    }
-    case wire::MessageType::kCatchupReply: {
-      const auto reply = wire::decode_message<CatchupReply>(packet.payload);
-      if (reply.epoch != persistor_.epoch()) return;  // reply to an older incarnation
-      merge_catchup(reply, packet.payload.size());
-      if (persistor_.finish_rejoin()) on_rejoined();
-      break;
-    }
-    default:
-      on_message(packet);
-      break;
-  }
+  const bool handled = dispatch<CatchupRequest, CatchupReply>(
+      packet, [this](const net::Packet& p, const auto& msg) { handle(p, msg); });
+  if (!handled) on_message(packet);
+}
+
+void Replica::handle(const net::Packet& packet, const CatchupRequest& request) {
+  // The executed state, in the store's iteration order; the protocol adds
+  // its frontier, watermarks and entries.
+  CatchupReply reply;
+  reply.epoch = request.epoch;
+  reply.applied = store_.applied_count();
+  reply.snapshot.reserve(store_.size());
+  store_.for_each([&reply](std::string_view key, std::string_view value) {
+    reply.snapshot.push_back(KvEntry{std::string(key), std::string(value)});
+  });
+  fill_catchup(reply);
+  send(packet.src, reply);
+}
+
+void Replica::handle(const net::Packet& packet, const CatchupReply& reply) {
+  if (reply.epoch != persistor_.epoch()) return;  // reply to an older incarnation
+  merge_catchup(reply, packet.payload.size());
+  if (persistor_.finish_rejoin()) on_rejoined();
 }
 
 void Replica::execute(const sm::Command& command) {

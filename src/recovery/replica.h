@@ -97,6 +97,9 @@ class Replica : public rpc::Node {
   Persistor persistor_;
 
  private:
+  void handle(const net::Packet& packet, const CatchupRequest& request);
+  void handle(const net::Packet& packet, const CatchupReply& reply);
+
   sm::KvStore store_;
   ExecuteHook exec_hook_;
   obs::CounterHandle obs_executed_;

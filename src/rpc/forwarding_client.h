@@ -22,8 +22,9 @@ class ForwardingClient : public ClientBase {
   void propose(const sm::Command& command) override { send(replica_, Request{command}); }
 
   void on_packet(const net::Packet& packet) override {
-    if (wire::peek_type(packet.payload) != Reply::kType) return;
-    handle_committed(wire::decode_message<Reply>(packet.payload).request);
+    dispatch<Reply>(packet, [this](const net::Packet&, const Reply& reply) {
+      handle_committed(reply.request);
+    });
   }
 
  private:

@@ -16,22 +16,38 @@ void Node::attach() {
   if (attached_) throw std::logic_error("Node::attach called twice");
   attached_ = true;
   context_.register_node(id_, dc_, [this](const net::Packet& pkt) {
-    if (obs_.metrics != nullptr) instrument_recv(pkt);
-    if (obs_.spans != nullptr) {
-      const wire::TraceContextWire ctx = wire::peek_trace_context(pkt.payload);
-      if (ctx.valid()) {
-        dispatch_traced(pkt, ctx);
-        return;
-      }
-      clear_active_span();
+    if (obs_.metrics == nullptr && obs_.spans == nullptr) {
+      on_packet(pkt);  // dispatch() drops a malformed payload
+      return;
     }
+    wire::MessageType type{};
+    wire::TraceContextWire ctx;
+    try {
+      type = wire::peek_type(pkt.payload);
+      if (obs_.spans != nullptr) ctx = wire::peek_trace_context(pkt.payload);
+    } catch (const wire::WireError&) {
+      drop_malformed();
+      return;
+    }
+    if (obs_.metrics != nullptr) instrument_recv(type);
+    if (ctx.valid()) {
+      dispatch_traced(pkt, type, ctx);
+      return;
+    }
+    if (obs_.spans != nullptr) clear_active_span();
     on_packet(pkt);
   });
 }
 
-void Node::dispatch_traced(const net::Packet& pkt, const wire::TraceContextWire& ctx) {
+void Node::drop_malformed() {
+  // Bound lazily, so a run that drops nothing exports no such counter.
+  if (obs_malformed_.value() == 0) obs_malformed_ = obs_.counter("rpc.malformed_dropped");
+  obs_malformed_.inc();
+}
+
+void Node::dispatch_traced(const net::Packet& pkt, wire::MessageType type,
+                           const wire::TraceContextWire& ctx) {
   obs::SpanStore& spans = *obs_.spans;
-  const wire::MessageType type = wire::peek_type(pkt.payload);
   const TimePoint now = context_.now();
   const std::int32_t edge =
       spans.add_edge(ctx.trace_id, ctx.span_id, pkt.src, id_, pkt.sent_at, now,
@@ -93,9 +109,8 @@ void Node::instrument_send(wire::MessageType type, std::size_t bytes) {
   obs_sent_bytes_[tag].record(static_cast<std::int64_t>(bytes));
 }
 
-void Node::instrument_recv(const net::Packet& packet) {
+void Node::instrument_recv(wire::MessageType type) {
   obs_received_.inc();
-  const wire::MessageType type = wire::peek_type(packet.payload);
   const auto tag = static_cast<std::size_t>(type);
   if (tag >= wire::kMaxMessageTypeTag) return;
   if (!obs_recv_init_[tag]) {

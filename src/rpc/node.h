@@ -5,10 +5,12 @@
 // clock, and a receive dispatch point, all over an abstract rpc::Context —
 // net::Network (the deterministic simulator) for evaluation or
 // net::tcp::TcpContext (real TCP sockets) for deployment. Derived classes
-// implement on_packet(), peeking the envelope tag and decoding the message.
-// Sending always serializes through the wire codec.
+// implement on_packet() with one dispatch<...>() call that lists the message
+// structs they take; each struct's kType is the only place its wire tag is
+// named. Sending always serializes through the wire codec.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <concepts>
 #include <functional>
@@ -84,10 +86,32 @@ class Node {
   [[nodiscard]] Context& context() { return context_; }
   [[nodiscard]] const Context& context() const { return context_; }
 
+  /// Payloads dropped because they were too short for an envelope or their
+  /// body did not decode (also counted in rpc.malformed_dropped).
+  [[nodiscard]] std::uint64_t malformed_dropped() const { return obs_malformed_.value(); }
+
  protected:
   /// Called (on the transport's thread / in virtual time) for every
   /// delivered packet.
   virtual void on_packet(const net::Packet& packet) = 0;
+
+  /// Decode `packet` as whichever of `Ms` its envelope tag names and call
+  /// `handler(packet, msg)`. Returns false, calling nothing, when no listed
+  /// struct's kType matches. A malformed payload (too short for a tag, or a
+  /// matched body that does not decode) is dropped and counted instead of
+  /// throwing: the handler is not called and the result is true.
+  template <typename... Ms, typename Handler>
+  bool dispatch(const net::Packet& packet, Handler&& handler) {
+    static_assert(distinct_tags<Ms...>(), "two listed message structs share a kType");
+    wire::MessageType type{};
+    try {
+      type = wire::peek_type(packet.payload);
+    } catch (const wire::WireError&) {
+      drop_malformed();
+      return true;
+    }
+    return ((type == Ms::kType && (decode_and_handle<Ms>(packet, handler), true)) || ...);
+  }
 
   /// The span context outgoing messages are stamped with. Set automatically
   /// while handling a traced packet; ClientBase sets it around proposals.
@@ -125,11 +149,35 @@ class Node {
   void close_waits();
 
  private:
+  template <typename... Ms>
+  static constexpr bool distinct_tags() {
+    std::array tags{Ms::kType...};
+    std::ranges::sort(tags);
+    return std::ranges::adjacent_find(tags) == tags.end();
+  }
+
+  /// Only the decode is guarded: a WireError from a decode nested inside the
+  /// handler propagates.
+  template <typename M, typename Handler>
+  void decode_and_handle(const net::Packet& packet, Handler& handler) {
+    bool decoded = false;
+    try {
+      const M msg = wire::decode_message<M>(packet.payload);
+      decoded = true;
+      handler(packet, msg);
+    } catch (const wire::WireError&) {
+      if (decoded) throw;
+      drop_malformed();
+    }
+  }
+
+  void drop_malformed();
   void instrument_send(wire::MessageType type, std::size_t bytes);
-  void instrument_recv(const net::Packet& packet);
+  void instrument_recv(wire::MessageType type);
   /// Span bookkeeping around on_packet for a traced packet: records the
   /// send/recv edge, opens the handler span, and activates its context.
-  void dispatch_traced(const net::Packet& packet, const wire::TraceContextWire& ctx);
+  void dispatch_traced(const net::Packet& packet, wire::MessageType type,
+                       const wire::TraceContextWire& ctx);
 
   Context& context_;
   NodeId id_;
@@ -145,6 +193,7 @@ class Node {
   obs::Sink obs_;
   obs::CounterHandle obs_sent_;
   obs::CounterHandle obs_received_;
+  obs::CounterHandle obs_malformed_;  // bound on the first drop
   std::array<obs::HistogramHandle, wire::kMaxMessageTypeTag> obs_sent_bytes_{};
   std::array<obs::CounterHandle, wire::kMaxMessageTypeTag> obs_recv_type_{};
   std::array<bool, wire::kMaxMessageTypeTag> obs_sent_init_{};

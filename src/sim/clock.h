@@ -40,9 +40,6 @@ class LocalClock {
   [[nodiscard]] Duration offset() const { return offset_; }
   [[nodiscard]] double drift_ppm() const { return drift_ppm_; }
 
-  void set_offset(Duration offset) { offset_ = offset; }
-  void set_drift_ppm(double ppm) { drift_ppm_ = ppm; }
-
  private:
   Duration offset_ = Duration::zero();
   double drift_ppm_ = 0.0;

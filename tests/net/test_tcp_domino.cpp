@@ -104,5 +104,35 @@ TEST_F(TcpDomino, ReplicasConvergeAndExecute) {
   }
 }
 
+TEST(TcpMalformedFrame, ReplicaDropsItAndAnswersTheNextProbe) {
+  EventLoop loop;
+  TcpContext context{loop};
+  const std::vector<NodeId> rids{NodeId{0}};
+  context.host_node(rids[0], {"127.0.0.1", 0});
+  Replica replica(rids[0], context, rids, rids[0]);
+  replica.attach();
+
+  // A raw peer: TcpHost sends its hello, then each frame verbatim.
+  net::tcp::TcpHost peer(loop, NodeId{50}, {"127.0.0.1", 0});
+  peer.add_peer(rids[0], {"127.0.0.1", context.port_of(rids[0])});
+  context.set_peer_address(NodeId{50}, {"127.0.0.1", peer.port()});
+  std::vector<measure::ProbeReply> replies;
+  peer.set_receive_callback([&](NodeId, wire::Payload payload) {
+    replies.push_back(wire::decode_message<measure::ProbeReply>(payload));
+  });
+
+  measure::Probe probe;
+  probe.seq = 7;
+  wire::Payload truncated = wire::encode_message(probe);
+  truncated.pop_back();
+  ASSERT_TRUE(peer.send(rids[0], wire::Payload{0x01}));
+  ASSERT_TRUE(peer.send(rids[0], truncated));
+  ASSERT_TRUE(peer.send(rids[0], wire::encode_message(probe)));
+  pump(loop, [&] { return !replies.empty(); });
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].seq, 7u);
+  EXPECT_EQ(replica.malformed_dropped(), 2u);
+}
+
 }  // namespace
 }  // namespace domino::core

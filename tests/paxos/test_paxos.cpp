@@ -87,6 +87,20 @@ TEST_F(PaxosCluster, FollowerIgnoresClientRequests) {
   EXPECT_EQ(replicas[1]->committed_count(), 0u);
 }
 
+TEST_F(PaxosCluster, TruncatedAcceptIsDroppedAndTheReplicaCarriesOn) {
+  wire::Payload truncated = wire::encode_message(Accept{0, make_command(client->id(), 0)});
+  truncated.resize(truncated.size() - 3);
+  network.send(rids[0], rids[1], truncated);
+  simulator.run();
+  EXPECT_EQ(replicas[1]->malformed_dropped(), 1u);
+  EXPECT_EQ(replicas[1]->log().entry(0), nullptr);
+
+  client->submit(make_command(client->id(), 0));
+  simulator.run();
+  EXPECT_EQ(client->committed_count(), 1u);
+  EXPECT_EQ(replicas[1]->store().applied_count(), 1u);
+}
+
 TEST_F(PaxosCluster, ManyRequestsAllCommit) {
   sm::WorkloadConfig wc;
   wc.num_keys = 100;

@@ -20,8 +20,8 @@ TEST(TraceContextWire, RoundTrip) {
   const TraceContextWire ctx{0xDEADBEEF12345678ull, 7};
   const Payload payload = encode_message_traced(probe, ctx);
 
-  // The envelope flag is masked out of peek_type, so dispatch switches
-  // never see it.
+  // The envelope flag is masked out of peek_type, so Node::dispatch never
+  // sees it.
   EXPECT_EQ(peek_type(payload), MessageType::kProbe);
 
   const TraceContextWire got = peek_trace_context(payload);
