@@ -1,5 +1,7 @@
 #include "recovery/durable.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -9,24 +11,58 @@
 
 namespace domino::recovery {
 
-const char* record_tag_name(RecordTag tag) {
-  switch (tag) {
-    case RecordTag::kReservation: return "Reservation";
-    case RecordTag::kAccepted: return "Accepted";
-    case RecordTag::kCommitted: return "Committed";
-    case RecordTag::kWatermark: return "Watermark";
+void DurableLog::append(RecordTag tag, std::span<const std::uint8_t> body) {
+  if (weakened_) return;  // the forgotten fsync: code path identical, data gone
+  std::array<std::uint8_t, 11> header{static_cast<std::uint8_t>(tag)};
+  std::size_t header_len = 1;
+  for (std::uint64_t n = body.size();; n >>= 7) {  // LEB128, as ByteWriter::varint
+    header[header_len++] = static_cast<std::uint8_t>(n < 0x80 ? n : (n & 0x7F) | 0x80);
+    if (n < 0x80) break;
   }
-  return "Unknown";
+  const std::size_t need = header_len + body.size();
+  if (blocks_.empty() || blocks_.back().capacity() - blocks_.back().size() < need) {
+    blocks_.emplace_back().reserve(std::max(need, kBlockBytes));
+  }
+  wire::Payload& block = blocks_.back();
+  block.insert(block.end(), header.begin(), header.begin() + header_len);
+  block.insert(block.end(), body.begin(), body.end());
+  ++count_;
+  bytes_ += body.size() + 1;
 }
 
-void DurableLog::append(RecordTag tag, wire::Payload body) {
-  if (weakened_) return;  // the forgotten fsync: code path identical, data gone
-  bytes_ += body.size() + 1;
-  records_.push_back(DurableRecord{tag, std::move(body)});
+std::size_t DurableLog::reserved_bytes() const {
+  std::size_t total = 0;
+  for (const wire::Payload& block : blocks_) total += block.capacity();
+  return total;
+}
+
+DurableLogIterator::DurableLogIterator(const std::vector<wire::Payload>& blocks, std::size_t block)
+    : blocks_(&blocks), block_(block) {
+  load();
+}
+
+DurableLogIterator& DurableLogIterator::operator++() {
+  offset_ = next_;
+  if (offset_ == (*blocks_)[block_].size()) {
+    ++block_;
+    offset_ = 0;
+  }
+  load();
+  return *this;
+}
+
+void DurableLogIterator::load() {
+  if (block_ == blocks_->size()) return;
+  const std::span<const std::uint8_t> block = (*blocks_)[block_];
+  wire::ByteReader r(block.subspan(offset_));
+  record_.tag = static_cast<RecordTag>(r.u8());
+  const std::uint64_t len = r.varint();
+  const std::size_t body_at = block.size() - r.remaining();
+  record_.body = block.subspan(body_at, len);
+  next_ = body_at + len;
 }
 
 void DurableStore::bind_obs(const obs::Sink& sink) {
-  obs_ = sink;
   obs_persist_records_ = sink.counter("recovery.persist_records");
   obs_persist_bytes_ = sink.counter("recovery.persist_bytes");
   obs_restarts_ = sink.counter("recovery.restarts");
@@ -49,15 +85,21 @@ RecoveryStats DurableStore::aggregate() const {
                        .rejoin_ns_total = rejoin_ns_total_};
 }
 
+void Persistor::bind(DurableStore& store, rpc::Node& node) {
+  store_ = &store;
+  node_ = &node;
+  log_ = &store.log_of(node.id());
+}
+
 void Persistor::persist(RecordTag tag, const BodyFn& body, std::function<void()> then) {
   if (store_ == nullptr) {
     then();
     return;
   }
-  wire::Payload record = body();
+  const wire::Payload record = body();
   store_->obs_persist_records_.inc();
   store_->obs_persist_bytes_.inc(record.size() + 1);
-  store_->log_of(node_->id()).append(tag, std::move(record));
+  log_->append(tag, record);
   const Duration sync = store_->config().sync_latency;
   if (sync <= Duration::zero()) {
     then();
@@ -81,14 +123,6 @@ void Persistor::begin_restart() {
                                            .kind = obs::EventKind::kRecoveryStart,
                                            .node = node_->id(),
                                            .value = static_cast<std::int64_t>(epoch_)});
-}
-
-void Persistor::replay(const std::function<void(const DurableRecord&)>& fn) {
-  for (const DurableRecord& record : store_->log_of(node_->id()).records()) {
-    store_->obs_replay_records_.inc();
-    store_->obs_replay_bytes_.inc(record.body.size() + 1);
-    fn(record);
-  }
 }
 
 void Persistor::request_catchup(const std::vector<NodeId>& replicas,

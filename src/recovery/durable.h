@@ -7,6 +7,14 @@
 // a per-node append-only write-ahead log of tagged records, living in a
 // DurableStore that the harness owns and that survives restarts.
 //
+// Each log is one byte arena: records sit back to back as [tag][varint body
+// length][body] in fixed 64 KiB blocks (below glibc's mmap threshold). A
+// record never straddles two blocks; one larger than a block gets a block of
+// its own. While records are small the unused capacity is under one block
+// per node: the open block's tail, plus the few bytes each earlier block
+// ended with because the next record did not fit. Reading hands out
+// DurableRecord views into the arena, valid until the next append.
+//
 // The store models the cost of durability with a configurable sync
 // latency: a replica that must persist before sending (persist-before-
 // externalize, the classic acceptor discipline) calls
@@ -29,10 +37,12 @@
 // catch the resulting violation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <ranges>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -59,11 +69,11 @@ enum class RecordTag : std::uint8_t {
   kWatermark = 4,    // lane / owner-rank frontier advance
 };
 
-[[nodiscard]] const char* record_tag_name(RecordTag tag);
-
+/// One durable record: its tag and a view of its body bytes in the owning
+/// DurableLog's arena, valid until the next append to that log.
 struct DurableRecord {
   RecordTag tag = RecordTag::kReservation;
-  wire::Payload body;
+  std::span<const std::uint8_t> body;
 };
 
 struct DurableConfig {
@@ -84,21 +94,62 @@ struct RecoveryStats {
   std::int64_t rejoin_ns_total = 0;  // sum of time-to-rejoin over restarts
 };
 
-/// One node's append-only durable image. Survives the node's restarts (it
-/// is owned by the DurableStore, not the replica).
+/// Forward iterator over a DurableLog's records, in append order.
+class DurableLogIterator {
+ public:
+  using value_type = DurableRecord;
+  using difference_type = std::ptrdiff_t;
+
+  DurableLogIterator() = default;
+  DurableRecord operator*() const { return record_; }
+  DurableLogIterator& operator++();
+  DurableLogIterator operator++(int) {
+    DurableLogIterator before = *this;
+    ++*this;
+    return before;
+  }
+  bool operator==(const DurableLogIterator& other) const {
+    return block_ == other.block_ && offset_ == other.offset_;
+  }
+
+ private:
+  friend class DurableLog;
+  DurableLogIterator(const std::vector<wire::Payload>& blocks, std::size_t block);
+  void load();  // decode the record at (block_, offset_), if any
+
+  const std::vector<wire::Payload>* blocks_ = nullptr;
+  std::size_t block_ = 0;
+  std::size_t offset_ = 0;
+  std::size_t next_ = 0;  // offset of the following record in block_
+  DurableRecord record_;
+};
+
+/// One node's append-only durable image, kept as a byte arena (see the
+/// header comment). Survives the node's restarts (it is owned by the
+/// DurableStore, not the replica).
 class DurableLog {
  public:
-  void append(RecordTag tag, wire::Payload body);
+  static constexpr std::size_t kBlockBytes = std::size_t{64} * 1024;
 
-  [[nodiscard]] const std::vector<DurableRecord>& records() const { return records_; }
+  void append(RecordTag tag, std::span<const std::uint8_t> body);
+
+  [[nodiscard]] std::ranges::subrange<DurableLogIterator> records() const {
+    return {DurableLogIterator(blocks_, 0), DurableLogIterator(blocks_, blocks_.size())};
+  }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  /// Body bytes plus one tag byte per record: the accounted durable size.
   [[nodiscard]] std::uint64_t byte_size() const { return bytes_; }
+  /// Bytes the arena's blocks hold, used or not.
+  [[nodiscard]] std::size_t reserved_bytes() const;
 
   /// Negative-test knob: drop appends silently (a forgotten fsync).
   void set_weakened(bool weakened) { weakened_ = weakened; }
-  [[nodiscard]] bool weakened() const { return weakened_; }
 
  private:
-  std::vector<DurableRecord> records_;
+  // Each block is reserved once and never grows past its capacity, so its
+  // bytes never move.
+  std::vector<wire::Payload> blocks_;
+  std::size_t count_ = 0;
   std::uint64_t bytes_ = 0;
   bool weakened_ = false;
 };
@@ -119,7 +170,6 @@ class DurableStore {
   /// Attach an observability sink for the recovery.* metrics. Optional;
   /// an unbound store still counts for aggregate(). Bind before first use.
   void bind_obs(const obs::Sink& sink);
-  [[nodiscard]] const obs::Sink& obs() const { return obs_; }
 
   /// The recovery accounting of every node on this store, summed.
   [[nodiscard]] RecoveryStats aggregate() const;
@@ -141,7 +191,6 @@ class DurableStore {
  private:
   DurableConfig config_;
   std::unordered_map<NodeId, DurableLog> logs_;
-  obs::Sink obs_;
 };
 
 /// Per-replica facade over the durable store: persist-then-continue with
@@ -174,10 +223,7 @@ class Persistor {
 
   /// Bind to `store` for `node`, whose timers model the sync latency and
   /// which sends the catch-up requests and records the incidents.
-  void bind(DurableStore& store, rpc::Node& node) {
-    store_ = &store;
-    node_ = &node;
-  }
+  void bind(DurableStore& store, rpc::Node& node);
 
   /// Append the record produced by `body` under `tag`, then run `then`
   /// once the simulated sync completes. Disabled: `then` runs inline and
@@ -203,8 +249,16 @@ class Persistor {
   /// Throws std::logic_error when unbound.
   void begin_restart();
 
-  /// Replay the durable image through `fn`, in append order.
-  void replay(const std::function<void(const DurableRecord&)>& fn);
+  /// Replay the durable image through `fn(const DurableRecord&)`, in
+  /// append order.
+  template <typename Fn>
+  void replay(Fn&& fn) {
+    for (const DurableRecord record : log_->records()) {
+      store_->obs_replay_records_.inc();
+      store_->obs_replay_bytes_.inc(record.body.size() + 1);
+      fn(record);
+    }
+  }
 
   /// Ask every peer in `replicas` for catch-up, reporting what `store` has
   /// applied, and retry until the replica rejoins. A lone replica rejoins
@@ -221,6 +275,7 @@ class Persistor {
  private:
   DurableStore* store_ = nullptr;
   rpc::Node* node_ = nullptr;
+  DurableLog* log_ = nullptr;  // node_'s log in store_ (map nodes never move)
   std::uint64_t epoch_ = 0;
   bool catching_up_ = false;
   TimePoint started_at_ = TimePoint::epoch();

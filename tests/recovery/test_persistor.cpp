@@ -1,11 +1,14 @@
 // recovery::Persistor on its own: the persist-then-continue sync model and
 // the restart lifecycle (begin_restart, replay, request_catchup,
-// finish_rejoin), driven by bare rpc::Nodes on a one-DC network.
+// finish_rejoin), driven by bare rpc::Nodes on a one-DC network; and the
+// DurableLog byte arena's block layout, length encoding and accounting.
 #include "recovery/durable.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -55,7 +58,7 @@ TEST_F(PersistorTest, ContinuationRunsOneSyncLatencyLater) {
   a.persistor.persist(RecordTag::kAccepted, [] { return bytes({1, 2}); },
                       [&] { ran_at = a.true_now(); });
   // Appended at once; externalized only after the sync.
-  EXPECT_EQ(log().records().size(), 1u);
+  EXPECT_EQ(log().size(), 1u);
   EXPECT_EQ(ran_at, TimePoint::max());
   simulator.run();
   EXPECT_EQ(ran_at, TimePoint::epoch() + milliseconds(2));
@@ -70,8 +73,8 @@ TEST_F(PersistorTest, RestartInsideSyncWindowCancelsContinuationButKeepsRecord) 
                         [&] { a.persistor.begin_restart(); });
   simulator.run();
   EXPECT_FALSE(ran);
-  ASSERT_EQ(log().records().size(), 1u);
-  EXPECT_EQ(log().records()[0].tag, RecordTag::kCommitted);
+  ASSERT_EQ(log().size(), 1u);
+  EXPECT_EQ(log().records().front().tag, RecordTag::kCommitted);
   EXPECT_EQ(durable.aggregate().restarts, 1u);
 }
 
@@ -107,6 +110,120 @@ TEST_F(PersistorTest, ReplayWalksRecordsInAppendOrder) {
   EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 3}));
   EXPECT_EQ(durable.aggregate().replayed_records, 3u);
   EXPECT_EQ(durable.aggregate().replayed_bytes, 9u);  // 6 body bytes + 3 tag bytes
+}
+
+// --- DurableLog's byte arena ------------------------------------------------
+
+constexpr std::size_t kBlock = DurableLog::kBlockBytes;
+
+/// A body of `n` bytes whose content depends on `seed` and on the position.
+wire::Payload filled(std::size_t n, std::uint8_t seed) {
+  wire::Payload body(n);
+  for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<std::uint8_t>(seed + i * 7);
+  return body;
+}
+
+/// Every record of `log` as (tag, body copy), in iteration order.
+std::vector<std::pair<RecordTag, wire::Payload>> read_all(const DurableLog& log) {
+  std::vector<std::pair<RecordTag, wire::Payload>> out;
+  for (const DurableRecord& r : log.records()) {
+    out.emplace_back(r.tag, wire::Payload(r.body.begin(), r.body.end()));
+  }
+  return out;
+}
+
+TEST(DurableLogArena, RecordExactlyFillingBlockTailStaysInBlock) {
+  DurableLog log;
+  const wire::Payload first = filled(10, 1);  // 1 tag + 1 length + 10 body = 12 bytes
+  // 1 tag + 3 length bytes + body fills the remaining kBlock - 12 exactly.
+  const wire::Payload tail = filled(kBlock - 12 - 4, 2);
+  log.append(RecordTag::kAccepted, first);
+  log.append(RecordTag::kCommitted, tail);
+  EXPECT_EQ(log.reserved_bytes(), kBlock);  // one block, no byte spare
+  log.append(RecordTag::kWatermark, filled(1, 3));
+  EXPECT_EQ(log.reserved_bytes(), 2 * kBlock);  // the next record opened a block
+  const auto all = read_all(log);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].second, first);
+  EXPECT_EQ(all[1].first, RecordTag::kCommitted);
+  EXPECT_EQ(all[1].second, tail);
+  EXPECT_EQ(all[2].second, filled(1, 3));
+}
+
+TEST(DurableLogArena, RecordLargerThanBlockGetsItsOwnBlock) {
+  DurableLog log;
+  const wire::Payload big = filled(kBlock + kBlock / 2, 9);
+  log.append(RecordTag::kAccepted, filled(5, 1));
+  log.append(RecordTag::kCommitted, big);
+  // A block of exactly 1 tag + 3 length bytes + body, after the first block.
+  EXPECT_EQ(log.reserved_bytes(), kBlock + 4 + big.size());
+  log.append(RecordTag::kAccepted, filled(5, 2));
+  EXPECT_EQ(log.reserved_bytes(), 2 * kBlock + 4 + big.size());
+  const auto all = read_all(log);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].second, filled(5, 1));
+  EXPECT_EQ(all[1].first, RecordTag::kCommitted);
+  EXPECT_EQ(all[1].second, big);
+  EXPECT_EQ(all[2].second, filled(5, 2));
+  EXPECT_EQ(log.byte_size(), 5 + big.size() + 5 + 3);
+}
+
+TEST(DurableLogArena, EmptyAndMultiByteLengthBodiesRoundTrip) {
+  DurableLog log;
+  // Lengths at each varint width boundary: 0 and 127 (one byte), 128 and
+  // 16383 (two bytes), 16384 (three bytes).
+  const std::vector<std::size_t> sizes{0, 127, 128, 300, 0, 16383, 16384};
+  std::uint64_t body_bytes = 0;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    log.append(RecordTag::kAccepted, filled(sizes[i], static_cast<std::uint8_t>(i)));
+    body_bytes += sizes[i];
+  }
+  const auto all = read_all(log);
+  ASSERT_EQ(all.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(all[i].first, RecordTag::kAccepted) << i;
+    EXPECT_EQ(all[i].second, filled(sizes[i], static_cast<std::uint8_t>(i))) << i;
+  }
+  EXPECT_EQ(log.size(), sizes.size());
+  EXPECT_EQ(log.byte_size(), body_bytes + sizes.size());
+}
+
+TEST(DurableLogArena, WeakenedLogStaysEmpty) {
+  DurableLog log;
+  log.set_weakened(true);
+  log.append(RecordTag::kAccepted, filled(0, 0));
+  log.append(RecordTag::kCommitted, filled(200, 1));
+  log.append(RecordTag::kCommitted, filled(2 * kBlock, 2));
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.byte_size(), 0u);
+  EXPECT_EQ(log.reserved_bytes(), 0u);
+  EXPECT_TRUE(log.records().empty());
+}
+
+TEST_F(PersistorTest, ReplayAcrossBlocksIsInOrderAndByteExact) {
+  const std::array<RecordTag, 3> tags{RecordTag::kReservation, RecordTag::kAccepted,
+                                      RecordTag::kCommitted};
+  std::vector<std::pair<RecordTag, wire::Payload>> written;
+  std::uint64_t bytes_written = 0;
+  // About 3.5 blocks of records of 0..60 body bytes.
+  for (std::size_t i = 0; bytes_written < 3 * kBlock + kBlock / 2; ++i) {
+    written.emplace_back(tags[i % tags.size()], filled(i % 61, static_cast<std::uint8_t>(i)));
+    a.persistor.persist(written.back().first, [&] { return written.back().second; });
+    bytes_written += written.back().second.size() + 1;
+  }
+  EXPECT_GE(log().reserved_bytes(), 4 * kBlock);
+  std::vector<std::pair<RecordTag, wire::Payload>> replayed;
+  a.persistor.replay([&](const DurableRecord& r) {
+    replayed.emplace_back(r.tag, wire::Payload(r.body.begin(), r.body.end()));
+  });
+  EXPECT_EQ(replayed, written);
+  EXPECT_EQ(log().size(), written.size());
+  EXPECT_EQ(log().byte_size(), bytes_written);
+  const RecoveryStats stats = durable.aggregate();
+  EXPECT_EQ(stats.persisted_records, written.size());
+  EXPECT_EQ(stats.persisted_bytes, bytes_written);
+  EXPECT_EQ(stats.replayed_records, written.size());
+  EXPECT_EQ(stats.replayed_bytes, bytes_written);
 }
 
 TEST(Persistor, UnboundRunsContinuationInlineWithoutEncoding) {
