@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Print the line count of src/, the number ROADMAP item 7 tracks, and the
-# count of each top-level directory under it (`src` is the files directly
-# in src/).
+# Print the line count of src/, the number ROADMAP's "Least code for the
+# same behaviour" item tracks, and the count of each top-level directory
+# under it (`src` is the files directly in src/).
 #
 # Usage:
 #   scripts/src_loc.sh [<base-rev>]

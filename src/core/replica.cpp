@@ -12,7 +12,7 @@ namespace {
 /// Durable kAccepted record: an acceptance at (ts, lane). `dm_leader` marks
 /// the record as written by the lane's own leader (it doubles as the
 /// timestamp reservation: replay raises dm_last_assigned_ past it, so no
-/// separate kReservation record is needed).
+/// separate reservation record is needed).
 struct AcceptedRecord {
   std::int64_t ts = 0;
   std::uint32_t lane = 0;
@@ -138,10 +138,8 @@ void Replica::handle(const net::Packet&, const DfpPropose& msg) {
     // automatically after an amnesiac restart, because the local clock is
     // monotonic across crashes and this replica can never accept at ts
     // again.
-    persistor_.persist(
-        recovery::RecordTag::kAccepted,
-        [&] { return wire::to_bytes(AcceptedRecord{msg.ts, dfp_lane(), msg.command}); },
-        externalize);
+    persistor_.persist(recovery::RecordTag::kAccepted,
+                       AcceptedRecord{msg.ts, dfp_lane(), msg.command}, externalize);
   } else {
     externalize();
   }
@@ -162,7 +160,9 @@ void Replica::handle(const net::Packet&, const DfpCommit& msg) {
     dfp_committed_.insert(msg.command.id);
   }
   // Nothing is externalized on this learner path; fire-and-forget.
-  persist_committed(pos, msg.is_noop, msg.is_noop ? nullptr : &msg.command);
+  persistor_.persist(recovery::RecordTag::kCommitted,
+                     CommittedRecord{pos.ts, pos.lane, msg.is_noop,
+                                     msg.is_noop ? std::nullopt : std::optional(msg.command)});
   // Settle any learner-side tally for this position.
   auto it = dfp_positions_.find(msg.ts);
   if (it != dfp_positions_.end()) {
@@ -270,7 +270,8 @@ void Replica::coordinator_check(std::int64_t ts) {
         dfp_committed_.insert(t.command.id);
         const log::LogPosition lp{ts, dfp_lane()};
         log_.commit(lp, t.command);
-        persist_committed(lp, /*is_noop=*/false, &t.command);
+        persistor_.persist(recovery::RecordTag::kCommitted,
+                           CommittedRecord{lp.ts, lp.lane, /*is_noop=*/false, t.command});
         execute_ready();
       }
       return;
@@ -331,9 +332,8 @@ void Replica::start_dfp_recovery(std::int64_t ts) {
     const log::LogPosition lp{ts, dfp_lane()};
     if (!log_.is_resolved(lp)) {
       log_.accept(lp, choice.command);
-      persistor_.persist(recovery::RecordTag::kAccepted, [&] {
-        return wire::to_bytes(AcceptedRecord{ts, dfp_lane(), choice.command});
-      });
+      persistor_.persist(recovery::RecordTag::kAccepted,
+                         AcceptedRecord{ts, dfp_lane(), choice.command});
     }
   }
   broadcast(DfpRecoveryAccept{ts, choice.is_noop, choice.command});
@@ -381,8 +381,10 @@ void Replica::resolve_dfp(std::int64_t ts, bool is_noop, const sm::Command& comm
   if (!is_noop) watermark_holds_.insert(ts);
   // The DfpCommit broadcast and the client reply externalize the decision;
   // they wait for the commit record to be durable.
-  persist_committed(
-      lp, is_noop, is_noop ? nullptr : &command,
+  persistor_.persist(
+      recovery::RecordTag::kCommitted,
+      CommittedRecord{lp.ts, lp.lane, is_noop,
+                      is_noop ? std::nullopt : std::optional(command)},
       [this, ts, is_noop, command, was_fast, losers = std::move(losers)] {
         if (!is_noop) release_watermark_hold(ts);
         broadcast(DfpCommit{ts, is_noop, is_noop ? sm::Command{} : command});
@@ -460,10 +462,8 @@ void Replica::dm_lead(const sm::Command& command, bool reply_via_dfp) {
   // position it already promised away.
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(AcceptedRecord{ts, static_cast<std::uint32_t>(rank_), command,
-                                             /*dm_leader=*/true, reply_via_dfp});
-      },
+      AcceptedRecord{ts, static_cast<std::uint32_t>(rank_), command, /*dm_leader=*/true,
+                     reply_via_dfp},
       [this, ts, command] {
         release_watermark_hold(ts);
         broadcast(DmAccept{ts, static_cast<std::uint32_t>(rank_), command});
@@ -485,8 +485,7 @@ void Replica::handle(const net::Packet& packet, const DmAccept& msg) {
   // The ack counts toward the leader's majority, so the acceptance must be
   // durable before it leaves.
   persistor_.persist(
-      recovery::RecordTag::kAccepted,
-      [&] { return wire::to_bytes(AcceptedRecord{msg.ts, msg.lane, msg.command}); },
+      recovery::RecordTag::kAccepted, AcceptedRecord{msg.ts, msg.lane, msg.command},
       [this, from = packet.src, ts = msg.ts, lane = msg.lane] {
         send(from, DmAcceptReply{ts, lane});
       });
@@ -514,9 +513,9 @@ void Replica::maybe_commit_dm(std::int64_t ts) {
   // The client reply externalizes the commit; it waits for the decision to
   // be durable. The record carries no command — the leader's own kAccepted
   // record for this position always precedes it in the durable log.
-  persist_committed(
-      pos, /*is_noop=*/false, nullptr,
-      [this, ts, pending] {
+  persistor_.persist(
+      recovery::RecordTag::kCommitted,
+      CommittedRecord{pos.ts, pos.lane, /*is_noop=*/false, std::nullopt}, [this, ts, pending] {
         broadcast(DmCommit{ts, static_cast<std::uint32_t>(rank_)});
         if (pending.reply_via_dfp) {
           send(pending.request.client, DfpClientReply{pending.request});
@@ -543,7 +542,8 @@ void Replica::handle(const net::Packet&, const DmCommit& msg) {
   // Nothing is externalized on this follower path; fire-and-forget. The
   // command rides in the record so replay does not depend on a local
   // kAccepted record (the entry may have arrived via catch-up instead).
-  persist_committed(pos, /*is_noop=*/false, &entry->command);
+  persistor_.persist(recovery::RecordTag::kCommitted,
+                     CommittedRecord{pos.ts, pos.lane, /*is_noop=*/false, entry->command});
   execute_ready();
 }
 
@@ -729,13 +729,15 @@ void Replica::apply_range_resolve(const RangeResolve& resolve) {
     if (!listed) {
       const log::LogPosition pos{e.ts, resolve.lane};
       log_.resolve_as_noop(pos);
-      persist_committed(pos, /*is_noop=*/true, nullptr);
+      persistor_.persist(recovery::RecordTag::kCommitted,
+                         CommittedRecord{pos.ts, pos.lane, /*is_noop=*/true, std::nullopt});
     }
   }
   for (const auto& e : resolve.entries) {
     const log::LogPosition pos{e.ts, resolve.lane};
     log_.commit(pos, e.command);
-    persist_committed(pos, /*is_noop=*/false, &e.command);
+    persistor_.persist(recovery::RecordTag::kCommitted,
+                       CommittedRecord{pos.ts, pos.lane, /*is_noop=*/false, e.command});
   }
   log_.advance_watermark(resolve.lane, resolve.through_ts);
   execute_ready();
@@ -759,40 +761,30 @@ void Replica::recover() {
   next_round_at_.clear();
   dm_revoked_through_.clear();
 
-  persistor_.replay([this](const recovery::DurableRecord& rec) {
-    switch (rec.tag) {
-      case recovery::RecordTag::kAccepted: {
-        auto [ts, lane, cmd, dm_leader, reply_via_dfp] =
-            wire::from_bytes<AcceptedRecord>(rec.body);
-        if (lane >= log_.lane_count()) break;
-        if (dm_leader && lane == rank_) {
+  persistor_.replay<AcceptedRecord, CommittedRecord>(
+      [this](AcceptedRecord rec) {
+        if (rec.lane >= log_.lane_count()) return;
+        if (rec.dm_leader && rec.lane == rank_) {
           // Reservation: never assign at or below a promised timestamp
           // again, even though the ack counts died with the crash.
-          dm_last_assigned_ = std::max(dm_last_assigned_, ts);
-          dm_pending_.emplace(ts, DmPending{1, cmd.id, reply_via_dfp});
+          dm_last_assigned_ = std::max(dm_last_assigned_, rec.ts);
+          dm_pending_.emplace(rec.ts, DmPending{1, rec.command.id, rec.reply_via_dfp});
         }
         // A later kCommitted/no-op record of the same position wins; the
         // log ignores a (same-command) re-accept of a resolved entry.
-        log_.accept(log::LogPosition{ts, lane}, std::move(cmd));
-        break;
-      }
-      case recovery::RecordTag::kCommitted: {
-        auto [ts, lane, is_noop, cmd] = wire::from_bytes<CommittedRecord>(rec.body);
-        if (lane >= log_.lane_count()) break;
-        const log::LogPosition pos{ts, lane};
-        if (is_noop) {
-          if (!log_.is_committed(pos)) log_.resolve_as_noop(pos);
-          log_.advance_watermark(lane, ts + 1);
-          if (lane == dfp_lane()) dfp_positions_[ts].resolved = true;
-          break;
+        log_.accept(log::LogPosition{rec.ts, rec.lane}, std::move(rec.command));
+      },
+      [this](CommittedRecord rec) {
+        if (rec.lane >= log_.lane_count()) return;
+        const log::LogPosition pos{rec.ts, rec.lane};
+        if (!rec.is_noop) {
+          learn_committed(pos, std::move(rec.command));
+          return;
         }
-        learn_committed(pos, std::move(cmd));
-        break;
-      }
-      default:
-        break;  // Domino writes no other tags
-    }
-  });
+        if (!log_.is_committed(pos)) log_.resolve_as_noop(pos);
+        log_.advance_watermark(rec.lane, rec.ts + 1);
+        if (rec.lane == dfp_lane()) dfp_positions_[rec.ts].resolved = true;
+      });
   execute_ready();
 
   // Accepted-but-uncommitted own-lane entries lost their ack counts with
@@ -923,17 +915,6 @@ void Replica::execute_ready() {
   for (auto& [pos, command] : log_.drain_executable()) {
     execute(command);
   }
-}
-
-void Replica::persist_committed(log::LogPosition pos, bool is_noop, const sm::Command* command,
-                                std::function<void()> then) {
-  persistor_.persist(
-      recovery::RecordTag::kCommitted,
-      [&] {
-        return wire::to_bytes(CommittedRecord{
-            pos.ts, pos.lane, is_noop, command ? std::optional(*command) : std::nullopt});
-      },
-      std::move(then));
 }
 
 void Replica::learn_committed(log::LogPosition pos, std::optional<sm::Command> command) {

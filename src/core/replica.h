@@ -23,7 +23,6 @@
 //     (Section 5.7).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -153,11 +152,6 @@ class Replica : public recovery::Replica {
   }
   void broadcast_heartbeat();
   void execute_ready();
-  /// Durable kCommitted record for `pos`: a no-op, or a commit of `command`
-  /// (null when the lane leader's own kAccepted record supplies it). `then`
-  /// runs once the record is durable.
-  void persist_committed(log::LogPosition pos, bool is_noop, const sm::Command* command,
-                         std::function<void()> then = [] {});
   /// Commit `pos`, learned from the durable log or a peer rather than from
   /// this replica's own protocol step, unless it resolved as a no-op here;
   /// settles the DFP-lane or own-lane bookkeeping for it.

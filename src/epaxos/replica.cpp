@@ -80,14 +80,11 @@ void Replica::handle(const net::Packet&, const ClientRequest& req) {
   leading_[inst] = std::move(book);
   open_wait("epaxos_quorum_wait", {inst.replica, inst.seq});
 
-  const sm::Command command = req.command;
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(
-            InstanceRecord{inst, command, seq, deps, Status::kPreAccepted, command.id.client});
-      },
-      [this, inst, command, seq = seq, deps = deps] {
+      InstanceRecord{inst, req.command, seq, deps, Status::kPreAccepted,
+                     req.command.id.client},
+      [this, inst, command = req.command, seq = seq, deps = deps] {
         broadcast(PreAccept{inst, command, seq, deps});
       });
 }
@@ -113,10 +110,7 @@ void Replica::handle(const net::Packet& packet, const PreAccept& msg) {
   // the leader could fast-commit on attributes this replica later disowns.
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(InstanceRecord{msg.instance, msg.command, seq, deps,
-                                             Status::kPreAccepted, std::nullopt});
-      },
+      InstanceRecord{msg.instance, msg.command, seq, deps, Status::kPreAccepted, std::nullopt},
       [this, from = packet.src, inst = msg.instance, seq, deps] {
         send(from, PreAcceptReply{inst, seq, deps});
       });
@@ -156,10 +150,7 @@ void Replica::handle(const net::Packet& packet, const PreAcceptReply& msg) {
     leading_.erase(book_it);
     persistor_.persist(
         recovery::RecordTag::kCommitted,
-        [&] {
-          return wire::to_bytes(InstanceRecord{msg.instance, command, seq, deps,
-                                               Status::kCommitted, std::nullopt});
-        },
+        InstanceRecord{msg.instance, command, seq, deps, Status::kCommitted, std::nullopt},
         [this, inst_id = msg.instance, command, seq, deps, client] {
           commit_instance(inst_id, command, seq, deps, /*announce=*/true);
           send(client, ClientReply{command.id});
@@ -171,14 +162,12 @@ void Replica::handle(const net::Packet& packet, const PreAcceptReply& msg) {
   inst.seq = book.seq;
   inst.deps = book.deps;
   inst.status = Status::kAccepted;
-  const sm::Command command = inst.command;
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(InstanceRecord{msg.instance, command, book.seq, book.deps,
-                                             Status::kAccepted, book.client});
-      },
-      [this, inst_id = msg.instance, command, seq = book.seq, deps = book.deps] {
+      InstanceRecord{msg.instance, inst.command, book.seq, book.deps, Status::kAccepted,
+                     book.client},
+      [this, inst_id = msg.instance, command = inst.command, seq = book.seq,
+       deps = book.deps] {
         broadcast(Accept{inst_id, command, seq, deps});
       });
 }
@@ -197,10 +186,8 @@ void Replica::handle(const net::Packet& packet, const Accept& msg) {
   note_writer(msg.command.key, msg.instance, msg.seq);
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(InstanceRecord{msg.instance, msg.command, msg.seq, msg.deps,
-                                             Status::kAccepted, std::nullopt});
-      },
+      InstanceRecord{msg.instance, msg.command, msg.seq, msg.deps, Status::kAccepted,
+                     std::nullopt},
       [this, from = packet.src, inst = msg.instance] { send(from, AcceptReply{inst}); });
 }
 
@@ -226,10 +213,7 @@ void Replica::handle(const net::Packet& packet, const AcceptReply& msg) {
   leading_.erase(book_it);
   persistor_.persist(
       recovery::RecordTag::kCommitted,
-      [&] {
-        return wire::to_bytes(InstanceRecord{msg.instance, command, seq, deps,
-                                             Status::kCommitted, std::nullopt});
-      },
+      InstanceRecord{msg.instance, command, seq, deps, Status::kCommitted, std::nullopt},
       [this, inst_id = msg.instance, command, seq, deps, client] {
         commit_instance(inst_id, command, seq, deps, /*announce=*/true);
         send(client, ClientReply{command.id});
@@ -239,10 +223,9 @@ void Replica::handle(const net::Packet& packet, const AcceptReply& msg) {
 void Replica::handle(const net::Packet&, const Commit& msg) {
   commit_instance(msg.instance, msg.command, msg.seq, msg.deps, /*announce=*/false);
   // Nothing is externalized on this path, so the persist is fire-and-forget.
-  persistor_.persist(recovery::RecordTag::kCommitted, [&] {
-    return wire::to_bytes(InstanceRecord{msg.instance, msg.command, msg.seq, msg.deps,
-                                         Status::kCommitted, std::nullopt});
-  });
+  persistor_.persist(recovery::RecordTag::kCommitted,
+                     InstanceRecord{msg.instance, msg.command, msg.seq, msg.deps,
+                                    Status::kCommitted, std::nullopt});
 }
 
 void Replica::recover() {
@@ -255,41 +238,43 @@ void Replica::recover() {
   committed_ = 0;
   executed_ = 0;
 
-  persistor_.replay([this](const recovery::DurableRecord& rec) {
-    if (rec.tag != recovery::RecordTag::kAccepted &&
-        rec.tag != recovery::RecordTag::kCommitted) {
-      return;  // EPaxos writes no other tags
+  // Both tags carry an InstanceRecord. Every record restores the instance
+  // counter and the key table; its tag decides what it does to the instance.
+  const auto note = [this](const InstanceRecord& rec) {
+    if (rec.instance.replica == id()) {
+      next_instance_ = std::max(next_instance_, rec.instance.seq + 1);
     }
-    auto [inst_id, cmd, seq, deps, status, client] =
-        wire::from_bytes<InstanceRecord>(rec.body);
-
-    if (inst_id.replica == id()) {
-      next_instance_ = std::max(next_instance_, inst_id.seq + 1);
-    }
-    note_writer(cmd.key, inst_id, seq);
-    if (rec.tag == recovery::RecordTag::kCommitted) {
-      // Direct mutation (not commit_instance): replay rebuilds state without
-      // re-counting commits or re-broadcasting.
-      instances_[inst_id] = Instance{std::move(cmd), seq, deps, Status::kCommitted};
-      leading_.erase(inst_id);  // the client was already answered
-      return;
-    }
-    auto it = instances_.find(inst_id);
-    if (it == instances_.end() || it->second.status < Status::kCommitted) {
-      // Later records supersede earlier ones, but never downgrade a commit
-      // (a duplicate round from a previous incarnation may replay late).
-      instances_[inst_id] = Instance{std::move(cmd), seq, deps, status};
-    }
-    if (client) {
-      LeaderBook book;
-      book.seq = seq;
-      book.deps = std::move(deps);
-      book.in_accept_phase = (status == Status::kAccepted);
-      book.attributes_changed = book.in_accept_phase;
-      book.client = *client;
-      leading_[inst_id] = std::move(book);
-    }
-  });
+    note_writer(rec.command.key, rec.instance, rec.seq);
+  };
+  persistor_.replay<InstanceRecord, InstanceRecord>(
+      [this, &note](InstanceRecord rec) {
+        note(rec);
+        auto it = instances_.find(rec.instance);
+        if (it == instances_.end() || it->second.status < Status::kCommitted) {
+          // Later records supersede earlier ones, but never downgrade a
+          // commit (a duplicate round from a previous incarnation may replay
+          // late).
+          instances_[rec.instance] =
+              Instance{std::move(rec.command), rec.seq, rec.deps, rec.status};
+        }
+        if (rec.client) {
+          LeaderBook book;
+          book.seq = rec.seq;
+          book.deps = std::move(rec.deps);
+          book.in_accept_phase = (rec.status == Status::kAccepted);
+          book.attributes_changed = book.in_accept_phase;
+          book.client = *rec.client;
+          leading_[rec.instance] = std::move(book);
+        }
+      },
+      [this, &note](InstanceRecord rec) {
+        note(rec);
+        // Direct mutation (not commit_instance): replay rebuilds state
+        // without re-counting commits or re-broadcasting.
+        instances_[rec.instance] =
+            Instance{std::move(rec.command), rec.seq, std::move(rec.deps), Status::kCommitted};
+        leading_.erase(rec.instance);  // the client was already answered
+      });
 
   // Re-execute the committed graph from an empty store.
   std::vector<InstanceId> committed_ids;

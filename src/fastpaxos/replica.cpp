@@ -61,8 +61,7 @@ void Replica::handle(const net::Packet&, const ClientRequest& req) {
 
   const AcceptNotice notice{index, req.command};
   persistor_.persist(
-      recovery::RecordTag::kAccepted, [&] { return wire::to_bytes(notice); },
-      [this, notice, client = rid.client] {
+      recovery::RecordTag::kAccepted, notice, [this, notice, client = rid.client] {
         send(coordinator_, notice);
         send(client, notice);
       });
@@ -81,7 +80,7 @@ void Replica::handle(const net::Packet&, const Commit& msg) {
     log_.commit(msg.index, msg.command);
   }
   // Nothing is externalized on this path, so the persist is fire-and-forget.
-  persistor_.persist(recovery::RecordTag::kCommitted, [&] { return wire::to_bytes(msg); });
+  persistor_.persist(recovery::RecordTag::kCommitted, msg);
   execute_ready();
 }
 
@@ -228,8 +227,7 @@ void Replica::finish_commit(std::uint64_t index, bool is_noop, const sm::Command
   // reply, so it must be durable first.
   const Commit commit{index, is_noop, command};
   persistor_.persist(
-      recovery::RecordTag::kCommitted, [&] { return wire::to_bytes(commit); },
-      [this, commit] {
+      recovery::RecordTag::kCommitted, commit, [this, commit] {
         // Notify acceptors first (FIFO: re-proposals below must arrive after
         // the Commit so acceptors see their old assignment resolved before
         // they are asked to reassign).
@@ -276,32 +274,23 @@ void Replica::recover() {
 
   std::uint64_t max_index = 0;
   bool any = false;
-  persistor_.replay([this, &max_index, &any](const recovery::DurableRecord& rec) {
-    switch (rec.tag) {
-      case recovery::RecordTag::kAccepted: {
-        const auto [index, cmd] = wire::from_bytes<AcceptNotice>(rec.body);
-        assign(cmd.id, index);
-        next_index_ = std::max(next_index_, index + 1);
-        max_index = std::max(max_index, index);
+  persistor_.replay<AcceptNotice, Commit>(
+      [this, &max_index, &any](const AcceptNotice& rec) {
+        assign(rec.command.id, rec.index);
+        next_index_ = std::max(next_index_, rec.index + 1);
+        max_index = std::max(max_index, rec.index);
         any = true;
-        break;
-      }
-      case recovery::RecordTag::kCommitted: {
-        auto [index, is_noop, cmd] = wire::from_bytes<Commit>(rec.body);
-        if (is_noop) {
-          log_.skip(index, index);
+      },
+      [this, &max_index, &any](Commit rec) {
+        if (rec.is_noop) {
+          log_.skip(rec.index, rec.index);
         } else {
-          if (is_coordinator()) record_commit(index, cmd);
-          log_.commit(index, std::move(cmd));
+          if (is_coordinator()) record_commit(rec.index, rec.command);
+          log_.commit(rec.index, std::move(rec.command));
         }
-        max_index = std::max(max_index, index);
+        max_index = std::max(max_index, rec.index);
         any = true;
-        break;
-      }
-      default:
-        break;  // Fast Paxos writes no other tags
-    }
-  });
+      });
   execute_ready();
 
   // Coordinator gap-filling: tallies for undecided indices died with the

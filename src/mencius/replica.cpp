@@ -51,10 +51,7 @@ void Replica::handle(const net::Packet&, const ClientRequest& req) {
 
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(
-            recovery::IndexAcceptedRecord{p, req.command, req.command.id.client});
-      },
+      recovery::IndexAcceptedRecord{p, req.command, req.command.id.client},
       [this, p, command = req.command] {
         for (NodeId r : replicas_) {
           if (r != id()) send(r, Accept{p, command, safe_skip_frontier(r)});
@@ -75,10 +72,7 @@ void Replica::handle(const net::Packet& packet, const Accept& msg) {
   // towards us), so the accept must be durable before the reply leaves.
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(
-            recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt});
-      },
+      recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt},
       [this, from = packet.src, index = msg.index] {
         send(from, AcceptReply{index, safe_skip_frontier(from)});
       });
@@ -104,18 +98,15 @@ void Replica::handle(const net::Packet& packet, const AcceptReply& msg) {
       // Persist the commit decision before it is externalized — by the
       // Commit broadcast, and by the ClientReply that owner execution (in
       // the continuation's execute_ready) may send.
-      persistor_.persist(
-          recovery::RecordTag::kCommitted,
-          [&] { return wire::to_bytes(Commit{msg.index, it->second.command}); },
-          [this, index = msg.index, command = it->second.command] {
-            // The Pending entry stays until every peer CommitAcks: the owner
-            // retransmits the Commit to the stragglers from the heartbeat,
-            // so a follower that was crashed or partitioned at commit time
-            // still learns the command instead of stalling its execution
-            // frontier.
-            broadcast(Commit{index, command});
-            execute_ready();
-          });
+      const Commit commit{msg.index, it->second.command};
+      persistor_.persist(recovery::RecordTag::kCommitted, commit, [this, commit] {
+        // The Pending entry stays until every peer CommitAcks: the owner
+        // retransmits the Commit to the stragglers from the heartbeat, so a
+        // follower that was crashed or partitioned at commit time still
+        // learns the command instead of stalling its execution frontier.
+        broadcast(commit);
+        execute_ready();
+      });
       return;
     }
   }
@@ -131,8 +122,7 @@ void Replica::handle(const net::Packet& packet, const Commit& msg) {
   // — forget it after acking and the hole is permanent — so the commit must
   // be durable before the ack leaves.
   persistor_.persist(
-      recovery::RecordTag::kCommitted,
-      [&] { return wire::to_bytes(msg); },
+      recovery::RecordTag::kCommitted, msg,
       [this, from = packet.src, index = msg.index] { send(from, CommitAck{index}); });
   execute_ready();
 }
@@ -196,43 +186,34 @@ void Replica::recover() {
   next_own_index_ = rank_;
   skip_frontier_seen_.assign(replicas_.size(), 0);
 
-  persistor_.replay([this](const recovery::DurableRecord& rec) {
-    switch (rec.tag) {
-      case recovery::RecordTag::kAccepted: {
-        auto [index, cmd, client] = wire::from_bytes<recovery::IndexAcceptedRecord>(rec.body);
-        if (client) {  // own instance
-          if (!log_.is_committed(index)) log_.accept(index, cmd);
-          pending_.insert_or_assign(index,
-                                    Pending{{}, {}, cmd, *client, false, true_now()});
-          owned_request_.insert_or_assign(index, cmd.id);
-          next_own_index_ =
-              std::max(next_own_index_, index + replicas_.size());
+  persistor_.replay<recovery::IndexAcceptedRecord, Commit>(
+      [this](recovery::IndexAcceptedRecord rec) {
+        const std::uint64_t index = rec.index;
+        if (rec.client) {  // own instance
+          if (!log_.is_committed(index)) log_.accept(index, rec.command);
+          owned_request_.insert_or_assign(index, rec.command.id);
+          pending_.insert_or_assign(
+              index, Pending{{}, {}, std::move(rec.command), *rec.client, false, true_now()});
+          next_own_index_ = std::max(next_own_index_, index + replicas_.size());
         } else {
-          if (!log_.is_committed(index)) log_.accept(index, std::move(cmd));
+          if (!log_.is_committed(index)) log_.accept(index, std::move(rec.command));
           // Restore the implicit own-lane promise the accept made.
           advance_own_lane(index);
         }
-        break;
-      }
-      case recovery::RecordTag::kCommitted: {
-        auto [index, cmd] = wire::from_bytes<Commit>(rec.body);
-        log_.commit(index, std::move(cmd));
-        if (owner_of(index) == rank_) {
-          const auto it = pending_.find(index);
+      },
+      [this](Commit rec) {
+        log_.commit(rec.index, std::move(rec.command));
+        if (owner_of(rec.index) == rank_) {
+          const auto it = pending_.find(rec.index);
           if (it != pending_.end()) {
             it->second.committed = true;
             it->second.acked.clear();
             it->second.commit_acked.clear();
           }
         } else {
-          advance_own_lane(index);
+          advance_own_lane(rec.index);
         }
-        break;
-      }
-      default:
-        break;  // Mencius writes no other tags
-    }
-  });
+      });
   execute_ready();
 
   // All quorum/ack tallies died with the crash: immediately re-send every

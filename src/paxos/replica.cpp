@@ -27,14 +27,10 @@ void Replica::handle(const net::Packet&, const ClientRequest& req) {
   accept_counts_[index] = 1;  // self-accept
   origin_[index] = req.command.id.client;
   open_wait("paxos_quorum_wait", index);
-  const sm::Command command = req.command;
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(
-            recovery::IndexAcceptedRecord{index, command, command.id.client});
-      },
-      [this, index, command] { broadcast(Accept{index, command}); });
+      recovery::IndexAcceptedRecord{index, req.command, req.command.id.client},
+      [this, index, command = req.command] { broadcast(Accept{index, command}); });
 }
 
 void Replica::handle(const net::Packet& packet, const Accept& msg) {
@@ -48,10 +44,7 @@ void Replica::handle(const net::Packet& packet, const Accept& msg) {
   obs_accepts_.inc();
   persistor_.persist(
       recovery::RecordTag::kAccepted,
-      [&] {
-        return wire::to_bytes(
-            recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt});
-      },
+      recovery::IndexAcceptedRecord{msg.index, msg.command, std::nullopt},
       [this, from = packet.src, index = msg.index] { send(from, AcceptReply{index}); });
 }
 
@@ -78,15 +71,11 @@ void Replica::handle(const net::Packet&, const AcceptReply& msg) {
     // followers (asynchronously, i.e. the client does not wait for follower
     // commits). The reply is what makes the commit externally visible, so
     // it must not leave this node before the decision is durable.
-    const std::uint64_t index = msg.index;
-    const sm::Command command = entry->command;
-    persistor_.persist(
-        recovery::RecordTag::kCommitted,
-        [&] { return wire::to_bytes(Commit{index, command}); },
-        [this, index, command, origin] {
-          if (origin.valid()) send(origin, ClientReply{command.id});
-          broadcast(Commit{index, command});
-        });
+    const Commit commit{msg.index, entry->command};
+    persistor_.persist(recovery::RecordTag::kCommitted, commit, [this, commit, origin] {
+      if (origin.valid()) send(origin, ClientReply{commit.command.id});
+      broadcast(commit);
+    });
   }
   execute_ready();
 }
@@ -97,7 +86,7 @@ void Replica::handle(const net::Packet&, const Commit& msg) {
   // entry instead of carrying a permanent hole.
   log_.commit(msg.index, msg.command);
   // Nothing is externalized on this path, so the persist is fire-and-forget.
-  persistor_.persist(recovery::RecordTag::kCommitted, [&] { return wire::to_bytes(msg); });
+  persistor_.persist(recovery::RecordTag::kCommitted, msg);
   execute_ready();
 }
 
@@ -107,28 +96,19 @@ void Replica::recover() {
   origin_.clear();
   next_index_ = 0;
 
-  persistor_.replay([this](const recovery::DurableRecord& rec) {
-    switch (rec.tag) {
-      case recovery::RecordTag::kAccepted: {
-        auto [index, cmd, client] = wire::from_bytes<recovery::IndexAcceptedRecord>(rec.body);
-        if (client) origin_[index] = *client;
+  persistor_.replay<recovery::IndexAcceptedRecord, Commit>(
+      [this](recovery::IndexAcceptedRecord rec) {
+        if (rec.client) origin_[rec.index] = *rec.client;
         // A later kCommitted record (or a duplicate accept from a previous
         // incarnation) may already have resolved this index.
-        if (!log_.is_committed(index)) log_.accept(index, std::move(cmd));
-        next_index_ = std::max(next_index_, index + 1);
-        break;
-      }
-      case recovery::RecordTag::kCommitted: {
-        auto [index, cmd] = wire::from_bytes<Commit>(rec.body);
-        log_.commit(index, std::move(cmd));
-        origin_.erase(index);  // the client was already answered
-        next_index_ = std::max(next_index_, index + 1);
-        break;
-      }
-      default:
-        break;  // Multi-Paxos writes no other tags
-    }
-  });
+        if (!log_.is_committed(rec.index)) log_.accept(rec.index, std::move(rec.command));
+        next_index_ = std::max(next_index_, rec.index + 1);
+      },
+      [this](Commit rec) {
+        log_.commit(rec.index, std::move(rec.command));
+        origin_.erase(rec.index);  // the client was already answered
+        next_index_ = std::max(next_index_, rec.index + 1);
+      });
   execute_ready();
 
   // Accepted-but-uncommitted leader entries lost their quorum tallies with

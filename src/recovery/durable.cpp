@@ -91,26 +91,22 @@ void Persistor::bind(DurableStore& store, rpc::Node& node) {
   log_ = &store.log_of(node.id());
 }
 
-void Persistor::persist(RecordTag tag, const BodyFn& body, std::function<void()> then) {
-  if (store_ == nullptr) {
-    then();
-    return;
-  }
-  const wire::Payload record = body();
+bool Persistor::append_scratch(RecordTag tag) {
+  const wire::Payload& body = store_->scratch_.buffer();
   store_->obs_persist_records_.inc();
-  store_->obs_persist_bytes_.inc(record.size() + 1);
-  log_->append(tag, record);
-  const Duration sync = store_->config().sync_latency;
-  if (sync <= Duration::zero()) {
-    then();
-    return;
-  }
+  store_->obs_persist_bytes_.inc(body.size() + 1);
+  log_->append(tag, body);
+  return store_->config().sync_latency > Duration::zero();
+}
+
+void Persistor::defer(std::function<void()> then) {
   // The record is on disk only after the sync completes: defer the
   // externalizing continuation, inside the span that asked for the write,
   // and cancel it if the node restarts first.
-  node_->after_in_span(sync, [this, epoch = epoch_, fn = std::move(then)] {
-    if (epoch == epoch_) fn();
-  });
+  node_->after_in_span(store_->config().sync_latency,
+                       [this, epoch = epoch_, fn = std::move(then)] {
+                         if (epoch == epoch_) fn();
+                       });
 }
 
 void Persistor::begin_restart() {

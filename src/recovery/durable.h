@@ -15,14 +15,18 @@
 // ended with because the next record did not fit. Reading hands out
 // DurableRecord views into the arena, valid until the next append.
 //
+// Records are typed: Persistor::persist takes a protocol's field-list
+// struct (wire/codec.h), and Persistor::replay decodes each record back
+// into the struct the protocol names for its tag.
+//
 // The store models the cost of durability with a configurable sync
 // latency: a replica that must persist before sending (persist-before-
 // externalize, the classic acceptor discipline) calls
-// Persistor::persist(tag, body, then) — the record is appended immediately
-// (state mutations are never deferred) but the continuation, which holds
-// the externalizing sends, runs only after the simulated sync completes.
-// Continuations are epoch-guarded: a crash+restart during the sync window
-// cancels them, exactly like a real fsync that never returned.
+// Persistor::persist(tag, record, then) — the record is appended
+// immediately (state mutations are never deferred) but the continuation,
+// which holds the externalizing sends, runs only after the simulated sync
+// completes. Continuations are epoch-guarded: a crash+restart during the
+// sync window cancels them, exactly like a real fsync that never returned.
 //
 // Persistor also owns the protocol-independent half of the restart path:
 // the catch-up flag and its start time, the CatchupRequest broadcast and its
@@ -43,6 +47,7 @@
 #include <ranges>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -60,19 +65,17 @@ class KvStore;
 
 namespace domino::recovery {
 
-/// Tag of a durable write-ahead record. The body layout is owned by the
-/// protocol that wrote it; tags are shared so replay loops can dispatch.
+/// Tag of a durable write-ahead record. The body is the wire encoding of a
+/// struct the protocol that wrote it names per tag (see Persistor::replay).
 enum class RecordTag : std::uint8_t {
-  kReservation = 1,  // log-position reservation (next index / instance / ts)
-  kAccepted = 2,     // accepted value at a position (plus protocol attributes)
-  kCommitted = 3,    // commit decision at a position
-  kWatermark = 4,    // lane / owner-rank frontier advance
+  kAccepted = 2,   // accepted value at a position (plus protocol attributes)
+  kCommitted = 3,  // commit decision at a position
 };
 
 /// One durable record: its tag and a view of its body bytes in the owning
 /// DurableLog's arena, valid until the next append to that log.
 struct DurableRecord {
-  RecordTag tag = RecordTag::kReservation;
+  RecordTag tag = RecordTag::kAccepted;
   std::span<const std::uint8_t> body;
 };
 
@@ -187,6 +190,9 @@ class DurableStore {
   obs::HistogramHandle obs_catchup_duration_ns_;
   /// Sum of every time-to-rejoin, which obs_rejoin_ns_ keeps as a histogram.
   std::int64_t rejoin_ns_total_ = 0;
+  /// The record a Persistor is appending: each persist encodes and appends
+  /// in one call, so every Persistor bound to this store reuses this buffer.
+  wire::ByteWriter scratch_;
 
  private:
   DurableConfig config_;
@@ -209,13 +215,11 @@ class DurableStore {
 ///   finish_rejoin()     leave catch-up, record the kRecoveryDone incident.
 ///
 /// Default-constructed (unbound) the facade is disabled: persist() runs the
-/// continuation inline without encoding anything, so protocols can call it
-/// unconditionally and fault-free runs stay byte-identical to before. The
-/// restart lifecycle requires bind().
+/// continuation inline without encoding the record, so protocols can call
+/// it unconditionally and fault-free runs stay byte-identical to before.
+/// The restart lifecycle requires bind().
 class Persistor {
  public:
-  using BodyFn = std::function<wire::Payload()>;
-
   /// Catch-up request retransmit interval for a recovering replica.
   static constexpr Duration kCatchupRetryInterval = milliseconds(100);
 
@@ -225,15 +229,22 @@ class Persistor {
   /// which sends the catch-up requests and records the incidents.
   void bind(DurableStore& store, rpc::Node& node);
 
-  /// Append the record produced by `body` under `tag`, then run `then`
-  /// once the simulated sync completes. Disabled: `then` runs inline and
-  /// `body` is never invoked. The continuation is cancelled if the node
-  /// restarts during the sync window (the send was never externalized).
-  void persist(RecordTag tag, const BodyFn& body, std::function<void()> then);
-
-  /// Fire-and-forget persist (no externalization gated on it).
-  void persist(RecordTag tag, const BodyFn& body) {
-    persist(tag, body, [] {});
+  /// Append the wire encoding of `record` under `tag`, then run `then`
+  /// once the simulated sync completes. Unbound, or with a zero sync, `then`
+  /// runs inline (unbound, `record` is not even encoded). The continuation
+  /// is cancelled if the node restarts during the sync window (the send was
+  /// never externalized).
+  template <wire::FieldList Record, typename Then = void (*)()>
+  void persist(RecordTag tag, const Record& record, Then then = [] {}) {
+    if (store_ != nullptr) {
+      store_->scratch_.clear();
+      wire::write(store_->scratch_, record);
+      if (append_scratch(tag)) {
+        defer(std::move(then));
+        return;
+      }
+    }
+    then();
   }
 
   /// Restart epoch: bumped by begin_restart(); stale sync continuations,
@@ -249,14 +260,20 @@ class Persistor {
   /// Throws std::logic_error when unbound.
   void begin_restart();
 
-  /// Replay the durable image through `fn(const DurableRecord&)`, in
-  /// append order.
-  template <typename Fn>
-  void replay(Fn&& fn) {
+  /// Replay the durable image in append order: each kAccepted record is
+  /// decoded as an `Accepted` and handed to `on_accepted`, each kCommitted
+  /// one as a `Committed` to `on_committed`.
+  template <wire::FieldList Accepted, wire::FieldList Committed, typename OnAccepted,
+            typename OnCommitted>
+  void replay(OnAccepted&& on_accepted, OnCommitted&& on_committed) {
     for (const DurableRecord record : log_->records()) {
       store_->obs_replay_records_.inc();
       store_->obs_replay_bytes_.inc(record.body.size() + 1);
-      fn(record);
+      if (record.tag == RecordTag::kAccepted) {
+        on_accepted(wire::from_bytes<Accepted>(record.body));
+      } else {
+        on_committed(wire::from_bytes<Committed>(record.body));
+      }
     }
   }
 
@@ -273,6 +290,12 @@ class Persistor {
   bool finish_rejoin();
 
  private:
+  /// Count and append the store's scratch_ under `tag`; true when the sync
+  /// takes time.
+  bool append_scratch(RecordTag tag);
+  /// Run `then` after the sync latency, unless the node restarts first.
+  void defer(std::function<void()> then);
+
   DurableStore* store_ = nullptr;
   rpc::Node* node_ = nullptr;
   DurableLog* log_ = nullptr;  // node_'s log in store_ (map nodes never move)

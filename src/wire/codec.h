@@ -66,6 +66,8 @@ class ByteWriter {
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] Payload take() { return std::move(buf_); }
+  /// Empty the buffer, keeping its capacity for the next encoding.
+  void clear() { buf_.clear(); }
   [[nodiscard]] const Payload& buffer() const { return buf_; }
 
  private:

@@ -1,13 +1,17 @@
-// recovery::Persistor on its own: the persist-then-continue sync model and
-// the restart lifecycle (begin_restart, replay, request_catchup,
-// finish_rejoin), driven by bare rpc::Nodes on a one-DC network; and the
-// DurableLog byte arena's block layout, length encoding and accounting.
+// recovery::Persistor on its own: typed records in and out, the
+// persist-then-continue sync model and the restart lifecycle
+// (begin_restart, replay, request_catchup, finish_rejoin), driven by bare
+// rpc::Nodes on a one-DC network; and the DurableLog byte arena's block
+// layout, length encoding and accounting.
 #include "recovery/durable.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,7 +26,26 @@ namespace {
 
 net::Topology one_dc() { return net::Topology{{"A"}, {{0.0}}}; }
 
-wire::Payload bytes(std::initializer_list<std::uint8_t> b) { return wire::Payload(b); }
+/// A record that is one length-prefixed byte string: its encoding is one
+/// length byte (for under 128 bytes) followed by the bytes.
+struct Blob {
+  wire::Payload bytes;
+
+  bool operator==(const Blob&) const = default;
+  static auto fields(auto& m) { return std::tie(m.bytes); }
+};
+
+Blob blob(std::initializer_list<std::uint8_t> b) { return Blob{wire::Payload(b)}; }
+
+/// A second record type, as a protocol's kCommitted struct differs from its
+/// kAccepted one.
+struct Decision {
+  std::uint64_t index = 0;
+  bool is_noop = false;
+
+  bool operator==(const Decision&) const = default;
+  static auto fields(auto& m) { return std::tie(m.index, m.is_noop); }
+};
 
 /// A node that owns a Persistor and logs the catch-up requests it receives.
 class Host : public rpc::Node {
@@ -55,20 +78,19 @@ struct PersistorTest : ::testing::Test {
 
 TEST_F(PersistorTest, ContinuationRunsOneSyncLatencyLater) {
   TimePoint ran_at = TimePoint::max();
-  a.persistor.persist(RecordTag::kAccepted, [] { return bytes({1, 2}); },
-                      [&] { ran_at = a.true_now(); });
+  a.persistor.persist(RecordTag::kAccepted, blob({1, 2}), [&] { ran_at = a.true_now(); });
   // Appended at once; externalized only after the sync.
   EXPECT_EQ(log().size(), 1u);
   EXPECT_EQ(ran_at, TimePoint::max());
   simulator.run();
   EXPECT_EQ(ran_at, TimePoint::epoch() + milliseconds(2));
   EXPECT_EQ(durable.aggregate().persisted_records, 1u);
-  EXPECT_EQ(durable.aggregate().persisted_bytes, 3u);  // body + tag byte
+  EXPECT_EQ(durable.aggregate().persisted_bytes, 4u);  // length + 2 bytes, tag byte
 }
 
 TEST_F(PersistorTest, RestartInsideSyncWindowCancelsContinuationButKeepsRecord) {
   bool ran = false;
-  a.persistor.persist(RecordTag::kCommitted, [] { return bytes({7}); }, [&] { ran = true; });
+  a.persistor.persist(RecordTag::kCommitted, blob({7}), [&] { ran = true; });
   simulator.schedule_at(TimePoint::epoch() + milliseconds(1),
                         [&] { a.persistor.begin_restart(); });
   simulator.run();
@@ -81,35 +103,109 @@ TEST_F(PersistorTest, RestartInsideSyncWindowCancelsContinuationButKeepsRecord) 
 TEST_F(PersistorTest, WeakenedLogCountsButKeepsAndReplaysNothing) {
   durable.weaken(a.id());
   bool ran = false;
-  a.persistor.persist(RecordTag::kAccepted, [] { return bytes({1, 2, 3}); },
-                      [&] { ran = true; });
+  a.persistor.persist(RecordTag::kAccepted, blob({1, 2, 3}), [&] { ran = true; });
   simulator.run();
   EXPECT_TRUE(ran);  // the code path is identical; only the data is gone
   EXPECT_EQ(durable.aggregate().persisted_records, 1u);
-  EXPECT_EQ(durable.aggregate().persisted_bytes, 4u);
+  EXPECT_EQ(durable.aggregate().persisted_bytes, 5u);
   EXPECT_TRUE(log().records().empty());
   EXPECT_EQ(log().byte_size(), 0u);
-  std::size_t replayed = 0;
-  a.persistor.replay([&](const DurableRecord&) { ++replayed; });
-  EXPECT_EQ(replayed, 0u);
+  a.persistor.replay<Blob, Blob>([](const Blob&) { ADD_FAILURE() << "kAccepted replayed"; },
+                                 [](const Blob&) { ADD_FAILURE() << "kCommitted replayed"; });
   EXPECT_EQ(durable.aggregate().replayed_records, 0u);
 }
 
 TEST_F(PersistorTest, ReplayWalksRecordsInAppendOrder) {
-  a.persistor.persist(RecordTag::kReservation, [] { return bytes({1}); });
-  a.persistor.persist(RecordTag::kAccepted, [] { return bytes({2, 2}); });
-  a.persistor.persist(RecordTag::kCommitted, [] { return bytes({3, 3, 3}); });
-  std::vector<RecordTag> tags;
-  std::vector<std::size_t> sizes;
-  a.persistor.replay([&](const DurableRecord& r) {
-    tags.push_back(r.tag);
-    sizes.push_back(r.body.size());
-  });
-  EXPECT_EQ(tags, (std::vector<RecordTag>{RecordTag::kReservation, RecordTag::kAccepted,
-                                          RecordTag::kCommitted}));
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 3}));
+  a.persistor.persist(RecordTag::kCommitted, blob({1}));
+  a.persistor.persist(RecordTag::kAccepted, blob({2, 2}));
+  a.persistor.persist(RecordTag::kCommitted, blob({3, 3, 3}));
+  std::vector<std::pair<RecordTag, Blob>> replayed;
+  a.persistor.replay<Blob, Blob>(
+      [&](Blob b) { replayed.emplace_back(RecordTag::kAccepted, std::move(b)); },
+      [&](Blob b) { replayed.emplace_back(RecordTag::kCommitted, std::move(b)); });
+  EXPECT_EQ(replayed, (std::vector<std::pair<RecordTag, Blob>>{
+                          {RecordTag::kCommitted, blob({1})},
+                          {RecordTag::kAccepted, blob({2, 2})},
+                          {RecordTag::kCommitted, blob({3, 3, 3})}}));
   EXPECT_EQ(durable.aggregate().replayed_records, 3u);
-  EXPECT_EQ(durable.aggregate().replayed_bytes, 9u);  // 6 body bytes + 3 tag bytes
+  // 6 bytes, 3 length bytes, 3 tag bytes.
+  EXPECT_EQ(durable.aggregate().replayed_bytes, 12u);
+}
+
+TEST(PersistorTyped, PersistWritesTheRecordEncodingUnderItsTag) {
+  sim::Simulator simulator;
+  net::Network network{simulator, one_dc(), 1};
+  Host host{NodeId{0}, 0, network};
+  DurableStore store;  // zero sync: continuations run inline
+  host.persistor.bind(store, host);
+  const IndexAcceptedRecord accepted{7, sm::Command{RequestId{NodeId{3}, 9}, "key", "value"},
+                                     NodeId{3}};
+  const Decision committed{7, false};
+  int ran = 0;
+  host.persistor.persist(RecordTag::kAccepted, accepted, [&] { ++ran; });
+  host.persistor.persist(RecordTag::kCommitted, committed, [&] { ++ran; });
+  EXPECT_EQ(ran, 2);
+  const auto& log = store.log_of(host.id());
+  ASSERT_EQ(log.size(), 2u);
+  const DurableRecord first = *log.records().begin();
+  const DurableRecord second = *std::next(log.records().begin());
+  EXPECT_EQ(first.tag, RecordTag::kAccepted);
+  EXPECT_EQ(wire::Payload(first.body.begin(), first.body.end()), wire::to_bytes(accepted));
+  EXPECT_EQ(second.tag, RecordTag::kCommitted);
+  EXPECT_EQ(wire::Payload(second.body.begin(), second.body.end()), wire::to_bytes(committed));
+  EXPECT_EQ(store.aggregate().persisted_bytes,
+            wire::to_bytes(accepted).size() + wire::to_bytes(committed).size() + 2);
+}
+
+TEST_F(PersistorTest, TypedReplayHandsBackEachTagsStructInAppendOrder) {
+  std::vector<IndexAcceptedRecord> accepted;
+  std::vector<Decision> committed;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    accepted.push_back(IndexAcceptedRecord{
+        i, sm::Command{RequestId{NodeId{1}, i}, "k" + std::to_string(i), "v"},
+        i == 1 ? std::optional(NodeId{1}) : std::nullopt});
+    committed.push_back(Decision{i, i == 2});
+    a.persistor.persist(RecordTag::kAccepted, accepted.back());
+    a.persistor.persist(RecordTag::kCommitted, committed.back());
+  }
+  std::string order;
+  std::vector<IndexAcceptedRecord> got_accepted;
+  std::vector<Decision> got_committed;
+  a.persistor.replay<IndexAcceptedRecord, Decision>(
+      [&](IndexAcceptedRecord r) {
+        order += 'A';
+        got_accepted.push_back(std::move(r));
+      },
+      [&](Decision d) {
+        order += 'C';
+        got_committed.push_back(d);
+      });
+  EXPECT_EQ(order, "ACACAC");
+  EXPECT_EQ(got_committed, committed);
+  ASSERT_EQ(got_accepted.size(), accepted.size());
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    EXPECT_EQ(got_accepted[i].index, accepted[i].index) << i;
+    EXPECT_EQ(got_accepted[i].command, accepted[i].command) << i;
+    EXPECT_EQ(got_accepted[i].client, accepted[i].client) << i;
+  }
+  EXPECT_EQ(durable.aggregate().replayed_records, 6u);
+}
+
+TEST_F(PersistorTest, TypedReplayDecodesOneStructUnderBothTags) {
+  // EPaxos's shape: the same struct under kAccepted and kCommitted, the tag
+  // alone saying which it is.
+  const std::vector<std::pair<RecordTag, Decision>> written{
+      {RecordTag::kAccepted, {1, false}},
+      {RecordTag::kAccepted, {2, false}},
+      {RecordTag::kCommitted, {1, false}},
+      {RecordTag::kAccepted, {3, true}},
+      {RecordTag::kCommitted, {3, true}}};
+  for (const auto& [tag, d] : written) a.persistor.persist(tag, d);
+  std::vector<std::pair<RecordTag, Decision>> replayed;
+  a.persistor.replay<Decision, Decision>(
+      [&](Decision d) { replayed.emplace_back(RecordTag::kAccepted, d); },
+      [&](Decision d) { replayed.emplace_back(RecordTag::kCommitted, d); });
+  EXPECT_EQ(replayed, written);
 }
 
 // --- DurableLog's byte arena ------------------------------------------------
@@ -140,7 +236,7 @@ TEST(DurableLogArena, RecordExactlyFillingBlockTailStaysInBlock) {
   log.append(RecordTag::kAccepted, first);
   log.append(RecordTag::kCommitted, tail);
   EXPECT_EQ(log.reserved_bytes(), kBlock);  // one block, no byte spare
-  log.append(RecordTag::kWatermark, filled(1, 3));
+  log.append(RecordTag::kAccepted, filled(1, 3));
   EXPECT_EQ(log.reserved_bytes(), 2 * kBlock);  // the next record opened a block
   const auto all = read_all(log);
   ASSERT_EQ(all.size(), 3u);
@@ -201,21 +297,23 @@ TEST(DurableLogArena, WeakenedLogStaysEmpty) {
 }
 
 TEST_F(PersistorTest, ReplayAcrossBlocksIsInOrderAndByteExact) {
-  const std::array<RecordTag, 3> tags{RecordTag::kReservation, RecordTag::kAccepted,
-                                      RecordTag::kCommitted};
-  std::vector<std::pair<RecordTag, wire::Payload>> written;
+  const std::array<RecordTag, 3> tags{RecordTag::kCommitted, RecordTag::kAccepted,
+                                      RecordTag::kAccepted};
+  std::vector<std::pair<RecordTag, Blob>> written;
   std::uint64_t bytes_written = 0;
-  // About 3.5 blocks of records of 0..60 body bytes.
+  // About 3.5 blocks of records of 1..61 body bytes (a length byte, then
+  // 0..60 bytes).
   for (std::size_t i = 0; bytes_written < 3 * kBlock + kBlock / 2; ++i) {
-    written.emplace_back(tags[i % tags.size()], filled(i % 61, static_cast<std::uint8_t>(i)));
-    a.persistor.persist(written.back().first, [&] { return written.back().second; });
-    bytes_written += written.back().second.size() + 1;
+    written.emplace_back(tags[i % tags.size()],
+                         Blob{filled(i % 61, static_cast<std::uint8_t>(i))});
+    a.persistor.persist(written.back().first, written.back().second);
+    bytes_written += written.back().second.bytes.size() + 2;
   }
   EXPECT_GE(log().reserved_bytes(), 4 * kBlock);
-  std::vector<std::pair<RecordTag, wire::Payload>> replayed;
-  a.persistor.replay([&](const DurableRecord& r) {
-    replayed.emplace_back(r.tag, wire::Payload(r.body.begin(), r.body.end()));
-  });
+  std::vector<std::pair<RecordTag, Blob>> replayed;
+  a.persistor.replay<Blob, Blob>(
+      [&](Blob b) { replayed.emplace_back(RecordTag::kAccepted, std::move(b)); },
+      [&](Blob b) { replayed.emplace_back(RecordTag::kCommitted, std::move(b)); });
   EXPECT_EQ(replayed, written);
   EXPECT_EQ(log().size(), written.size());
   EXPECT_EQ(log().byte_size(), bytes_written);
@@ -226,18 +324,36 @@ TEST_F(PersistorTest, ReplayAcrossBlocksIsInOrderAndByteExact) {
   EXPECT_EQ(stats.replayed_bytes, bytes_written);
 }
 
+/// A record that counts how often the codec reads its field list.
+struct CountingRecord {
+  std::uint64_t value = 0;
+  static inline int encodes = 0;
+
+  static auto fields(auto& m) {
+    ++encodes;
+    return std::tie(m.value);
+  }
+};
+
 TEST(Persistor, UnboundRunsContinuationInlineWithoutEncoding) {
+  sim::Simulator simulator;
+  net::Network network{simulator, one_dc(), 1};
+  Host host{NodeId{0}, 0, network};
+  DurableStore store{DurableConfig{milliseconds(2)}};  // never bound to `p`
   Persistor p;
-  bool body_called = false;
-  bool ran = false;
-  p.persist(RecordTag::kAccepted,
-            [&] {
-              body_called = true;
-              return bytes({1});
-            },
-            [&] { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_FALSE(body_called);
+  int ran = 0;
+  CountingRecord::encodes = 0;
+  p.persist(RecordTag::kAccepted, CountingRecord{1}, [&] { ++ran; });
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(CountingRecord::encodes, 0);
+  simulator.run();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(store.log_of(host.id()).size(), 0u);
+  const RecoveryStats stats = store.aggregate();
+  EXPECT_EQ(stats.persisted_records, 0u);
+  EXPECT_EQ(stats.persisted_bytes, 0u);
+  EXPECT_EQ(stats.replayed_records, 0u);
+  EXPECT_EQ(stats.restarts, 0u);
   EXPECT_FALSE(p.catching_up());
   // The restart lifecycle needs a node and a store.
   EXPECT_THROW(p.begin_restart(), std::logic_error);
