@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: the wire
 // codec, the compressed logs, the sliding-window estimator, the latency
-// sample store, the durable write-ahead log and the discrete-event core.
+// sample store, the flat key table, the durable write-ahead log and the
+// discrete-event core.
 // These bound the simulator's capacity for the Figure 13 throughput sweeps. The delay-trace loader, run
 // over the globe_va.csv fixture, is the set-up cost of every trace-replay
 // run.
@@ -11,9 +12,11 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/interval_set.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -26,6 +29,7 @@
 #include "recovery/messages.h"
 #include "rpc/node.h"
 #include "sim/simulator.h"
+#include "statemachine/workload.h"
 #include "wan/delay_trace.h"
 #include "wire/message.h"
 
@@ -127,9 +131,11 @@ BENCHMARK(BM_WindowEstimatorP95);
 
 // One cluster_load run's execution samples (Fig. 13 at 34K req/s: 51,000
 // tracked requests executed at three replicas), then the two percentiles
-// perfbench reads.
+// perfbench reads. With frozen:1 the set is frozen first, as run_protocol
+// leaves every result's samples, so the queries decode deltas.
 void BM_StatAccumulatorAddPercentile(benchmark::State& state) {
   constexpr int kSamples = 153'000;
+  const bool frozen = state.range(0) != 0;
   Rng rng(1);
   std::vector<Duration> samples;
   samples.reserve(kSamples);
@@ -139,12 +145,39 @@ void BM_StatAccumulatorAddPercentile(benchmark::State& state) {
   for (auto _ : state) {
     StatAccumulator acc;
     for (const Duration d : samples) acc.add(d);
+    if (frozen) acc.freeze();
     benchmark::DoNotOptimize(acc.percentile(50));
     benchmark::DoNotOptimize(acc.percentile(99.9));
   }
   state.SetItemsProcessed(state.iterations() * kSamples);
 }
-BENCHMARK(BM_StatAccumulatorAddPercentile)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StatAccumulatorAddPercentile)
+    ->ArgName("frozen")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// The key table of one cluster_load run: the 51,650 distinct keys the
+// paper's workload (8-digit keys, Zipf over 1 M) writes, inserted into an
+// empty table as the KV store does, then each found again.
+void BM_FlatStringMapWorkloadKeys(benchmark::State& state) {
+  constexpr std::size_t kKeys = 51'650;
+  sm::WorkloadGenerator workload({}, 1);
+  std::unordered_set<std::string> seen;
+  std::vector<std::string> keys;
+  keys.reserve(kKeys);
+  while (keys.size() < kKeys) {
+    std::string key = workload.next(NodeId{1}).key;
+    if (seen.insert(key).second) keys.push_back(std::move(key));
+  }
+  for (auto _ : state) {
+    FlatStringMap<InlineString> table;
+    for (const std::string& key : keys) table.try_emplace(key).first->assign(key);
+    for (const std::string& key : keys) benchmark::DoNotOptimize(table.find(key));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kKeys));
+}
+BENCHMARK(BM_FlatStringMapWorkloadKeys)->Unit(benchmark::kMillisecond);
 
 /// A bare node for Persistor::bind, which needs only its id.
 class DurableHost : public rpc::Node {

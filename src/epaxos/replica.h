@@ -106,8 +106,8 @@ class Replica : public recovery::Replica {
     InstanceId instance;
     std::uint64_t seq = 0;
   };
-  // A short key inline, then the instance id and seq.
-  static_assert(FlatStringMap<KeyWriter>::kSlotBytes == 40);
+  // An 8 B key word, the instance id and seq, and the slot's tag byte.
+  static_assert(FlatStringMap<KeyWriter>::kSlotBytes == 33);
 
   struct LeaderBook {
     std::uint64_t seq = 0;

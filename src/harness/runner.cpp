@@ -428,12 +428,12 @@ RunResult run_deployment(Protocol protocol, const Scenario& s) {
 
 RunResult run_protocol(Protocol protocol, const Scenario& s) {
   RunResult result = run_deployment(protocol, s);
-  // The samples moved out of the collector still carry the arrays' growth
-  // slack. Trim it now that the nodes and the network are gone and the heap
-  // is at its lowest, so the copy shrink_to_fit makes adds no peak.
-  result.commit_ms.shrink_to_fit();
-  result.exec_ms.shrink_to_fit();
-  for (StatAccumulator& client : result.commit_per_client) client.shrink_to_fit();
+  // The samples moved out of the collector are final. Freeze them now that
+  // the nodes and the network are gone and the heap is at its lowest, so
+  // the coded copy each freeze makes adds no peak.
+  result.commit_ms.freeze();
+  result.exec_ms.freeze();
+  for (StatAccumulator& client : result.commit_per_client) client.freeze();
   return result;
 }
 

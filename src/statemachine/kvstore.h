@@ -56,7 +56,7 @@ class KvStore {
   FlatStringMap<InlineString> data_;
   std::uint64_t applied_ = 0;
 };
-// One 8 B key and 8 B value per 32 B slot, both inline.
-static_assert(FlatStringMap<InlineString>::kSlotBytes == 32);
+// An 8 B key word, a 16 B value (8 B inline) and the slot's tag byte.
+static_assert(FlatStringMap<InlineString>::kSlotBytes == 25);
 
 }  // namespace domino::sm

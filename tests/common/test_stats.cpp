@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -214,6 +215,111 @@ TEST(StatAccumulator, NarrowBoundaryIsExact) {
                                                     Duration{kEnd}.millis()}));
   EXPECT_EQ(s.percentile(50), 0.0);
   EXPECT_EQ(s.percentile(75), Duration{kEnd - 1}.millis());
+}
+
+TEST(StatAccumulator, StddevIgnoresQueryHistory) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    StatAccumulator s;
+    for (int i = 0; i < 2'000; ++i) s.add(random_sample(rng));
+    const double before = s.stddev();
+    (void)s.percentile(50);  // sorts the samples in place
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.stddev()), std::bit_cast<std::uint64_t>(before))
+        << "seed " << seed;
+  }
+}
+
+/// Every rank, min, max, mean, stddev and the sorted values of `frozen`
+/// equal those of `thawed`, which holds the same samples uncoded.
+void expect_same_answers(const StatAccumulator& frozen, const StatAccumulator& thawed) {
+  ASSERT_EQ(frozen.count(), thawed.count());
+  const auto n = static_cast<double>(thawed.count());
+  for (std::size_t rank = 0; rank < thawed.count(); ++rank) {
+    const double p = 100.0 * (static_cast<double>(rank) + 0.5) / n;  // selects `rank`
+    ASSERT_EQ(frozen.percentile(p), thawed.percentile(p)) << "rank " << rank;
+  }
+  EXPECT_EQ(frozen.min(), thawed.min());
+  EXPECT_EQ(frozen.max(), thawed.max());
+  EXPECT_EQ(frozen.mean(), thawed.mean());
+  EXPECT_EQ(frozen.stddev(), thawed.stddev());
+  EXPECT_EQ(frozen.sorted_values(), thawed.sorted_values());
+}
+
+/// `narrow` samples in [0, 2^32) ns, deltas of every LEB128 width and exact
+/// repeats, plus a few negatives and spans past 2^32 ns in the spill.
+void add_mixed(StatAccumulator& s, Reference& ref, Rng& rng, std::size_t narrow) {
+  constexpr std::int64_t kNarrowEnd = std::int64_t{1} << 32;
+  const auto add = [&](Duration d) {
+    s.add(d);
+    ref.add(d);
+  };
+  for (std::size_t i = 0; i < narrow; ++i) {
+    switch (rng.next_u64() % 4) {
+      case 0: add(Duration{0}); break;
+      case 1: add(Duration{kNarrowEnd - 1}); break;
+      case 2: add(Duration{static_cast<std::int64_t>(rng.next_u64() % 300)}); break;
+      default: add(Duration{rng.uniform_i64(0, kNarrowEnd - 1)}); break;
+    }
+  }
+  for (int i = 0; i < 3; ++i) {
+    add(Duration{rng.uniform_i64(-seconds(3).nanos(), -1)});
+    add(Duration{rng.uniform_i64(kNarrowEnd, seconds(60).nanos())});
+  }
+}
+
+TEST(StatAccumulator, FrozenRanksMatchThawed) {
+  // One block of 64 samples is an anchor and 63 deltas: cover a lone
+  // anchor, a block one short, exactly full and one over, and two blocks
+  // plus one.
+  for (const std::size_t narrow : {1u, 63u, 64u, 65u, 129u}) {
+    Rng rng(narrow);
+    StatAccumulator s;
+    Reference ref;
+    add_mixed(s, ref, rng, narrow);
+    const StatAccumulator thawed = s;
+    s.freeze();
+    ASSERT_TRUE(s.frozen()) << narrow;
+    expect_same_answers(s, thawed);
+    expect_matches(s, ref);
+  }
+}
+
+TEST(StatAccumulator, AddAfterFreezeThaws) {
+  Rng rng(11);
+  StatAccumulator s;
+  Reference ref;
+  add_mixed(s, ref, rng, 200);
+  s.freeze();
+  s.freeze();  // a second freeze keeps the coding
+  ASSERT_TRUE(s.frozen());
+  add_mixed(s, ref, rng, 70);
+  EXPECT_FALSE(s.frozen());
+  EXPECT_EQ(s.count(), 270u + 12u);
+  expect_matches(s, ref);
+  s.freeze();  // and the grown set codes again
+  EXPECT_TRUE(s.frozen());
+  expect_matches(s, ref);
+}
+
+TEST(StatAccumulator, MergeLeavesFrozenSourceFrozen) {
+  Rng rng(13);
+  StatAccumulator a, b;
+  Reference ra, rb;
+  add_mixed(a, ra, rng, 100);
+  add_mixed(b, rb, rng, 150);
+  b.freeze();
+  a.merge(b);
+  ra.merge(rb);
+  EXPECT_TRUE(b.frozen());
+  expect_matches(b, rb);
+  expect_matches(a, ra);
+  // A frozen destination decodes itself before taking the samples.
+  StatAccumulator c = b;
+  Reference rc = rb;
+  c.merge(a);
+  rc.merge(ra);
+  EXPECT_FALSE(c.frozen());
+  expect_matches(c, rc);
 }
 
 TEST(TimeSeries, BucketsByTime) {
