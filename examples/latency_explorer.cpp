@@ -9,6 +9,7 @@
 
 #include "harness/geometry.h"
 #include "harness/runner.h"
+#include "measure/estimator.h"
 
 int main(int argc, char** argv) {
   using namespace domino;
@@ -28,13 +29,9 @@ int main(int argc, char** argv) {
   std::printf("\n\nAnalytical prediction (Section 5.6 estimates over the RTT matrix):\n");
   std::printf("  client   LatDFP(ms)  LatDM(ms)  choice\n");
   for (std::size_t client = 0; client < topo.size(); ++client) {
-    const Duration dfp = harness::fast_paxos_latency(topo, replica_dcs, client);
-    Duration dm = Duration::max();
-    for (std::size_t r = 0; r < replica_dcs.size(); ++r) {
-      const Duration cand = topo.rtt(client, replica_dcs[r]) +
-                            harness::replication_latency(topo, replica_dcs, r);
-      dm = std::min(dm, cand);
-    }
+    const harness::TopologyView view{topo, replica_dcs, client};
+    const Duration dfp = measure::estimate_dfp_latency(view, view.replicas());
+    const Duration dm = measure::estimate_dm_latency(view, view.replicas()).latency;
     std::printf("  %-8s %10.0f %10.0f  %s\n", topo.name(client).c_str(), dfp.millis(),
                 dm.millis(), dfp <= dm ? "DFP" : "DM");
   }

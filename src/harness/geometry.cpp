@@ -1,11 +1,35 @@
 #include "harness/geometry.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
-#include "common/window_estimator.h"
-#include "measure/quorum.h"
+#include "measure/estimator.h"
 
 namespace domino::harness {
+
+TopologyView::TopologyView(const net::Topology& topology,
+                           const std::vector<std::size_t>& replica_dcs, std::size_t viewer_dc)
+    : topology_(topology), replica_dcs_(replica_dcs), viewer_dc_(viewer_dc) {
+  replicas_.reserve(replica_dcs.size());
+  for (std::size_t i = 0; i < replica_dcs.size(); ++i) {
+    replicas_.push_back(NodeId{static_cast<std::uint32_t>(i)});
+  }
+}
+
+Duration TopologyView::rtt_estimate(NodeId target) const {
+  return topology_.rtt(viewer_dc_, replica_dcs_.at(target.value()));
+}
+
+Duration TopologyView::owd_estimate(NodeId target) const {
+  return topology_.owd(viewer_dc_, replica_dcs_.at(target.value()));
+}
+
+Duration TopologyView::replication_latency_of(NodeId target) const {
+  const TopologyView from_target{topology_, replica_dcs_, replica_dcs_.at(target.value())};
+  return measure::estimate_replication_latency(from_target, target, replicas_);
+}
 
 std::size_t closest_replica(const net::Topology& topology,
                             const std::vector<std::size_t>& replica_dcs,
@@ -22,46 +46,14 @@ std::size_t closest_replica(const net::Topology& topology,
   return best;
 }
 
-Duration fast_paxos_latency(const net::Topology& topology,
-                            const std::vector<std::size_t>& replica_dcs,
-                            std::size_t client_dc) {
-  std::vector<Duration> rtts;
-  rtts.reserve(replica_dcs.size());
-  for (std::size_t dc : replica_dcs) rtts.push_back(topology.rtt(client_dc, dc));
-  return kth_smallest(std::move(rtts), measure::supermajority(replica_dcs.size()));
-}
-
-Duration replication_latency(const net::Topology& topology,
-                             const std::vector<std::size_t>& replica_dcs,
-                             std::size_t replica_index) {
-  std::vector<Duration> rtts;
-  rtts.reserve(replica_dcs.size());
-  for (std::size_t i = 0; i < replica_dcs.size(); ++i) {
-    rtts.push_back(i == replica_index
-                       ? Duration::zero()
-                       : topology.rtt(replica_dcs[replica_index], replica_dcs[i]));
-  }
-  return kth_smallest(std::move(rtts), measure::majority(replica_dcs.size()));
-}
-
-Duration mencius_latency(const net::Topology& topology,
-                         const std::vector<std::size_t>& replica_dcs,
-                         std::size_t client_dc) {
-  const std::size_t closest = closest_replica(topology, replica_dcs, client_dc);
-  return topology.rtt(client_dc, replica_dcs[closest]) +
-         replication_latency(topology, replica_dcs, closest);
-}
-
-Duration multipaxos_latency(const net::Topology& topology,
-                            const std::vector<std::size_t>& replica_dcs,
-                            std::size_t client_dc, std::size_t leader_index) {
-  return topology.rtt(client_dc, replica_dcs[leader_index]) +
-         replication_latency(topology, replica_dcs, leader_index);
-}
-
 GeometrySummary analyze_geometry(const net::Topology& topology, std::size_t replica_count) {
-  GeometrySummary summary;
   const std::size_t n = topology.size();
+  if (replica_count == 0 || replica_count > n) {
+    throw std::invalid_argument("analyze_geometry: replica_count must be in [1, " +
+                                std::to_string(n) + "], got " +
+                                std::to_string(replica_count));
+  }
+  GeometrySummary summary;
   std::vector<std::size_t> placement(replica_count);
 
   // Enumerate combinations of distinct datacenters.
@@ -78,14 +70,19 @@ GeometrySummary analyze_geometry(const net::Topology& topology, std::size_t repl
     for (std::size_t i = 0; i < n; ++i) {
       if (select[i]) placement.push_back(i);
     }
-    if (placement.size() != replica_count) continue;
     for (std::size_t client = 0; client < n; ++client) {
-      const Duration fp = fast_paxos_latency(topology, placement, client);
-      const Duration men = mencius_latency(topology, placement, client);
+      const TopologyView view{topology, placement, client};
+      // Leader-based commit: client -> leader, then the leader's majority.
+      const auto via = [&view](std::size_t leader) {
+        const NodeId id = view.replicas()[leader];
+        return view.rtt_estimate(id) + view.replication_latency_of(id);
+      };
+      const Duration fp = measure::estimate_dfp_latency(view, view.replicas());
+      const Duration men = via(closest_replica(topology, placement, client));
       ++mencius_cases;
       if (fp < men) ++fp_vs_mencius;
       for (std::size_t leader = 0; leader < replica_count; ++leader) {
-        const Duration mp = multipaxos_latency(topology, placement, client, leader);
+        const Duration mp = via(leader);
         ++mp_cases;
         if (fp < mp) ++fp_vs_mp;
         GeometryCase c;
@@ -100,14 +97,9 @@ GeometrySummary analyze_geometry(const net::Topology& topology, std::size_t repl
     }
   } while (std::next_permutation(select.begin(), select.end()));
 
-  if (mencius_cases > 0) {
-    summary.fp_beats_mencius =
-        static_cast<double>(fp_vs_mencius) / static_cast<double>(mencius_cases);
-  }
-  if (mp_cases > 0) {
-    summary.fp_beats_multipaxos =
-        static_cast<double>(fp_vs_mp) / static_cast<double>(mp_cases);
-  }
+  summary.fp_beats_mencius =
+      static_cast<double>(fp_vs_mencius) / static_cast<double>(mencius_cases);
+  summary.fp_beats_multipaxos = static_cast<double>(fp_vs_mp) / static_cast<double>(mp_cases);
   return summary;
 }
 

@@ -124,11 +124,11 @@ Duration Prober::rtt_estimate(NodeId target, double percentile) const {
   return v ? *v : Duration::max();
 }
 
-Duration Prober::owd_estimate(NodeId target, double percentile) const {
+Duration Prober::owd_estimate(NodeId target) const {
   if (target == owner_.id()) return Duration::zero();
   auto it = state_.find(target);
   if (it == state_.end() || looks_failed(target)) return Duration::max();
-  const auto v = it->second.owd.percentile(owner_.local_now(), percentile);
+  const auto v = it->second.owd.percentile(owner_.local_now(), config_.percentile);
   return v ? *v : Duration::max();
 }
 

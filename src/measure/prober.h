@@ -56,12 +56,13 @@ class Prober final : public LatencyView {
 
   /// p-th percentile RTT estimate to `target` within the window, or
   /// Duration::max() if the target looks failed / was never measured.
-  [[nodiscard]] Duration rtt_estimate(NodeId target, double percentile) const override;
-  using LatencyView::rtt_estimate;
+  [[nodiscard]] Duration rtt_estimate(NodeId target, double percentile) const;
+  [[nodiscard]] Duration rtt_estimate(NodeId target) const override {
+    return rtt_estimate(target, config_.percentile);
+  }
 
-  /// p-th percentile arrival-offset (OWD + skew) estimate.
-  [[nodiscard]] Duration owd_estimate(NodeId target, double percentile) const override;
-  using LatencyView::owd_estimate;
+  /// Arrival-offset (OWD + skew) estimate at the configured percentile.
+  [[nodiscard]] Duration owd_estimate(NodeId target) const override;
 
   /// Latest piggybacked replication-latency estimate from `target`.
   [[nodiscard]] Duration replication_latency_of(NodeId target) const override;
@@ -69,7 +70,7 @@ class Prober final : public LatencyView {
   /// A target that has not answered for this long is considered failed and
   /// reported with Duration::max() estimates.
   static constexpr Duration kFailureTimeout = milliseconds(500);
-  [[nodiscard]] bool looks_failed(NodeId target) const override;
+  [[nodiscard]] bool looks_failed(NodeId target) const;
 
   /// A target that has not answered for this many probe intervals is
   /// *stale* well before kFailureTimeout (Section 5.8's fast "stop trusting
@@ -77,8 +78,6 @@ class Prober final : public LatencyView {
   /// stop trusting the link (e.g. the Domino client skips stale DM leaders).
   static constexpr std::int64_t kStaleAfterIntervals = 3;
   [[nodiscard]] bool is_stale(NodeId target) const override;
-
-  [[nodiscard]] double default_percentile() const override { return config_.percentile; }
 
   [[nodiscard]] const std::vector<NodeId>& targets() const { return targets_; }
   [[nodiscard]] const ProberConfig& config() const { return config_; }

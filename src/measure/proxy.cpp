@@ -41,7 +41,6 @@ void Proxy::handle(const net::Packet& packet, const ProxyQuery&) {
 }
 
 void ProxyFeed::update(const ProxyReport& report) {
-  percentile_ = report.percentile;
   for (const auto& e : report.entries) table_[e.replica] = e;
   last_update_ = owner_.true_now();
   ever_updated_ = true;
@@ -51,13 +50,13 @@ bool ProxyFeed::fresh() const {
   return ever_updated_ && owner_.true_now() - last_update_ <= staleness_;
 }
 
-Duration ProxyFeed::rtt_estimate(NodeId target, double) const {
+Duration ProxyFeed::rtt_estimate(NodeId target) const {
   if (!fresh()) return Duration::max();
   auto it = table_.find(target);
   return it == table_.end() || it->second.failed ? Duration::max() : it->second.rtt;
 }
 
-Duration ProxyFeed::owd_estimate(NodeId target, double) const {
+Duration ProxyFeed::owd_estimate(NodeId target) const {
   if (!fresh()) return Duration::max();
   auto it = table_.find(target);
   return it == table_.end() || it->second.failed ? Duration::max() : it->second.owd;
@@ -68,12 +67,6 @@ Duration ProxyFeed::replication_latency_of(NodeId target) const {
   auto it = table_.find(target);
   return it == table_.end() || it->second.failed ? Duration::max()
                                                  : it->second.replication_latency;
-}
-
-bool ProxyFeed::looks_failed(NodeId target) const {
-  if (!fresh()) return true;
-  auto it = table_.find(target);
-  return it == table_.end() || it->second.failed;
 }
 
 bool ProxyFeed::is_stale(NodeId target) const {

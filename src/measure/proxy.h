@@ -80,9 +80,8 @@ class Proxy : public rpc::Node {
   std::uint64_t queries_served_ = 0;
 };
 
-/// Client-side view over proxy snapshots. Percentile arguments are ignored
-/// in favour of the proxy's configured percentile (which the snapshot was
-/// computed at).
+/// Client-side view over proxy snapshots, at the percentile the proxy's
+/// prober is configured with (which the snapshot was computed at).
 class ProxyFeed final : public LatencyView {
  public:
   /// @param owner used for time (staleness checks).
@@ -92,21 +91,18 @@ class ProxyFeed final : public LatencyView {
 
   void update(const ProxyReport& report);
 
-  [[nodiscard]] Duration rtt_estimate(NodeId target, double percentile) const override;
-  [[nodiscard]] Duration owd_estimate(NodeId target, double percentile) const override;
+  [[nodiscard]] Duration rtt_estimate(NodeId target) const override;
+  [[nodiscard]] Duration owd_estimate(NodeId target) const override;
   [[nodiscard]] Duration replication_latency_of(NodeId target) const override;
-  [[nodiscard]] bool looks_failed(NodeId target) const override;
   /// Stale when the snapshot itself is old, or the proxy's own prober
   /// flagged the replica stale in the last report.
   [[nodiscard]] bool is_stale(NodeId target) const override;
-  [[nodiscard]] double default_percentile() const override { return percentile_; }
 
   [[nodiscard]] bool fresh() const;
 
  private:
   rpc::Node& owner_;
   Duration staleness_;
-  double percentile_ = 95.0;
   std::unordered_map<NodeId, ProxyReport::Entry> table_;
   TimePoint last_update_;
   bool ever_updated_ = false;

@@ -8,6 +8,7 @@
 #include "common/window_estimator.h"
 #include "harness/geometry.h"
 #include "harness/runner.h"
+#include "measure/estimator.h"
 #include "measure/quorum.h"
 
 namespace domino::harness {
@@ -81,7 +82,8 @@ TEST(ClusterSizeGeometry, SupermajorityNeverCheaperThanMajority) {
       const Duration super = kth_smallest(rtts, measure::supermajority(n));
       const Duration major = kth_smallest(rtts, measure::majority(n));
       EXPECT_GE(super, major) << "n=" << n << " client=" << client;
-      EXPECT_EQ(fast_paxos_latency(topo, placement, client), super);
+      const TopologyView view{topo, placement, client};
+      EXPECT_EQ(measure::estimate_dfp_latency(view, view.replicas()), super);
     }
   }
 }

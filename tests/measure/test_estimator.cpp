@@ -4,8 +4,6 @@
 
 #include <unordered_map>
 
-#include "common/window_estimator.h"
-
 namespace domino::measure {
 namespace {
 
@@ -27,11 +25,11 @@ class FakeView : public LatencyView {
 
   // Like the real Prober, a failed/stale target's estimates degrade to
   // max() — the composite estimators rely on that.
-  [[nodiscard]] Duration rtt_estimate(NodeId t, double) const override {
+  [[nodiscard]] Duration rtt_estimate(NodeId t) const override {
     const auto it = entries_.find(t);
     return it == entries_.end() || it->second.stale ? Duration::max() : it->second.rtt;
   }
-  [[nodiscard]] Duration owd_estimate(NodeId t, double) const override {
+  [[nodiscard]] Duration owd_estimate(NodeId t) const override {
     const auto it = entries_.find(t);
     return it == entries_.end() || it->second.stale ? Duration::max() : it->second.owd;
   }
@@ -39,40 +37,54 @@ class FakeView : public LatencyView {
     const auto it = entries_.find(t);
     return it == entries_.end() ? Duration::max() : it->second.repl;
   }
-  [[nodiscard]] bool looks_failed(NodeId t) const override { return is_stale(t); }
   [[nodiscard]] bool is_stale(NodeId t) const override {
     const auto it = entries_.find(t);
     return it == entries_.end() || it->second.stale;
   }
-  [[nodiscard]] double default_percentile() const override { return 95.0; }
 
  private:
   std::unordered_map<NodeId, Entry> entries_;
 };
 
-// A stub prober is impractical (Prober needs a live node), so the
-// composite estimators are covered by tests/measure/test_prober.cpp and the
-// integration tests; here we check the math helpers over raw vectors via
-// kth_smallest with the quorum sizes the estimators use.
+/// A view with one fresh RTT per replica, NodeId{0} first.
+FakeView rtts_view(std::vector<NodeId>& replicas, const std::vector<Duration>& rtts) {
+  FakeView view;
+  for (std::size_t i = 0; i < rtts.size(); ++i) {
+    replicas.push_back(NodeId{static_cast<std::uint32_t>(i)});
+    view.set(replicas.back(), {rtts[i], Duration::max(), Duration::max(), false});
+  }
+  return view;
+}
+
 TEST(Estimators, DfpLatencyIsSupermajorityRtt) {
   // 3 replicas: q = 3, the furthest of all three.
-  std::vector<Duration> rtts{milliseconds(67), milliseconds(80), milliseconds(196)};
-  EXPECT_EQ(kth_smallest(rtts, supermajority(3)), milliseconds(196));
+  std::vector<NodeId> replicas;
+  const FakeView view =
+      rtts_view(replicas, {milliseconds(67), milliseconds(80), milliseconds(196)});
+  EXPECT_EQ(estimate_dfp_latency(view, replicas), milliseconds(196));
   // 5 replicas: q = 4.
-  std::vector<Duration> rtts5{milliseconds(10), milliseconds(20), milliseconds(30),
-                              milliseconds(40), milliseconds(50)};
-  EXPECT_EQ(kth_smallest(rtts5, supermajority(5)), milliseconds(40));
+  std::vector<NodeId> replicas5;
+  const FakeView view5 =
+      rtts_view(replicas5, {milliseconds(10), milliseconds(20), milliseconds(30),
+                            milliseconds(40), milliseconds(50)});
+  EXPECT_EQ(estimate_dfp_latency(view5, replicas5), milliseconds(40));
 }
 
 TEST(Estimators, ReplicationLatencyIsMajorityRtt) {
-  // Leader's RTTs with self = 0: L = m-th smallest.
-  std::vector<Duration> rtts{Duration::zero(), milliseconds(136), milliseconds(175)};
-  EXPECT_EQ(kth_smallest(rtts, majority(3)), milliseconds(136));
+  // Leader's RTTs with self = 0: L = m-th smallest. The view's RTT to the
+  // leader itself is ignored.
+  std::vector<NodeId> replicas;
+  const FakeView view =
+      rtts_view(replicas, {milliseconds(999), milliseconds(136), milliseconds(175)});
+  EXPECT_EQ(estimate_replication_latency(view, NodeId{0}, replicas), milliseconds(136));
 }
 
 TEST(Estimators, MaxPropagates) {
-  std::vector<Duration> rtts{milliseconds(1), Duration::max(), Duration::max()};
-  EXPECT_EQ(kth_smallest(rtts, supermajority(3)), Duration::max());
+  std::vector<NodeId> replicas;
+  const FakeView view =
+      rtts_view(replicas, {milliseconds(1), Duration::max(), Duration::max()});
+  EXPECT_EQ(estimate_dfp_latency(view, replicas), Duration::max());
+  EXPECT_EQ(estimate_replication_latency(view, NodeId{0}, replicas), Duration::max());
 }
 
 TEST(Estimators, DmSkipsStaleReplicasAndPicksCheapestLane) {

@@ -95,11 +95,11 @@ TEST_F(ProxyFixture, FeedMatchesDirectMeasurement) {
   simulator.run_until(TimePoint::epoch() + seconds(2));
   // Proxy in A measures B at 20 ms, C at 60 ms; the co-located client's
   // feed reports the same values.
-  EXPECT_NEAR(client.feed.rtt_estimate(NodeId{1}, 95).millis(), 20.0, 0.5);
-  EXPECT_NEAR(client.feed.rtt_estimate(NodeId{2}, 95).millis(), 60.0, 0.5);
-  EXPECT_NEAR(client.feed.owd_estimate(NodeId{1}, 95).millis(), 10.0, 0.5);
+  EXPECT_NEAR(client.feed.rtt_estimate(NodeId{1}).millis(), 20.0, 0.5);
+  EXPECT_NEAR(client.feed.rtt_estimate(NodeId{2}).millis(), 60.0, 0.5);
+  EXPECT_NEAR(client.feed.owd_estimate(NodeId{1}).millis(), 10.0, 0.5);
   EXPECT_EQ(client.feed.replication_latency_of(NodeId{1}), milliseconds(40));
-  EXPECT_FALSE(client.feed.looks_failed(NodeId{1}));
+  EXPECT_FALSE(client.feed.is_stale(NodeId{1}));
 }
 
 TEST_F(ProxyFixture, EstimatorsWorkOverFeed) {
@@ -116,16 +116,21 @@ TEST_F(ProxyFixture, StaleFeedReportsFailed) {
   network.crash(NodeId{50});  // proxy dies; reports stop
   simulator.run_until(TimePoint::epoch() + seconds(3));
   EXPECT_FALSE(client.feed.fresh());
-  EXPECT_TRUE(client.feed.looks_failed(NodeId{1}));
-  EXPECT_EQ(client.feed.rtt_estimate(NodeId{1}, 95), Duration::max());
+  EXPECT_TRUE(client.feed.is_stale(NodeId{1}));
+  EXPECT_EQ(client.feed.rtt_estimate(NodeId{1}), Duration::max());
 }
 
 TEST_F(ProxyFixture, CrashedReplicaFlaggedThroughProxy) {
   simulator.run_until(TimePoint::epoch() + seconds(1));
   network.crash(NodeId{2});
   simulator.run_until(TimePoint::epoch() + seconds(3));
-  EXPECT_TRUE(client.feed.looks_failed(NodeId{2}));
-  EXPECT_FALSE(client.feed.looks_failed(NodeId{1}));
+  // The proxy reports replica 2 failed, so the feed prices it at max() and
+  // the DM estimator skips it as stale.
+  EXPECT_TRUE(client.feed.is_stale(NodeId{2}));
+  EXPECT_EQ(client.feed.rtt_estimate(NodeId{2}), Duration::max());
+  EXPECT_EQ(client.feed.replication_latency_of(NodeId{2}), Duration::max());
+  EXPECT_FALSE(client.feed.is_stale(NodeId{1}));
+  EXPECT_NE(client.feed.rtt_estimate(NodeId{1}), Duration::max());
 }
 
 TEST_F(ProxyFixture, ProbeTrafficIndependentOfClientCount) {
